@@ -19,6 +19,7 @@ UNDECIDED, never a wrong answer.
 
 from __future__ import annotations
 
+import struct
 import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -27,6 +28,10 @@ from typing import Optional, Sequence, Union
 from .errors import InvalidArity, EmptyInput, MalformedCertificate, VerificationBudgetExceeded
 from .intsets import IntSet, ZSetLike, as_int_list
 
+# Default cap of the independent verifier: reference-search nodes for a
+# certificate without a proof, proof entries for one read from a file.
+VERIFY_NODE_CAP = 50_000_000
+
 
 class Status(str, Enum):
     R_BIRKHOFF = "R_BIRKHOFF"
@@ -34,7 +39,7 @@ class Status(str, Enum):
     UNDECIDED = "UNDECIDED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicColoring:
     period: int
     colors: tuple[int, ...]
@@ -58,13 +63,28 @@ class PeriodicColoring:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowUnsat:
+    """The window graph on {0..window-1} has no proper ``arity``-coloring.
+
+    ``proof``, when present, is the refutation the solver found: the
+    DSATUR search tree of one component that is not colorable, built on a
+    subset D of the query distances.  It is packed as
+    ``struct.pack(f"{n}{T}", len(D), *D, *vertices)``, where ``vertices``
+    lists the tree's branching vertices in preorder and T is the smallest
+    unsigned type that holds the window (every entry is below it).  A
+    node's children are implied: one per color its colored neighbours
+    (v +- m, m in D) leave free, in ascending order; a leaf is a vertex
+    with every color blocked.  The verifier replays it in
+    O(len(proof) * |D|).
+    """
+
     window: int
     arity: int
+    proof: Optional[bytes] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicWitness:
     coloring: PeriodicColoring
 
@@ -72,7 +92,7 @@ class PeriodicWitness:
 Certificate = Union[WindowUnsat, PeriodicWitness]
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     nodes: int = 0
     windows_tried: int = 0
@@ -82,7 +102,7 @@ class SearchStats:
     limits: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     status: Status
     certificate: Optional[Certificate]
@@ -115,17 +135,65 @@ def certificate_to_json(cert: Optional[Certificate]) -> Optional[dict]:
     }
 
 
-def certificate_from_json(data: dict) -> Certificate:
+def proof_to_json(cert: Optional[Certificate]) -> Optional[dict]:
+    """The refutation a window certificate carries, for certificate files;
+    None when there is none.  Kept out of certificate_to_json so result
+    documents stay the same with or without a proof."""
+    if not isinstance(cert, WindowUnsat) or cert.proof is None:
+        return None
+    dists, vertices = _unpack_proof(cert.window, cert.proof)
+    return {"distances": dists.tolist(), "vertices": vertices.tolist()}
+
+
+def certificate_from_json(data: dict, node_cap: int = VERIFY_NODE_CAP) -> Certificate:
+    """Parse a certificate document; a window certificate's optional
+    ``proof`` may hold at most node_cap integers."""
     try:
         kind = data["type"]
         if kind == "window_unsat":
-            return WindowUnsat(window=int(data["window"]), arity=int(data["arity"]))
+            cert = WindowUnsat(window=int(data["window"]), arity=int(data["arity"]))
+            if data.get("proof") is None:
+                return cert
+            return replace(cert, proof=_proof_from_json(cert.window, data["proof"], node_cap))
         if kind == "periodic":
             colors = tuple(int(c) for c in data["colors"])
             return PeriodicWitness(PeriodicColoring(int(data["period"]), colors))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
         raise MalformedCertificate(str(exc)) from exc
     raise MalformedCertificate(f"unknown certificate type {data.get('type')!r}")
+
+
+def _proof_from_json(window: int, doc: dict, node_cap: int) -> bytes:
+    dists, vertices = doc["distances"], doc["vertices"]
+    if not isinstance(dists, list) or not isinstance(vertices, list):
+        raise MalformedCertificate("proof distances and vertices must be lists")
+    if len(dists) + len(vertices) > node_cap:
+        raise MalformedCertificate(f"proof has more than {node_cap} entries")
+    if any(type(v) is not int for v in dists) or any(type(v) is not int for v in vertices):
+        raise MalformedCertificate("proof entries must be integers")
+    return _pack_proof(window, dists, vertices)
+
+
+def _proof_typecode(window: int) -> str:
+    return next((code for code in "BHI" if window <= 256 ** struct.calcsize(code)), "Q")
+
+
+def _pack_proof(window: int, dists: Sequence[int], vertices: Sequence[int]) -> bytes:
+    """Raises struct.error if an entry does not fit the window's type."""
+    fmt = f"{1 + len(dists) + len(vertices)}{_proof_typecode(window)}"
+    return struct.pack(fmt, len(dists), *dists, *vertices)
+
+
+def _unpack_proof(window: int, proof: bytes) -> tuple[memoryview, memoryview]:
+    """(D, preorder vertices) of a packed proof; ValueError if malformed."""
+    code = _proof_typecode(window)
+    if len(proof) % struct.calcsize(code):
+        raise ValueError("proof is not a whole number of entries")
+    packed = memoryview(proof).cast(code)
+    if not packed or len(packed) <= packed[0]:
+        raise ValueError("truncated proof header")
+    k = packed[0]
+    return packed[1 : k + 1], packed[k + 1 :]
 
 
 @dataclass(frozen=True)
@@ -216,17 +284,41 @@ def _components(adj: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def _greedy_clique_bound(adj: list[list[int]], vertices: Sequence[int], tries: int = 12) -> int:
-    """Greedy clique size from a few start vertices; a sound lower bound."""
-    best = 1 if vertices else 0
+def _greedy_clique(adj: list[list[int]], vertices: Sequence[int], tries: int = 12) -> list[int]:
+    """Largest of the greedy cliques grown from a few start vertices; its
+    size is a sound lower bound on the chromatic number."""
+    best = list(vertices[:1])
     neigh = {v: set(adj[v]) for v in vertices}
     for v in vertices[:tries]:
         clique = [v]
         for u in adj[v]:
             if u in neigh and all(u in neigh[w] for w in clique):
                 clique.append(u)
-        best = max(best, len(clique))
+        if len(clique) > len(best):
+            best = clique
     return best
+
+
+def _clique_tree(clique: Sequence[int], r: int, limit: int) -> list[int]:
+    """The search tree refuting r-colorings of an (r+1)-clique, in the
+    proof format of WindowUnsat: depth i branches on clique[i] over the
+    r - i colors left free.  It has floor(e * r!) nodes; empty when that
+    exceeds limit."""
+    size = term = 1
+    for k in range(r, 0, -1):
+        term *= k
+        size += term
+        if size > limit:
+            return []
+    tree: list[int] = []
+
+    def walk(i: int):
+        tree.append(clique[i])
+        for _ in range(r - i):
+            walk(i + 1)
+
+    walk(0)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +350,12 @@ def _dsatur_decide(
     vertices: Sequence[int],
     r: int,
     budget: _Budget,
+    trace: list[int],
 ) -> Optional[dict[int, int]]:
-    """Exhaustive r-colorability on one component, DSATUR-ordered."""
+    """Exhaustive r-colorability on one component, DSATUR-ordered.
+
+    Appends each search node's branching vertex to trace, so on failure
+    trace holds the search tree in preorder."""
     vset = set(vertices)
     colors: dict[int, int] = {}
     sat: dict[int, dict[int, int]] = {v: {} for v in vertices}  # color -> support count
@@ -296,6 +392,7 @@ def _dsatur_decide(
             return True
         budget.charge()
         v = pick()
+        trace.append(v)
         order_pool.remove(v)
         forbidden = sat[v]
         for c in range(1, r + 1):
@@ -340,19 +437,26 @@ def _static_lex_coloring(adj: list[list[int]], n: int, r: int, budget: _Budget) 
     return None
 
 
-def _colorable(adj: list[list[int]], r: int, budget: _Budget) -> bool:
-    """Exact r-colorability of the whole graph (component by component)."""
+def _refutation(adj: list[list[int]], r: int, budget: _Budget) -> Optional[list[int]]:
+    """Exact r-colorability of the whole graph (component by component).
+
+    None when the graph is r-colorable.  Otherwise the search tree of a
+    component that is not, in WindowUnsat's proof format; it is empty when
+    a clique refutes the component but its tree would outgrow the budget
+    left."""
     for comp in _components(adj):
         if len(comp) <= r:
             continue  # trivially colorable
         greedy = _greedy_dsatur_colors(adj, comp)
         if max(greedy.values()) <= r:
             continue
-        if _greedy_clique_bound(adj, comp) > r:
-            return False
-        if _dsatur_decide(adj, comp, r, budget) is None:
-            return False
-    return True
+        clique = _greedy_clique(adj, comp)
+        if len(clique) > r:
+            return _clique_tree(clique[: r + 1], r, budget.left)
+        trace: list[int] = []
+        if _dsatur_decide(adj, comp, r, budget, trace) is None:
+            return trace
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +467,7 @@ def _colorable(adj: list[list[int]], r: int, budget: _Budget) -> bool:
 def window_r_colorable(m: ZSetLike, window: int, r: int, budget: Optional[_Budget] = None) -> bool:
     dists = _normalize_distances(m)
     budget = budget or _Budget(10_000_000)
-    return _colorable(_window_adjacency(window, dists), r, budget)
+    return _refutation(_window_adjacency(window, dists), r, budget) is None
 
 
 def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) -> Verdict:
@@ -389,8 +493,12 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
             if t <= limits.max_window:
                 stats.windows_tried = t
                 if t > dists[0]:  # smaller windows have no edges at all
-                    if not _colorable(_window_adjacency(t, dists), r, budget):
-                        return finish(Status.R_BIRKHOFF, WindowUnsat(window=t, arity=r))
+                    tree = _refutation(_window_adjacency(t, dists), r, budget)
+                    if tree is not None:
+                        # distances >= t add no edge, and leaving them out
+                        # keeps every packed entry below t
+                        proof = _pack_proof(t, [mm for mm in dists if mm < t], tree) if tree else None
+                        return finish(Status.R_BIRKHOFF, WindowUnsat(window=t, arity=r, proof=proof))
             if t <= limits.max_period and all(mm % t != 0 for mm in dists):
                 stats.periods_tried += 1
                 witness = _circulant_witness(dists, t, r, budget)
@@ -413,9 +521,9 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
 
 def _circulant_witness(dists: Sequence[int], p: int, r: int, budget: _Budget) -> Optional[PeriodicColoring]:
     adj = _circulant_adjacency(p, dists)
-    if p > r and _greedy_clique_bound(adj, list(range(p))) > r:
+    if p > r and len(_greedy_clique(adj, list(range(p)))) > r:
         return None
-    if not _colorable(adj, r, budget):
+    if _refutation(adj, r, budget) is not None:
         return None
     lex = _static_lex_coloring(adj, p, r, budget)
     if lex is None:  # cannot happen: decided colorable above
@@ -469,12 +577,14 @@ def _primitive_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
 
 
-def verify_certificate(m: ZSetLike, r: int, cert: Certificate, node_cap: int = 50_000_000) -> bool:
+def verify_certificate(m: ZSetLike, r: int, cert: Certificate, node_cap: int = VERIFY_NODE_CAP) -> bool:
     """Independent re-check of a certificate.
 
-    Periodic witnesses are checked residue by residue.  Window certificates
-    are re-proved by a plain left-to-right exhaustive search that shares no
-    shortcut with the primary solver.
+    Periodic witnesses are checked residue by residue.  A window certificate
+    with a proof has the proof replayed, which shares no code with the
+    solver.  One without a proof is re-proved by a plain left-to-right
+    exhaustive search under node_cap, and only up to the solver's default
+    window of 4 * max M; a larger one raises VerificationBudgetExceeded.
     """
     dists = _normalize_distances(m)
     if isinstance(cert, PeriodicWitness):
@@ -484,38 +594,86 @@ def verify_certificate(m: ZSetLike, r: int, cert: Certificate, node_cap: int = 5
             raise MalformedCertificate(f"certificate arity {cert.arity} != query arity {r}")
         if cert.window < 1:
             raise MalformedCertificate("window must be >= 1")
+        if cert.proof is not None:
+            return _replay_refutation(dists, cert.window, r, cert.proof)
+        if cert.window > 4 * dists[-1]:
+            raise VerificationBudgetExceeded(
+                f"window {cert.window} exceeds 4 * max distance = {4 * dists[-1]}, "
+                "the most a certificate without a proof is re-searched for"
+            )
         return not _reference_window_colorable(dists, cert.window, r, node_cap)
     raise MalformedCertificate(f"unknown certificate object {cert!r}")
 
 
-def _reference_window_colorable(dists: Sequence[int], window: int, r: int, node_cap: int) -> bool:
-    adj = _window_adjacency(window, dists)
-    nodes = [0]
+def _replay_refutation(dists: Sequence[int], window: int, r: int, proof: bytes) -> bool:
+    """Walk a packed refutation (see WindowUnsat) and accept it only if it
+    is a complete search tree whose every leaf has all r colors blocked.
 
-    def component_colorable(comp: list[int]) -> bool:
+    Neighbours come straight from the proof's distances D, which must be
+    query distances; the cost is O(len(proof) * |D|).
+    """
+    try:
+        proof_dists, vertices = _unpack_proof(window, proof)
+    except ValueError:
+        return False
+    d_set = set(proof_dists)  # within the query, so |D| <= |M| whatever the file says
+    if not d_set <= set(dists) or r > 2 * len(d_set):
+        return False  # past 2|D| colors no vertex can have all of them blocked
+    offsets = [*d_set, *(-m for m in d_set)]  # v's neighbours are v + offset
+    colors: dict[int, int] = {}  # the coloring along the current path
+    path: list[list] = []  # per open node: [vertex, free colors, index of the one in use]
+    for pos, v in enumerate(vertices):
+        if v >= window or v in colors:
+            return False
+        blocked = {colors.get(v + d) for d in offsets}
+        free = [c for c in range(1, r + 1) if c not in blocked]
+        if free:
+            colors[v] = free[0]
+            path.append([v, free, 0])
+            continue
+        # a leaf: move on to the next free color of the deepest open node
+        while path:
+            node = path[-1]
+            node[2] += 1
+            if node[2] < len(node[1]):
+                colors[node[0]] = node[1][node[2]]
+                break
+            path.pop()
+            del colors[node[0]]
+        else:
+            return pos == len(vertices) - 1  # the tree is closed: no entry may remain
+    return False  # the tree is still open when the proof ends
+
+
+def _reference_window_colorable(dists: Sequence[int], window: int, r: int, node_cap: int) -> bool:
+    """Plain left-to-right backtracking, iterative, one node per vertex
+    entered; raises VerificationBudgetExceeded past node_cap nodes."""
+    adj = _window_adjacency(window, dists)
+    nodes = 0
+    for comp in _components(adj):
         index = {v: i for i, v in enumerate(comp)}
         back = [[index[u] for u in adj[v] if u in index and index[u] < index[v]] for v in comp]
-        colors = [0] * len(comp)
-
-        def search(i: int) -> bool:
-            if i == len(comp):
-                return True
-            nodes[0] += 1
-            if nodes[0] > node_cap:
-                raise VerificationBudgetExceeded("reference search exceeded its cap")
+        n = len(comp)
+        colors = [0] * n
+        i, entering = 0, True
+        while 0 <= i < n:
+            if entering:
+                nodes += 1
+                if nodes > node_cap:
+                    raise VerificationBudgetExceeded("reference search exceeded its cap")
             used = {colors[j] for j in back[i]}
-            for c in range(1, r + 1):
-                if c not in used:
-                    colors[i] = c
-                    if search(i + 1):
-                        return True
-            colors[i] = 0
+            c = colors[i] + 1
+            while c in used:
+                c += 1
+            if c <= r:
+                colors[i] = c
+                i, entering = i + 1, True
+            else:
+                colors[i] = 0
+                i, entering = i - 1, False
+        if i < 0:
             return False
-
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(comp) + 100))
-        return search(0)
-
-    return all(component_colorable(c) for c in _components(adj))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +837,7 @@ def chromatic_number_window(m: ZSetLike, window: int, limits: SearchLimits | Non
     lower = 1
     for r in range(1, greedy_upper + 1):
         try:
-            if _colorable(adj, r, budget):
+            if _refutation(adj, r, budget) is None:
                 return ChromaticBracket(lower=r, upper=r, exact=True, nodes=budget.spent)
             lower = r + 1
         except _OutOfBudget:
@@ -698,6 +856,7 @@ __all__ = [
     "SearchStats",
     "certificate_to_json",
     "certificate_from_json",
+    "proof_to_json",
     "check_r_birkhoff",
     "verify_certificate",
     "greedy_coloring",

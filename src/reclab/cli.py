@@ -3,7 +3,8 @@
 Machine output is a single JSON document on stdout: {"config": ..., "result":
 ...} with sorted keys, so identical invocations are byte-identical.  Human
 summaries go to stderr.  Exit codes: 0 completed (the verdict, including
-UNDECIDED, lives inside the JSON), 2 usage error, 3 precision failure.
+UNDECIDED, lives inside the JSON), 2 usage error, 3 precision failure,
+4 certificate verification over its budget.
 
 No solver verdict is printed without re-verifying its certificate first.
 """
@@ -27,6 +28,7 @@ from .birkhoff import (
     chromatic_number_window,
     greedy_coloring,
     minimal_r_birkhoff_subset,
+    proof_to_json,
     stably_r_birkhoff_probe,
     verify_certificate,
 )
@@ -58,7 +60,7 @@ from .dynamics import (
     uniform_rigidity_scan,
     verify_nuu,
 )
-from .errors import NoSuchM, RecLabError, UncertainAtPrecision
+from .errors import NoSuchM, RecLabError, UncertainAtPrecision, VerificationBudgetExceeded
 from .exactreal import (
     TorusPoint,
     golden_rotation,
@@ -192,8 +194,12 @@ def cmd_birkhoff_check(args) -> dict:
     verdict = check_r_birkhoff(elems, args.arity, gather_limits(args))
     body = verdict_result(elems, args.arity, verdict)
     if args.emit_cert and verdict.certificate is not None:
+        doc = certificate_to_json(verdict.certificate)
+        proof = proof_to_json(verdict.certificate)
+        if proof is not None:
+            doc["proof"] = proof
         with open(args.emit_cert, "w") as fh:
-            json.dump(certificate_to_json(verdict.certificate), fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
     body["set"] = int_list_json(sorted(set(abs(e) for e in elems if e)))
     body["arity"] = args.arity
@@ -857,6 +863,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         }
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 3
+    except VerificationBudgetExceeded as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 4
     except RecLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

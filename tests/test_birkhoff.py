@@ -5,6 +5,9 @@ brute-force search over raw colorings, deliberately unrelated to the
 solver's DSATUR machinery.
 """
 
+import json
+import sys
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -22,12 +25,16 @@ from reclab.birkhoff import (
     chromatic_number_window,
     greedy_coloring,
     minimal_r_birkhoff_subset,
+    proof_to_json,
     stably_r_birkhoff_probe,
     verify_certificate,
     window_r_colorable,
+    _reference_window_colorable,
 )
-from reclab.errors import InvalidArity, MalformedCertificate
+from reclab import cli
+from reclab.errors import InvalidArity, MalformedCertificate, VerificationBudgetExceeded
 from reclab.intsets import gen_k_times_nr, gen_l_r
+from reclab.report import FAIL, PASS, run_claim_suite
 
 
 def brute_window_colorable(dists, window, r):
@@ -309,3 +316,140 @@ class TestPigeonholeSweep:
                 v = check_r_birkhoff(gen_k_times_nr(k, r), r)
                 assert v.status is Status.R_BIRKHOFF
                 assert v.certificate.window <= k * r + 1
+
+
+def with_proof(cert, **changes):
+    """cert with its proof, edited field by field, through the file format."""
+    doc = certificate_to_json(cert)
+    doc["proof"] = {**proof_to_json(cert), **changes}
+    return certificate_from_json(doc)
+
+
+class TestRefutationReplay:
+    # (1, 3, 4) at arity 3 is refuted by a DSATUR search tree; (2, 4, 6) by
+    # the greedy clique {0, 2, 4, 6}, written as a tree of floor(e * 3!) nodes
+    DSATUR_CASE = ((1, 3, 4), 3)
+    CLIQUE_CASE = ((2, 4, 6), 3)
+
+    @given(
+        st.sets(st.integers(1, 9), min_size=1, max_size=4).map(sorted),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_solver_proof_replays_and_reference_agrees(self, dists, r):
+        v = check_r_birkhoff(dists, r)
+        if v.status is not Status.R_BIRKHOFF:
+            return
+        cert = v.certificate
+        assert cert.proof is not None
+        assert verify_certificate(dists, r, cert)
+        assert verify_certificate(dists, r, with_proof(cert))
+        assert not _reference_window_colorable(tuple(dists), cert.window, r, 10**7)
+
+    def test_clique_tree_layout(self):
+        # depth i branches on the i-th clique vertex over its 3 - i free colors
+        cert = check_r_birkhoff(*self.CLIQUE_CASE).certificate
+        assert proof_to_json(cert) == {"distances": [2, 4, 6], "vertices": [0] + [2, 4, 6, 4, 6] * 3}
+
+    @pytest.mark.parametrize("case", [DSATUR_CASE, CLIQUE_CASE])
+    def test_corruptions_rejected(self, case):
+        dists, r = case
+        cert = check_r_birkhoff(dists, r).certificate
+        vertices = proof_to_json(cert)["vertices"]
+        assert verify_certificate(dists, r, with_proof(cert))
+        corrupt = [
+            with_proof(cert, vertices=vertices[:-1]),  # truncated
+            with_proof(cert, vertices=vertices + [vertices[-1]]),  # trailing entry
+            with_proof(cert, vertices=vertices[:-1] + [cert.window]),  # out of range
+            with_proof(cert, vertices=[vertices[0], vertices[0]] + vertices[2:]),  # repeated on path
+            with_proof(cert, distances=[*dists, 5]),  # D not within the query
+            replace(cert, window=cert.window - 1),  # the proof does not fit a smaller window
+            replace(cert, arity=r + 1),  # built for r colors, claimed for r + 1
+            replace(cert, proof=b""),  # no header
+        ]
+        for bad in corrupt:
+            assert not verify_certificate(dists, bad.arity, bad)
+        # a query that lacks one of D's distances
+        assert not verify_certificate(dists[:-1], r, cert)
+        with pytest.raises(MalformedCertificate):
+            verify_certificate(dists, r + 1, cert)
+
+    def test_file_proof_hardening(self):
+        cert = check_r_birkhoff(*self.CLIQUE_CASE).certificate
+        doc = {**certificate_to_json(cert), "proof": proof_to_json(cert)}
+        assert certificate_from_json(doc, node_cap=19).proof is not None  # 3 + 16 entries
+        with pytest.raises(MalformedCertificate):
+            certificate_from_json(doc, node_cap=18)
+        for bad in (1.0, "2", True, -1, 2**40, None):
+            doc["proof"] = {"distances": [2, 4, 6], "vertices": [0, 2, bad]}
+            with pytest.raises(MalformedCertificate):
+                certificate_from_json(doc)
+        doc["proof"] = [0, 2, 4]
+        with pytest.raises(MalformedCertificate):
+            certificate_from_json(doc)
+
+    def test_huge_bare_window_refused_at_once(self):
+        with pytest.raises(VerificationBudgetExceeded):
+            verify_certificate([2, 4, 6], 3, WindowUnsat(window=10**12, arity=3))
+        # up to 4 * max M a bare certificate is still re-searched
+        assert verify_certificate([2, 4, 6], 3, WindowUnsat(window=24, arity=3))
+        with pytest.raises(VerificationBudgetExceeded):
+            verify_certificate([2, 4, 6], 3, WindowUnsat(window=25, arity=3))
+
+    def test_clique_tree_past_the_budget_is_not_kept(self):
+        # K_12 refutes 11 colors; its tree would hold floor(e * 11!) nodes
+        v = check_r_birkhoff(range(1, 12), 11)
+        assert v.certificate == WindowUnsat(window=12, arity=11)
+        assert v.certificate.proof is None
+        with pytest.raises(VerificationBudgetExceeded):
+            verify_certificate(range(1, 12), 11, v.certificate, node_cap=1000)
+
+    def test_layer_certificate_verifies_for_the_truncation(self):
+        res = stably_r_birkhoff_probe(2, removed=gen_l_r(2, 0), k_max=2)
+        assert res.strategy == "layer_shortcut"
+        cert = res.verdict.certificate
+        proof_dists = set(proof_to_json(cert)["distances"])
+        assert proof_dists < set(res.truncation)
+        assert verify_certificate(list(res.truncation), 2, cert)
+
+    def test_corruption_control_still_fails(self):
+        clean = run_claim_suite(only=["certificate-audit"])
+        poisoned = run_claim_suite(inject_corruption=True, only=["certificate-audit"])
+        assert clean.results[0].status == PASS
+        assert poisoned.results[0].status == FAIL
+
+    @pytest.mark.parametrize(
+        "elements", ["24,26,27,40,70", "33,44,48,65,77", "4,6,40,48,51,61,63"]
+    )
+    def test_hard_sets_check_and_verify_through_cli(self, elements, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        base = ["--elements", elements, "--arity", "3"]
+        assert cli.main(["birkhoff", "check", *base, "--emit-cert", str(cert)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["status"] == "R_BIRKHOFF" and result["verified"] is True
+        assert "proof" not in result["certificate"]
+        assert "proof" in json.loads(cert.read_text())
+        assert cli.main(["birkhoff", "verify", *base, "--cert", str(cert)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["valid"] is True
+
+
+class TestReferenceSearch:
+    @given(
+        st.sets(st.integers(1, 6), min_size=1, max_size=3).map(sorted),
+        st.integers(1, 3),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, dists, r, window):
+        assert _reference_window_colorable(tuple(dists), window, r, 10**6) == brute_window_colorable(
+            dists, window, r
+        )
+
+    def test_long_component_needs_no_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        assert _reference_window_colorable((1,), 20_000, 2, 10**6)
+        assert sys.getrecursionlimit() == limit
+
+    def test_cap(self):
+        with pytest.raises(VerificationBudgetExceeded):
+            _reference_window_colorable((1,), 100, 2, 50)

@@ -334,3 +334,16 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["error"]["kind"] == "precision"
         assert doc["error"]["ambiguous"] == [7]
+
+    def test_verification_budget_exit(self, capsys, tmp_path):
+        # a bare window certificate past 4 * max M is refused before any
+        # graph is built
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"type": "window_unsat", "window": 10**12, "arity": 3}))
+        rc, out, err = run(
+            capsys,
+            ["birkhoff", "verify", "--elements", "2,4,6", "--arity", "3", "--cert", str(cert)],
+        )
+        assert rc == 4
+        assert out == ""
+        assert "exceeds 4 * max distance" in err
