@@ -39,7 +39,7 @@ class Status(str, Enum):
     UNDECIDED = "UNDECIDED"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PeriodicColoring:
     period: int
     colors: tuple[int, ...]
@@ -84,7 +84,7 @@ class WindowUnsat:
     proof: Optional[bytes] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PeriodicWitness:
     coloring: PeriodicColoring
 
@@ -92,7 +92,7 @@ class PeriodicWitness:
 Certificate = Union[WindowUnsat, PeriodicWitness]
 
 
-@dataclass(slots=True)
+@dataclass
 class SearchStats:
     nodes: int = 0
     windows_tried: int = 0
@@ -102,7 +102,7 @@ class SearchStats:
     limits: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Verdict:
     status: Status
     certificate: Optional[Certificate]
@@ -145,16 +145,16 @@ def proof_to_json(cert: Optional[Certificate]) -> Optional[dict]:
     return {"distances": dists.tolist(), "vertices": vertices.tolist()}
 
 
-def certificate_from_json(data: dict, node_cap: int = VERIFY_NODE_CAP) -> Certificate:
+def certificate_from_json(data: dict) -> Certificate:
     """Parse a certificate document; a window certificate's optional
-    ``proof`` may hold at most node_cap integers."""
+    ``proof`` may hold at most VERIFY_NODE_CAP integers."""
     try:
         kind = data["type"]
         if kind == "window_unsat":
             cert = WindowUnsat(window=int(data["window"]), arity=int(data["arity"]))
             if data.get("proof") is None:
                 return cert
-            return replace(cert, proof=_proof_from_json(cert.window, data["proof"], node_cap))
+            return replace(cert, proof=_proof_from_json(cert.window, data["proof"]))
         if kind == "periodic":
             colors = tuple(int(c) for c in data["colors"])
             return PeriodicWitness(PeriodicColoring(int(data["period"]), colors))
@@ -163,12 +163,12 @@ def certificate_from_json(data: dict, node_cap: int = VERIFY_NODE_CAP) -> Certif
     raise MalformedCertificate(f"unknown certificate type {data.get('type')!r}")
 
 
-def _proof_from_json(window: int, doc: dict, node_cap: int) -> bytes:
+def _proof_from_json(window: int, doc: dict) -> bytes:
     dists, vertices = doc["distances"], doc["vertices"]
     if not isinstance(dists, list) or not isinstance(vertices, list):
         raise MalformedCertificate("proof distances and vertices must be lists")
-    if len(dists) + len(vertices) > node_cap:
-        raise MalformedCertificate(f"proof has more than {node_cap} entries")
+    if len(dists) + len(vertices) > VERIFY_NODE_CAP:
+        raise MalformedCertificate(f"proof has more than {VERIFY_NODE_CAP} entries")
     if any(type(v) is not int for v in dists) or any(type(v) is not int for v in vertices):
         raise MalformedCertificate("proof entries must be integers")
     return _pack_proof(window, dists, vertices)
@@ -437,13 +437,12 @@ def _static_lex_coloring(adj: list[list[int]], n: int, r: int, budget: _Budget) 
     return None
 
 
-def _refutation(adj: list[list[int]], r: int, budget: _Budget) -> Optional[list[int]]:
+def _refutation(adj: list[list[int]], r: int, budget: _Budget) -> Optional[tuple[str, list[int]]]:
     """Exact r-colorability of the whole graph (component by component).
 
-    None when the graph is r-colorable.  Otherwise the search tree of a
-    component that is not, in WindowUnsat's proof format; it is empty when
-    a clique refutes the component but its tree would outgrow the budget
-    left."""
+    None when the graph is r-colorable.  Otherwise why a component is not:
+    ("clique", an (r+1)-clique) or ("tree", its DSATUR search tree in
+    WindowUnsat's proof format)."""
     for comp in _components(adj):
         if len(comp) <= r:
             continue  # trivially colorable
@@ -452,10 +451,10 @@ def _refutation(adj: list[list[int]], r: int, budget: _Budget) -> Optional[list[
             continue
         clique = _greedy_clique(adj, comp)
         if len(clique) > r:
-            return _clique_tree(clique[: r + 1], r, budget.left)
+            return "clique", clique[: r + 1]
         trace: list[int] = []
         if _dsatur_decide(adj, comp, r, budget, trace) is None:
-            return trace
+            return "tree", trace
     return None
 
 
@@ -493,8 +492,10 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
             if t <= limits.max_window:
                 stats.windows_tried = t
                 if t > dists[0]:  # smaller windows have no edges at all
-                    tree = _refutation(_window_adjacency(t, dists), r, budget)
-                    if tree is not None:
+                    found = _refutation(_window_adjacency(t, dists), r, budget)
+                    if found is not None:
+                        kind, entries = found
+                        tree = _clique_tree(entries, r, budget.left) if kind == "clique" else entries
                         # distances >= t add no edge, and leaving them out
                         # keeps every packed entry below t
                         proof = _pack_proof(t, [mm for mm in dists if mm < t], tree) if tree else None

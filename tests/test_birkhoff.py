@@ -31,7 +31,7 @@ from reclab.birkhoff import (
     window_r_colorable,
     _reference_window_colorable,
 )
-from reclab import cli
+from reclab import birkhoff, cli
 from reclab.errors import InvalidArity, MalformedCertificate, VerificationBudgetExceeded
 from reclab.intsets import gen_k_times_nr, gen_l_r
 from reclab.report import FAIL, PASS, run_claim_suite
@@ -374,12 +374,15 @@ class TestRefutationReplay:
         with pytest.raises(MalformedCertificate):
             verify_certificate(dists, r + 1, cert)
 
-    def test_file_proof_hardening(self):
+    def test_file_proof_hardening(self, monkeypatch):
         cert = check_r_birkhoff(*self.CLIQUE_CASE).certificate
         doc = {**certificate_to_json(cert), "proof": proof_to_json(cert)}
-        assert certificate_from_json(doc, node_cap=19).proof is not None  # 3 + 16 entries
+        monkeypatch.setattr(birkhoff, "VERIFY_NODE_CAP", 19)
+        assert certificate_from_json(doc).proof is not None  # 3 + 16 entries
+        monkeypatch.setattr(birkhoff, "VERIFY_NODE_CAP", 18)
         with pytest.raises(MalformedCertificate):
-            certificate_from_json(doc, node_cap=18)
+            certificate_from_json(doc)
+        monkeypatch.undo()
         for bad in (1.0, "2", True, -1, 2**40, None):
             doc["proof"] = {"distances": [2, 4, 6], "vertices": [0, 2, bad]}
             with pytest.raises(MalformedCertificate):
@@ -403,6 +406,19 @@ class TestRefutationReplay:
         assert v.certificate.proof is None
         with pytest.raises(VerificationBudgetExceeded):
             verify_certificate(range(1, 12), 11, v.certificate, node_cap=1000)
+
+    def test_only_the_solver_builds_clique_trees(self, monkeypatch):
+        # K_11 would need trees of floor(e * r!) nodes for r = 1..10; the
+        # boolean callers only need to know that a clique exists
+        def no_tree(*args):
+            raise AssertionError("clique tree built")
+
+        monkeypatch.setattr(birkhoff, "_clique_tree", no_tree)
+        b = chromatic_number_window(range(1, 11), 11)
+        assert (b.lower, b.upper, b.exact) == (11, 11, True)
+        assert not window_r_colorable(range(1, 11), 11, 10)
+        with pytest.raises(AssertionError):
+            check_r_birkhoff(*self.CLIQUE_CASE)
 
     def test_layer_certificate_verifies_for_the_truncation(self):
         res = stably_r_birkhoff_probe(2, removed=gen_l_r(2, 0), k_max=2)
