@@ -60,11 +60,6 @@ class BohrSpec:
         return len(self.alphas)
 
 
-def torus_norm(x) -> Real:
-    """Distance from a scalar to the nearest integer (exact kinds stay exact)."""
-    return torus_norm1(x)
-
-
 def torus_norm_vec_sq(xs: Sequence) -> Real:
     """Squared Euclidean distance from a vector to the nearest lattice point."""
     total: Real = Fraction(0)
@@ -72,10 +67,6 @@ def torus_norm_vec_sq(xs: Sequence) -> Real:
         n = torus_norm1(x)
         total = real_add(total, real_mul(n, n))
     return total
-
-
-def torus_norm_vec(xs: Sequence) -> Real:
-    return real_sqrt(torus_norm_vec_sq(xs))
 
 
 @dataclass(frozen=True)

@@ -3,20 +3,26 @@
 A ``Real`` is one of three kinds:
 
 * ``fractions.Fraction`` -- exact rational;
-* ``Surd`` -- exact quadratic irrational ``p + q*sqrt(d)`` with rational
-  p, q and square-free integer d >= 2;
+* ``Surd`` -- exact quadratic irrational ``(a + b*sqrt(d))/c`` held as four
+  integers, normalised so that b != 0, c > 0, gcd(a, b, c) == 1 and d >= 2 is
+  square-free; its rational and surd parts ``p = a/c`` and ``q = b/c`` are
+  read-only ``Fraction`` views;
 * ``Approx`` -- a rational midpoint with a tracked absolute error bound.
 
-All comparisons involving only the first two kinds are decided exactly.
-Comparisons that touch an ``Approx`` either clear the tracked error bound or
-raise :class:`UncertainAtPrecision`; nothing is ever silently misclassified.
+Arithmetic, order and rounding of surds run in integers: the sign of
+``a + b*sqrt(d)`` compares a*a with b*b*d, and ``floor`` is one
+``math.isqrt(b*b*d)`` followed by an integer division, with no bracket to
+refine.  All comparisons involving only the first two kinds are decided
+exactly.  Comparisons that touch an ``Approx`` either clear the tracked error
+bound or raise :class:`UncertainAtPrecision`; nothing is ever silently
+misclassified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Union
 
 from .errors import UncertainAtPrecision
@@ -41,88 +47,159 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return s, core
 
 
-def _sqrt_bounds(core: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket of sqrt(core) with width 2**-bits."""
-    n = isqrt(core << (2 * bits))
-    scale = 1 << bits
-    return Fraction(n, scale), Fraction(n + 1, scale)
+def _sign2(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for a non-square d >= 2."""
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    # opposite signs: compare a^2 against b^2 d, never equal (irrational)
+    if a > 0:
+        return 1 if a * a > b * b * d else -1
+    return 1 if b * b * d > a * a else -1
+
+
+def _floor_surd(a: int, b: int, c: int, d: int) -> int:
+    """floor((a + b*sqrt(d))/c) for b != 0, c > 0 and a non-square d."""
+    # b*b*d is no square, so floor(b*sqrt(d)) is isqrt for b > 0 and
+    # -(isqrt + 1) for b < 0; floor(y/c) == floor(y) // c for an integer c > 0
+    r = isqrt(b * b * d)
+    return (a + (r if b > 0 else -r - 1)) // c
+
+
+def _new(a: int, b: int, c: int, d: int) -> "Surd":
+    """Surd from fields that are already normalised."""
+    out = object.__new__(Surd)
+    out.a, out.b, out.c, out.d = a, b, c, d
+    return out
+
+
+def _norm(a: int, b: int, c: int, d: int) -> "Real":
+    """(a + b*sqrt(d))/c for square-free d >= 2, normalised; a Fraction when
+    b == 0.  Raises ZeroDivisionError when c == 0."""
+    if b == 0:
+        return Fraction(a, c)
+    g = gcd(a, b, c)
+    if c <= 0:
+        if c == 0:
+            raise ZeroDivisionError("surd denominator is zero")
+        g = -g
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    return _new(a, b, c, d)
 
 
 class Surd:
-    """Exact quadratic irrational p + q*sqrt(d); q != 0, d square-free >= 2."""
+    """Exact quadratic irrational (a + b*sqrt(d))/c in integers.
 
-    __slots__ = ("p", "q", "d")
+    Normalised: b != 0, c > 0, gcd(a, b, c) == 1 and d >= 2 square-free, so
+    equal values have equal fields.  Construct from rationals p, q as
+    ``Surd(p, q, d)`` or ``Surd.make(p, q, d)``, meaning p + q*sqrt(d).
+    """
+
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, p, q, d: int):
-        p, q = Fraction(p), Fraction(q)
         if d <= 1:
             raise ValueError("surd radicand must be >= 2")
-        s, core = _squarefree_split(d)
-        q = q * s
-        if core == 1 or q == 0:
+        out = Surd.make(p, q, d)
+        if not isinstance(out, Surd):
             raise ValueError("value is rational; use Fraction instead")
-        self.p, self.q, self.d = p, q, core
+        self.a, self.b, self.c, self.d = out.a, out.b, out.c, out.d
 
     @staticmethod
     def make(p, q, d: int) -> "Real":
-        """Like the constructor, but folds rational results into Fraction."""
+        """p + q*sqrt(d) for rationals p, q; folds rational results into Fraction."""
         p, q = Fraction(p), Fraction(q)
-        if q == 0:
+        if q == 0 or d == 0:
             return p
+        if d < 0:
+            raise ValueError("surd radicand must be nonnegative")
         s, core = _squarefree_split(d)
         if core == 1:
             return p + q * s
-        out = object.__new__(Surd)
-        out.p, out.q, out.d = p, q * s, core
-        return out
+        pd, qd = p.denominator, q.denominator
+        c = lcm(pd, qd)
+        return _norm(p.numerator * (c // pd), q.numerator * s * (c // qd), c, core)
+
+    @property
+    def p(self) -> Fraction:
+        """Rational part a/c."""
+        return Fraction(self.a, self.c)
+
+    @property
+    def q(self) -> Fraction:
+        """Coefficient b/c of sqrt(d)."""
+        return Fraction(self.b, self.c)
 
     # -- arithmetic within the field (and with rationals) --------------
 
+    # Surd is tested before Fraction in the methods below: isinstance
+    # against Fraction goes through the numbers ABCs for any other type
+
+    def _plus(self, other, sign: int):
+        """self + sign*other for sign in (1, -1), or NotImplemented."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if isinstance(other, Surd) and other.d == d:
+            oc = other.c
+            return _norm(a * oc + sign * other.a * c, b * oc + sign * other.b * c, c * oc, d)
+        if isinstance(other, int):
+            return _new(a + sign * other * c, b, c, d)
+        if isinstance(other, Fraction):
+            m = other.denominator
+            return _norm(a * m + sign * other.numerator * c, b * m, c * m, d)
+        return NotImplemented
+
     def __neg__(self):
-        return Surd.make(-self.p, -self.q, self.d)
+        return _new(-self.a, -self.b, self.c, self.d)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Surd.make(self.p + other, self.q, self.d)
-        if isinstance(other, Surd) and other.d == self.d:
-            return Surd.make(self.p + other.p, self.q + other.q, self.d)
-        return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Surd)):
-            return self.__add__(-other)
-        return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if isinstance(other, Surd) and other.d == d:
+            oa, ob = other.a, other.b
+            return _norm(a * oa + b * ob * d, a * ob + b * oa, c * other.c, d)
+        if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            return Surd.make(self.p * other, self.q * other, self.d)
-        if isinstance(other, Surd) and other.d == self.d:
-            return Surd.make(
-                self.p * other.p + self.q * other.q * self.d,
-                self.p * other.q + self.q * other.p,
-                self.d,
-            )
+            # gcd(a, b, c) == 1, so only the factor shared by n and c cancels
+            g = gcd(other, c)
+            n = other // g
+            return _new(a * n, b * n, c // g, d)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            if n == 0:
+                return _ZERO
+            return _norm(a * n, b * n, c * other.denominator, d)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Real":
-        den = self.p * self.p - self.q * self.q * self.d
-        # den == 0 would make the surd rational, excluded by construction
-        return Surd.make(self.p / den, -self.q / den, self.d)
+        # c/(a + b sqrt d) = c(a - b sqrt d)/(a^2 - b^2 d); the denominator
+        # is nonzero because d is no square
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return _norm(c * a, -c * b, a * a - b * b * d, d)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Surd.make(self.p / other, self.q / other, self.d)
-        if isinstance(other, Surd) and other.d == self.d:
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if isinstance(other, Surd) and other.d == d:
             return self.__mul__(other.reciprocal())
+        if isinstance(other, int):
+            return _norm(a, b, c * other, d)
+        if isinstance(other, Fraction):
+            m = other.denominator
+            return _norm(a * m, b * m, c * other.numerator, d)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -133,23 +210,18 @@ class Surd:
     # -- exact order ----------------------------------------------------
 
     def sign(self) -> int:
-        p, q = self.p, self.q
-        if p >= 0 and q > 0:
-            return 1
-        if p <= 0 and q < 0:
-            return -1
-        # p and q have opposite signs; compare p^2 against q^2 d
-        lhs, rhs = p * p, q * q * self.d
-        if p > 0:  # q < 0
-            return 1 if lhs > rhs else -1  # equality impossible (irrational)
-        return 1 if rhs > lhs else -1
+        return _sign2(self.a, self.b, self.d)
 
     def _cmp_exact(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            return Surd.make(self.p - other, self.q, self.d).sign()
-        if isinstance(other, Surd) and other.d == self.d:
-            diff = Surd.make(self.p - other.p, self.q - other.q, self.d)
-            return diff.sign() if isinstance(diff, Surd) else _sign_fraction(diff)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if isinstance(other, Surd) and other.d == d:
+            oc = other.c
+            return _sign2(a * oc - other.a * c, b * oc - other.b * c, d)
+        if isinstance(other, int):
+            return _sign2(a - other * c, b, d)
+        if isinstance(other, Fraction):
+            m = other.denominator
+            return _sign2(a * m - other.numerator * c, b * m, d)
         raise TypeError("cross-field comparison requires real_cmp")
 
     def __lt__(self, other):
@@ -165,42 +237,37 @@ class Surd:
         return self._cmp_exact(other) >= 0
 
     def __eq__(self, other):
+        if isinstance(other, Surd):
+            return (
+                self.a == other.a and self.b == other.b
+                and self.c == other.c and self.d == other.d
+            )
         if isinstance(other, (int, Fraction)):
             return False  # irrational
-        if isinstance(other, Surd):
-            return self.d == other.d and self.p == other.p and self.q == other.q
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.q, self.d))
+        return hash((self.a, self.b, self.c, self.d))
 
     # -- rounding / conversion -------------------------------------------
 
     def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        lo, hi = _sqrt_bounds(self.d, bits)
-        if self.q >= 0:
-            return self.p + self.q * lo, self.p + self.q * hi
-        return self.p + self.q * hi, self.p + self.q * lo
+        """Rational bracket p + q*[n, n+1]/2**bits with n = floor(sqrt(d)*2**bits)."""
+        n = isqrt(self.d << (2 * bits))
+        a, b, c = self.a << bits, self.b, self.c << bits
+        lo, hi = Fraction(a + b * n, c), Fraction(a + b * (n + 1), c)
+        return (lo, hi) if b > 0 else (hi, lo)
 
     def floor(self) -> int:
-        # bracket width is |q| * 2**-bits; widen until at most one integer
-        # can sit inside, then settle that case exactly
-        bits = max(64, self.q.numerator.bit_length())
-        while True:
-            lo, hi = self.bounds(bits)
-            fl, fh = _floor_fraction(lo), _floor_fraction(hi)
-            if fl == fh:
-                return fl
-            if fh == fl + 1:
-                return fh if self._cmp_exact(fh) >= 0 else fl
-            bits *= 2
+        return _floor_surd(self.a, self.b, self.c, self.d)
 
     def __float__(self):
-        lo, hi = self.bounds(80)
-        return float((lo + hi) / 2)
+        # midpoint of bounds(80); int / int rounds correctly, as float(Fraction)
+        n = isqrt(self.d << 160)
+        return ((self.a << 81) + self.b * (2 * n + 1)) / (self.c << 81)
 
     def __abs__(self):
-        return self if self.sign() >= 0 else -self
+        return self if self.sign() > 0 else -self
 
     def __repr__(self):
         return f"Surd({self.p} + {self.q}*sqrt({self.d}))"
@@ -228,7 +295,6 @@ class Approx:
 
 
 Real = Union[Fraction, Surd, Approx]
-_EXACT = (Fraction, Surd)
 
 
 def _sign_fraction(x: Fraction) -> int:
@@ -278,15 +344,30 @@ def parse_real(text: str) -> Real:
 
 
 def real_bounds(x: Real, bits: int) -> tuple[Fraction, Fraction]:
-    if isinstance(x, Fraction):
-        return x, x
-    return x.bounds(bits)
+    if isinstance(x, (Surd, Approx)):
+        return x.bounds(bits)
+    return x, x
 
 
 def _to_approx(x: Real, bits: int) -> Approx:
     lo, hi = real_bounds(x, bits)
     mid = (lo + hi) / 2
     return Approx(mid, (hi - lo) / 2)
+
+
+def _as_approx(x: Real) -> Approx:
+    return x if isinstance(x, Approx) else _to_approx(x, DEFAULT_PRECISION_BITS)
+
+
+def _one_field(x: Real, y: Real) -> bool:
+    """Both exact and in one field, so Python's operators keep them exact."""
+    # Surd first, as in the Surd methods: isinstance against Fraction goes
+    # through the numbers ABCs for any other type
+    if isinstance(x, Surd):
+        return y.d == x.d if isinstance(y, Surd) else isinstance(y, Fraction)
+    if isinstance(y, Surd):
+        return isinstance(x, Fraction)
+    return isinstance(x, Fraction) and isinstance(y, Fraction)
 
 
 def real_neg(x: Real) -> Real:
@@ -297,35 +378,25 @@ def real_neg(x: Real) -> Real:
 
 def real_add(x: Real, y: Real) -> Real:
     x, y = as_real(x), as_real(y)
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
+    if _one_field(x, y):
         return x + y
-    if isinstance(x, _EXACT) and isinstance(y, _EXACT):
-        if isinstance(x, Fraction) or isinstance(y, Fraction) or x.d == y.d:
-            return x + y
-        # different quadratic fields: degrade to a tracked approximation
-        a = _to_approx(x, DEFAULT_PRECISION_BITS)
-        b = _to_approx(y, DEFAULT_PRECISION_BITS)
-        return Approx(a.value + b.value, a.err + b.err)
-    a = x if isinstance(x, Approx) else _to_approx(x, DEFAULT_PRECISION_BITS)
-    b = y if isinstance(y, Approx) else _to_approx(y, DEFAULT_PRECISION_BITS)
+    # an Approx, or different quadratic fields: a tracked approximation
+    a, b = _as_approx(x), _as_approx(y)
     return Approx(a.value + b.value, a.err + b.err)
 
 
 def real_sub(x: Real, y: Real) -> Real:
-    return real_add(x, real_neg(as_real(y)))
+    x, y = as_real(x), as_real(y)
+    if _one_field(x, y):
+        return x - y
+    return real_add(x, real_neg(y))
 
 
 def real_mul(x: Real, y: Real) -> Real:
     x, y = as_real(x), as_real(y)
-    if isinstance(x, _EXACT) and isinstance(y, _EXACT):
-        if isinstance(x, Fraction) or isinstance(y, Fraction) or x.d == y.d:
-            return x * y
-        a = _to_approx(x, DEFAULT_PRECISION_BITS)
-        b = _to_approx(y, DEFAULT_PRECISION_BITS)
-        return _approx_mul(a, b)
-    a = x if isinstance(x, Approx) else _to_approx(x, DEFAULT_PRECISION_BITS)
-    b = y if isinstance(y, Approx) else _to_approx(y, DEFAULT_PRECISION_BITS)
-    return _approx_mul(a, b)
+    if _one_field(x, y):
+        return x * y
+    return _approx_mul(_as_approx(x), _as_approx(y))
 
 
 def _approx_mul(a: Approx, b: Approx) -> Approx:
@@ -334,6 +405,8 @@ def _approx_mul(a: Approx, b: Approx) -> Approx:
 
 
 def real_mul_int(x: Real, n: int) -> Real:
+    if isinstance(x, Surd):
+        return x * n
     x = as_real(x)
     if isinstance(x, Approx):
         return Approx(x.value * n, x.err * abs(n))
@@ -351,18 +424,24 @@ def real_floor(x: Real) -> int:
     """Exact for Fraction/Surd.  For Approx uses the midpoint (documented:
     callers must tolerate a fold when the midpoint sits near an integer)."""
     x = as_real(x)
-    if isinstance(x, Fraction):
-        return _floor_fraction(x)
     if isinstance(x, Surd):
         return x.floor()
-    return _floor_fraction(x.value)
+    if isinstance(x, Approx):
+        return _floor_fraction(x.value)
+    return _floor_fraction(x)
 
 
 def real_frac(x: Real) -> Real:
+    if isinstance(x, Surd):
+        # x - floor(x) keeps gcd(a, b, c) == 1
+        return _new(x.a - x.floor() * x.c, x.b, x.c, x.d)
     return real_sub(x, Fraction(real_floor(x)))
 
 
 def nearest_int(x: Real) -> int:
+    if isinstance(x, Surd):
+        # floor(x + 1/2) = floor((2a + c + 2b sqrt d) / 2c)
+        return _floor_surd(2 * x.a + x.c, 2 * x.b, 2 * x.c, x.d)
     return real_floor(real_add(x, _HALF))
 
 
@@ -371,6 +450,10 @@ def torus_norm1(x) -> Real:
 
     Lipschitz-1 in x, so an Approx keeps its error bound unchanged.
     """
+    if isinstance(x, Surd):
+        a, b, c, d = x.a, x.b, x.c, x.d
+        a -= nearest_int(x) * c
+        return _new(a, b, c, d) if _sign2(a, b, d) > 0 else _new(-a, -b, c, d)
     x = as_real(x)
     k = nearest_int(x)
     return real_abs(real_sub(x, Fraction(k)))
@@ -381,13 +464,13 @@ def real_cmp(x, y) -> int:
     involve an Approx raise UncertainAtPrecision when the intervals overlap.
     """
     x, y = as_real(x), as_real(y)
-    if isinstance(x, _EXACT) and isinstance(y, _EXACT):
-        if isinstance(x, Fraction) and isinstance(y, Fraction):
-            return _sign_fraction(x - y)
-        if isinstance(x, Surd) and (isinstance(y, Fraction) or (isinstance(y, Surd) and y.d == x.d)):
+    if _one_field(x, y):
+        if isinstance(x, Surd):
             return x._cmp_exact(y)
-        if isinstance(y, Surd) and isinstance(x, Fraction):
+        if isinstance(y, Surd):
             return -y._cmp_exact(x)
+        return _sign_fraction(x - y)
+    if not isinstance(x, Approx) and not isinstance(y, Approx):
         # distinct quadratic fields: values can never coincide, so a
         # refinement loop terminates for any actual input
         for bits in (64, 128, 256, 512, 1024, 2048, 4096):
@@ -482,10 +565,6 @@ def _fraction_sqrt_upper(x: Fraction, bits: int) -> Fraction:
 
 def real_to_float(x) -> float:
     return float(as_real(x))
-
-
-def real_error_bound(x: Real) -> Fraction:
-    return x.err if isinstance(x, Approx) else _ZERO
 
 
 def real_to_json(x: Real) -> dict:

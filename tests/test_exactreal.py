@@ -76,7 +76,7 @@ class TestSurd:
         assert Surd(0, 1, 5).floor() == 2
 
     def test_floor_huge_coefficients(self):
-        # q ~ 2^200 stresses the adaptive bracket
+        # q ~ 2^200: floor takes isqrt of a 400-bit integer
         s = Surd(0, 2**200, 2)
         f = s.floor()
         assert real_cmp(s, Fraction(f)) >= 0
