@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 from typing import Optional, Sequence
 
 from .errors import (
@@ -228,16 +227,32 @@ class WitnessInterval:
 def _prune_stage(
     intervals: list[tuple[Fraction, Fraction]], n: int, delta: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    """Intersect with {alpha : dist(n*alpha, Z) >= delta} exactly."""
+    """Intersect with {alpha : dist(n*alpha, Z) >= delta} exactly.
+
+    Keeps [max(lo, (j + delta)/n), min(hi, (j + 1 - delta)/n)] for every j
+    where it is nonempty.  The cut points share the denominator
+    n*delta.denominator, so max, min and the emptiness test are integer
+    cross-multiplications, and a Fraction is built only for a kept cut point.
+    """
+    dn, dd = delta.numerator, delta.denominator
+    den = n * dd
+    width = dd - 2 * dn  # (j + 1 - delta)/n - (j + delta)/n, over den
     out: list[tuple[Fraction, Fraction]] = []
     for lo, hi in intervals:
-        j_first = floor(lo * n) - 1
-        j_last = ceil(hi * n) + 1
-        for j in range(j_first, j_last + 1):
-            a = max(lo, Fraction(j + delta, n))
-            b = min(hi, Fraction(j + 1 - delta, n))
-            if a <= b:
-                out.append((a, b))
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        lo_cross, hi_cross = ln * den, hn * den
+        j_first = ln * n // ld - 1
+        j_last = -(-hn * n // hd) + 1
+        for a in range(j_first * dd + dn, j_last * dd + dn + 1, dd):
+            b = a + width  # the cut points are a/den and b/den
+            a_cut, b_cut = a * ld > lo_cross, b * hd < hi_cross
+            an, ad = (a, den) if a_cut else (ln, ld)
+            bn, bd = (b, den) if b_cut else (hn, hd)
+            if an * bd <= bn * ad:
+                out.append((
+                    Fraction(a, den) if a_cut else lo,
+                    Fraction(b, den) if b_cut else hi,
+                ))
     return out
 
 

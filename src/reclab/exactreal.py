@@ -12,8 +12,12 @@ A ``Real`` is one of three kinds:
 Arithmetic, order and rounding of surds run in integers: the sign of
 ``a + b*sqrt(d)`` compares a*a with b*b*d, and ``floor`` is one
 ``math.isqrt(b*b*d)`` followed by an integer division, with no bracket to
-refine.  All comparisons involving only the first two kinds are decided
-exactly.  Comparisons that touch an ``Approx`` either clear the tracked error
+refine.  Rationals (ints and Fractions) are compared, rounded and reduced
+from their numerator and denominator: a comparison is one
+cross-multiplication, ``floor`` and ``nearest_int`` are integer divisions,
+and a sum, product, fractional part or circle norm builds its one result
+Fraction straight from integers.  All comparisons involving only the first
+two kinds are decided exactly.  Comparisons that touch an ``Approx`` either clear the tracked error
 bound or raise :class:`UncertainAtPrecision`; nothing is ever silently
 misclassified.
 """
@@ -37,14 +41,25 @@ _HALF = Fraction(1, 2)
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Return (s, core) with d == s*s*core and core square-free."""
-    s, core, f = 1, d, 2
-    while f * f <= core:
-        while core % (f * f) == 0:
-            core //= f * f
-            s *= f
+    """Return (s, core) with d == s*s*core and core square-free, for d >= 1."""
+    s, core, f = 1, 1, 2
+    # take out every prime f with f**3 <= the cofactor left
+    while f * f * f <= d:
+        if d % f == 0:
+            e = 0
+            while d % f == 0:
+                d //= f
+                e += 1
+            s *= f ** (e // 2)
+            if e % 2:
+                core *= f
         f += 1
-    return s, core
+    # every prime factor of d is now above its cube root, so d is 1, p, p*p
+    # or p*q: square-free unless it is a perfect square
+    r = isqrt(d)
+    if r * r == d:
+        return s * r, core
+    return s, core * d
 
 
 def _sign2(a: int, b: int, d: int) -> int:
@@ -297,12 +312,11 @@ class Approx:
 Real = Union[Fraction, Surd, Approx]
 
 
-def _sign_fraction(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _floor_fraction(x: Fraction) -> int:
-    return x.numerator // x.denominator
+# The rational kind below: ints and Fractions, read through .numerator and
+# .denominator.  Functions test Surd before it, because isinstance against
+# Fraction goes through the numbers ABCs for any other type.  What is left
+# (an Approx, surds of two fields, a str or float) takes the generic path.
+_RATIONAL = (int, Fraction)
 
 
 def as_real(x) -> Real:
@@ -359,44 +373,51 @@ def _as_approx(x: Real) -> Approx:
     return x if isinstance(x, Approx) else _to_approx(x, DEFAULT_PRECISION_BITS)
 
 
-def _one_field(x: Real, y: Real) -> bool:
-    """Both exact and in one field, so Python's operators keep them exact."""
-    # Surd first, as in the Surd methods: isinstance against Fraction goes
-    # through the numbers ABCs for any other type
-    if isinstance(x, Surd):
-        return y.d == x.d if isinstance(y, Surd) else isinstance(y, Fraction)
-    if isinstance(y, Surd):
-        return isinstance(x, Fraction)
-    return isinstance(x, Fraction) and isinstance(y, Fraction)
-
-
-def real_neg(x: Real) -> Real:
-    if isinstance(x, Approx):
-        return Approx(-x.value, x.err)
-    return -x
-
-
 def real_add(x: Real, y: Real) -> Real:
-    x, y = as_real(x), as_real(y)
-    if _one_field(x, y):
-        return x + y
+    if isinstance(x, Surd):
+        if isinstance(y, Surd) and y.d == x.d or isinstance(y, _RATIONAL):
+            return x + y
+    elif isinstance(x, _RATIONAL):
+        if isinstance(y, Surd):
+            return y + x
+        if isinstance(y, _RATIONAL):
+            xd, yd = x.denominator, y.denominator
+            return Fraction(x.numerator * yd + y.numerator * xd, xd * yd)
+    if isinstance(x, str) or isinstance(y, str):
+        return real_add(as_real(x), as_real(y))
     # an Approx, or different quadratic fields: a tracked approximation
-    a, b = _as_approx(x), _as_approx(y)
+    a, b = _as_approx(as_real(x)), _as_approx(as_real(y))
     return Approx(a.value + b.value, a.err + b.err)
 
 
 def real_sub(x: Real, y: Real) -> Real:
-    x, y = as_real(x), as_real(y)
-    if _one_field(x, y):
-        return x - y
-    return real_add(x, real_neg(y))
+    if isinstance(x, Surd):
+        if isinstance(y, Surd) and y.d == x.d or isinstance(y, _RATIONAL):
+            return x - y
+    elif isinstance(x, _RATIONAL):
+        if isinstance(y, Surd):
+            return -y + x
+        if isinstance(y, _RATIONAL):
+            xd, yd = x.denominator, y.denominator
+            return Fraction(x.numerator * yd - y.numerator * xd, xd * yd)
+    if isinstance(x, str) or isinstance(y, str):
+        return real_sub(as_real(x), as_real(y))
+    a, b = _as_approx(as_real(x)), _as_approx(as_real(y))
+    return Approx(a.value - b.value, a.err + b.err)
 
 
 def real_mul(x: Real, y: Real) -> Real:
-    x, y = as_real(x), as_real(y)
-    if _one_field(x, y):
-        return x * y
-    return _approx_mul(_as_approx(x), _as_approx(y))
+    if isinstance(x, Surd):
+        if isinstance(y, Surd) and y.d == x.d or isinstance(y, _RATIONAL):
+            return x * y
+    elif isinstance(x, _RATIONAL):
+        if isinstance(y, Surd):
+            return y * x
+        if isinstance(y, _RATIONAL):
+            return Fraction(x.numerator * y.numerator, x.denominator * y.denominator)
+    if isinstance(x, str) or isinstance(y, str):
+        return real_mul(as_real(x), as_real(y))
+    return _approx_mul(_as_approx(as_real(x)), _as_approx(as_real(y)))
 
 
 def _approx_mul(a: Approx, b: Approx) -> Approx:
@@ -407,10 +428,11 @@ def _approx_mul(a: Approx, b: Approx) -> Approx:
 def real_mul_int(x: Real, n: int) -> Real:
     if isinstance(x, Surd):
         return x * n
-    x = as_real(x)
+    if isinstance(x, _RATIONAL):
+        return Fraction(x.numerator * n, x.denominator)
     if isinstance(x, Approx):
         return Approx(x.value * n, x.err * abs(n))
-    return x * n
+    return real_mul_int(as_real(x), n)
 
 
 def real_abs(x: Real) -> Real:
@@ -423,25 +445,32 @@ def real_abs(x: Real) -> Real:
 def real_floor(x: Real) -> int:
     """Exact for Fraction/Surd.  For Approx uses the midpoint (documented:
     callers must tolerate a fold when the midpoint sits near an integer)."""
-    x = as_real(x)
     if isinstance(x, Surd):
         return x.floor()
+    if isinstance(x, _RATIONAL):
+        return x.numerator // x.denominator
     if isinstance(x, Approx):
-        return _floor_fraction(x.value)
-    return _floor_fraction(x)
+        return real_floor(x.value)
+    return real_floor(as_real(x))
 
 
 def real_frac(x: Real) -> Real:
     if isinstance(x, Surd):
         # x - floor(x) keeps gcd(a, b, c) == 1
         return _new(x.a - x.floor() * x.c, x.b, x.c, x.d)
-    return real_sub(x, Fraction(real_floor(x)))
+    if isinstance(x, _RATIONAL):
+        d = x.denominator
+        return Fraction(x.numerator % d, d)
+    return real_sub(x, real_floor(x))
 
 
 def nearest_int(x: Real) -> int:
     if isinstance(x, Surd):
         # floor(x + 1/2) = floor((2a + c + 2b sqrt d) / 2c)
         return _floor_surd(2 * x.a + x.c, 2 * x.b, 2 * x.c, x.d)
+    if isinstance(x, _RATIONAL):
+        d = x.denominator
+        return (2 * x.numerator + d) // (2 * d)
     return real_floor(real_add(x, _HALF))
 
 
@@ -454,22 +483,30 @@ def torus_norm1(x) -> Real:
         a, b, c, d = x.a, x.b, x.c, x.d
         a -= nearest_int(x) * c
         return _new(a, b, c, d) if _sign2(a, b, d) > 0 else _new(-a, -b, c, d)
-    x = as_real(x)
-    k = nearest_int(x)
-    return real_abs(real_sub(x, Fraction(k)))
+    if isinstance(x, _RATIONAL):
+        n, d = x.numerator, x.denominator
+        return Fraction(abs(n - (2 * n + d) // (2 * d) * d), d)
+    if isinstance(x, str):
+        return torus_norm1(as_real(x))
+    return real_abs(real_sub(x, nearest_int(x)))
 
 
 def real_cmp(x, y) -> int:
     """Three-way compare.  Exact kinds are decided exactly; comparisons that
     involve an Approx raise UncertainAtPrecision when the intervals overlap.
     """
-    x, y = as_real(x), as_real(y)
-    if _one_field(x, y):
-        if isinstance(x, Surd):
+    if isinstance(x, Surd):
+        if isinstance(y, Surd) and y.d == x.d or isinstance(y, _RATIONAL):
             return x._cmp_exact(y)
+    elif isinstance(x, _RATIONAL):
         if isinstance(y, Surd):
             return -y._cmp_exact(x)
-        return _sign_fraction(x - y)
+        if isinstance(y, _RATIONAL):
+            s = x.numerator * y.denominator - y.numerator * x.denominator
+            return (s > 0) - (s < 0)
+    if isinstance(x, str) or isinstance(y, str):
+        return real_cmp(as_real(x), as_real(y))
+    x, y = as_real(x), as_real(y)
     if not isinstance(x, Approx) and not isinstance(y, Approx):
         # distinct quadratic fields: values can never coincide, so a
         # refinement loop terminates for any actual input
@@ -536,8 +573,11 @@ def real_sqrt(x: Real, bits: int | None = None) -> Real:
         rn, rd = isqrt(num), isqrt(den)
         if rn * rn == num and rd * rd == den:
             return Fraction(rn, rd)
-        # sqrt(num/den) = sqrt(num*den)/den
-        return Surd.make(0, Fraction(1, den), num * den)
+        # sqrt(num/den) = sqrt(num*den)/den, and num, den are coprime, so the
+        # square-free core of num*den is the product of their cores
+        sn, cn = _squarefree_split(num)
+        sd, cd = _squarefree_split(den)
+        return _norm(0, sn * sd, den, cn * cd)
     lo, hi = real_bounds(x, bits)
     lo = max(lo, _ZERO)
     if hi < 0:
