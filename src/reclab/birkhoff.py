@@ -20,10 +20,10 @@ UNDECIDED, never a wrong answer.
 from __future__ import annotations
 
 import struct
-import sys
+from itertools import islice
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InvalidArity, EmptyInput, MalformedCertificate, VerificationBudgetExceeded
 from .intsets import IntSet, ZSetLike, as_int_list
@@ -39,7 +39,7 @@ class Status(str, Enum):
     UNDECIDED = "UNDECIDED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicColoring:
     period: int
     colors: tuple[int, ...]
@@ -84,7 +84,7 @@ class WindowUnsat:
     proof: Optional[bytes] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicWitness:
     coloring: PeriodicColoring
 
@@ -92,7 +92,7 @@ class PeriodicWitness:
 Certificate = Union[WindowUnsat, PeriodicWitness]
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     nodes: int = 0
     windows_tried: int = 0
@@ -102,7 +102,7 @@ class SearchStats:
     limits: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     status: Status
     certificate: Optional[Certificate]
@@ -241,27 +241,34 @@ def _normalize_distances(m: ZSetLike) -> tuple[int, ...]:
     return tuple(dists)
 
 
+def _windows(dists: Sequence[int]) -> Iterator[list[list[int]]]:
+    """The window graphs on {0..t-1} for t = 0, 1, 2, ..., each grown in
+    place from the one before, so one list is yielded each time.  v's
+    neighbours are in the order [v - m1, v + m1, v - m2, ...], those
+    outside the window left out."""
+    adj: list[list[int]] = []
+    while True:
+        yield adj
+        v = len(adj)
+        back = []
+        for j, m in enumerate(dists):
+            u = v - m
+            if u < 0:
+                break
+            # adj[u] holds u - m_i for every m_i <= u and u + m_i for i < j,
+            # interleaved: v = u + m_j goes right after u - m_j
+            adj[u].insert(min(2 * j + 1, len(adj[u])), v)
+            back.append(u)
+        adj.append(back)
+
+
 def _window_adjacency(window: int, dists: Sequence[int]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(window)]
-    for m in dists:
-        if m >= window:
-            break
-        for i in range(window - m):
-            adj[i].append(i + m)
-            adj[i + m].append(i)
-    return adj
+    return next(islice(_windows(dists), max(window, 0), None))
 
 
 def _circulant_adjacency(p: int, dists: Sequence[int]) -> list[list[int]]:
-    deltas = set()
-    for m in dists:
-        t = m % p
-        deltas.add(t)
-        deltas.add(p - t)
-    adj: list[list[int]] = [[] for _ in range(p)]
-    for j in range(p):
-        adj[j] = sorted({(j + t) % p for t in deltas} - {j})
-    return adj
+    steps = sorted({t for m in dists for t in (m % p, -m % p)})  # no 0: no m is a multiple of p
+    return [sorted([(j + t) % p for t in steps]) for j in range(p)]
 
 
 def _components(adj: list[list[int]]) -> list[list[int]]:
@@ -284,19 +291,23 @@ def _components(adj: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def _greedy_clique(adj: list[list[int]], vertices: Sequence[int], tries: int = 12) -> list[int]:
-    """Largest of the greedy cliques grown from a few start vertices; its
-    size is a sound lower bound on the chromatic number."""
-    best = list(vertices[:1])
-    neigh = {v: set(adj[v]) for v in vertices}
-    for v in vertices[:tries]:
+# At most this many start vertices, the smallest of a component, grow a
+# greedy clique.
+_CLIQUE_TRIES = 12
+
+
+def _greedy_cliques(adj: list[list[int]], starts: Sequence[int]) -> Iterator[list[int]]:
+    """The greedy clique grown from each start: its neighbours in adjacency
+    order, each kept if adjacent to all kept so far.  A clique's size is a
+    sound lower bound on the chromatic number."""
+    for v in starts:
         clique = [v]
+        common = set(adj[v])  # the vertices adjacent to every clique vertex
         for u in adj[v]:
-            if u in neigh and all(u in neigh[w] for w in clique):
+            if u in common:
                 clique.append(u)
-        if len(clique) > len(best):
-            best = clique
-    return best
+                common.intersection_update(adj[u])
+        yield clique
 
 
 def _clique_tree(clique: Sequence[int], r: int, limit: int) -> list[int]:
@@ -310,131 +321,171 @@ def _clique_tree(clique: Sequence[int], r: int, limit: int) -> list[int]:
         size += term
         if size > limit:
             return []
-    tree: list[int] = []
-
-    def walk(i: int):
-        tree.append(clique[i])
-        for _ in range(r - i):
-            walk(i + 1)
-
-    walk(0)
+    tree = [clique[r]]
+    for i in range(r - 1, -1, -1):  # the subtree at depth i, from the leaves up
+        tree = [clique[i], *tree * (r - i)]
     return tree
 
 
 # ---------------------------------------------------------------------------
 # exact coloring searches
 # ---------------------------------------------------------------------------
+#
+# DSATUR (Brelaz 1979) picks the uncolored vertex with the most distinct
+# colors among its colored neighbours, ties broken by higher degree, then
+# lower vertex.  The searches below number a graph's vertices in that
+# static (-degree, v) order and keep the uncolored ones in one bitmask of
+# these ranks per saturation level: a pick is the lowest bit of the
+# highest non-empty level, and coloring a vertex touches only its
+# neighbours.  Run on the whole graph, the greedy colors each component
+# exactly as it would alone, since picks in one component never change
+# another's saturations.
 
 
-def _greedy_dsatur_colors(adj: list[list[int]], vertices: Sequence[int]) -> dict[int, int]:
-    """Plain DSATUR greedy (no backtracking); returns a proper coloring that
-    may use any number of colors."""
-    colors: dict[int, int] = {}
-    sat: dict[int, set[int]] = {v: set() for v in vertices}
-    degree = {v: len(adj[v]) for v in vertices}
-    uncolored = set(vertices)
-    while uncolored:
-        v = min(uncolored, key=lambda u: (-len(sat[u]), -degree[u], u))
-        c = 1
-        while c in sat[v]:
-            c += 1
-        colors[v] = c
-        uncolored.remove(v)
-        for u in adj[v]:
-            if u in sat:
-                sat[u].add(c)
-    return colors
+def _ranked(adj: list[list[int]]) -> tuple[list[int], list[int], list[list[int]]]:
+    """(order, rank, nbrs): the vertices by (-degree, v), each vertex's
+    position in that order, and each ranked vertex's neighbours as ranks,
+    in adjacency order."""
+    n = len(adj)
+    order = sorted(range(n), key=list(map(len, adj)).__getitem__, reverse=True)  # stable: ties ascending
+    rank = sorted(range(n), key=order.__getitem__)
+    return order, rank, [list(map(rank.__getitem__, adj[v])) for v in order]
+
+
+def _greedy_colors(nbrs: list[list[int]], members: int, cap: int) -> int:
+    """Colors plain DSATUR greedy (no backtracking) uses on the ranks in
+    the bitmask members, a union of components; the first color above cap
+    stops it and is returned."""
+    used = [1] * len(nbrs)  # bit c: a colored neighbour has color c; -1 once colored
+    sat = [0] * len(nbrs)
+    levels = [members]  # uncolored ranks by saturation
+    top = 0
+    for _ in range(members.bit_count()):
+        s = len(levels) - 1
+        while not levels[s]:
+            s -= 1
+        low = levels[s] & -levels[s]
+        levels[s] ^= low
+        i = low.bit_length() - 1
+        x = used[i]
+        c = (~x & (x + 1)).bit_length() - 1  # least color not in used[i]
+        if c > top:
+            if c > cap:
+                return c
+            top = c
+        used[i] = -1
+        bit = 1 << c
+        for j in nbrs[i]:
+            x = used[j]
+            if not x & bit:
+                used[j] = x | bit
+                s = sat[j]
+                sat[j] = s + 1
+                low = 1 << j
+                levels[s] ^= low
+                if s + 1 < len(levels):
+                    levels[s + 1] |= low
+                else:
+                    levels.append(low)
+    return top
+
 
 def _dsatur_decide(
-    adj: list[list[int]],
-    vertices: Sequence[int],
+    order: list[int],
+    nbrs: list[list[int]],
+    members: int,
     r: int,
     budget: _Budget,
     trace: list[int],
-) -> Optional[dict[int, int]]:
-    """Exhaustive r-colorability on one component, DSATUR-ordered.
+) -> bool:
+    """Exhaustive r-colorability of the ranks in the bitmask members, one
+    component, DSATUR-ordered, with an explicit stack.
 
     Appends each search node's branching vertex to trace, so on failure
     trace holds the search tree in preorder."""
-    vset = set(vertices)
-    colors: dict[int, int] = {}
-    sat: dict[int, dict[int, int]] = {v: {} for v in vertices}  # color -> support count
-    degree = {v: len(adj[v]) for v in vertices}
-    order_pool = set(vertices)
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(vertices) + 100))
-
-    def pick() -> int:
-        return min(order_pool, key=lambda u: (-(len(sat[u])), -degree[u], u))
-
-    def assign(v: int, c: int) -> list[int]:
-        colors[v] = c
-        touched = []
-        for u in adj[v]:
-            if u in vset and u not in colors:
-                d = sat[u]
-                d[c] = d.get(c, 0) + 1
-                if d[c] == 1:
-                    touched.append(u)
-        return touched
-
-    def unassign(v: int, c: int):
-        del colors[v]
-        for u in adj[v]:
-            if u in vset and u not in colors:
-                d = sat[u]
-                d[c] -= 1
-                if d[c] == 0:
-                    del d[c]
-
-    def search() -> bool:
-        if not order_pool:
-            return True
-        budget.charge()
-        v = pick()
-        trace.append(v)
-        order_pool.remove(v)
-        forbidden = sat[v]
-        for c in range(1, r + 1):
-            if c in forbidden:
-                continue
-            assign(v, c)
-            if search():
-                order_pool.add(v)
+    n = len(nbrs)
+    support = [[0] * (r + 1) for _ in range(n)]  # [i][c]: colored neighbours of i with color c
+    sat = [0] * n
+    color = [0] * n
+    levels = [0] * (r + 1)  # uncolored ranks by saturation
+    levels[0] = members
+    path: list[tuple[int, int]] = []  # (rank, color) of the colored vertices
+    left = members.bit_count()
+    descend = True
+    while True:
+        if descend:
+            if not left:
                 return True
-            unassign(v, c)
-        order_pool.add(v)
-        return False
-
-    if search():
-        return dict(colors)
-    return None
+            budget.charge()
+            s = r
+            while not levels[s]:
+                s -= 1
+            low = levels[s] & -levels[s]
+            levels[s] ^= low
+            i = low.bit_length() - 1
+            trace.append(order[i])
+            left -= 1
+            c = 0
+        else:
+            if not path:
+                return False
+            i, c = path.pop()
+            color[i] = 0
+            for j in nbrs[i]:
+                if not color[j]:
+                    counts = support[j]
+                    counts[c] -= 1
+                    if not counts[c]:
+                        s = sat[j]
+                        sat[j] = s - 1
+                        low = 1 << j
+                        levels[s] ^= low
+                        levels[s - 1] |= low
+        counts = support[i]
+        c += 1
+        while c <= r and counts[c]:
+            c += 1
+        if c > r:  # every color tried: back up
+            levels[sat[i]] |= 1 << i
+            left += 1
+            descend = False
+            continue
+        color[i] = c
+        for j in nbrs[i]:
+            if not color[j]:
+                counts = support[j]
+                counts[c] += 1
+                if counts[c] == 1:
+                    s = sat[j]
+                    sat[j] = s + 1
+                    low = 1 << j
+                    levels[s] ^= low
+                    levels[s + 1] |= low
+        path.append((i, c))
+        descend = True
 
 
 def _static_lex_coloring(adj: list[list[int]], n: int, r: int, budget: _Budget) -> Optional[list[int]]:
     """First solution of lowest-vertex / lowest-color backtracking over the
-    whole graph: the lexicographically least proper r-coloring."""
+    whole graph, iterative: the lexicographically least proper
+    r-coloring."""
     colors = [0] * n
-    back = [sorted(u for u in adj[v] if u < v) for v in range(n)]
-
-    def search(v: int) -> bool:
-        if v == n:
-            return True
-        budget.charge()
+    back = [[u for u in adj[v] if u < v] for v in range(n)]
+    v, entering = 0, True
+    while 0 <= v < n:
+        if entering:
+            budget.charge()
         used = {colors[u] for u in back[v]}
-        for c in range(1, r + 1):
-            if c in used:
-                continue
+        c = colors[v] + 1
+        while c in used:
+            c += 1
+        if c <= r:
             colors[v] = c
-            if search(v + 1):
-                return True
-        colors[v] = 0
-        return False
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-    if search(0):
-        return list(colors)
-    return None
+            v, entering = v + 1, True
+        else:
+            colors[v] = 0
+            v, entering = v - 1, False
+    return colors if v == n else None
 
 
 def _refutation(adj: list[list[int]], r: int, budget: _Budget) -> Optional[tuple[str, list[int]]]:
@@ -443,17 +494,20 @@ def _refutation(adj: list[list[int]], r: int, budget: _Budget) -> Optional[tuple
     None when the graph is r-colorable.  Otherwise why a component is not:
     ("clique", an (r+1)-clique) or ("tree", its DSATUR search tree in
     WindowUnsat's proof format)."""
+    order, rank, nbrs = _ranked(adj)
+    if _greedy_colors(nbrs, (1 << len(adj)) - 1, r) <= r:
+        return None  # the greedy colors every component within r colors
     for comp in _components(adj):
         if len(comp) <= r:
             continue  # trivially colorable
-        greedy = _greedy_dsatur_colors(adj, comp)
-        if max(greedy.values()) <= r:
+        members = sum(1 << rank[v] for v in comp)
+        if _greedy_colors(nbrs, members, r) <= r:
             continue
-        clique = _greedy_clique(adj, comp)
+        clique = max(_greedy_cliques(adj, comp[:_CLIQUE_TRIES]), key=len)  # the first largest
         if len(clique) > r:
             return "clique", clique[: r + 1]
         trace: list[int] = []
-        if _dsatur_decide(adj, comp, r, budget, trace) is None:
+        if not _dsatur_decide(order, nbrs, members, r, budget, trace):
             return "tree", trace
     return None
 
@@ -488,11 +542,13 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
 
     try:
         top = max(limits.max_window, limits.max_period)
+        windows = islice(_windows(dists), 1, None)
         for t in range(1, top + 1):
             if t <= limits.max_window:
                 stats.windows_tried = t
+                adj = next(windows)
                 if t > dists[0]:  # smaller windows have no edges at all
-                    found = _refutation(_window_adjacency(t, dists), r, budget)
+                    found = _refutation(adj, r, budget)
                     if found is not None:
                         kind, entries = found
                         tree = _clique_tree(entries, r, budget.left) if kind == "clique" else entries
@@ -507,11 +563,13 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
                     return finish(Status.NOT_R_BIRKHOFF, PeriodicWitness(witness))
     except _OutOfBudget:
         stats.budget_exhausted = True
-        stats.nodes = budget.spent
-        return Verdict(Status.UNDECIDED, None, stats)
+        if r <= len(dists):
+            return finish(Status.UNDECIDED, None)
+        budget.left = _FALLBACK_TERMS  # the fallback gets its own allowance
 
-    # enumeration exhausted honestly; if the arity exceeds |M| a periodic
-    # witness always exists, and the greedy tail construction finds one
+    # enumeration exhausted, honestly or not; if the arity exceeds |M| a
+    # periodic witness always exists, and the greedy tail construction
+    # finds one
     if r > len(dists):
         witness = _greedy_cycle_witness(dists, r, budget)
         if witness is not None:
@@ -522,7 +580,7 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
 
 def _circulant_witness(dists: Sequence[int], p: int, r: int, budget: _Budget) -> Optional[PeriodicColoring]:
     adj = _circulant_adjacency(p, dists)
-    if p > r and len(_greedy_clique(adj, list(range(p)))) > r:
+    if p > r and any(len(c) > r for c in _greedy_cliques(adj, range(p)[:_CLIQUE_TRIES])):
         return None
     if _refutation(adj, r, budget) is not None:
         return None
@@ -532,6 +590,11 @@ def _circulant_witness(dists: Sequence[int], p: int, r: int, budget: _Budget) ->
     coloring = PeriodicColoring(p, tuple(lex))
     assert coloring.is_valid_for(dists, r)
     return coloring
+
+
+# Terms of the greedy avoiding sequence the fallback witness search may
+# generate.
+_FALLBACK_TERMS = 1_000_000
 
 
 def _greedy_cycle_witness(dists: Sequence[int], r: int, budget: _Budget) -> Optional[PeriodicColoring]:
@@ -544,10 +607,9 @@ def _greedy_cycle_witness(dists: Sequence[int], r: int, budget: _Budget) -> Opti
         return z.get(i, 1) if i >= 1 else 1
 
     seen: dict[tuple[int, ...], int] = {}
-    limit = 1_000_000
     i = 0
     try:
-        while i < limit:
+        while i < _FALLBACK_TERMS:
             i += 1
             budget.charge()
             forbidden = {zval(i - mm) for mm in dists}
@@ -831,10 +893,7 @@ def chromatic_number_window(m: ZSetLike, window: int, limits: SearchLimits | Non
     node_budget = (limits or SearchLimits()).node_budget
     budget = _Budget(node_budget)
     adj = _window_adjacency(window, dists)
-    greedy_upper = 1
-    for comp in _components(adj):
-        greedy = _greedy_dsatur_colors(adj, comp)
-        greedy_upper = max(greedy_upper, max(greedy.values()))
+    greedy_upper = _greedy_colors(_ranked(adj)[2], (1 << window) - 1, window)
     lower = 1
     for r in range(1, greedy_upper + 1):
         try:

@@ -250,6 +250,24 @@ class TestBudgets:
         assert v.stats.fallback_used
         assert v.certificate.coloring.is_valid_for((1,), 2)
 
+    def test_exhausted_budget_falls_back_when_arity_exceeds_cardinality(self):
+        # this set spends any node budget in a small circulant; r > |M|
+        # guarantees a witness and the greedy cycle has period 49
+        dists = [10, 11, 14, 24, 29, 39]
+        v = check_r_birkhoff(dists, 7, SearchLimits(node_budget=10_000))
+        assert v.status is Status.NOT_R_BIRKHOFF
+        assert v.stats.budget_exhausted and v.stats.fallback_used
+        assert v.stats.nodes > 10_000
+        assert v.certificate.coloring.period == 49
+        assert verify_certificate(dists, 7, v.certificate)
+
+    def test_cardinality_claim_passes_at_the_seed_that_exhausts_the_budget(self, capsys):
+        # the claim draws {10, 11, 14, 24, 29, 39} at arity 7 at this seed
+        args = ["--seed", "1008302064", "report", "paper-claims", "--only", "cardinality-ceiling"]
+        assert cli.main(args) == 0
+        claim = json.loads(capsys.readouterr().out)["result"]["claims"][0]
+        assert claim["claim"] == "cardinality-ceiling" and claim["status"] == PASS
+
 
 class TestMinimalSubset:
     def test_evens_minimal_core(self):
@@ -464,6 +482,13 @@ class TestReferenceSearch:
     def test_long_component_needs_no_recursion_limit(self):
         limit = sys.getrecursionlimit()
         assert _reference_window_colorable((1,), 20_000, 2, 10**6)
+        assert sys.getrecursionlimit() == limit
+
+    def test_solver_leaves_the_recursion_limit_alone(self):
+        limit = sys.getrecursionlimit()
+        assert window_r_colorable([1, 5, 8], 5000, 3)
+        v = check_r_birkhoff([1, 2], 3)
+        assert v.status is Status.NOT_R_BIRKHOFF and v.certificate.coloring.period == 3
         assert sys.getrecursionlimit() == limit
 
     def test_cap(self):
