@@ -2,8 +2,10 @@
 
 A frequency spec (alphas; eps) describes the integer set
 {n : dist(n*alpha, Z^k) < eps} with the Euclidean distance on the k-torus.
-Single-frequency work with rational or quadratic-surd alphas is fully exact;
-mixed kinds degrade to tracked-error approximations and raise
+Membership is decided exactly for rational and quadratic-surd alphas, over
+any number of quadratic fields; only the displayed norm and margin of a
+multi-frequency member query are tracked-error approximations.  Alphas that
+are already approximations (float input) keep their tracked error and raise
 UncertainAtPrecision instead of guessing.
 """
 
@@ -31,12 +33,12 @@ from .exactreal import (
     real_eq,
     real_floor,
     real_frac,
-    real_mul,
     real_mul_int,
     real_sort,
-    real_sqrt,
     real_sub,
+    torus_norm,
     torus_norm1,
+    torus_norm_lt,
 )
 from .intsets import IntSet, Window, ZSetLike, as_int_list
 
@@ -59,15 +61,6 @@ class BohrSpec:
         return len(self.alphas)
 
 
-def torus_norm_vec_sq(xs: Sequence) -> Real:
-    """Squared Euclidean distance from a vector to the nearest lattice point."""
-    total: Real = Fraction(0)
-    for x in xs:
-        n = torus_norm1(x)
-        total = real_add(total, real_mul(n, n))
-    return total
-
-
 @dataclass(frozen=True)
 class Membership:
     member: bool
@@ -77,30 +70,25 @@ class Membership:
 
 def bohr_membership(n: int, spec: BohrSpec) -> Membership:
     """Is n in the set described by `spec`?  Decided exactly (or raises)."""
-    if spec.dim == 1:
-        norm = spec.alphas[0].multiple_norm(n)
-        member = real_cmp(norm, spec.eps) < 0
-        margin = real_abs(real_sub(norm, spec.eps))
-        return Membership(member, norm, margin)
-    sq = torus_norm_vec_sq([a.multiple(n) for a in spec.alphas])
-    member = real_cmp(sq, spec.eps * spec.eps) < 0
-    norm = real_sqrt(sq)
-    margin = real_abs(real_sub(norm, spec.eps))
-    return Membership(member, norm, margin)
+    xs = [a.multiple(n) for a in spec.alphas]
+    member = torus_norm_lt(xs, spec.eps)
+    norm = torus_norm(xs)
+    return Membership(member, norm, real_abs(real_sub(norm, spec.eps)))
 
 
 def bohr_enumerate(spec: BohrSpec, window: Window) -> tuple[int, ...]:
     """All nonzero n in the window with dist(n*alpha) < eps, ascending.
 
-    Undecidable n are collected and raised together so the caller can rerun
-    at higher precision.
+    Membership only: no norm or margin is computed.  Undecidable n (an
+    Approx frequency) are collected and raised together so the caller can
+    rerun at higher precision.
     """
     hits, ambiguous = [], []
     for n in window:
         if n == 0:
             continue
         try:
-            if bohr_membership(n, spec).member:
+            if torus_norm_lt([a.multiple(n) for a in spec.alphas], spec.eps):
                 hits.append(n)
         except UncertainAtPrecision:
             ambiguous.append(n)

@@ -1,7 +1,10 @@
 """Finite-horizon dynamics: torus rotations and indicator subshifts.
 
-Rotations use the exact arithmetic kinds throughout, so return-time sets and
-displacement minima on the circle are computed exactly.  Subshift points are
+Rotations use the exact arithmetic kinds throughout, so return-time sets on
+the torus and displacement minima on the circle are computed exactly; the
+displayed distances of a multi-frequency rotation are tracked-error
+approximations, and comparisons among them (rigidity records, minima) raise
+UncertainAtPrecision when they cannot be decided.  Subshift points are
 shifts of a single base word declared on a finite window; every operation
 checks the window covers its horizon with room to spare (ratio 4).
 
@@ -25,12 +28,11 @@ from .exactreal import (
     real_frac,
     real_le,
     real_min,
-    real_mul,
     real_mul_int,
-    real_sqrt,
     real_sub,
     real_to_float,
-    torus_norm1,
+    torus_norm,
+    torus_norm_lt,
 )
 from .intsets import IntSet, Window, ZSetLike, as_int_list
 
@@ -78,41 +80,19 @@ class RotationSystem:
             for xi, a in zip(x, self.alphas)
         )
 
-    def dist_sq(self, x: RotPoint, y: RotPoint) -> Real:
-        total: Real = Fraction(0)
-        for xi, yi in zip(x, y):
-            d = torus_norm1(real_sub(xi, yi))
-            total = real_add(total, real_mul(d, d))
-        return total
-
     def dist(self, x: RotPoint, y: RotPoint) -> Real:
-        if self.dim == 1:
-            return torus_norm1(real_sub(x[0], y[0]))
-        return real_sqrt(self.dist_sq(x, y))
+        return torus_norm([real_sub(xi, yi) for xi, yi in zip(x, y)])
 
     def dist_lt(self, x: RotPoint, y: RotPoint, t: Fraction) -> bool:
-        if self.dim == 1:
-            return real_cmp(torus_norm1(real_sub(x[0], y[0])), t) < 0
-        return real_cmp(self.dist_sq(x, y), Fraction(t) * Fraction(t)) < 0
+        return torus_norm_lt([real_sub(xi, yi) for xi, yi in zip(x, y)], t)
 
     def displacement_norm(self, n: int) -> Real:
         """Exact displacement of the n-th iterate: dist(x, T^n x), any x."""
-        if self.dim == 1:
-            return self.alphas[0].multiple_norm(n)
-        return real_sqrt(
-            sum_real(real_squared(torus_norm1(a.multiple(n))) for a in self.alphas)
-        )
+        return torus_norm([a.multiple(n) for a in self.alphas])
 
-
-def sum_real(values) -> Real:
-    total: Real = Fraction(0)
-    for v in values:
-        total = real_add(total, v)
-    return total
-
-
-def real_squared(x: Real) -> Real:
-    return real_mul(x, x)
+    def displacement_lt(self, n: int, t: Fraction) -> bool:
+        """displacement_norm(n) < t, decided exactly for exact alphas."""
+        return torus_norm_lt([a.multiple(n) for a in self.alphas], t)
 
 
 @dataclass(frozen=True)
@@ -207,12 +187,8 @@ def _cylinder_scan_depth(radius: Fraction) -> int:
     return k  # distance < radius  <=>  first difference index >= k
 
 
-def in_target(sys_: System, point, target) -> bool:
-    if isinstance(sys_, RotationSystem):
-        if not isinstance(target, BallSpec):
-            raise TypeError("rotation targets are balls")
-        center = sys_.point(target.center)
-        return sys_.dist_lt(point, center, Fraction(target.radius))
+def in_target(sys_: SubshiftSystem, point: int, target) -> bool:
+    """Does shift `point` of the base word lie in a cylinder or ball?"""
     if isinstance(target, CylinderSpec):
         return all(sys_.symbol(pos + point) == sym for pos, sym in target.fixed)
     if isinstance(target, BallSpec):
@@ -228,19 +204,16 @@ def return_times_point(sys_: System, x, target, horizon: int) -> TimeSet:
     """{n in [-H, H] : T^n x in target}; 0 belongs when x itself does."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    hits = []
+    window = range(-horizon, horizon + 1)
     if isinstance(sys_, RotationSystem):
-        x = sys_.point(x)
-        for n in range(-horizon, horizon + 1):
-            if in_target(sys_, sys_.step(x, n), target):
-                hits.append(n)
-        return tuple(hits)
+        if not isinstance(target, BallSpec):
+            raise TypeError("rotation targets are balls")
+        x, center = sys_.point(x), sys_.point(target.center)
+        radius = Fraction(target.radius)
+        return tuple(n for n in window if sys_.dist_lt(sys_.step(x, n), center, radius))
     sys_.require_horizon(max(1, horizon // 4 + 1))
     base = int(x)
-    for n in range(-horizon, horizon + 1):
-        if in_target(sys_, base + n, target):
-            hits.append(n)
-    return tuple(hits)
+    return tuple(n for n in window if in_target(sys_, base + n, target))
 
 
 def return_times_set(sys_: RotationSystem, target: BallSpec, horizon: int) -> TimeSet:
@@ -252,12 +225,7 @@ def return_times_set(sys_: RotationSystem, target: BallSpec, horizon: int) -> Ti
     if not isinstance(sys_, RotationSystem):
         raise TypeError("set-level return times are exact for rotations only")
     two_rho = 2 * Fraction(target.radius)
-    hits = []
-    for n in range(-horizon, horizon + 1):
-        norm = sys_.displacement_norm(n)
-        if real_cmp(norm, two_rho) < 0:
-            hits.append(n)
-    return tuple(hits)
+    return tuple(n for n in range(-horizon, horizon + 1) if sys_.displacement_lt(n, two_rho))
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +460,8 @@ def find_l_recurrent(
         # displacement is point-independent: scan target times only
         budgeted = times[:sample_budget]
         for n in budgeted:
-            norm = sys_.displacement_norm(n)
-            if real_cmp(norm, eps) < 0:
-                return RecurrentWitness(point=sys_.zero(), time=n, value=norm)
+            if sys_.displacement_lt(n, eps):
+                return RecurrentWitness(point=sys_.zero(), time=n, value=sys_.displacement_norm(n))
         return None
     scan_budget = sample_budget
     scan = max(8, sys_.window.hi // 4)

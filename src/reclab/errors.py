@@ -44,6 +44,11 @@ class UncertainAtPrecision(RecLabError):
         self.ambiguous = ambiguous or []
 
 
+class RadicandTooLarge(RecLabError):
+    """A surd radicand exceeds the size that is reduced without factoring
+    risk (``exactreal.MAX_RADICAND_BITS``)."""
+
+
 class NoSuchM(RecLabError):
     """No orbit-density constant exists (orbit too coarse for the target)."""
 

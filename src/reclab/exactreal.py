@@ -16,10 +16,23 @@ refine.  Rationals (ints and Fractions) are compared, rounded and reduced
 from their numerator and denominator: a comparison is one
 cross-multiplication, ``floor`` and ``nearest_int`` are integer divisions,
 and a sum, product, fractional part or circle norm builds its one result
-Fraction straight from integers.  All comparisons involving only the first
-two kinds are decided exactly.  Comparisons that touch an ``Approx`` either clear the tracked error
-bound or raise :class:`UncertainAtPrecision`; nothing is ever silently
+Fraction straight from integers.  Sums of surds from several quadratic
+fields are compared with a rational by :func:`real_sum_sign`, in integers:
+square roots of distinct square-free integers are linearly independent over
+Q, so such a sum never equals a rational and integer brackets of each
+``b*sqrt(d)`` separate it.  All comparisons involving only the first two
+kinds are therefore decided exactly; multi-frequency torus norms are
+compared through that kernel (:func:`torus_norm_lt`), while their displayed
+values (:func:`torus_norm`, a square root of a sum across fields) are
+``Approx``.  Comparisons that touch an ``Approx`` either clear the tracked
+error bound or raise :class:`UncertainAtPrecision`; nothing is ever silently
 misclassified.
+
+Radicands are reduced to square-free form by trial division up to a cube
+root, so they are capped at ``MAX_RADICAND_BITS``: a larger one raises
+:class:`RadicandTooLarge` in ``Surd.make`` (and so in ``parse_real``), and
+``real_sqrt`` of a non-square rational whose numerator or denominator is
+larger returns a tracked ``Approx`` instead of a ``Surd``.
 """
 
 from __future__ import annotations
@@ -27,14 +40,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
-from .errors import UncertainAtPrecision
+from .errors import RadicandTooLarge, UncertainAtPrecision
 
-# Default working precision (bits) for operations that must leave the exact
-# kinds, e.g. square roots or sums across different quadratic fields.  The
-# CLI overrides this from RECLAB_PRECISION_BITS.
+# Default working precision (bits) for values that must leave the exact
+# kinds, e.g. square roots, or sums across different quadratic fields built
+# by real_add for display.  The CLI overrides this from RECLAB_PRECISION_BITS.
 DEFAULT_PRECISION_BITS = 192
+
+# Largest radicand (bits) reduced to square-free form.  _squarefree_split
+# trial-divides up to a cube root: about 0.1 s for a prime just below 2**56,
+# 0.5 s at 2**64, growing by 2**(1/3) per bit.
+MAX_RADICAND_BITS = 56
+
+# real_sum_sign brackets at scale 2**k for k = 64, 128, ... up to this.
+_MAX_BRACKET_BITS = 4096
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -130,6 +151,11 @@ class Surd:
             return p
         if d < 0:
             raise ValueError("surd radicand must be nonnegative")
+        if d.bit_length() > MAX_RADICAND_BITS:
+            raise RadicandTooLarge(
+                f"surd radicand has {d.bit_length()} bits; the limit is "
+                f"{MAX_RADICAND_BITS} bits"
+            )
         s, core = _squarefree_split(d)
         if core == 1:
             return p + q * s
@@ -508,16 +534,7 @@ def real_cmp(x, y) -> int:
         return real_cmp(as_real(x), as_real(y))
     x, y = as_real(x), as_real(y)
     if not isinstance(x, Approx) and not isinstance(y, Approx):
-        # distinct quadratic fields: values can never coincide, so a
-        # refinement loop terminates for any actual input
-        for bits in (64, 128, 256, 512, 1024, 2048, 4096):
-            xl, xh = real_bounds(x, bits)
-            yl, yh = real_bounds(y, bits)
-            if xh < yl:
-                return -1
-            if xl > yh:
-                return 1
-        raise UncertainAtPrecision("cross-field comparison did not separate")
+        return real_sum_sign((x, -y))  # distinct quadratic fields
     xl, xh = real_bounds(x, DEFAULT_PRECISION_BITS)
     yl, yh = real_bounds(y, DEFAULT_PRECISION_BITS)
     if xh < yl:
@@ -530,6 +547,69 @@ def real_cmp(x, y) -> int:
     raise UncertainAtPrecision(
         "intervals overlap within tracked error", margin=float(gap)
     )
+
+
+def real_sum_sign(terms: Sequence, bound=0) -> int:
+    """Sign of sum(terms) - bound, decided exactly in integers.
+
+    Terms are ints, Fractions or Surds of any quadratic fields; bound is an
+    int or Fraction.  The rational parts fold into one numerator and
+    denominator and each field's sqrt(d) coefficients into one b/c.  With
+    one field left the sign is one ``_sign2``.  With more, every b*sqrt(d)
+    over a common denominator is bracketed at scale 2**k by one
+    ``isqrt(b*b*d << 2k)``, doubling k from 64 until the bracket of the sum
+    excludes 0: square roots of distinct square-free integers are linearly
+    independent over Q, so such a sum is never 0.  Past _MAX_BRACKET_BITS it
+    raises UncertainAtPrecision.  No Fraction is built.  A term that is an
+    Approx sends the sum through the tracked real_add fold and real_cmp.
+    """
+    num, den = -bound.numerator, bound.denominator
+    fields: dict[int, tuple[int, int]] = {}
+    for t in terms:
+        if isinstance(t, Surd):
+            a, b, c, d = t.a, t.b, t.c, t.d
+            f = fields.get(d)
+            fields[d] = (b, c) if f is None else (f[0] * c + b * f[1], f[1] * c)
+        elif isinstance(t, _RATIONAL):
+            a, c = t.numerator, t.denominator
+        else:
+            return real_cmp(real_sum(terms), bound)
+        num, den = num * c + a * den, den * c
+    surds = [(b, c, d) for d, (b, c) in fields.items() if b]
+    if not surds:
+        return (num > 0) - (num < 0)
+    if len(surds) == 1:
+        b, c, d = surds[0]
+        return _sign2(num * c, b * den, d)
+    # clear denominators: num/den + sum b/c sqrt(d) = (n0 + sum b' sqrt(d))/m
+    m = lcm(den, *(c for _, c, _ in surds))
+    n0 = num * (m // den)
+    squares = []
+    for b, c, d in surds:
+        b *= m // c
+        squares.append((b > 0, b * b * d))
+    k = 64
+    while k <= _MAX_BRACKET_BITS:
+        # b' sqrt(d) 2**k lies strictly between r and r + 1 (b' > 0) or
+        # -r - 1 and -r (b' < 0), r = isqrt(b'^2 d 4**k), being irrational
+        lo = n0 << k
+        for positive, sq in squares:
+            r = isqrt(sq << 2 * k)
+            lo += r if positive else -r - 1
+        if lo >= 0:
+            return 1
+        if lo + len(squares) <= 0:
+            return -1
+        k *= 2
+    raise UncertainAtPrecision("cross-field sum did not separate")
+
+
+def real_sum(terms: Iterable[Real]) -> Real:
+    """Left-to-right real_add fold from 0: the displayed value of a sum."""
+    total: Real = _ZERO
+    for t in terms:
+        total = real_add(total, t)
+    return total
 
 
 def real_lt(x, y) -> bool:
@@ -561,9 +641,9 @@ def real_sort(values: Iterable[Real]) -> list[Real]:
 
 
 def real_sqrt(x: Real, bits: int | None = None) -> Real:
-    """Square root; exact when x is the square of a rational, or when x is a
-    plain square-free integer times a rational square.  Otherwise a tracked
-    approximation at the requested precision."""
+    """Square root; exact when x is the square of a rational, or a rational
+    whose numerator and denominator fit MAX_RADICAND_BITS.  Otherwise a
+    tracked approximation at the requested precision."""
     x = as_real(x)
     bits = bits or DEFAULT_PRECISION_BITS
     if isinstance(x, Fraction):
@@ -573,11 +653,12 @@ def real_sqrt(x: Real, bits: int | None = None) -> Real:
         rn, rd = isqrt(num), isqrt(den)
         if rn * rn == num and rd * rd == den:
             return Fraction(rn, rd)
-        # sqrt(num/den) = sqrt(num*den)/den, and num, den are coprime, so the
-        # square-free core of num*den is the product of their cores
-        sn, cn = _squarefree_split(num)
-        sd, cd = _squarefree_split(den)
-        return _norm(0, sn * sd, den, cn * cd)
+        if max(num, den).bit_length() <= MAX_RADICAND_BITS:
+            # sqrt(num/den) = sqrt(num*den)/den, and num, den are coprime, so
+            # the square-free core of num*den is the product of their cores
+            sn, cn = _squarefree_split(num)
+            sd, cd = _squarefree_split(den)
+            return _norm(0, sn * sd, den, cn * cd)
     lo, hi = real_bounds(x, bits)
     lo = max(lo, _ZERO)
     if hi < 0:
@@ -663,6 +744,30 @@ class TorusPoint:
 
     def __repr__(self):
         return f"TorusPoint({self.value!r})"
+
+
+def torus_sq_terms(xs: Iterable) -> list[Real]:
+    """Squared circle norms of the coordinates of a torus vector: the terms
+    of its squared Euclidean distance to the nearest lattice point."""
+    return [real_mul(n, n) for n in map(torus_norm1, xs)]
+
+
+def torus_norm(xs: Sequence) -> Real:
+    """Euclidean distance from a torus vector to the nearest lattice point,
+    for display: exact on the circle, else real_sqrt of the real_add fold of
+    the squared norms (an Approx once the vector has an irrational
+    coordinate)."""
+    if len(xs) == 1:
+        return torus_norm1(xs[0])
+    return real_sqrt(real_sum(torus_sq_terms(xs)))
+
+
+def torus_norm_lt(xs: Sequence, eps) -> bool:
+    """Is torus_norm(xs) below the rational eps?  Exact for the exact kinds,
+    over any number of quadratic fields (squared norms via real_sum_sign)."""
+    if len(xs) == 1:
+        return real_cmp(torus_norm1(xs[0]), eps) < 0
+    return real_sum_sign(torus_sq_terms(xs), eps * eps) < 0
 
 
 def golden_rotation() -> TorusPoint:

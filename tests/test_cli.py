@@ -1,10 +1,11 @@
 """End-to-end command line checks, driven through ``cli.main``."""
 
 import json
+import time
 
 import pytest
 
-from reclab import cli
+from reclab import cli, exactreal
 from reclab.errors import UncertainAtPrecision
 
 
@@ -152,6 +153,15 @@ class TestBohr:
         assert res["quotients"] == [0] + [2] * 7
         assert res["terminated"] is False
 
+    def test_oversized_radicand_is_an_input_error(self, capsys):
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys, ["bohr", "cf", "--alpha", "sqrt:100000000000000000000000000319:0:1:1"]
+        )
+        assert time.perf_counter() - start < 1
+        assert rc == 2 and out == ""
+        assert "limit is 56 bits" in err
+
     def test_witness_doubling(self, capsys, tmp_path):
         f = tmp_path / "doubling.txt"
         f.write_text("\n".join(str(2**k) for k in range(11)))
@@ -187,6 +197,31 @@ class TestBohr:
             capsys, ["bohr", "separate", "--set", str(f), "--eps", "1/40"]
         )
         assert doc["result"]["found"] is False
+
+
+TWO_FIELDS = {
+    "bohr.enumerate": [
+        "bohr", "enumerate", "--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:3:0:1:1",
+        "--eps", "1/5", "--lo", "-40", "--hi", "40",
+    ],
+    "dyn.returns": [
+        "dyn", "returns", "--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:5:-1:1:2",
+        "--horizon", "60", "--radius", "1/8", "--center", "1/3;1/4", "--point", "1/5;2/7",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TWO_FIELDS))
+def test_two_field_decisions_need_no_precision(capsys, monkeypatch, command):
+    # main sets the module-wide precision; restore it after the test
+    monkeypatch.setattr(exactreal, "DEFAULT_PRECISION_BITS", exactreal.DEFAULT_PRECISION_BITS)
+    low = run_json(capsys, ["--precision-bits", "8", *TWO_FIELDS[command]])["result"]
+    high = run_json(capsys, ["--precision-bits", "128", *TWO_FIELDS[command]])["result"]
+    assert low == high
+    if command == "bohr.enumerate":
+        assert low["members"] == [-34, -22, -19, -7, 7, 19, 22, 34]
+    else:
+        assert low["point_returns"] == [-60, -55, -26, 34]
 
 
 class TestDyn:

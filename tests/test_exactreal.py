@@ -1,13 +1,15 @@
 """Exact arithmetic kinds: rationals, quadratic surds, tracked approximations."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from reclab.errors import UncertainAtPrecision
+from reclab.errors import RadicandTooLarge, UncertainAtPrecision
 from reclab.exactreal import (
+    MAX_RADICAND_BITS,
     Approx,
     Surd,
     TorusPoint,
@@ -38,6 +40,13 @@ class TestSurd:
 
     def test_make_folds_to_fraction(self):
         assert Surd.make(Fraction(1), Fraction(2), 9) == Fraction(7)
+
+    def test_radicand_limit(self):
+        assert Surd.make(0, 1, 2**MAX_RADICAND_BITS - 1).d.bit_length() <= MAX_RADICAND_BITS
+        with pytest.raises(RadicandTooLarge, match=f"limit is {MAX_RADICAND_BITS} bits"):
+            Surd.make(0, 1, 2**MAX_RADICAND_BITS + 1)
+        with pytest.raises(RadicandTooLarge):
+            parse_real("sqrt:100000000000000000000000000319:0:1:1")
 
     def test_squarefree_normalization(self):
         s = Surd(0, 1, 8)  # sqrt(8) = 2*sqrt(2)
@@ -185,6 +194,15 @@ class TestArithmetic:
         assert isinstance(v, Surd) and v.d == 2
         v = real_sqrt(Fraction(1, 2))  # sqrt(1/2) = sqrt2 / 2
         assert isinstance(v, Surd) and real_eq(real_mul(v, v), Fraction(1, 2))
+
+    def test_sqrt_past_the_radicand_limit_is_tracked_not_factored(self):
+        start = time.perf_counter()
+        v = real_sqrt(Fraction(2**89 - 1))  # a Mersenne prime
+        assert time.perf_counter() - start < 1
+        lo, hi = v.bounds()
+        assert isinstance(v, Approx) and lo * lo <= 2**89 - 1 <= hi * hi
+        assert isinstance(real_sqrt(Fraction(1, 2**89 - 1)), Approx)
+        assert real_sqrt(Fraction(2**100, 9)) == Fraction(2**50, 3)  # squares stay exact
 
 
 class TestTorusPoint:

@@ -3,6 +3,7 @@
 Every exact operation on ``Surd`` is checked against two independent
 references: sympy's algebraic numbers (skipped when sympy is absent) and the
 Fraction-based bracket arithmetic the kernel replaced, kept here as an oracle.
+The cross-field sum sign ``real_sum_sign`` is checked against sympy.
 """
 
 import json
@@ -12,12 +13,14 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reclab.errors import UncertainAtPrecision
 from reclab.exactreal import (
     Surd,
     nearest_int,
     real_cmp,
     real_frac,
     real_mul_int,
+    real_sum_sign,
     real_to_json,
     torus_norm1,
 )
@@ -87,9 +90,9 @@ denominators = st.integers(1, BIG)
 
 
 @st.composite
-def surd_fields(draw):
+def surd_fields(draw, fields=FIELDS):
     """(a, b, c, d): (a + b*sqrt(d))/c, random or within 1/c of an integer."""
-    d = draw(st.sampled_from(FIELDS))
+    d = draw(st.sampled_from(fields))
     if draw(st.booleans()):
         return draw(coeffs), draw(nonzero), draw(denominators), d
     # b*sqrt(d) - p tiny: floor and sign sit right at an integer boundary
@@ -257,3 +260,115 @@ def test_bounds_bracket_the_sympy_value(sympy, fields, bits):
     sx = to_sympy(sympy, *fields)
     lo, hi = (sympy.Rational(f.numerator, f.denominator) for f in (lo, hi))
     assert sympy_sign(sympy, sx - lo) == 1 and sympy_sign(sympy, hi - sx) == 1
+
+
+# -- sums across quadratic fields ----------------------------------------------------
+
+
+@st.composite
+def field_sums(draw):
+    """(terms, bound): 1-4 terms over 2 or 3 fields, some of them rational,
+    and a bound that is random or the sum of the terms' nearest integers, so
+    that sum(terms) - bound is a sum of tiny values of either sign."""
+    fields = draw(st.lists(st.sampled_from(FIELDS), min_size=2, max_size=3, unique=True))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 4)) == 0:
+            terms.append(Fraction(draw(coeffs), draw(denominators)))
+        else:
+            terms.append(build(*draw(surd_fields(fields))))
+    if draw(st.booleans()):
+        return terms, Fraction(draw(coeffs), draw(denominators))
+    return terms, sum(nearest_int(t) for t in terms)
+
+
+def term_to_sympy(sympy, t):
+    if isinstance(t, Surd):
+        return surd_to_sympy(sympy, t)
+    t = Fraction(t)
+    return sympy.Rational(t.numerator, t.denominator)
+
+
+def sympy_sum_sign(sympy, terms, bound) -> int:
+    return sympy_sign(sympy, sum(term_to_sympy(sympy, t) for t in terms) - term_to_sympy(sympy, bound))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_sums())
+def test_sum_sign_matches_sympy(sympy, case):
+    terms, bound = case
+    assert real_sum_sign(terms, bound) == sympy_sum_sign(sympy, terms, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_sums(), surd_fields(), surd_fields())
+def test_sum_sign_with_exact_cancellation_in_a_field(sympy, case, f1, f2):
+    terms, bound = case
+    x, y = build(*f1), build(f2[0], f2[1], f2[2], f1[3])
+    expected = sympy_sum_sign(sympy, terms, bound)
+    assert real_sum_sign([x, *terms, -x], bound) == expected
+    # x + y - (x + y): a field whose terms cancel only as a sum
+    assert real_sum_sign([x, *terms, y, -(x + y)], bound) == expected
+    assert real_sum_sign([x, -x], 0) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(surd_fields(), st.integers(2, 50), field_sums())
+def test_sum_sign_reads_equal_values_in_other_forms(sympy, f, s, case):
+    a, b, c, d = f
+    terms, bound = case
+    wide = Surd.make(Fraction(a, c), Fraction(b, c), d * s * s)  # sqrt(8) for 2*sqrt(2)
+    narrow = build(a, b * s, c, d)
+    assert wide == narrow
+    assert real_sum_sign([wide, -narrow], 0) == 0
+    expected = sympy_sum_sign(sympy, [narrow, *terms], bound)
+    assert real_sum_sign([wide, *terms], bound) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(surd_fields(), surd_fields())
+def test_cross_field_compare_matches_sympy(sympy, f1, f2):
+    x, y = build(*f1), build(*f2)
+    expected = sympy_sign(sympy, to_sympy(sympy, *f1) - to_sympy(sympy, *f2))
+    assert real_cmp(x, y) == expected == -real_cmp(y, x)
+
+
+def convergent_error(d: int, bits: int, sign: int) -> Surd:
+    """q*sqrt(d) - p of the given sign for the first such convergent p/q of
+    sqrt(d) with q above 2**bits: about 2**-bits in size."""
+    p, q = next(
+        (p, q) for p, q in sqrt_convergents(d, 6000)
+        if q.bit_length() > bits and (q * q * d > p * p) == (sign > 0)
+    )
+    return build(-p, q, 1, d)
+
+
+def test_sum_sign_refines_until_separated_and_stops_at_its_limit(sympy):
+    # two fields, terms of opposite signs about 2**-1000 each: no bracket
+    # below that scale can place their sum
+    terms = [convergent_error(2, 1000, 1), convergent_error(3, 1000, -1)]
+    assert real_sum_sign(terms) == sympy_sum_sign(sympy, terms, 0)
+    with pytest.raises(UncertainAtPrecision):
+        real_sum_sign([convergent_error(2, 4200, 1), convergent_error(3, 4200, -1)])
+
+
+def test_sum_sign_builds_no_fraction(monkeypatch):
+    x, y, z = Surd(Fraction(1, 3), Fraction(-2, 7), 5), Surd(2, Fraction(5, 3), 2), Surd(0, 1, 3)
+    r, bound = Fraction(7, 11), Fraction(-4, 9)
+    near = [convergent_error(2, 200, 1), convergent_error(3, 200, -1)]  # k = 256
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    signs = [
+        real_sum_sign([x, y, z, r], bound), real_sum_sign([x, r, 3], bound),
+        real_sum_sign([x, -x, r]), real_sum_sign(near), real_sum_sign([x, y, -x, -y]),
+        real_cmp(x, y), real_cmp(y, z),
+    ]
+    monkeypatch.undo()
+    assert built == []
+    assert signs[2] == 1 and signs[4] == 0
