@@ -45,7 +45,6 @@ from .dynamics import (
     NuuReport,
     RotationSystem,
     SubshiftSystem,
-    check_difference_superset,
     eta_dense_constant,
     find_l_recurrent,
     moving_recurrence_experiment,
@@ -57,7 +56,6 @@ from .dynamics import (
     subshift_from_indicator,
     uniform_rigidity_scan,
     verify_nuu,
-    word_complexity,
 )
 from .errors import (
     EmptyInput,

@@ -20,7 +20,7 @@ UNDECIDED, never a wrong answer.
 from __future__ import annotations
 
 import struct
-from itertools import islice
+from itertools import count, islice
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
@@ -47,9 +47,6 @@ class PeriodicColoring:
     def __post_init__(self):
         if self.period < 1 or len(self.colors) != self.period:
             raise MalformedCertificate("period/colors length mismatch")
-
-    def color_of(self, i: int) -> int:
-        return self.colors[i % self.period]
 
     def is_valid_for(self, distances: Sequence[int], arity: int) -> bool:
         if any(not (1 <= c <= arity) for c in self.colors):
@@ -598,36 +595,46 @@ _FALLBACK_TERMS = 1_000_000
 
 
 def _greedy_cycle_witness(dists: Sequence[int], r: int, budget: _Budget) -> Optional[PeriodicColoring]:
-    """Cycle of the greedy avoiding sequence, as a (possibly long) witness."""
-    top = max(dists)
-    palette = len(dists) + 1  # enough colors for the greedy rule
-    z: dict[int, int] = {}
-
-    def zval(i: int) -> int:
-        return z.get(i, 1) if i >= 1 else 1
-
-    seen: dict[tuple[int, ...], int] = {}
-    i = 0
+    """Cycle of the greedy avoiding sequence, as a (possibly long) witness;
+    one budget charge per term."""
     try:
-        while i < _FALLBACK_TERMS:
-            i += 1
+        for _, cycle in islice(_greedy_terms(dists), _FALLBACK_TERMS):
             budget.charge()
-            forbidden = {zval(i - mm) for mm in dists}
-            z[i] = next(c for c in range(1, palette + 1) if c not in forbidden)
-            if i >= top:
-                state = tuple(z[j] for j in range(i - top + 1, i + 1))
-                j0 = seen.get(state)
-                if j0 is not None:
-                    cycle = tuple(z[j] for j in range(j0 + 1, i + 1))
-                    cycle = _primitive_rotation(cycle)
-                    coloring = PeriodicColoring(len(cycle), cycle)
-                    if coloring.is_valid_for(dists, r):
-                        return coloring
-                    return None
-                seen[state] = i
+            if cycle is not None:
+                return _cycle_witness(cycle, dists, r)
     except _OutOfBudget:
-        return None
+        pass
     return None
+
+
+def _greedy_terms(dists: Sequence[int]) -> Iterator[tuple[int, Optional[tuple[int, ...]]]]:
+    """The greedy avoiding sequence over |M|+1 colors, term by term, each
+    with the cycle closed so far (None until then).
+
+    Rule: positions <= 0 carry color 1; each later position takes the least
+    color differing from every position one M-distance back.  A term depends
+    only on the max(M) terms before it, so once such a state repeats the
+    sequence is periodic; the cycle is its primitive, lex-least rotation.
+    """
+    top = max(dists)
+    palette = range(1, len(dists) + 2)
+    z = [1] * top  # positions 1 - top .. 0, then z[top - 1 + i] is term i
+    seen: dict[tuple[int, ...], int] = {}
+    cycle = None
+    for i in count(1):
+        forbidden = {z[-mm] for mm in dists}
+        z.append(next(c for c in palette if c not in forbidden))
+        if cycle is None and i >= top:
+            state = tuple(z[-top:])
+            j0 = seen.setdefault(state, i)
+            if j0 != i:
+                cycle = _primitive_rotation(tuple(z[j0 + top :]))
+        yield z[-1], cycle
+
+
+def _cycle_witness(cycle: tuple[int, ...], dists: Sequence[int], r: int) -> Optional[PeriodicColoring]:
+    coloring = PeriodicColoring(len(cycle), cycle)
+    return coloring if coloring.is_valid_for(dists, r) else None
 
 
 def _primitive_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -753,47 +760,20 @@ class GreedyRun:
     def witness(self, m: ZSetLike, arity: int) -> Optional[PeriodicColoring]:
         if self.cycle is None:
             return None
-        coloring = PeriodicColoring(len(self.cycle), self.cycle)
-        if coloring.is_valid_for(_normalize_distances(m), arity):
-            return coloring
-        return None
+        return _cycle_witness(self.cycle, _normalize_distances(m), arity)
 
 
 def greedy_coloring(m: ZSetLike, n_terms: int) -> GreedyRun:
-    """First n_terms of the greedy avoiding sequence over |M|+1 colors.
-
-    Rule: positions <= 0 carry color 1; each later position takes the least
-    color differing from every position one M-distance back.  Detects the
-    eventual cycle when it closes within the generated range.
-    """
+    """First n_terms of the greedy avoiding sequence over |M|+1 colors (see
+    _greedy_terms), with its cycle when that closes within them."""
     dists = _normalize_distances(m)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    palette = len(dists) + 1
-    top = max(dists)
-    z: dict[int, int] = {}
-
-    def zval(i: int) -> int:
-        return z.get(i, 1) if i >= 1 else 1
-
-    seen: dict[tuple[int, ...], int] = {}
-    period = None
-    cycle = None
-    for i in range(1, n_terms + 1):
-        forbidden = {zval(i - mm) for mm in dists}
-        z[i] = next(c for c in range(1, palette + 1) if c not in forbidden)
-        if period is None and i >= top:
-            state = tuple(z[j] for j in range(i - top + 1, i + 1))
-            j0 = seen.get(state)
-            if j0 is not None:
-                raw = tuple(z[j] for j in range(j0 + 1, i + 1))
-                cycle = _primitive_rotation(raw)
-                period = len(cycle)
-            else:
-                seen[state] = i
+    terms = list(islice(_greedy_terms(dists), n_terms))
+    cycle = terms[-1][1]
     return GreedyRun(
-        sequence=tuple(z[i] for i in range(1, n_terms + 1)),
-        period=period,
+        sequence=tuple(c for c, _ in terms),
+        period=None if cycle is None else len(cycle),
         cycle=cycle,
     )
 

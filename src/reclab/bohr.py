@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .errors import (
     EmptyInput,
     PruningBudgetExceeded,
-    TooFewElements,
     UncertainAtPrecision,
 )
 from .exactreal import (
@@ -40,7 +39,7 @@ from .exactreal import (
     torus_norm1,
     torus_norm_lt,
 )
-from .intsets import IntSet, Window, ZSetLike, as_int_list
+from .intsets import Window, ZSetLike, as_int_list
 
 
 @dataclass(frozen=True)

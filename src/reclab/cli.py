@@ -21,7 +21,6 @@ from typing import Optional
 from . import exactreal
 from .birkhoff import (
     SearchLimits,
-    Status,
     certificate_from_json,
     certificate_to_json,
     check_r_birkhoff,
@@ -65,11 +64,11 @@ from .exactreal import (
     TorusPoint,
     golden_rotation,
     parse_real,
+    real_cmp,
     real_to_json,
     sqrt2_rotation,
 )
 from .intsets import (
-    IntSet,
     Window,
     difference_set,
     gen_k_times_nr,
@@ -94,10 +93,6 @@ def parse_alpha(text: str) -> TorusPoint:
     if text in named:
         return named[text]()
     return TorusPoint(parse_real(text))
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def gather_set(args) -> list[int]:
@@ -281,8 +276,7 @@ def cmd_birkhoff_chromatic(args) -> dict:
 
 
 def make_spec(args) -> BohrSpec:
-    alphas = tuple(parse_alpha(a) for a in args.alpha)
-    return BohrSpec(alphas=alphas, eps=Fraction(args.eps))
+    return BohrSpec(alphas=make_system(args).alphas, eps=Fraction(args.eps))
 
 
 def cmd_bohr_member(args) -> dict:
@@ -376,20 +370,13 @@ def cmd_bohr_threedist(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def parse_point(args, sys_: RotationSystem):
-    if args.point is None:
+def parse_point(text: Optional[str], sys_: RotationSystem):
+    """A torus point from "x1;...;xk"; one coordinate stands for all k, and
+    None is the origin."""
+    if text is None:
         return sys_.zero()
-    coords = [parse_real(tok) for tok in args.point.split(";")]
-    if len(coords) == 1 and sys_.dim > 1:
-        coords = coords * sys_.dim
-    return sys_.point(coords)
-
-
-def parse_center(args, sys_: RotationSystem):
-    coords = [parse_real(tok) for tok in args.center.split(";")]
-    if len(coords) == 1 and sys_.dim > 1:
-        coords = coords * sys_.dim
-    return tuple(coords)
+    coords = [parse_real(tok) for tok in text.split(";")]
+    return sys_.point(coords * sys_.dim if len(coords) == 1 else coords)
 
 
 def require_indicator_window(args) -> Window:
@@ -412,14 +399,14 @@ def cmd_dyn_returns(args) -> dict:
             "horizon": args.horizon,
         }
     sys_ = make_system(args)
-    ball = BallSpec(parse_center(args, sys_), Fraction(args.radius))
+    ball = BallSpec(parse_point(args.center, sys_), Fraction(args.radius))
     out = {
         "system": "rotation",
         "set_returns": int_list_json(return_times_set(sys_, ball, args.horizon)),
         "horizon": args.horizon,
     }
     if args.point is not None:
-        x = parse_point(args, sys_)
+        x = parse_point(args.point, sys_)
         out["point_returns"] = int_list_json(
             return_times_point(sys_, x, ball, args.horizon)
         )
@@ -428,8 +415,8 @@ def cmd_dyn_returns(args) -> dict:
 
 def cmd_dyn_nuu(args) -> dict:
     sys_ = make_system(args)
-    ball = BallSpec(parse_center(args, sys_), Fraction(args.radius))
-    x = parse_point(args, sys_)
+    ball = BallSpec(parse_point(args.center, sys_), Fraction(args.radius))
+    x = parse_point(args.point, sys_)
     report = verify_nuu(sys_, ball, x, args.horizon, margin=Fraction(args.margin))
     return {
         "clean": report.clean,
@@ -453,7 +440,7 @@ def cmd_dyn_phi(args) -> dict:
         value = phi_l(shift, args.offset, targets, args.horizon)
     else:
         sys_ = make_system(args)
-        value = phi_l(sys_, parse_point(args, sys_), targets, args.horizon)
+        value = phi_l(sys_, parse_point(args.point, sys_), targets, args.horizon)
     return {"phi": real_to_json(value), "horizon": args.horizon}
 
 
@@ -466,12 +453,12 @@ def build_query(args) -> MovingQuery:
 def cmd_dyn_psi(args) -> dict:
     sys_ = make_system(args)
     query = build_query(args)
-    value = psi_moving(sys_, parse_point(args, sys_), query)
+    value = psi_moving(sys_, parse_point(args.point, sys_), query)
     return {
         "psi": real_to_json(value),
         "horizon": args.horizon,
         "eps": str(query.eps),
-        "below_eps": bool(exactreal.real_lt(value, query.eps)),
+        "below_eps": real_cmp(value, query.eps) < 0,
     }
 
 
@@ -846,10 +833,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    exactreal.DEFAULT_PRECISION_BITS = args.precision_bits
 
     command = f"{args.group}.{args.command}"
     config = build_config(args, command)
+    previous_bits = exactreal.DEFAULT_PRECISION_BITS
+    exactreal.DEFAULT_PRECISION_BITS = args.precision_bits
     try:
         result = args.func(args)
     except UncertainAtPrecision as exc:
@@ -872,6 +860,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        exactreal.DEFAULT_PRECISION_BITS = previous_bits
 
     human = summarize(command, result)
     emit(config, result, human)

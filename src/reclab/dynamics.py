@@ -1,10 +1,10 @@
 """Finite-horizon dynamics: torus rotations and indicator subshifts.
 
-Rotations use the exact arithmetic kinds throughout, so return-time sets on
-the torus and displacement minima on the circle are computed exactly; the
-displayed distances of a multi-frequency rotation are tracked-error
-approximations, and comparisons among them (rigidity records, minima) raise
-UncertainAtPrecision when they cannot be decided.  Subshift points are
+Rotations use the exact arithmetic kinds throughout, so return-time sets and
+rigidity records on the torus and displacement minima on the circle are
+computed exactly; the displayed distances of a multi-frequency rotation are
+tracked-error approximations, and comparisons among them (the psi and phi
+minima) raise UncertainAtPrecision when they cannot be decided.  Subshift points are
 shifts of a single base word declared on a finite window; every operation
 checks the window covers its horizon with room to spare (ratio 4).
 
@@ -26,15 +26,16 @@ from .exactreal import (
     real_add,
     real_cmp,
     real_frac,
-    real_le,
     real_min,
     real_mul_int,
     real_sub,
+    real_sum_sign,
     real_to_float,
     torus_norm,
     torus_norm_lt,
+    torus_sq_terms,
 )
-from .intsets import IntSet, Window, ZSetLike, as_int_list
+from .intsets import Window, ZSetLike, as_int_list
 
 HORIZON_NOTE = (
     "horizon-limited observation: quantities are minima over the stated "
@@ -295,86 +296,6 @@ def verify_nuu(
     )
 
 
-@dataclass(frozen=True)
-class DiffSupersetReport:
-    observed: TimeSet                     # indicator-word return times, [-H, H]
-    inclusion_failures: tuple[int, ...]   # observed times missing from S - S
-    bohr_spec: Optional[object]           # BohrSpec on success
-    bohr_inside: bool                     # spec's set (windowed) inside S - S
-
-    @property
-    def clean(self) -> bool:
-        return not self.inclusion_failures
-
-
-def check_difference_superset(
-    s: ZSetLike, horizon: int, alpha_hints: Sequence[TorusPoint] = ()
-) -> DiffSupersetReport:
-    """Indicator-word return times versus the difference set, plus a search
-    for a frequency spec whose windowed set sits inside S - S."""
-    from .bohr import BohrSpec
-
-    listing = as_int_list(s)
-    if not listing:
-        raise NoElementsInWindow("empty listing")
-    window = Window(min(listing) - 1, max(listing) + 1)
-    members = set(listing)
-
-    # observed return times of the cylinder {word shows 1 at coordinate 0}
-    observed = []
-    anchors = [m for m in listing if abs(m) <= 2 * horizon]
-    anchor_set = set(anchors)
-    for n in range(-horizon, horizon + 1):
-        if any((m + n) in members for m in anchors):
-            observed.append(n)
-    observed = tuple(sorted(set(observed)))
-
-    diffs = {a - b for a in listing for b in listing}
-    failures = tuple(n for n in observed if n not in diffs)
-
-    # frequency-spec probe: rational grid candidates plus caller hints
-    candidates: list[TorusPoint] = list(alpha_hints)
-    for q in range(2, 13):
-        for p in range(1, q):
-            if Fraction(p, q).denominator == q:
-                candidates.append(TorusPoint(Fraction(p, q)))
-    spec = None
-    inside = False
-    in_window_non_diffs = [n for n in range(-horizon, horizon + 1) if n and n not in diffs]
-    for alpha in candidates:
-        worst: Optional[Real] = None
-        for n in in_window_non_diffs:
-            norm = alpha.multiple_norm(n)
-            if worst is None or real_cmp(norm, worst) < 0:
-                worst = norm
-        if in_window_non_diffs and (worst is None or real_cmp(worst, Fraction(0)) <= 0):
-            continue
-        if not in_window_non_diffs:
-            worst = Fraction(1, 2)
-        eps = _real_to_fraction_floor(worst)
-        if eps <= 0:
-            continue
-        eps = min(eps, Fraction(1, 2))
-        spec = BohrSpec(alphas=(alpha,), eps=eps)
-        inside = True
-        break
-
-    return DiffSupersetReport(
-        observed=observed,
-        inclusion_failures=failures,
-        bohr_spec=spec,
-        bohr_inside=inside,
-    )
-
-
-def _real_to_fraction_floor(x: Real) -> Fraction:
-    """A positive rational lower bound of x (0 when x may be 0)."""
-    from .exactreal import real_bounds
-
-    lo, _ = real_bounds(x, 128)
-    return lo if lo > 0 else Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # recurrence functionals
 # ---------------------------------------------------------------------------
@@ -520,7 +441,7 @@ def eta_dense_constant(sys_: RotationSystem, eta: Fraction, hard_cap: int = 1_00
     for m in range(1, cap + 1):
         gaps = three_distance(alpha, m)
         worst = gaps.gaps[-1]
-        if real_le(worst, bound):
+        if real_cmp(worst, bound) <= 0:
             return EtaDenseResult(constant=m, max_gap=worst)
     raise NoSuchM(f"no density constant up to {cap}")
 
@@ -542,12 +463,23 @@ def uniform_rigidity_scan(
     """
     records: list[RigidityRecord] = []
     best: Optional[Real] = None
-    if isinstance(sys_, RotationSystem):
+    if isinstance(sys_, RotationSystem) and sys_.dim == 1:
         for m in range(1, horizon + 1):
             v = sys_.displacement_norm(m)
             if best is None or real_cmp(v, best) < 0:
                 records.append(RigidityRecord(m, v))
                 best = v
+        return tuple(records)
+    if isinstance(sys_, RotationSystem):
+        # the displayed norm is an Approx on a torus: decide records on the
+        # squared norms, exactly over any number of quadratic fields, and
+        # build the norm for records only
+        neg_best: list[Real] = []
+        for m in range(1, horizon + 1):
+            sq = torus_sq_terms(a.multiple(m) for a in sys_.alphas)
+            if not records or real_sum_sign(sq + neg_best) < 0:
+                records.append(RigidityRecord(m, sys_.displacement_norm(m)))
+                neg_best = [real_mul_int(t, -1) for t in sq]
         return tuple(records)
     offsets = list(sample_offsets) or list(range(-8, 9))
     scan = max(4, sys_.window.hi // 4)
@@ -610,12 +542,3 @@ def moving_recurrence_experiment(
         eps=query.eps,
         note=HORIZON_NOTE,
     )
-
-
-def word_complexity(sys_: SubshiftSystem, length: int) -> int:
-    """Distinct length-`length` factors of the base word (window-limited)."""
-    lo, hi = sys_.window.lo, sys_.window.hi - length + 1
-    seen = set()
-    for start in range(lo, hi + 1):
-        seen.add(tuple(sys_.symbol(start + i) for i in range(length)))
-    return len(seen)

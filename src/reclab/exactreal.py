@@ -612,14 +612,6 @@ def real_sum(terms: Iterable[Real]) -> Real:
     return total
 
 
-def real_lt(x, y) -> bool:
-    return real_cmp(x, y) < 0
-
-
-def real_le(x, y) -> bool:
-    return real_cmp(x, y) <= 0
-
-
 def real_eq(x, y) -> bool:
     return real_cmp(x, y) == 0
 
@@ -718,16 +710,8 @@ class TorusPoint:
         v = as_real(value)
         self.value = real_frac(v)
 
-    @classmethod
-    def from_text(cls, text: str) -> "TorusPoint":
-        return cls(parse_real(text))
-
     def multiple(self, n: int) -> Real:
         return real_mul_int(self.value, n)
-
-    def multiple_norm(self, n: int) -> Real:
-        """Distance of n*value from the nearest integer."""
-        return torus_norm1(real_mul_int(self.value, n))
 
     @property
     def is_rational(self) -> bool:

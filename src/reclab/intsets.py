@@ -24,10 +24,6 @@ class Window:
     lo: int
     hi: int
 
-    @property
-    def is_empty(self) -> bool:
-        return self.lo > self.hi
-
     def __contains__(self, n: int) -> bool:
         return self.lo <= n <= self.hi
 
@@ -63,16 +59,6 @@ class IntSet:
 
     def restrict(self, window: Window) -> "IntSet":
         return IntSet(tuple(e for e in self.elements if e in window))
-
-    def positives(self) -> tuple[int, ...]:
-        return tuple(e for e in self.elements if e > 0)
-
-    def abs_distances(self) -> tuple[int, ...]:
-        """Positive distance multiset view: |m|, deduplicated, sorted."""
-        return tuple(sorted({abs(e) for e in self.elements}))
-
-    def max_abs(self) -> int:
-        return max(abs(e) for e in self.elements)
 
 
 ZSetLike = Union[IntSet, Iterable[int]]
@@ -192,24 +178,16 @@ def gen_polynomial(coeffs: Sequence[Union[int, Fraction]], n_max: int) -> IntSet
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    cs = [Fraction(c) for c in coeffs]
-    if not cs:
+    if not coeffs:
         raise EmptyInput("no coefficients")
-    values = []
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * n + c
-        if acc.denominator != 1:
-            raise NonIntegerPolynomial(f"p({n}) = {acc} is not an integer")
-        values.append(int(acc))
-    return IntSet(tuple(values))
+    return IntSet(tuple(poly_eval_int(coeffs, n) for n in range(1, n_max + 1)))
 
 
 def poly_eval_int(coeffs: Sequence[Union[int, Fraction]], n: int) -> int:
-    """Exact evaluation of the same polynomials at a single point."""
-    acc = Fraction(0)
-    for c in reversed([Fraction(c) for c in coeffs]):
+    """Exact evaluation of the same polynomials at a single point, by Horner's
+    rule in ints until a Fraction coefficient makes it rational."""
+    acc = 0
+    for c in reversed(coeffs):
         acc = acc * n + c
     if acc.denominator != 1:
         raise NonIntegerPolynomial(f"p({n}) = {acc} is not an integer")
@@ -236,14 +214,6 @@ def parse_set_text(text: str) -> list[int]:
         if line:
             out.append(int(line))
     return out
-
-
-def format_set_json(values: Iterable[int]) -> str:
-    return json.dumps(sorted(set(values))) + "\n"
-
-
-def format_set_lines(values: Iterable[int]) -> str:
-    return "".join(f"{v}\n" for v in sorted(set(values)))
 
 
 def load_set_file(path: str) -> list[int]:

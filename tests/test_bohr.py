@@ -132,7 +132,7 @@ class TestContinuedFraction:
         # spot-check one pair here as well
         cf = continued_fraction(golden_rotation(), depth=12)
         q5, q6 = cf.denominators[5], cf.denominators[6]
-        norm = golden_rotation().multiple_norm(q5)
+        norm = torus_norm1(golden_rotation().multiple(q5))
         assert real_cmp(norm, Fraction(1, q6)) < 0
 
 
@@ -203,7 +203,7 @@ class TestSeparation:
         assert spec is not None
         # exact disjointness: every element stays eps away
         for n in DOUBLING:
-            norm = spec.alphas[0].multiple_norm(n)
+            norm = torus_norm1(spec.alphas[0].multiple(n))
             assert real_cmp(norm, spec.eps) >= 0
 
     def test_dense_set_not_separable(self):
@@ -217,7 +217,7 @@ class TestSeparation:
         spec = bohr_separation_search(list(range(1, 51)), Fraction(1, 100))
         assert spec is not None
         for n in range(1, 51):
-            assert spec.alphas[0].multiple_norm(n) >= Fraction(1, 100)
+            assert torus_norm1(spec.alphas[0].multiple(n)) >= Fraction(1, 100)
 
 
 class TestCyclicObstruction:

@@ -212,9 +212,7 @@ TWO_FIELDS = {
 
 
 @pytest.mark.parametrize("command", sorted(TWO_FIELDS))
-def test_two_field_decisions_need_no_precision(capsys, monkeypatch, command):
-    # main sets the module-wide precision; restore it after the test
-    monkeypatch.setattr(exactreal, "DEFAULT_PRECISION_BITS", exactreal.DEFAULT_PRECISION_BITS)
+def test_two_field_decisions_need_no_precision(capsys, command):
     low = run_json(capsys, ["--precision-bits", "8", *TWO_FIELDS[command]])["result"]
     high = run_json(capsys, ["--precision-bits", "128", *TWO_FIELDS[command]])["result"]
     assert low == high
@@ -222,6 +220,22 @@ def test_two_field_decisions_need_no_precision(capsys, monkeypatch, command):
         assert low["members"] == [-34, -22, -19, -7, 7, 19, 22, 34]
     else:
         assert low["point_returns"] == [-60, -55, -26, 34]
+
+
+def test_two_field_rigidity_records_need_no_precision(capsys):
+    # records compare squared norms exactly; only the displayed norms are Approx
+    argv = ["dyn", "rigidity", "--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:3:0:1:1", "--horizon", "300"]
+    for bits in ("8", "128"):
+        records = run_json(capsys, ["--precision-bits", bits, *argv])["result"]["records"]
+        assert [rec["time"] for rec in records] == [1, 3, 7, 19, 22, 34, 41]
+
+
+def test_precision_bits_last_one_call(capsys):
+    before = exactreal.DEFAULT_PRECISION_BITS
+    for argv in (["sets", "diff", "--elements", "1,2,5"], ["sets", "diff"]):  # the second exits 2
+        cli.main(["--precision-bits", "8", *argv])
+        assert exactreal.DEFAULT_PRECISION_BITS == before
+    capsys.readouterr()
 
 
 class TestDyn:

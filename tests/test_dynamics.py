@@ -12,7 +12,6 @@ from reclab.dynamics import (
     CylinderSpec,
     MovingQuery,
     RotationSystem,
-    check_difference_superset,
     eta_dense_constant,
     find_l_recurrent,
     in_target,
@@ -25,7 +24,6 @@ from reclab.dynamics import (
     subshift_from_indicator,
     uniform_rigidity_scan,
     verify_nuu,
-    word_complexity,
 )
 from reclab.errors import NoElementsInWindow, NoSuchM, WindowInadequate
 from reclab.exactreal import (
@@ -35,6 +33,7 @@ from reclab.exactreal import (
     real_eq,
     real_to_float,
     sqrt2_rotation,
+    torus_norm1,
 )
 from reclab.intsets import Window
 
@@ -167,29 +166,11 @@ class TestSubshift:
         assert in_target(s, 3, ball)
         assert not in_target(s, 1, ball)
 
-    def test_word_complexity_bounded(self):
-        s = self.make()
-        assert word_complexity(s, 3) == 3  # shifts of the period-3 pattern
-
-
-class TestDifferenceSuperset:
-    def test_periodic_indicator(self):
-        report = check_difference_superset([0, 3, 6, 9, 12, -3, -6], horizon=4)
-        assert report.clean
-        assert report.bohr_spec is not None
-        # observed return times within the horizon are the multiples of 3
-        assert set(report.observed) == {-3, 0, 3}
-
-    def test_inclusion_always_holds_for_honest_window(self):
-        listing = [0, 4, 8, 12, 16, 20]
-        report = check_difference_superset(listing, horizon=6)
-        assert report.inclusion_failures == ()
-
 
 class TestPhi:
     def test_rotation_exact(self):
         v = phi_l(GOLDEN, (Fraction(0),), [13, 21], horizon=30)
-        assert real_eq(v, golden_rotation().multiple_norm(21))
+        assert real_eq(v, torus_norm1(golden_rotation().multiple(21)))
 
     def test_no_targets_in_horizon(self):
         with pytest.raises(NoElementsInWindow):

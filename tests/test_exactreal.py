@@ -222,8 +222,8 @@ class TestTorusPoint:
 
     def test_multiple_norm_fibonacci_records(self):
         g = golden_rotation()
-        n55 = g.multiple_norm(55)
-        n89 = g.multiple_norm(89)
+        n55 = torus_norm1(g.multiple(55))
+        n89 = torus_norm1(g.multiple(89))
         assert real_cmp(n89, n55) < 0
         assert real_cmp(n55, Fraction(1, 89)) < 0  # convergent quality
 
@@ -233,4 +233,4 @@ def test_rational_multiple_norm_matches_direct(p, q):
     pt = TorusPoint(Fraction(p, q))
     for n in (1, 2, 7):
         direct = abs(Fraction(p * n, q) - round(Fraction(p * n, q)))
-        assert pt.multiple_norm(n) == direct
+        assert torus_norm1(pt.multiple(n)) == direct

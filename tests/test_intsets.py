@@ -12,8 +12,6 @@ from reclab.intsets import (
     Window,
     as_int_list,
     difference_set,
-    format_set_json,
-    format_set_lines,
     gen_k_times_nr,
     gen_l_r,
     gen_polynomial,
@@ -157,13 +155,13 @@ class TestLacunarity:
 class TestSetIO:
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "s.json"
-        path.write_text(format_set_json([3, 1, 2]))
-        assert load_set_file(str(path)) == [1, 2, 3]  # writers sort and dedupe
+        path.write_text("[3, 1, 2]\n")
+        assert load_set_file(str(path)) == [3, 1, 2]
 
     def test_lines_roundtrip(self, tmp_path):
         path = tmp_path / "s.txt"
-        path.write_text(format_set_lines([5, -2, 0]))
-        assert load_set_file(str(path)) == [-2, 0, 5]
+        path.write_text("5\n-2\n\n0\n")
+        assert load_set_file(str(path)) == [5, -2, 0]
 
     def test_parse_auto_detect(self):
         assert parse_set_text("[1, 2, 3]") == [1, 2, 3]
