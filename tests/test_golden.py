@@ -86,11 +86,13 @@ LEAVES = {
         "23b7018a57374a6b42ef2324cee918afe3eab27f899b0a121cf8e19522518e97",
     ("bohr", "threedist", "--alpha", "sqrt:7:0:1:3", "--count", "35"):
         "7dcabaa782d2779d2d3c7f0496e9def5a2c3d3a5c1d58df62e3de113e96e2726",
-    ("dyn", "returns", "--alpha", "golden", "--horizon", "30", "--center", "3/10", "--radius", "1/10", "--point", "7/10"):
+    ("dyn", "returns", "--alpha", "golden", "--horizon", "30",
+     "--center", "3/10", "--radius", "1/10", "--point", "7/10"):
         "edd37522ad1698f16bd1eac26cf6eba8e22387408c7ec26b42bb58bed905152b",
     ("dyn", "returns", "--indicator", "mult.txt", "--window-lo", "-200", "--window-hi", "200", "--horizon", "20"):
         "dbe43884fe687784dd1529d68b8f060f1dd9e38c2f3f8813231750b3a68caed8",
-    ("dyn", "nuu", "--alpha", "1/5", "--alpha", "2/7", "--horizon", "12", "--center", "1/3", "--radius", "1/8", "--point", "1/10;3/10"):
+    ("dyn", "nuu", "--alpha", "1/5", "--alpha", "2/7", "--horizon", "12",
+     "--center", "1/3", "--radius", "1/8", "--point", "1/10;3/10"):
         "817c81241635955350f13ae00419a9cfd2d756ea93b284e51e17927912ffd52c",
     ("dyn", "phi", "--alpha", "golden", "--elements", "1,3,8,21,55,144", "--horizon", "600", "--point", "1/3"):
         "a1c4154015b7ae3390874f91e46698b7cc961e02bfd571a0a145b3adaa79b1b4",
