@@ -1,6 +1,7 @@
 """End-to-end command line checks, driven through ``cli.main``."""
 
 import json
+import re
 import time
 
 import pytest
@@ -396,3 +397,83 @@ class TestExitCodes:
         assert rc == 4
         assert out == ""
         assert "exceeds 4 * max distance" in err
+
+
+# every option string of every command; help text itself is not pinned,
+# argparse formats it differently across Python 3.10-3.13
+OPTIONS = {
+    ("birkhoff", "check"): ("--set", "--elements", "--max-window", "--max-period", "--node-budget", "--arity",
+                            "--emit-cert"),
+    ("birkhoff", "verify"): ("--set", "--elements", "--arity", "--cert"),
+    ("birkhoff", "minimal"): ("--set", "--elements", "--max-window", "--max-period", "--node-budget", "--arity"),
+    ("birkhoff", "greedy"): ("--set", "--elements", "--terms"),
+    ("birkhoff", "stable"): ("--max-window", "--max-period", "--node-budget", "--family-r", "--removed", "--k-max",
+                             "--arity"),
+    ("birkhoff", "chromatic"): ("--set", "--elements", "--max-window", "--max-period", "--node-budget", "--window"),
+    ("bohr", "member"): ("--n", "--alpha", "--eps"),
+    ("bohr", "enumerate"): ("--alpha", "--eps", "--lo", "--hi"),
+    ("bohr", "witness"): ("--set", "--elements", "--delta", "--depth"),
+    ("bohr", "obstruct"): ("--set", "--elements", "--m-max", "--poly"),
+    ("bohr", "separate"): ("--set", "--elements", "--eps", "--grid-depth"),
+    ("bohr", "cf"): ("--alpha", "--depth"),
+    ("bohr", "threedist"): ("--alpha", "--count"),
+    ("dyn", "returns"): ("--alpha", "--center", "--radius", "--point", "--horizon", "--indicator", "--window-lo",
+                         "--window-hi", "--offset"),
+    ("dyn", "nuu"): ("--alpha", "--center", "--radius", "--point", "--horizon", "--margin"),
+    ("dyn", "phi"): ("--alpha", "--point", "--set", "--elements", "--horizon", "--indicator", "--window-lo",
+                     "--window-hi", "--offset"),
+    ("dyn", "psi"): ("--alpha", "--point", "--nk", "--rk", "--horizon", "--eps"),
+    ("dyn", "recurrent"): ("--alpha", "--point", "--set", "--elements", "--eps"),
+    ("dyn", "etadense"): ("--alpha", "--point", "--eta"),
+    ("dyn", "rigidity"): ("--alpha", "--point", "--horizon"),
+    ("dyn", "moving"): ("--alpha", "--point", "--nk", "--rk", "--horizon", "--eps", "--samples"),
+    ("sets", "diff"): ("--set", "--elements", "--lo", "--hi"),
+    ("sets", "gaps"): ("--set", "--elements", "--lo", "--hi", "--side"),
+    ("sets", "gen"): ("--family", "--k", "--r", "--k-max", "--coeffs", "--n-max", "--out"),
+    ("report", "paper-claims"): ("--max-window", "--max-period", "--node-budget", "--inject-corruption", "--only",
+                                 "--md-out", "--json-out"),
+}
+GROUPS = sorted({group for group, _ in OPTIONS})
+
+
+def help_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def names(text, words):
+    return [w for w in words if not re.search(rf"(?<![\w-]){re.escape(w)}(?![\w-])", text)]
+
+
+class TestHelp:
+    def test_top_names_every_group(self, capsys):
+        assert names(help_text(capsys, []), GROUPS) == []
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_group_names_its_commands(self, capsys, group):
+        commands = [c for g, c in OPTIONS if g == group]
+        assert names(help_text(capsys, [group]), commands) == []
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS), ids=" ".join)
+    def test_command_names_its_options(self, capsys, command):
+        assert names(help_text(capsys, list(command)), OPTIONS[command]) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nosuch", "check"],
+        ["birkhoff", "nosuch"],
+        ["birkhoff"],
+        ["birkhoff", "check", "--elements", "1"],
+        ["birkhoff", "check", "--elements", "2", "--arity", "2", "--seed", "3"],
+    ],
+    ids=["unknown group", "unknown command", "missing command", "missing required flag", "global flag last"],
+)
+def test_usage_error_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
