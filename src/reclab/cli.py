@@ -146,7 +146,7 @@ def emit(config: dict, result: dict, human: str) -> None:
 
 
 def build_config(args, command: str) -> dict:
-    skip = {"func", "command", "group"}
+    skip = {"command", "group", "rest"}
     flags = {}
     for key, value in sorted(vars(args).items()):
         if key in skip or key.startswith("_"):
@@ -379,20 +379,15 @@ def parse_point(text: Optional[str], sys_: RotationSystem):
     return sys_.point(coords * sys_.dim if len(coords) == 1 else coords)
 
 
-def require_indicator_window(args) -> Window:
+def indicator_shift(args):
     if args.window_lo is None or args.window_hi is None:
         raise RecLabError("--indicator needs --window-lo and --window-hi")
-    return Window(args.window_lo, args.window_hi)
+    return subshift_from_indicator(load_set_file(args.indicator), Window(args.window_lo, args.window_hi))
 
 
 def cmd_dyn_returns(args) -> dict:
     if args.indicator:
-        listing = load_set_file(args.indicator)
-        window = require_indicator_window(args)
-        shift = subshift_from_indicator(listing, window)
-        times = return_times_point(
-            shift, args.offset, one_cylinder(), args.horizon
-        )
+        times = return_times_point(indicator_shift(args), args.offset, one_cylinder(), args.horizon)
         return {
             "system": "subshift",
             "point_returns": int_list_json(times),
@@ -434,10 +429,7 @@ def cmd_dyn_nuu(args) -> dict:
 def cmd_dyn_phi(args) -> dict:
     targets = gather_set(args)
     if args.indicator:
-        listing = load_set_file(args.indicator)
-        window = require_indicator_window(args)
-        shift = subshift_from_indicator(listing, window)
-        value = phi_l(shift, args.offset, targets, args.horizon)
+        value = phi_l(indicator_shift(args), args.offset, targets, args.horizon)
     else:
         sys_ = make_system(args)
         value = phi_l(sys_, parse_point(args.point, sys_), targets, args.horizon)
@@ -600,26 +592,117 @@ def cmd_report_claims(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table
 # ---------------------------------------------------------------------------
 
+INT = {"type": int}
+REQUIRED = {"required": True}
+REQUIRED_INT = {"type": int, "required": True}
+HORIZON = {"--horizon": REQUIRED_INT}
 
-def add_budget_flags(p: argparse.ArgumentParser):
-    p.add_argument("--max-window", type=int, default=None)
-    p.add_argument("--max-period", type=int, default=None)
-    p.add_argument("--node-budget", type=int, default=None)
+SET_FLAGS = {
+    "--set": {"help": "file with a JSON array or one integer per line"},
+    "--elements": {"help": "inline integers, comma or space separated"},
+}
+BUDGET_FLAGS = {"--max-window": INT, "--max-period": INT, "--node-budget": INT}
+# --alpha is checked at run time, so subshift-mode calls can omit it
+ROTATION_FLAGS = {"--alpha": {"action": "append"}, "--point": {}}
+BALL_FLAGS = {**ROTATION_FLAGS, "--center": {"default": "0"}, "--radius": {"default": "1/10"}}
+INDICATOR_FLAGS = {
+    "--indicator": {"help": "set file; switches to the subshift"},
+    "--window-lo": INT,
+    "--window-hi": INT,
+    "--offset": {"type": int, "default": 0},
+}
+QUERY_FLAGS = {
+    "--nk": {"required": True, "help": "sequence formula in k"},
+    "--rk": {"help": "offset formula, default k"},
+    **HORIZON,
+    "--eps": {"default": "1/100"},
+}
+FREQUENCY_FLAGS = {"--alpha": {"action": "append", "required": True}, "--eps": REQUIRED}
 
+GROUPS = {
+    "birkhoff": "distance-set colorability certificates",
+    "bohr": "frequency-set arithmetic",
+    "dyn": "finite-horizon dynamics",
+    "sets": "integer-set utilities",
+    "report": "built-in claim suite",
+}
 
-def add_set_flags(p: argparse.ArgumentParser):
-    p.add_argument("--set", help="file with a JSON array or one integer per line")
-    p.add_argument("--elements", help="inline integers, comma or space separated")
+# (group, command) -> (handler, help, flags); flags map each option string
+# to its add_argument keywords
+COMMANDS = {
+    ("birkhoff", "check"): (cmd_birkhoff_check, "decide at the given arity", {
+        **SET_FLAGS, **BUDGET_FLAGS, "--arity": REQUIRED_INT,
+        "--emit-cert": {"help": "write the certificate JSON here"}}),
+    ("birkhoff", "verify"): (cmd_birkhoff_verify, "re-check a stored certificate", {
+        **SET_FLAGS, "--arity": REQUIRED_INT, "--cert": REQUIRED}),
+    ("birkhoff", "minimal"): (cmd_birkhoff_minimal, "greedy minimal subset keeping the verdict", {
+        **SET_FLAGS, **BUDGET_FLAGS, "--arity": REQUIRED_INT}),
+    ("birkhoff", "greedy"): (cmd_birkhoff_greedy, "least-unused-color avoiding sequence", {
+        **SET_FLAGS, "--terms": {"type": int, "default": 64}}),
+    ("birkhoff", "stable"): (cmd_birkhoff_stable, "layered family probe with removals", {
+        **BUDGET_FLAGS, "--family-r": REQUIRED_INT, "--removed": {"help": "inline integers to delete"},
+        "--k-max": {"type": int, "default": 3}, "--arity": INT}),
+    ("birkhoff", "chromatic"): (cmd_birkhoff_chromatic, "chromatic number of the window graph", {
+        **SET_FLAGS, **BUDGET_FLAGS, "--window": REQUIRED_INT}),
+    ("bohr", "member"): (cmd_bohr_member, "test one integer", {"--n": REQUIRED_INT, **FREQUENCY_FLAGS}),
+    ("bohr", "enumerate"): (cmd_bohr_enumerate, "list members in a window", {
+        **FREQUENCY_FLAGS, "--lo": REQUIRED_INT, "--hi": REQUIRED_INT}),
+    ("bohr", "witness"): (cmd_bohr_witness, "frequency interval avoiding a sequence", {
+        **SET_FLAGS, "--delta": REQUIRED, "--depth": INT}),
+    ("bohr", "obstruct"): (cmd_bohr_obstruct, "smallest modulus missing the set", {
+        **SET_FLAGS, "--m-max": REQUIRED_INT, "--poly": {"help": "generator coefficients, constant first"}}),
+    ("bohr", "separate"): (cmd_bohr_separate, "frequency spec disjoint from the set", {
+        **SET_FLAGS, "--eps": REQUIRED, "--grid-depth": {"type": int, "default": 20_000}}),
+    ("bohr", "cf"): (cmd_bohr_cf, "continued fraction with convergents", {
+        "--alpha": REQUIRED, "--depth": {"type": int, "default": 30}}),
+    ("bohr", "threedist"): (cmd_bohr_threedist, "circular gap structure of an orbit", {
+        "--alpha": REQUIRED, "--count": REQUIRED_INT}),
+    ("dyn", "returns"): (cmd_dyn_returns, "windowed return-time sets", {
+        **BALL_FLAGS, **HORIZON, **INDICATOR_FLAGS}),
+    ("dyn", "nuu"): (cmd_dyn_nuu, "set returns vs point-return differences", {
+        **BALL_FLAGS, **HORIZON, "--margin": {"default": "1/100"}}),
+    ("dyn", "phi"): (cmd_dyn_phi, "closest approach over target times", {
+        **ROTATION_FLAGS, **SET_FLAGS, **HORIZON, **INDICATOR_FLAGS}),
+    ("dyn", "psi"): (cmd_dyn_psi, "moving-target closest approach", {**ROTATION_FLAGS, **QUERY_FLAGS}),
+    ("dyn", "recurrent"): (cmd_dyn_recurrent, "find a time bringing a point home", {
+        **ROTATION_FLAGS, **SET_FLAGS, "--eps": REQUIRED}),
+    ("dyn", "etadense"): (cmd_dyn_etadense, "orbit-density constant", {**ROTATION_FLAGS, "--eta": REQUIRED}),
+    ("dyn", "rigidity"): (cmd_dyn_rigidity, "displacement record minima", {**ROTATION_FLAGS, **HORIZON}),
+    ("dyn", "moving"): (cmd_dyn_moving, "moving recurrence sample experiment", {
+        **ROTATION_FLAGS, **QUERY_FLAGS, "--samples": {"type": int, "default": 10}}),
+    ("sets", "diff"): (cmd_sets_diff, "difference set, optionally windowed", {
+        **SET_FLAGS, "--lo": INT, "--hi": INT}),
+    ("sets", "gaps"): (cmd_sets_gaps, "gap profile over a window", {
+        **SET_FLAGS, "--lo": REQUIRED_INT, "--hi": REQUIRED_INT,
+        "--side": {"choices": ["one", "two"], "default": "two"}}),
+    ("sets", "gen"): (cmd_sets_gen, "generate a named family", {
+        "--family": {"choices": ["kxnr", "lr", "poly"], "required": True},
+        "--k": {"type": int, "default": 1}, "--r": {"type": int, "default": 2},
+        "--k-max": {"type": int, "default": 3}, "--coeffs": {"default": "0,1"},
+        "--n-max": {"type": int, "default": 50}, "--out": {"help": "also write the listing to this file"}}),
+    ("report", "paper-claims"): (cmd_report_claims, "run every claim end to end", {
+        **BUDGET_FLAGS, "--inject-corruption": {"action": "store_true"},
+        "--only": {"help": "comma-separated claim names"}, "--md-out": {"help": "write a markdown report here"},
+        "--json-out": {"help": "write the JSON (with runtimes) here"}}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The global flags and GROUP COMMAND; main parses the command's own
+    flags from the rest of the argv, so one call builds one command."""
+    listing = ["commands (reclab GROUP COMMAND --help lists a command's flags):"]
+    for group, text in GROUPS.items():
+        listing.append(f"  {group}: {text}")
+        listing += [f"    {c:13s} {h}" for (g, c), (_, h, _) in COMMANDS.items() if g == group]
     top = argparse.ArgumentParser(
         prog="reclab",
         description="exact recurrence laboratory: distance-graph certificates, "
         "frequency sets, and finite-horizon dynamics",
+        epilog="\n".join(listing) + "\n\nsequence formula grammar:\n" + EBNF,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     top.add_argument("--seed", type=int, default=DEFAULT_SEED)
     top.add_argument("--threads", type=int, default=0, help="0 = auto (echoed; v1 is single-threaded)")
@@ -628,218 +711,32 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=int(os.environ.get("RECLAB_PRECISION_BITS", "128")),
     )
-    groups = top.add_subparsers(dest="group", required=True)
-
-    # birkhoff ------------------------------------------------------------
-    bk = groups.add_parser("birkhoff", help="distance-set colorability certificates")
-    bks = bk.add_subparsers(dest="command", required=True)
-
-    p = bks.add_parser("check", help="decide at the given arity")
-    add_set_flags(p)
-    add_budget_flags(p)
-    p.add_argument("--arity", type=int, required=True)
-    p.add_argument("--emit-cert", help="write the certificate JSON here")
-    p.set_defaults(func=cmd_birkhoff_check)
-
-    p = bks.add_parser("verify", help="re-check a stored certificate")
-    add_set_flags(p)
-    p.add_argument("--arity", type=int, required=True)
-    p.add_argument("--cert", required=True)
-    p.set_defaults(func=cmd_birkhoff_verify)
-
-    p = bks.add_parser("minimal", help="greedy minimal subset keeping the verdict")
-    add_set_flags(p)
-    add_budget_flags(p)
-    p.add_argument("--arity", type=int, required=True)
-    p.set_defaults(func=cmd_birkhoff_minimal)
-
-    p = bks.add_parser("greedy", help="least-unused-color avoiding sequence")
-    add_set_flags(p)
-    p.add_argument("--terms", type=int, default=64)
-    p.set_defaults(func=cmd_birkhoff_greedy)
-
-    p = bks.add_parser("stable", help="layered family probe with removals")
-    add_budget_flags(p)
-    p.add_argument("--family-r", type=int, required=True)
-    p.add_argument("--removed", help="inline integers to delete")
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--arity", type=int, default=None)
-    p.set_defaults(func=cmd_birkhoff_stable)
-
-    p = bks.add_parser("chromatic", help="chromatic number of the window graph")
-    add_set_flags(p)
-    add_budget_flags(p)
-    p.add_argument("--window", type=int, required=True)
-    p.set_defaults(func=cmd_birkhoff_chromatic)
-
-    # bohr ----------------------------------------------------------------
-    bo = groups.add_parser("bohr", help="frequency-set arithmetic")
-    bos = bo.add_subparsers(dest="command", required=True)
-
-    p = bos.add_parser("member", help="test one integer")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", action="append", required=True)
-    p.add_argument("--eps", required=True)
-    p.set_defaults(func=cmd_bohr_member)
-
-    p = bos.add_parser("enumerate", help="list members in a window")
-    p.add_argument("--alpha", action="append", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    p.set_defaults(func=cmd_bohr_enumerate)
-
-    p = bos.add_parser("witness", help="frequency interval avoiding a sequence")
-    add_set_flags(p)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--depth", type=int, default=None)
-    p.set_defaults(func=cmd_bohr_witness)
-
-    p = bos.add_parser("obstruct", help="smallest modulus missing the set")
-    add_set_flags(p)
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--poly", help="generator coefficients, constant first")
-    p.set_defaults(func=cmd_bohr_obstruct)
-
-    p = bos.add_parser("separate", help="frequency spec disjoint from the set")
-    add_set_flags(p)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--grid-depth", type=int, default=20_000)
-    p.set_defaults(func=cmd_bohr_separate)
-
-    p = bos.add_parser("cf", help="continued fraction with convergents")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--depth", type=int, default=30)
-    p.set_defaults(func=cmd_bohr_cf)
-
-    p = bos.add_parser("threedist", help="circular gap structure of an orbit")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=cmd_bohr_threedist)
-
-    # dyn -----------------------------------------------------------------
-    dy = groups.add_parser("dyn", help="finite-horizon dynamics")
-    dys = dy.add_subparsers(dest="command", required=True)
-
-    def rotation_flags(p, center=False):
-        # checked at runtime so subshift-mode calls can omit it
-        p.add_argument("--alpha", action="append", default=None)
-        if center:
-            p.add_argument("--center", default="0")
-            p.add_argument("--radius", default="1/10")
-        p.add_argument("--point", default=None)
-
-    p = dys.add_parser("returns", help="windowed return-time sets")
-    rotation_flags(p, center=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--indicator", help="set file; switches to the subshift")
-    p.add_argument("--window-lo", type=int, default=None)
-    p.add_argument("--window-hi", type=int, default=None)
-    p.add_argument("--offset", type=int, default=0)
-    p.set_defaults(func=cmd_dyn_returns)
-
-    p = dys.add_parser("nuu", help="set returns vs point-return differences")
-    rotation_flags(p, center=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--margin", default="1/100")
-    p.set_defaults(func=cmd_dyn_nuu)
-
-    p = dys.add_parser("phi", help="closest approach over target times")
-    rotation_flags(p)
-    add_set_flags(p)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--indicator", help="set file; switches to the subshift")
-    p.add_argument("--window-lo", type=int, default=None)
-    p.add_argument("--window-hi", type=int, default=None)
-    p.add_argument("--offset", type=int, default=0)
-    p.set_defaults(func=cmd_dyn_phi)
-
-    p = dys.add_parser("psi", help="moving-target closest approach")
-    rotation_flags(p)
-    p.add_argument("--nk", required=True, help="sequence formula in k")
-    p.add_argument("--rk", default=None, help="offset formula, default k")
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--eps", default="1/100")
-    p.set_defaults(func=cmd_dyn_psi)
-
-    p = dys.add_parser("recurrent", help="find a time bringing a point home")
-    rotation_flags(p)
-    add_set_flags(p)
-    p.add_argument("--eps", required=True)
-    p.set_defaults(func=cmd_dyn_recurrent)
-
-    p = dys.add_parser("etadense", help="orbit-density constant")
-    rotation_flags(p)
-    p.add_argument("--eta", required=True)
-    p.set_defaults(func=cmd_dyn_etadense)
-
-    p = dys.add_parser("rigidity", help="displacement record minima")
-    rotation_flags(p)
-    p.add_argument("--horizon", type=int, required=True)
-    p.set_defaults(func=cmd_dyn_rigidity)
-
-    p = dys.add_parser("moving", help="moving recurrence sample experiment")
-    rotation_flags(p)
-    p.add_argument("--nk", required=True)
-    p.add_argument("--rk", default=None)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--eps", default="1/100")
-    p.add_argument("--samples", type=int, default=10)
-    p.set_defaults(func=cmd_dyn_moving)
-
-    # sets ------------------------------------------------------------
-    se = groups.add_parser("sets", help="integer-set utilities")
-    ses = se.add_subparsers(dest="command", required=True)
-
-    p = ses.add_parser("diff", help="difference set, optionally windowed")
-    add_set_flags(p)
-    p.add_argument("--lo", type=int, default=None)
-    p.add_argument("--hi", type=int, default=None)
-    p.set_defaults(func=cmd_sets_diff)
-
-    p = ses.add_parser("gaps", help="gap profile over a window")
-    add_set_flags(p)
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--side", choices=["one", "two"], default="two")
-    p.set_defaults(func=cmd_sets_gaps)
-
-    p = ses.add_parser("gen", help="generate a named family")
-    p.add_argument("--family", choices=["kxnr", "lr", "poly"], required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--coeffs", default="0,1")
-    p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--out", help="also write the listing to this file")
-    p.set_defaults(func=cmd_sets_gen)
-
-    # report ------------------------------------------------------------
-    rp = groups.add_parser("report", help="built-in claim suite")
-    rps = rp.add_subparsers(dest="command", required=True)
-
-    p = rps.add_parser("paper-claims", help="run every claim end to end")
-    add_budget_flags(p)
-    p.add_argument("--inject-corruption", action="store_true")
-    p.add_argument("--only", help="comma-separated claim names")
-    p.add_argument("--md-out", help="write a markdown report here")
-    p.add_argument("--json-out", help="write the JSON (with runtimes) here")
-    p.set_defaults(func=cmd_report_claims)
-
-    top.epilog = "sequence formula grammar:\n" + EBNF
+    top.add_argument("group", choices=GROUPS, metavar="GROUP", help="one of the groups listed below")
+    top.add_argument("command", metavar="COMMAND", help="one of the group's commands")
+    top.add_argument("rest", nargs=argparse.REMAINDER, metavar="...", help="the command's flags")
     return top
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    entry = COMMANDS.get((args.group, args.command))
+    if entry is None:
+        choices = ", ".join(c for g, c in COMMANDS if g == args.group)
+        parser.error(f"argument COMMAND: invalid choice: {args.command!r} (choose from {choices})")
+    handler, text, flags = entry
+    # only the called command's parser is built; it fills the same namespace
+    command_parser = argparse.ArgumentParser(prog=f"reclab {args.group} {args.command}", description=text)
+    for option, kwargs in flags.items():
+        command_parser.add_argument(option, **kwargs)
+    command_parser.parse_args(args.rest, namespace=args)
 
     command = f"{args.group}.{args.command}"
     config = build_config(args, command)
     previous_bits = exactreal.DEFAULT_PRECISION_BITS
     exactreal.DEFAULT_PRECISION_BITS = args.precision_bits
     try:
-        result = args.func(args)
+        result = handler(args)
     except UncertainAtPrecision as exc:
         doc = {
             "config": json_safe(config),
@@ -854,10 +751,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except VerificationBudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
-    except RecLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, ValueError) as exc:
+    except (RecLabError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     finally:

@@ -370,12 +370,12 @@ class TestExitCodes:
         assert rc == 2
 
     def test_precision_exit(self, capsys, monkeypatch):
-        # handlers are looked up when build_parser runs, so patching the
-        # module attribute reroutes the dispatch
-        def boom(args):
+        # the command table binds handlers at import; the handler looks up
+        # the library call it makes when it runs
+        def boom(n, spec):
             raise UncertainAtPrecision("cannot settle membership", ambiguous=[7])
 
-        monkeypatch.setattr(cli, "cmd_bohr_member", boom)
+        monkeypatch.setattr(cli, "bohr_membership", boom)
         rc = cli.main(
             ["bohr", "member", "--n", "7", "--alpha", "golden", "--eps", "1/10"]
         )
