@@ -1,10 +1,9 @@
 """Finite-horizon dynamics: torus rotations and indicator subshifts.
 
-Rotations use the exact arithmetic kinds throughout, so return-time sets and
-rigidity records on the torus and displacement minima on the circle are
-computed exactly; the displayed distances of a multi-frequency rotation are
-tracked-error approximations, and comparisons among them (the psi and phi
-minima) raise UncertainAtPrecision when they cannot be decided.  Subshift points are
+Rotations use the exact arithmetic kinds throughout, so return-time sets,
+rigidity records and the phi and psi minimisers are decided exactly; the
+displayed distances of a multi-frequency rotation are tracked-error
+approximations, built for the winners only.  Subshift points are
 shifts of a single base word declared on a finite window; every operation
 checks the window covers its horizon with room to spare (ratio 4).
 
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
@@ -301,6 +300,31 @@ def verify_nuu(
 # ---------------------------------------------------------------------------
 
 
+def _norm_records(vectors: Iterable[Sequence[Real]]):
+    """(i, xs) for each torus vector xs whose norm is below every earlier one's.
+
+    Decided on the squared norms by real_sum_sign, exactly over any number
+    of quadratic fields, so no Approx norm is compared; a tie is no record.
+    """
+    neg_best: Optional[list[Real]] = None
+    for i, xs in enumerate(vectors):
+        sq = torus_sq_terms(xs)
+        if neg_best is None or real_sum_sign(sq + neg_best) < 0:
+            yield i, xs
+            neg_best = [real_mul_int(t, -1) for t in sq]
+
+
+def _least_dist(sys_: RotationSystem, pairs: Sequence[tuple[RotPoint, RotPoint]]) -> Real:
+    """min of sys_.dist(y, z) over the (y, z) pairs, the first one on a tie.
+    On a torus only the minimiser's distance is built."""
+    if sys_.dim == 1:
+        return real_min(sys_.dist(y, z) for y, z in pairs)
+    if not pairs:
+        raise ValueError("minimum over no times")
+    *_, (_, least) = _norm_records([real_sub(a, b) for a, b in zip(y, z)] for y, z in pairs)
+    return torus_norm(least)
+
+
 def phi_l(sys_: System, x, targets: ZSetLike, horizon: int) -> Real:
     """Minimum of dist(T^n x, x) over target times n within the horizon."""
     times = [n for n in as_int_list(targets) if abs(n) <= horizon and n != 0]
@@ -308,7 +332,7 @@ def phi_l(sys_: System, x, targets: ZSetLike, horizon: int) -> Real:
         raise NoElementsInWindow("no target times inside the horizon")
     if isinstance(sys_, RotationSystem):
         x = sys_.point(x)
-        return real_min(sys_.dist(sys_.step(x, n), x) for n in times)
+        return _least_dist(sys_, [(sys_.step(x, n), x) for n in times])
     sys_.require_horizon(max(abs(n) for n in times))
     base = int(x)
     scan = min(sys_.window.hi // 2, 4 * horizon)
@@ -347,9 +371,8 @@ def psi_moving(sys_: System, x, query: MovingQuery) -> Real:
     """min over k of dist(T^(n_k + r_k) x, T^(n_k) x) within the horizon."""
     if isinstance(sys_, RotationSystem):
         x = sys_.point(x)
-        return real_min(
-            sys_.dist(sys_.step(x, n + r), sys_.step(x, n))
-            for n, r in zip(query.n_terms, query.r_terms)
+        return _least_dist(
+            sys_, [(sys_.step(x, n + r), sys_.step(x, n)) for n, r in zip(query.n_terms, query.r_terms)]
         )
     reach = max(abs(n) + abs(r) for n, r in zip(query.n_terms, query.r_terms))
     sys_.require_horizon(reach)
@@ -471,16 +494,9 @@ def uniform_rigidity_scan(
                 best = v
         return tuple(records)
     if isinstance(sys_, RotationSystem):
-        # the displayed norm is an Approx on a torus: decide records on the
-        # squared norms, exactly over any number of quadratic fields, and
-        # build the norm for records only
-        neg_best: list[Real] = []
-        for m in range(1, horizon + 1):
-            sq = torus_sq_terms(a.multiple(m) for a in sys_.alphas)
-            if not records or real_sum_sign(sq + neg_best) < 0:
-                records.append(RigidityRecord(m, sys_.displacement_norm(m)))
-                neg_best = [real_mul_int(t, -1) for t in sq]
-        return tuple(records)
+        # the displayed norm is an Approx on a torus: build it for records only
+        moves = ([a.multiple(m) for a in sys_.alphas] for m in range(1, horizon + 1))
+        return tuple(RigidityRecord(i + 1, torus_norm(xs)) for i, xs in _norm_records(moves))
     offsets = list(sample_offsets) or list(range(-8, 9))
     scan = max(4, sys_.window.hi // 4)
     for m in range(1, horizon + 1):

@@ -231,6 +231,20 @@ def test_two_field_rigidity_records_need_no_precision(capsys):
         assert [rec["time"] for rec in records] == [1, 3, 7, 19, 22, 34, 41]
 
 
+def test_two_field_minima_need_no_precision(capsys):
+    # the minimiser is picked on squared norms exactly; only its displayed
+    # distance is an Approx at --precision-bits
+    fields = ["--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:3:0:1:1"]
+    phi = ["dyn", "phi", *fields, "--elements", "1,3,7,19,22,34,41", "--horizon", "60"]
+    low = run_json(capsys, ["--precision-bits", "8", *phi])["result"]["phi"]
+    high = run_json(capsys, phi)["result"]["phi"]
+    assert abs(low["float"] - high["float"]) <= low["max_error"]
+    # every term is the displacement of 3: equal minima, first one kept
+    psi = run_json(capsys, ["dyn", "psi", *fields, "--nk", "k^2", "--rk", "3", "--horizon", "5"])["result"]
+    norm = sum(min(f, 1 - f) ** 2 for f in ((3 * 2**0.5) % 1, (3 * 3**0.5) % 1)) ** 0.5
+    assert psi["psi"]["float"] == pytest.approx(norm, rel=1e-12)
+
+
 def test_precision_bits_last_one_call(capsys, monkeypatch):
     monkeypatch.setattr(exactreal, "DEFAULT_PRECISION_BITS", 192)  # a known library default
     for argv in (["sets", "diff", "--elements", "1,2,5"], ["sets", "diff"]):  # the second exits 2
