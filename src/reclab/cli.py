@@ -81,6 +81,7 @@ from .report import CLAIM_NAMES, run_claim_suite, suite_to_json, suite_to_markdo
 from .seqexpr import EBNF, compile_sequence
 
 DEFAULT_SEED = 20260816
+BUDGETS = ("max_window", "max_period", "node_budget")
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +106,8 @@ def gather_set(args) -> list[int]:
 
 
 def gather_limits(args) -> SearchLimits:
-    return SearchLimits(
-        max_window=getattr(args, "max_window", None),
-        max_period=getattr(args, "max_period", None),
-        node_budget=getattr(args, "node_budget", None) or 2_000_000,
-    )
+    """The budgets the call gives; SearchLimits' defaults fill in the rest."""
+    return SearchLimits(**{k: getattr(args, k) for k in BUDGETS if getattr(args, k, None) is not None})
 
 
 def make_system(args) -> RotationSystem:
@@ -157,11 +155,7 @@ def build_config(args, command: str) -> dict:
         "seed": args.seed,
         "threads": args.threads,
         "precision_bits": args.precision_bits,
-        "budgets": {
-            "max_window": getattr(args, "max_window", None),
-            "max_period": getattr(args, "max_period", None),
-            "node_budget": getattr(args, "node_budget", None),
-        },
+        "budgets": {k: getattr(args, k, None) for k in BUDGETS},
         "flags": flags,
     }
 
@@ -595,6 +589,14 @@ def cmd_report_claims(args) -> dict:
 # command table
 # ---------------------------------------------------------------------------
 
+def count(text: str) -> int:
+    """argparse type of a budget: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 INT = {"type": int}
 REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
@@ -604,7 +606,7 @@ SET_FLAGS = {
     "--set": {"help": "file with a JSON array or one integer per line"},
     "--elements": {"help": "inline integers, comma or space separated"},
 }
-BUDGET_FLAGS = {"--max-window": INT, "--max-period": INT, "--node-budget": INT}
+BUDGET_FLAGS = {"--max-window": {"type": count}, "--max-period": {"type": count}, "--node-budget": {"type": count}}
 # --alpha is checked at run time, so subshift-mode calls can omit it
 ROTATION_FLAGS = {"--alpha": {"action": "append"}, "--point": {}}
 BALL_FLAGS = {**ROTATION_FLAGS, "--center": {"default": "0"}, "--radius": {"default": "1/10"}}

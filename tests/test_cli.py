@@ -118,6 +118,20 @@ class TestBirkhoff:
         res = doc["result"]
         assert res["lower"] == 3 and res["upper"] == 3
 
+    def test_zero_node_budget_is_the_budget_used(self, capsys):
+        doc = run_json(
+            capsys, ["birkhoff", "check", "--elements", "2,4,6", "--arity", "3", "--node-budget", "0"]
+        )
+        assert doc["config"]["budgets"]["node_budget"] == 0
+        assert doc["result"]["stats"]["limits"]["node_budget"] == 0
+
+    @pytest.mark.parametrize("flag", ["--node-budget", "--max-window", "--max-period"])
+    def test_negative_budget_is_a_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["birkhoff", "check", "--elements", "2,4,6", "--arity", "3", flag, "-3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_set_file_input(self, capsys, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("6\n2\n4\n2\n")
