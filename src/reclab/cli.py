@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -153,7 +152,6 @@ def build_config(args, command: str) -> dict:
     return {
         "command": command,
         "seed": args.seed,
-        "threads": args.threads,
         "precision_bits": args.precision_bits,
         "budgets": {k: getattr(args, k, None) for k in BUDGETS},
         "flags": flags,
@@ -707,12 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     top.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    top.add_argument("--threads", type=int, default=0, help="0 = auto (echoed; v1 is single-threaded)")
-    top.add_argument(
-        "--precision-bits",
-        type=int,
-        default=int(os.environ.get("RECLAB_PRECISION_BITS", "128")),
-    )
+    top.add_argument("--precision-bits", type=int, default=128)
     top.add_argument("group", choices=GROUPS, metavar="GROUP", help="one of the groups listed below")
     top.add_argument("command", metavar="COMMAND", help="one of the group's commands")
     top.add_argument("rest", nargs=argparse.REMAINDER, metavar="...", help="the command's flags")

@@ -46,7 +46,7 @@ from .errors import RadicandTooLarge, UncertainAtPrecision
 
 # Default working precision (bits) for values that must leave the exact
 # kinds, e.g. square roots, or sums across different quadratic fields built
-# by real_add for display.  The CLI overrides this from RECLAB_PRECISION_BITS.
+# by real_add for display.  The CLI sets it from --precision-bits for one call.
 DEFAULT_PRECISION_BITS = 192
 
 # Largest radicand (bits) reduced to square-free form.  _squarefree_split

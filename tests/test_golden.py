@@ -28,26 +28,25 @@ SQRT2, SQRT3, GOLDEN_RATIO = "sqrt:2:0:1:1", "sqrt:3:0:1:1", "sqrt:5:-1:1:2"
 BALL = ("--radius", "1/8", "--center", "1/3;1/4", "--point", "1/5;2/7")
 
 GOLDEN = {
-    ("report", "paper-claims"): "f859282f0ee895e2fcc5c6a6f1c9041d2755043aae5b5211dbe03bffc5f50399",
+    ("report", "paper-claims"): "eb12bf0bda7c8bd95ac331707932a9b4610d1b4232b61ea7e414a14ab9a5732f",
     # two frequencies from different quadratic fields: exact decisions,
     # Approx norms, margins and rigidity values
     ("bohr", "member", "--n", "19", "--alpha", SQRT2, "--alpha", SQRT3, "--eps", "1/5"):
-        "de1d87c237dd4755c60a17be8f5f1b0e6bec63104b43e8af37389fb3ae45bf2f",
+        "bf783b709afc880de9e1f3528ec8fdb359082ce5adb77bbb121e6f6df16bcf78",
     ("bohr", "enumerate", "--alpha", SQRT2, "--alpha", SQRT3, "--eps", "1/5", "--lo", "-40", "--hi", "40"):
-        "5862dac2d1f12294f97e133828e7969575f7a333b98fd3cb9e184b05e99c7cdb",
+        "0019c7ddcd8b4c048d2a80c1814b538eb475a4f6033738347becb2c9771cf478",
     ("dyn", "returns", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--horizon", "60", *BALL):
-        "cf6e7e09e0b5dd05304b697be10a9b54314d70f7c110ac52f59459a711fc1c86",
+        "ca70624d9611c3ac47ca45e73b61b3b586346ee35542cbb2e5979003331da319",
     ("dyn", "nuu", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--horizon", "30", *BALL):
-        "9380d366cbb0742251f5332e9a453169540ba98dce18499e2343cb7481ef976c",
+        "7f8444b2f11979a12550b4cd256810d20b8e4fcf6fc92db1b7229232036f3af1",
     ("dyn", "rigidity", "--alpha", SQRT2, "--alpha", SQRT3, "--horizon", "300"):
-        "8f36188e222c73862c88d4aceea4e3fb46c02ddd3ce17767c0ff6637c6ef29ad",
+        "1b158fa968a3b5df03121b6d9b01930c5d7e05f0ae3225ab6b6728abd7f6cb07",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
 def test_stdout_digest(argv):
     env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("RECLAB_PRECISION_BITS", None)
     out = subprocess.run(
         [sys.executable, "-m", "reclab.cli", *argv], env=env, capture_output=True, check=True, timeout=600
     ).stdout
@@ -57,61 +56,61 @@ def test_stdout_digest(argv):
 # one call per CLI leaf; --help is not pinned, its text differs across Python versions
 LEAVES = {
     ("birkhoff", "check", "--elements", "3,6,9", "--arity", "3"):
-        "22fa65f66ec4b61a235393c19fe73afd508976df622042230d38d323eda1708e",
+        "c607abf04c985db5594472e61ad7b2157f4b1d5b8e1a8829b9a405dccf8c1dec",
     ("birkhoff", "check", "--elements", "1,2,4,8", "--arity", "3", "--emit-cert", "emitted.json"):
-        "a1b34526d927e9401911edf93c81e72f60fa4489b8cdb1f7ed7f966b56a02627",
+        "bff3e1f99c718d8ecba5bb1f17e5a7229bf5776a06ef907cd05e7613329dd4f5",
     ("birkhoff", "verify", "--elements", "3,6,9", "--arity", "3", "--cert", "window.json"):
-        "700b8d904420aaf42059e704d8a1869a6abc41b84d320651408adbf3dc3a4033",
+        "02e448cc3ef77f3ef8f4c26a36ef086fc4c570fb76490307f693bfb092412ca3",
     ("birkhoff", "minimal", "--elements", "2,4,6,7", "--arity", "3"):
-        "0e04456eb604a18bc566e5a6885ec258ea370ca8b70ba6960bee997163642a12",
+        "3d79e0a61148b1efe6f203c8c4a7a358aaa085e0a0b7102e9a49ba04c030ee89",
     ("birkhoff", "greedy", "--elements", "3,5", "--terms", "64"):
-        "3fc35688994e7230783f484cf9851c0f2e018aa9c2f022e215a5f5ff1a827773",
+        "16c972c11c831a7f348514471f53475bccb56529fb7b7acdfeaafdd0281f555a",
     ("birkhoff", "greedy", "--elements", "1,9,10", "--terms", "15"):
-        "1d7ed8c4bbcd50a513087a1793d47fe14f035a86352ad87f10cd1e5d302f9c1a",
+        "b1287301b995e208c50a28fcc448cc069e1c6fd1812677cfb3cbf11606aa28d1",
     ("birkhoff", "stable", "--family-r", "2", "--k-max", "2", "--removed", "4"):
-        "ded1fff0ad580682b12f953ee21c310537fb6fecb4e9468d52542ea650090fec",
+        "2c8acfcc67c49a07eeee29800c724fcb7af7df8033506b93bc81d559d7447d00",
     ("birkhoff", "chromatic", "--elements", "2,3,7", "--window", "25"):
-        "3e8f005d29e2c962ede31b4acc7801927402d2395b8d90fd4a4168a57ac5376d",
+        "654aa84515fe9a70d6a7cd326d7d332204b527ba30d406f23981b9a88bcddd3b",
     ("bohr", "member", "--n", "21", "--alpha", "golden", "--eps", "1/10"):
-        "1615a7aed75acc67b96a286a9ebd4fc8a2592e097dd32af3d521b467d5f421f4",
+        "31919bce9db284c0d91490756a4d876cd869b22de4b6a243c80d15deaff95844",
     ("bohr", "enumerate", "--alpha", "sqrt2", "--eps", "1/7", "--lo", "-30", "--hi", "30"):
-        "9ac2c89ac74d3bca733ec0e8175bdf600f22adfccb62aa4b106ac50bd2a51587",
+        "8700fb6a40ae76eb866e7ac4012a505d7937a2003eb3c5013e0b3258c5b9b17e",
     ("bohr", "witness", "--set", "lac.json", "--delta", "1/5"):
-        "66efab296d043cfebda4763479d0fd12572c142b57d9fcdba02d3241c315b1e3",
+        "920dacdb16ed581871a61d8c8e44d940d5a4c4626d2d601b43cf984cf7de6e45",
     ("bohr", "obstruct", "--m-max", "10", "--poly", "1,0,1", "--elements", "2,5,10,17,26,37,50"):
-        "1ffc38a5b2ff68ec40e4ff0632d7167003ceb2da14ab14bc220233fc047dbd8c",
+        "67cd841a6ac0e2e6440110c4a86a0d98ec4016a304e5a18091d297944ff98ded",
     ("bohr", "separate", "--set", "lac.json", "--eps", "1/6"):
-        "71d45d2841820b47cd963a1fb4c7e15f5a08191c749427a6233c7c22d61fab01",
+        "4b76cf3413b4518084bed6f17c87b2abe0f004c2b1b2a883421ead9960f1d076",
     ("bohr", "cf", "--alpha", "golden", "--depth", "12"):
-        "23b7018a57374a6b42ef2324cee918afe3eab27f899b0a121cf8e19522518e97",
+        "57c2dd46299d3e3da9ab0edda54e2727a86e41c32ac1e46d5aeb6d9442dcec85",
     ("bohr", "threedist", "--alpha", "sqrt:7:0:1:3", "--count", "35"):
-        "7dcabaa782d2779d2d3c7f0496e9def5a2c3d3a5c1d58df62e3de113e96e2726",
+        "f10b0ee0c636408681e9f3589440caef4e2c17ce65ba4ea9294766e5511f88c5",
     ("dyn", "returns", "--alpha", "golden", "--horizon", "30",
      "--center", "3/10", "--radius", "1/10", "--point", "7/10"):
-        "edd37522ad1698f16bd1eac26cf6eba8e22387408c7ec26b42bb58bed905152b",
+        "6223545f742d1761f7cbd875f08b1d859e9879dde5b5649d643c1a8ae02c1530",
     ("dyn", "returns", "--indicator", "mult.txt", "--window-lo", "-200", "--window-hi", "200", "--horizon", "20"):
-        "dbe43884fe687784dd1529d68b8f060f1dd9e38c2f3f8813231750b3a68caed8",
+        "931726844904cd08c92fa47ef381e17c1462e5b596377673824461af8d5eaf6c",
     ("dyn", "nuu", "--alpha", "1/5", "--alpha", "2/7", "--horizon", "12",
      "--center", "1/3", "--radius", "1/8", "--point", "1/10;3/10"):
-        "817c81241635955350f13ae00419a9cfd2d756ea93b284e51e17927912ffd52c",
+        "452a565813cf54182eb4931ea533d053e24abe6a59f4d46bb14393e9bdc0513a",
     ("dyn", "phi", "--alpha", "golden", "--elements", "1,3,8,21,55,144", "--horizon", "600", "--point", "1/3"):
-        "a1c4154015b7ae3390874f91e46698b7cc961e02bfd571a0a145b3adaa79b1b4",
+        "a795fe7f9b78622208129e0c3a52d1220906598e0c1ddde2587eb8cbabebdc26",
     ("dyn", "psi", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--nk", "k^2", "--horizon", "30", "--point", "1/4"):
-        "27132a51a25652fce542028fdfa8f1bd069dae7f6fa748e16491197993412220",
+        "827c0f5d198c901033c6c52557b38ea695f45094f0a6da79cd7aa42e784cf5af",
     ("dyn", "recurrent", "--alpha", "golden", "--elements", "1,3,8,21,55,144", "--eps", "1/20"):
-        "ffa66ecb707e247839359bc621b10ef40827475139d683ffa4ae5cb095f64039",
+        "3e47c146bfbfcf816798e65c4e993f5e68501f4d6c858720f8f5547d5cf5533d",
     ("dyn", "etadense", "--alpha", "golden", "--eta", "1/20"):
-        "deae5b81e4f455aae8fd860c14cdaf55fc7de0fc91165ee86f8d6f79fe8a85ee",
+        "4e94014a62cd027b5c6f2fcb9a7cf29cb86c0b9947b525b7019b4b044308614f",
     ("dyn", "rigidity", "--alpha", "golden", "--horizon", "200"):
-        "fa78c82d96ca4ee54f8102b53719ce05742a24f560d6aa93c15208e200fec494",
+        "f1afe33d5c1e175eb366acc78967f57505095b84655bed80db7a3c6b58480e9a",
     ("dyn", "moving", "--alpha", "sqrt2", "--nk", "k^3 - k", "--horizon", "20", "--samples", "5"):
-        "4c291033428f9c285cceea29a383adeade86cca986dc29883c17690747811dbb",
+        "4200939118feadc53a123b26b190bd9d0eef9ad41c511745db09813a63519dc0",
     ("sets", "diff", "--elements", "1,3,8,21,55,144"):
-        "fcdd668d9505e81f6933b0f7c9caec1b4e4e7c1729c175b200623781981da0d4",
+        "67f000e174ddea38a9959632a9cc5715b66686e40a43535a59aad833062b2bd7",
     ("sets", "gaps", "--elements", "0,7,14,21,28,35,42,49,56,63,70", "--lo", "-5", "--hi", "60", "--side", "one"):
-        "4e3d96ebcfac35d2cee7a2f4a742ac50b8beb43d99ec8a1bec28f55fdae0a340",
+        "7f0e8373581bc736dd336da533cde13d5e2b90691a42f406641a2f065aeca00c",
     ("sets", "gen", "--family", "poly", "--coeffs", "0,1/2,1/2", "--n-max", "20"):
-        "478ce1fece8ecd6df7a6c8dc1c703dcda2f9f17f39ad73a95f0c64c73e3c4389",
+        "00de897a5ce6471bdd3cf53bee924b449b5c6c9119184833841e946dc40a739e",
 }
 
 FILES = {
@@ -124,7 +123,6 @@ FILES = {
 @pytest.mark.parametrize("argv", list(LEAVES), ids=" ".join)
 def test_leaf_stdout_digest(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("RECLAB_PRECISION_BITS", raising=False)
     for name, text in FILES.items():
         (tmp_path / name).write_text(text)
     out = io.StringIO()
