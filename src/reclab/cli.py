@@ -587,6 +587,7 @@ def cmd_report_claims(args) -> dict:
 # command table
 # ---------------------------------------------------------------------------
 
+
 def count(text: str) -> int:
     """argparse type of a budget: a non-negative integer."""
     value = int(text)
@@ -596,6 +597,7 @@ def count(text: str) -> int:
 
 
 INT = {"type": int}
+COUNT = {"type": count}
 REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
 HORIZON = {"--horizon": REQUIRED_INT}
@@ -604,7 +606,7 @@ SET_FLAGS = {
     "--set": {"help": "file with a JSON array or one integer per line"},
     "--elements": {"help": "inline integers, comma or space separated"},
 }
-BUDGET_FLAGS = {"--max-window": {"type": count}, "--max-period": {"type": count}, "--node-budget": {"type": count}}
+BUDGET_FLAGS = {"--max-window": COUNT, "--max-period": COUNT, "--node-budget": COUNT}
 # --alpha is checked at run time, so subshift-mode calls can omit it
 ROTATION_FLAGS = {"--alpha": {"action": "append"}, "--point": {}}
 BALL_FLAGS = {**ROTATION_FLAGS, "--center": {"default": "0"}, "--radius": {"default": "1/10"}}
