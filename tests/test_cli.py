@@ -471,22 +471,22 @@ def help_text(capsys, argv):
     return capsys.readouterr().out
 
 
-def names(text, words):
+def missing(text, words):
     return [w for w in words if not re.search(rf"(?<![\w-]){re.escape(w)}(?![\w-])", text)]
 
 
 class TestHelp:
     def test_top_names_every_group(self, capsys):
-        assert names(help_text(capsys, []), GROUPS) == []
+        assert missing(help_text(capsys, []), GROUPS) == []
 
     @pytest.mark.parametrize("group", GROUPS)
     def test_group_names_its_commands(self, capsys, group):
         commands = [c for g, c in OPTIONS if g == group]
-        assert names(help_text(capsys, [group]), commands) == []
+        assert missing(help_text(capsys, [group]), commands) == []
 
     @pytest.mark.parametrize("command", sorted(OPTIONS), ids=" ".join)
     def test_command_names_its_options(self, capsys, command):
-        assert names(help_text(capsys, list(command)), OPTIONS[command]) == []
+        assert missing(help_text(capsys, list(command)), OPTIONS[command]) == []
 
 
 @pytest.mark.parametrize(
