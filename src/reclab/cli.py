@@ -63,7 +63,6 @@ from .exactreal import (
     TorusPoint,
     golden_rotation,
     parse_real,
-    real_cmp,
     real_to_json,
     sqrt2_rotation,
 )
@@ -437,12 +436,12 @@ def build_query(args) -> MovingQuery:
 def cmd_dyn_psi(args) -> dict:
     sys_ = make_system(args)
     query = build_query(args)
-    value = psi_moving(sys_, parse_point(args.point, sys_), query)
+    value, below_eps = psi_moving(sys_, parse_point(args.point, sys_), query)
     return {
         "psi": real_to_json(value),
         "horizon": args.horizon,
         "eps": str(query.eps),
-        "below_eps": real_cmp(value, query.eps) < 0,
+        "below_eps": below_eps,
     }
 
 

@@ -1,11 +1,11 @@
 """Finite-horizon dynamics: torus rotations and indicator subshifts.
 
 Rotations use the exact arithmetic kinds throughout, so return-time sets,
-rigidity records and the phi and psi minimisers are decided exactly; the
-displayed distances of a multi-frequency rotation are tracked-error
-approximations, built for the winners only.  Subshift points are
-shifts of a single base word declared on a finite window; every operation
-checks the window covers its horizon with room to spare (ratio 4).
+rigidity records, the phi and psi minimisers and psi's comparison with eps
+are decided exactly; the displayed distances of a multi-frequency rotation
+are tracked-error approximations, built for the winners only.  Subshift
+points are shifts of a single base word declared on a finite window; every
+operation checks the window covers its horizon with room to spare (ratio 4).
 
 All verdicts here are horizon-limited observations, never limit claims; the
 experiment reports say so explicitly in their ``note`` field.
@@ -31,6 +31,7 @@ from .exactreal import (
     real_sum_sign,
     real_to_float,
     torus_norm,
+    torus_norm1,
     torus_norm_lt,
     torus_sq_terms,
 )
@@ -79,9 +80,6 @@ class RotationSystem:
             real_frac(real_add(xi, real_mul_int(a.value, n)))
             for xi, a in zip(x, self.alphas)
         )
-
-    def dist(self, x: RotPoint, y: RotPoint) -> Real:
-        return torus_norm([real_sub(xi, yi) for xi, yi in zip(x, y)])
 
     def dist_lt(self, x: RotPoint, y: RotPoint, t: Fraction) -> bool:
         return torus_norm_lt([real_sub(xi, yi) for xi, yi in zip(x, y)], t)
@@ -303,26 +301,30 @@ def verify_nuu(
 def _norm_records(vectors: Iterable[Sequence[Real]]):
     """(i, xs) for each torus vector xs whose norm is below every earlier one's.
 
-    Decided on the squared norms by real_sum_sign, exactly over any number
-    of quadratic fields, so no Approx norm is compared; a tie is no record.
+    Decided exactly: on the circle real_cmp of the torus_norm1 values, on a
+    torus real_sum_sign of the squared norms, over any number of quadratic
+    fields, so no Approx norm is compared; a tie is no record.
     """
-    neg_best: Optional[list[Real]] = None
+    best = None  # the record's circle norm, or its negated squared norm terms
     for i, xs in enumerate(vectors):
+        if len(xs) == 1:
+            norm = torus_norm1(xs[0])
+            if best is None or real_cmp(norm, best) < 0:
+                best = norm
+                yield i, xs
+            continue
         sq = torus_sq_terms(xs)
-        if neg_best is None or real_sum_sign(sq + neg_best) < 0:
+        if best is None or real_sum_sign(sq + best) < 0:
+            best = [real_mul_int(t, -1) for t in sq]
             yield i, xs
-            neg_best = [real_mul_int(t, -1) for t in sq]
 
 
-def _least_dist(sys_: RotationSystem, pairs: Sequence[tuple[RotPoint, RotPoint]]) -> Real:
-    """min of sys_.dist(y, z) over the (y, z) pairs, the first one on a tie.
-    On a torus only the minimiser's distance is built."""
-    if sys_.dim == 1:
-        return real_min(sys_.dist(y, z) for y, z in pairs)
+def _closest(pairs: Sequence[tuple[RotPoint, RotPoint]]) -> list[Real]:
+    """Coordinate differences y - z of the first (y, z) pair at least distance."""
     if not pairs:
         raise ValueError("minimum over no times")
     *_, (_, least) = _norm_records([real_sub(a, b) for a, b in zip(y, z)] for y, z in pairs)
-    return torus_norm(least)
+    return least
 
 
 def phi_l(sys_: System, x, targets: ZSetLike, horizon: int) -> Real:
@@ -332,7 +334,7 @@ def phi_l(sys_: System, x, targets: ZSetLike, horizon: int) -> Real:
         raise NoElementsInWindow("no target times inside the horizon")
     if isinstance(sys_, RotationSystem):
         x = sys_.point(x)
-        return _least_dist(sys_, [(sys_.step(x, n), x) for n in times])
+        return torus_norm(_closest([(sys_.step(x, n), x) for n in times]))
     sys_.require_horizon(max(abs(n) for n in times))
     base = int(x)
     scan = min(sys_.window.hi // 2, 4 * horizon)
@@ -367,21 +369,24 @@ class MovingQuery:
         )
 
 
-def psi_moving(sys_: System, x, query: MovingQuery) -> Real:
-    """min over k of dist(T^(n_k + r_k) x, T^(n_k) x) within the horizon."""
+def psi_moving(sys_: System, x, query: MovingQuery) -> tuple[Real, bool]:
+    """min over k of dist(T^(n_k + r_k) x, T^(n_k) x) within the horizon,
+    and whether it is below query.eps, decided exactly."""
     if isinstance(sys_, RotationSystem):
         x = sys_.point(x)
-        return _least_dist(
-            sys_, [(sys_.step(x, n + r), sys_.step(x, n)) for n, r in zip(query.n_terms, query.r_terms)]
+        least = _closest(
+            [(sys_.step(x, n + r), sys_.step(x, n)) for n, r in zip(query.n_terms, query.r_terms)]
         )
+        return torus_norm(least), torus_norm_lt(least, query.eps)
     reach = max(abs(n) + abs(r) for n, r in zip(query.n_terms, query.r_terms))
     sys_.require_horizon(reach)
     base = int(x)
     scan = sys_.window.hi // 2
-    return real_min(
+    value = real_min(
         sys_.dist(base + n + r, base + n, scan)
         for n, r in zip(query.n_terms, query.r_terms)
     )
+    return value, value < query.eps
 
 
 @dataclass(frozen=True)
@@ -484,19 +489,12 @@ def uniform_rigidity_scan(
     sampled shifts of the base word, which can only underestimate the sup;
     records are still monotone by construction.
     """
-    records: list[RigidityRecord] = []
-    best: Optional[Real] = None
-    if isinstance(sys_, RotationSystem) and sys_.dim == 1:
-        for m in range(1, horizon + 1):
-            v = sys_.displacement_norm(m)
-            if best is None or real_cmp(v, best) < 0:
-                records.append(RigidityRecord(m, v))
-                best = v
-        return tuple(records)
     if isinstance(sys_, RotationSystem):
         # the displayed norm is an Approx on a torus: build it for records only
         moves = ([a.multiple(m) for a in sys_.alphas] for m in range(1, horizon + 1))
         return tuple(RigidityRecord(i + 1, torus_norm(xs)) for i, xs in _norm_records(moves))
+    records: list[RigidityRecord] = []
+    best: Optional[Real] = None
     offsets = list(sample_offsets) or list(range(-8, 9))
     scan = max(4, sys_.window.hi // 4)
     for m in range(1, horizon + 1):
@@ -544,10 +542,9 @@ def moving_recurrence_experiment(
     else:
         points = [(off,) for off in list(_alternating(samples))[:samples]]
     for pt in points:
-        value = psi_moving(sys_, pt if isinstance(sys_, RotationSystem) else pt[0], query)
+        value, below_eps = psi_moving(sys_, pt if isinstance(sys_, RotationSystem) else pt[0], query)
         psi.append(real_to_float(value))
-        if real_cmp(value, query.eps) < 0:
-            below += 1
+        below += below_eps
     return MovingExperimentReport(
         fraction_below=Fraction(below, samples),
         psi_values=tuple(psi),

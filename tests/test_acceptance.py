@@ -232,7 +232,7 @@ def test_criterion_09_moving_recurrence():
         assert rep.fraction_below == 1, label
         for i in range(10):
             x = Fraction(i, 10)
-            psi = psi_moving(GOLDEN, (x,), query)
+            psi, _ = psi_moving(GOLDEN, (x,), query)
             assert abs(real_to_float(psi) - expected_f) <= 1e-12, (label, i)
     report(9, "3 formulas, K=200: fraction 1.0, psi matches min displacement")
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reclab import exactreal
 from reclab.bohr import BohrSpec, bohr_enumerate
 from reclab.dynamics import (
     HORIZON_NOTE,
@@ -31,8 +32,11 @@ from reclab.exactreal import (
     golden_rotation,
     real_cmp,
     real_eq,
+    parse_real,
+    real_sub,
     real_to_float,
     sqrt2_rotation,
+    torus_norm,
     torus_norm1,
 )
 from reclab.intsets import Window
@@ -40,6 +44,10 @@ from reclab.intsets import Window
 
 GOLDEN = RotationSystem((golden_rotation(),))
 FIFTH = RotationSystem((TorusPoint(Fraction(1, 5)),))
+
+
+def dist(x, y):
+    return torus_norm([real_sub(a, b) for a, b in zip(x, y)])
 
 
 class TestRotationBasics:
@@ -51,21 +59,21 @@ class TestRotationBasics:
     def test_dist_is_torus_metric(self):
         a = FIFTH.point([Fraction(1, 10)])
         b = FIFTH.point([Fraction(9, 10)])
-        assert FIFTH.dist(a, b) == Fraction(1, 5)
+        assert dist(a, b) == Fraction(1, 5)
 
     def test_displacement_point_independent(self):
         # same displacement from any base point
         n = 7
         for x0 in (Fraction(0), Fraction(1, 3), Fraction(9, 11)):
             x = GOLDEN.point([x0])
-            d = GOLDEN.dist(GOLDEN.step(x, n), x)
+            d = dist(GOLDEN.step(x, n), x)
             assert real_eq(d, GOLDEN.displacement_norm(n))
 
     def test_two_dim_distance(self):
         sys2 = RotationSystem((TorusPoint(Fraction(1, 4)), TorusPoint(Fraction(1, 3))))
         a = sys2.point([Fraction(0), Fraction(0)])
         b = sys2.point([Fraction(1, 2), Fraction(0)])
-        assert sys2.dist(a, b) == Fraction(1, 2)
+        assert dist(a, b) == Fraction(1, 2)
         # dist_lt uses squared norms, no rounding
         assert sys2.dist_lt(a, b, Fraction(51, 100))
         assert not sys2.dist_lt(a, b, Fraction(1, 2))
@@ -185,19 +193,20 @@ class TestPsiMoving:
     def test_point_independence_on_rotations(self):
         q = MovingQuery.from_callables(lambda k: k * k, None, 40, Fraction(1, 100))
         vals = [
-            real_to_float(psi_moving(GOLDEN, (x,), q))
+            real_to_float(psi_moving(GOLDEN, (x,), q)[0])
             for x in (Fraction(0), Fraction(1, 3), Fraction(7, 9))
         ]
         assert len(set(vals)) == 1
 
     def test_equals_displacement_minimum(self):
         q = MovingQuery.from_callables(lambda k: 2**k, None, 50, Fraction(1, 100))
-        v = psi_moving(GOLDEN, (Fraction(0),), q)
+        v, below_eps = psi_moving(GOLDEN, (Fraction(0),), q)
         expected = min(
             (GOLDEN.displacement_norm(k) for k in range(1, 51)),
             key=real_to_float,
         )
         assert real_eq(v, expected)
+        assert below_eps == (real_cmp(expected, Fraction(1, 100)) < 0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -269,3 +278,12 @@ class TestMovingExperiment:
         # n_k and n_k + 3 are both multiples of 3: words coincide, psi = 0
         assert rep.fraction_below == 1
         assert rep.psi_max == 0.0
+
+    @pytest.mark.parametrize("eps, fraction", [(Fraction(1, 100), 0), (Fraction(1, 5), 1)])
+    def test_two_field_fraction_needs_no_precision(self, monkeypatch, eps, fraction):
+        # psi against eps is decided on squared norms; only psi_values read the precision
+        sys2 = RotationSystem((TorusPoint(parse_real("sqrt:2:0:1:1")), TorusPoint(parse_real("sqrt:3:0:1:1"))))
+        q = MovingQuery.from_callables(lambda k: k * k, None, 30, eps)
+        for bits in (128, 8):
+            monkeypatch.setattr(exactreal, "DEFAULT_PRECISION_BITS", bits)
+            assert moving_recurrence_experiment(sys2, q, samples=5).fraction_below == fraction
