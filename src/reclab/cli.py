@@ -3,10 +3,13 @@
 Machine output is a single JSON document on stdout: {"config": ..., "result":
 ...} with sorted keys, so identical invocations are byte-identical.  Human
 summaries go to stderr.  Exit codes: 0 completed (the verdict, including
-UNDECIDED, lives inside the JSON), 2 usage error, 3 precision failure,
-4 certificate verification over its budget.
+UNDECIDED, lives inside the JSON), 2 usage error, 3 a cross-field sum that
+did not separate within 4096 bits, 4 certificate verification over its
+budget.
 
-No solver verdict is printed without re-verifying its certificate first.
+Every decision is exact, so no flag sets a precision: displayed cross-field
+values are Approx at exactreal.DEFAULT_PRECISION_BITS (128).  No solver
+verdict is printed without re-verifying its certificate first.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import exactreal
 from .birkhoff import (
     SearchLimits,
     certificate_from_json,
@@ -151,7 +153,6 @@ def build_config(args, command: str) -> dict:
     return {
         "command": command,
         "seed": args.seed,
-        "precision_bits": args.precision_bits,
         "budgets": {k: getattr(args, k, None) for k in BUDGETS},
         "flags": flags,
     }
@@ -607,8 +608,9 @@ SET_FLAGS = {
 }
 BUDGET_FLAGS = {"--max-window": COUNT, "--max-period": COUNT, "--node-budget": COUNT}
 # --alpha is checked at run time, so subshift-mode calls can omit it
-ROTATION_FLAGS = {"--alpha": {"action": "append"}, "--point": {}}
-BALL_FLAGS = {**ROTATION_FLAGS, "--center": {"default": "0"}, "--radius": {"default": "1/10"}}
+ROTATION_FLAGS = {"--alpha": {"action": "append"}}
+POINT_FLAGS = {**ROTATION_FLAGS, "--point": {}}
+BALL_FLAGS = {**POINT_FLAGS, "--center": {"default": "0"}, "--radius": {"default": "1/10"}}
 INDICATOR_FLAGS = {
     "--indicator": {"help": "set file; switches to the subshift"},
     "--window-lo": INT,
@@ -666,8 +668,8 @@ COMMANDS = {
     ("dyn", "nuu"): (cmd_dyn_nuu, "set returns vs point-return differences", {
         **BALL_FLAGS, **HORIZON, "--margin": {"default": "1/100"}}),
     ("dyn", "phi"): (cmd_dyn_phi, "closest approach over target times", {
-        **ROTATION_FLAGS, **SET_FLAGS, **HORIZON, **INDICATOR_FLAGS}),
-    ("dyn", "psi"): (cmd_dyn_psi, "moving-target closest approach", {**ROTATION_FLAGS, **QUERY_FLAGS}),
+        **POINT_FLAGS, **SET_FLAGS, **HORIZON, **INDICATOR_FLAGS}),
+    ("dyn", "psi"): (cmd_dyn_psi, "moving-target closest approach", {**POINT_FLAGS, **QUERY_FLAGS}),
     ("dyn", "recurrent"): (cmd_dyn_recurrent, "find a time bringing a point home", {
         **ROTATION_FLAGS, **SET_FLAGS, "--eps": REQUIRED}),
     ("dyn", "etadense"): (cmd_dyn_etadense, "orbit-density constant", {**ROTATION_FLAGS, "--eta": REQUIRED}),
@@ -706,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     top.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    top.add_argument("--precision-bits", type=int, default=128)
     top.add_argument("group", choices=GROUPS, metavar="GROUP", help="one of the groups listed below")
     top.add_argument("command", metavar="COMMAND", help="one of the group's commands")
     top.add_argument("rest", nargs=argparse.REMAINDER, metavar="...", help="the command's flags")
@@ -729,8 +730,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     command = f"{args.group}.{args.command}"
     config = build_config(args, command)
-    previous_bits = exactreal.DEFAULT_PRECISION_BITS
-    exactreal.DEFAULT_PRECISION_BITS = args.precision_bits
     try:
         result = handler(args)
     except UncertainAtPrecision as exc:
@@ -750,8 +749,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (RecLabError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    finally:
-        exactreal.DEFAULT_PRECISION_BITS = previous_bits
 
     human = summarize(command, result)
     emit(config, result, human)

@@ -44,10 +44,10 @@ from typing import Iterable, Sequence, Union
 
 from .errors import RadicandTooLarge, UncertainAtPrecision
 
-# Default working precision (bits) for values that must leave the exact
-# kinds, e.g. square roots, or sums across different quadratic fields built
-# by real_add for display.  The CLI sets it from --precision-bits for one call.
-DEFAULT_PRECISION_BITS = 192
+# Working precision (bits) of values that leave the exact kinds: square roots
+# and sums across different quadratic fields, built by real_add for display.
+# No decision reads it; it sets only how many bits a displayed Approx carries.
+DEFAULT_PRECISION_BITS = 128
 
 # Largest radicand (bits) reduced to square-free form.  _squarefree_split
 # trial-divides up to a cube root: about 0.1 s for a prime just below 2**56,
@@ -632,12 +632,11 @@ def real_sort(values: Iterable[Real]) -> list[Real]:
     return sorted(values, key=functools.cmp_to_key(real_cmp))
 
 
-def real_sqrt(x: Real, bits: int | None = None) -> Real:
+def real_sqrt(x: Real) -> Real:
     """Square root; exact when x is the square of a rational, or a rational
     whose numerator and denominator fit MAX_RADICAND_BITS.  Otherwise a
-    tracked approximation at the requested precision."""
+    tracked approximation at DEFAULT_PRECISION_BITS."""
     x = as_real(x)
-    bits = bits or DEFAULT_PRECISION_BITS
     if isinstance(x, Fraction):
         if x < 0:
             raise ValueError("sqrt of negative value")
@@ -651,29 +650,14 @@ def real_sqrt(x: Real, bits: int | None = None) -> Real:
             sn, cn = _squarefree_split(num)
             sd, cd = _squarefree_split(den)
             return _norm(0, sn * sd, den, cn * cd)
+    bits = DEFAULT_PRECISION_BITS
     lo, hi = real_bounds(x, bits)
-    lo = max(lo, _ZERO)
     if hi < 0:
         raise ValueError("sqrt of negative value")
-    sl = _fraction_sqrt_lower(lo, bits)
-    sh = _fraction_sqrt_upper(hi, bits)
-    return Approx((sl + sh) / 2, (sh - sl) / 2)
-
-
-def _fraction_sqrt_lower(x: Fraction, bits: int) -> Fraction:
-    if x <= 0:
-        return _ZERO
-    scale = 1 << bits
-    n = isqrt((x.numerator * scale * scale) // x.denominator)
-    return Fraction(n, scale)
-
-
-def _fraction_sqrt_upper(x: Fraction, bits: int) -> Fraction:
-    if x <= 0:
-        return _ZERO
-    scale = 1 << bits
-    n = isqrt((x.numerator * scale * scale) // x.denominator) + 1
-    return Fraction(n, scale)
+    # sl / 2**bits <= sqrt(max(lo, 0)) and sqrt(hi) <= sh / 2**bits
+    sl = isqrt((lo.numerator << 2 * bits) // lo.denominator) if lo > 0 else 0
+    sh = isqrt((hi.numerator << 2 * bits) // hi.denominator) + 1 if hi > 0 else 0
+    return Approx(Fraction(sl + sh, 2 << bits), Fraction(sh - sl, 2 << bits))
 
 
 def real_to_float(x) -> float:

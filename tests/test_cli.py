@@ -32,7 +32,7 @@ class TestEnvelope:
         cfg = doc["config"]
         assert cfg["command"] == "birkhoff.check"
         assert cfg["seed"] == 20260816
-        assert cfg["precision_bits"] == 128
+        assert "precision_bits" not in cfg and "precision_bits" not in cfg["flags"]
         assert cfg["flags"]["arity"] == 3
 
     def test_stdout_is_stable_across_runs(self, capsys):
@@ -214,57 +214,56 @@ class TestBohr:
         assert doc["result"]["found"] is False
 
 
+SQRT2_SQRT3 = ["--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:3:0:1:1"]
+# command -> (argv, the decision it prints, its value)
 TWO_FIELDS = {
-    "bohr.enumerate": [
-        "bohr", "enumerate", "--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:3:0:1:1",
-        "--eps", "1/5", "--lo", "-40", "--hi", "40",
-    ],
-    "dyn.returns": [
-        "dyn", "returns", "--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:5:-1:1:2",
-        "--horizon", "60", "--radius", "1/8", "--center", "1/3;1/4", "--point", "1/5;2/7",
-    ],
+    "bohr.enumerate": (
+        ["bohr", "enumerate", *SQRT2_SQRT3, "--eps", "1/5", "--lo", "-40", "--hi", "40"],
+        "members", [-34, -22, -19, -7, 7, 19, 22, 34],
+    ),
+    "dyn.moving": (["dyn", "moving", *SQRT2_SQRT3, "--nk", "k^2", "--horizon", "30"], "fraction_below", "0"),
+    "dyn.psi": (["dyn", "psi", *SQRT2_SQRT3, "--nk", "k^2", "--horizon", "30"], "below_eps", False),
+    "dyn.returns": (
+        ["dyn", "returns", "--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:5:-1:1:2", "--horizon", "60",
+         "--radius", "1/8", "--center", "1/3;1/4", "--point", "1/5;2/7"],
+        "point_returns", [-60, -55, -26, 34],
+    ),
 }
+# displayed values: Approx at DEFAULT_PRECISION_BITS, the only output it sets
+SHOWN = {"psi", "psi_min", "psi_max"}
+
+
+def at_bits(capsys, monkeypatch, bits, argv):
+    monkeypatch.setattr(exactreal, "DEFAULT_PRECISION_BITS", bits)
+    return run_json(capsys, argv)["result"]
 
 
 @pytest.mark.parametrize("command", sorted(TWO_FIELDS))
-def test_two_field_decisions_need_no_precision(capsys, command):
-    low = run_json(capsys, ["--precision-bits", "8", *TWO_FIELDS[command]])["result"]
-    high = run_json(capsys, ["--precision-bits", "128", *TWO_FIELDS[command]])["result"]
-    assert low == high
-    if command == "bohr.enumerate":
-        assert low["members"] == [-34, -22, -19, -7, 7, 19, 22, 34]
-    else:
-        assert low["point_returns"] == [-60, -55, -26, 34]
+def test_two_field_decisions_need_no_precision(capsys, monkeypatch, command):
+    argv, decision, value = TWO_FIELDS[command]
+    low, high = (at_bits(capsys, monkeypatch, bits, argv) for bits in (8, 128))
+    assert low[decision] == value
+    assert {k: v for k, v in low.items() if k not in SHOWN} == {k: v for k, v in high.items() if k not in SHOWN}
 
 
-def test_two_field_rigidity_records_need_no_precision(capsys):
+def test_two_field_rigidity_records_need_no_precision(capsys, monkeypatch):
     # records compare squared norms exactly; only the displayed norms are Approx
-    argv = ["dyn", "rigidity", "--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:3:0:1:1", "--horizon", "300"]
-    for bits in ("8", "128"):
-        records = run_json(capsys, ["--precision-bits", bits, *argv])["result"]["records"]
+    argv = ["dyn", "rigidity", *SQRT2_SQRT3, "--horizon", "300"]
+    for bits in (8, 128):
+        records = at_bits(capsys, monkeypatch, bits, argv)["records"]
         assert [rec["time"] for rec in records] == [1, 3, 7, 19, 22, 34, 41]
 
 
-def test_two_field_minima_need_no_precision(capsys):
+def test_two_field_minima_need_no_precision(capsys, monkeypatch):
     # the minimiser is picked on squared norms exactly; only its displayed
-    # distance is an Approx at --precision-bits
-    fields = ["--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:3:0:1:1"]
-    phi = ["dyn", "phi", *fields, "--elements", "1,3,7,19,22,34,41", "--horizon", "60"]
-    low = run_json(capsys, ["--precision-bits", "8", *phi])["result"]["phi"]
-    high = run_json(capsys, phi)["result"]["phi"]
+    # distance is an Approx at DEFAULT_PRECISION_BITS
+    phi = ["dyn", "phi", *SQRT2_SQRT3, "--elements", "1,3,7,19,22,34,41", "--horizon", "60"]
+    low, high = (at_bits(capsys, monkeypatch, bits, phi)["phi"] for bits in (8, 128))
     assert abs(low["float"] - high["float"]) <= low["max_error"]
     # every term is the displacement of 3: equal minima, first one kept
-    psi = run_json(capsys, ["dyn", "psi", *fields, "--nk", "k^2", "--rk", "3", "--horizon", "5"])["result"]
+    psi = run_json(capsys, ["dyn", "psi", *SQRT2_SQRT3, "--nk", "k^2", "--rk", "3", "--horizon", "5"])["result"]
     norm = sum(min(f, 1 - f) ** 2 for f in ((3 * 2**0.5) % 1, (3 * 3**0.5) % 1)) ** 0.5
     assert psi["psi"]["float"] == pytest.approx(norm, rel=1e-12)
-
-
-def test_precision_bits_last_one_call(capsys, monkeypatch):
-    monkeypatch.setattr(exactreal, "DEFAULT_PRECISION_BITS", 192)  # a known library default
-    for argv in (["sets", "diff", "--elements", "1,2,5"], ["sets", "diff"]):  # the second exits 2
-        cli.main(["--precision-bits", "8", *argv])
-        assert exactreal.DEFAULT_PRECISION_BITS == 192
-    capsys.readouterr()
 
 
 class TestDyn:
@@ -451,10 +450,10 @@ OPTIONS = {
     ("dyn", "phi"): ("--alpha", "--point", "--set", "--elements", "--horizon", "--indicator", "--window-lo",
                      "--window-hi", "--offset"),
     ("dyn", "psi"): ("--alpha", "--point", "--nk", "--rk", "--horizon", "--eps"),
-    ("dyn", "recurrent"): ("--alpha", "--point", "--set", "--elements", "--eps"),
-    ("dyn", "etadense"): ("--alpha", "--point", "--eta"),
-    ("dyn", "rigidity"): ("--alpha", "--point", "--horizon"),
-    ("dyn", "moving"): ("--alpha", "--point", "--nk", "--rk", "--horizon", "--eps", "--samples"),
+    ("dyn", "recurrent"): ("--alpha", "--set", "--elements", "--eps"),
+    ("dyn", "etadense"): ("--alpha", "--eta"),
+    ("dyn", "rigidity"): ("--alpha", "--horizon"),
+    ("dyn", "moving"): ("--alpha", "--nk", "--rk", "--horizon", "--eps", "--samples"),
     ("sets", "diff"): ("--set", "--elements", "--lo", "--hi"),
     ("sets", "gaps"): ("--set", "--elements", "--lo", "--hi", "--side"),
     ("sets", "gen"): ("--family", "--k", "--r", "--k-max", "--coeffs", "--n-max", "--out"),
@@ -497,8 +496,11 @@ class TestHelp:
         ["birkhoff"],
         ["birkhoff", "check", "--elements", "1"],
         ["birkhoff", "check", "--elements", "2", "--arity", "2", "--seed", "3"],
+        ["dyn", "rigidity", "--alpha", "golden", "--horizon", "10", "--point", "1/3"],
+        ["--precision-bits", "8", "sets", "diff", "--elements", "1,2"],
     ],
-    ids=["unknown group", "unknown command", "missing command", "missing required flag", "global flag last"],
+    ids=["unknown group", "unknown command", "missing command", "missing required flag", "global flag last",
+         "point on rigidity", "precision flag"],
 )
 def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -28,19 +28,19 @@ SQRT2, SQRT3, GOLDEN_RATIO = "sqrt:2:0:1:1", "sqrt:3:0:1:1", "sqrt:5:-1:1:2"
 BALL = ("--radius", "1/8", "--center", "1/3;1/4", "--point", "1/5;2/7")
 
 GOLDEN = {
-    ("report", "paper-claims"): "eb12bf0bda7c8bd95ac331707932a9b4610d1b4232b61ea7e414a14ab9a5732f",
+    ("report", "paper-claims"): "6f4e8818e25bb9f07569b03298dbec005504e62199720352b1b43fe32ed0d196",
     # two frequencies from different quadratic fields: exact decisions,
     # Approx norms, margins and rigidity values
     ("bohr", "member", "--n", "19", "--alpha", SQRT2, "--alpha", SQRT3, "--eps", "1/5"):
-        "bf783b709afc880de9e1f3528ec8fdb359082ce5adb77bbb121e6f6df16bcf78",
+        "9694f8a83b7f8ed8ad6b610600cc1c530f562feade81a6f28dd52746f30877fd",
     ("bohr", "enumerate", "--alpha", SQRT2, "--alpha", SQRT3, "--eps", "1/5", "--lo", "-40", "--hi", "40"):
-        "0019c7ddcd8b4c048d2a80c1814b538eb475a4f6033738347becb2c9771cf478",
+        "cf5fc31e3bfdd340c755f75f579b1b6a5f9f46d333cee57bfbeb6a36f51fb508",
     ("dyn", "returns", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--horizon", "60", *BALL):
-        "ca70624d9611c3ac47ca45e73b61b3b586346ee35542cbb2e5979003331da319",
+        "53b6011f638f7847bd82603d487e00ec1d97dd35b042904991b36190ac4b7e92",
     ("dyn", "nuu", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--horizon", "30", *BALL):
-        "7f8444b2f11979a12550b4cd256810d20b8e4fcf6fc92db1b7229232036f3af1",
+        "444beafe86772f8e7a9e74c130e0ebdaa83ec5d49b14e767fa74284d67591014",
     ("dyn", "rigidity", "--alpha", SQRT2, "--alpha", SQRT3, "--horizon", "300"):
-        "1b158fa968a3b5df03121b6d9b01930c5d7e05f0ae3225ab6b6728abd7f6cb07",
+        "3f6085207f29c00f376bb90d21badbae114fc816ded23349d4347eea468f1ca3",
 }
 
 
@@ -56,61 +56,61 @@ def test_stdout_digest(argv):
 # one call per CLI leaf; --help is not pinned, its text differs across Python versions
 LEAVES = {
     ("birkhoff", "check", "--elements", "3,6,9", "--arity", "3"):
-        "c607abf04c985db5594472e61ad7b2157f4b1d5b8e1a8829b9a405dccf8c1dec",
+        "e075ac6c446c38972f0693944dcab3873f54758c0a3966d085cb6477352d0002",
     ("birkhoff", "check", "--elements", "1,2,4,8", "--arity", "3", "--emit-cert", "emitted.json"):
-        "bff3e1f99c718d8ecba5bb1f17e5a7229bf5776a06ef907cd05e7613329dd4f5",
+        "638e131dc1ae42fcb5d170d7bcf1f4ac2c894e142992f20704532300601d670c",
     ("birkhoff", "verify", "--elements", "3,6,9", "--arity", "3", "--cert", "window.json"):
-        "02e448cc3ef77f3ef8f4c26a36ef086fc4c570fb76490307f693bfb092412ca3",
+        "047539949734e44784e070af770ff76f1f6b71913df445b1edf49d2ce67a7833",
     ("birkhoff", "minimal", "--elements", "2,4,6,7", "--arity", "3"):
-        "3d79e0a61148b1efe6f203c8c4a7a358aaa085e0a0b7102e9a49ba04c030ee89",
+        "70aa10718b2a7bb98295cdd4cb7ac6ed8336b97aabb9e856087b929e219bda77",
     ("birkhoff", "greedy", "--elements", "3,5", "--terms", "64"):
-        "16c972c11c831a7f348514471f53475bccb56529fb7b7acdfeaafdd0281f555a",
+        "863927341268707484966c3ef8f77d14741c28eea01d72340879819a4973be5c",
     ("birkhoff", "greedy", "--elements", "1,9,10", "--terms", "15"):
-        "b1287301b995e208c50a28fcc448cc069e1c6fd1812677cfb3cbf11606aa28d1",
+        "6d76d3ac1f2f5d5a53fad3500a4e7f6560d3d3d3570ee65484883ffa05a5be25",
     ("birkhoff", "stable", "--family-r", "2", "--k-max", "2", "--removed", "4"):
-        "2c8acfcc67c49a07eeee29800c724fcb7af7df8033506b93bc81d559d7447d00",
+        "7dcfbdbaadbd311fa71ead83e6f03f6b0b073e1ba80d209020569f88dc9ed46c",
     ("birkhoff", "chromatic", "--elements", "2,3,7", "--window", "25"):
-        "654aa84515fe9a70d6a7cd326d7d332204b527ba30d406f23981b9a88bcddd3b",
+        "a80972cc36f79e44d905be4d9ea2b48fcaf5d8bb4adc685b4860001d3f2bdf73",
     ("bohr", "member", "--n", "21", "--alpha", "golden", "--eps", "1/10"):
-        "31919bce9db284c0d91490756a4d876cd869b22de4b6a243c80d15deaff95844",
+        "fa2cdfbd4faecdc6928e3252b6abf4ab9f7a45e2d1a1dd157ef83ee2d8d4a338",
     ("bohr", "enumerate", "--alpha", "sqrt2", "--eps", "1/7", "--lo", "-30", "--hi", "30"):
-        "8700fb6a40ae76eb866e7ac4012a505d7937a2003eb3c5013e0b3258c5b9b17e",
+        "b1db0726e816d25293c576380ed8824edb1f2a98c2af849b39f6bb2718e18f84",
     ("bohr", "witness", "--set", "lac.json", "--delta", "1/5"):
-        "920dacdb16ed581871a61d8c8e44d940d5a4c4626d2d601b43cf984cf7de6e45",
+        "c6f4ad9e518a3ba7da40d3372e456137371ef66efcfa00888ef83f707c9574a7",
     ("bohr", "obstruct", "--m-max", "10", "--poly", "1,0,1", "--elements", "2,5,10,17,26,37,50"):
-        "67cd841a6ac0e2e6440110c4a86a0d98ec4016a304e5a18091d297944ff98ded",
+        "3289f6f6c215e3a87d410f43bac3e13947c7744507cadb5122c26cad8bf23db4",
     ("bohr", "separate", "--set", "lac.json", "--eps", "1/6"):
-        "4b76cf3413b4518084bed6f17c87b2abe0f004c2b1b2a883421ead9960f1d076",
+        "cd209dae3f7a6d12da563d2168739479a674edb5d6948573569a052758dcc043",
     ("bohr", "cf", "--alpha", "golden", "--depth", "12"):
-        "57c2dd46299d3e3da9ab0edda54e2727a86e41c32ac1e46d5aeb6d9442dcec85",
+        "f72d6d5a211bac3f15e92a160a621cca6d0d808d57d434d3c05a03051f2f644c",
     ("bohr", "threedist", "--alpha", "sqrt:7:0:1:3", "--count", "35"):
-        "f10b0ee0c636408681e9f3589440caef4e2c17ce65ba4ea9294766e5511f88c5",
+        "0799830ea41dd4348ee681588a82a3b3a3d47f064a522e61a727a00fa6ac99f3",
     ("dyn", "returns", "--alpha", "golden", "--horizon", "30",
      "--center", "3/10", "--radius", "1/10", "--point", "7/10"):
-        "6223545f742d1761f7cbd875f08b1d859e9879dde5b5649d643c1a8ae02c1530",
+        "019560b9927f4e195613d14157c7e71b34ec0e4921e6a7a49dc5885648976d39",
     ("dyn", "returns", "--indicator", "mult.txt", "--window-lo", "-200", "--window-hi", "200", "--horizon", "20"):
-        "931726844904cd08c92fa47ef381e17c1462e5b596377673824461af8d5eaf6c",
+        "89132100ca0841cab8660e841dafca1e9724bb99bbd554bdfd31943ba859aaf6",
     ("dyn", "nuu", "--alpha", "1/5", "--alpha", "2/7", "--horizon", "12",
      "--center", "1/3", "--radius", "1/8", "--point", "1/10;3/10"):
-        "452a565813cf54182eb4931ea533d053e24abe6a59f4d46bb14393e9bdc0513a",
+        "3a06116eeaa222000214dd73299805ad9fa49987f80b0a3866d1747f25b3756b",
     ("dyn", "phi", "--alpha", "golden", "--elements", "1,3,8,21,55,144", "--horizon", "600", "--point", "1/3"):
-        "a795fe7f9b78622208129e0c3a52d1220906598e0c1ddde2587eb8cbabebdc26",
+        "55cec407b215cfa6b1ab41b2c16e3de965ed5acf88a6da1b3a7730c0793e2d68",
     ("dyn", "psi", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--nk", "k^2", "--horizon", "30", "--point", "1/4"):
-        "827c0f5d198c901033c6c52557b38ea695f45094f0a6da79cd7aa42e784cf5af",
+        "7fd04b3a2bf7b03457e326aa7ce82f428475af3423c500f6583b6c00a0ec7a9f",
     ("dyn", "recurrent", "--alpha", "golden", "--elements", "1,3,8,21,55,144", "--eps", "1/20"):
-        "3e47c146bfbfcf816798e65c4e993f5e68501f4d6c858720f8f5547d5cf5533d",
+        "cd455a8716246746684513a31690fb0c11b17617333bc6e8b4ad0b98b0ef2306",
     ("dyn", "etadense", "--alpha", "golden", "--eta", "1/20"):
-        "4e94014a62cd027b5c6f2fcb9a7cf29cb86c0b9947b525b7019b4b044308614f",
+        "4d99aa784065ec1768989beaabe218bdb1de8e6ea122511ef41f6426326695c2",
     ("dyn", "rigidity", "--alpha", "golden", "--horizon", "200"):
-        "f1afe33d5c1e175eb366acc78967f57505095b84655bed80db7a3c6b58480e9a",
+        "4ddf4f81753ebee68688c58b1ff358f19da304db76d205778208a9935203c3a9",
     ("dyn", "moving", "--alpha", "sqrt2", "--nk", "k^3 - k", "--horizon", "20", "--samples", "5"):
-        "4200939118feadc53a123b26b190bd9d0eef9ad41c511745db09813a63519dc0",
+        "3c521d9a19adc573a00f6831a47b111bd6c276218b7b53f1f8f18b932b92373c",
     ("sets", "diff", "--elements", "1,3,8,21,55,144"):
-        "67f000e174ddea38a9959632a9cc5715b66686e40a43535a59aad833062b2bd7",
+        "f8d5eef8ffe9c658af4111e1071a396d7058b15c01724da1d62fa219d2e57503",
     ("sets", "gaps", "--elements", "0,7,14,21,28,35,42,49,56,63,70", "--lo", "-5", "--hi", "60", "--side", "one"):
-        "7f0e8373581bc736dd336da533cde13d5e2b90691a42f406641a2f065aeca00c",
+        "6704376fd6014463c3e39701778df94a07eeb928111123ebad077a1c194b2ef6",
     ("sets", "gen", "--family", "poly", "--coeffs", "0,1/2,1/2", "--n-max", "20"):
-        "00de897a5ce6471bdd3cf53bee924b449b5c6c9119184833841e946dc40a739e",
+        "9cc79b4e9f4c7789bdedb3a2d4f28a3f901316b22e8ce48f101cf612047ce7e7",
 }
 
 FILES = {
