@@ -122,6 +122,8 @@ def continued_fraction(alpha, depth: int = 30) -> ContinuedFraction:
     quality invariant dist(q_j * alpha) < 1/q_{j+1} is asserted as the
     convergents are produced.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     x = alpha.value if isinstance(alpha, TorusPoint) else as_real(alpha)
     if isinstance(x, Approx):
         x = x.value  # expand the midpoint; the result is flagged rational

@@ -589,7 +589,7 @@ def cmd_report_claims(args) -> dict:
 
 
 def count(text: str) -> int:
-    """argparse type of a budget: a non-negative integer."""
+    """argparse type of a budget, horizon or depth: a non-negative integer."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
@@ -600,7 +600,7 @@ INT = {"type": int}
 COUNT = {"type": count}
 REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
-HORIZON = {"--horizon": REQUIRED_INT}
+HORIZON = {"--horizon": {**COUNT, **REQUIRED}}
 
 SET_FLAGS = {
     "--set": {"help": "file with a JSON array or one integer per line"},
@@ -654,13 +654,13 @@ COMMANDS = {
     ("bohr", "enumerate"): (cmd_bohr_enumerate, "list members in a window", {
         **FREQUENCY_FLAGS, "--lo": REQUIRED_INT, "--hi": REQUIRED_INT}),
     ("bohr", "witness"): (cmd_bohr_witness, "frequency interval avoiding a sequence", {
-        **SET_FLAGS, "--delta": REQUIRED, "--depth": INT}),
+        **SET_FLAGS, "--delta": REQUIRED, "--depth": COUNT}),
     ("bohr", "obstruct"): (cmd_bohr_obstruct, "smallest modulus missing the set", {
         **SET_FLAGS, "--m-max": REQUIRED_INT, "--poly": {"help": "generator coefficients, constant first"}}),
     ("bohr", "separate"): (cmd_bohr_separate, "frequency spec disjoint from the set", {
         **SET_FLAGS, "--eps": REQUIRED, "--grid-depth": {"type": int, "default": 20_000}}),
     ("bohr", "cf"): (cmd_bohr_cf, "continued fraction with convergents", {
-        "--alpha": REQUIRED, "--depth": {"type": int, "default": 30}}),
+        "--alpha": REQUIRED, "--depth": {**COUNT, "default": 30}}),
     ("bohr", "threedist"): (cmd_bohr_threedist, "circular gap structure of an orbit", {
         "--alpha": REQUIRED, "--count": REQUIRED_INT}),
     ("dyn", "returns"): (cmd_dyn_returns, "windowed return-time sets", {

@@ -127,6 +127,11 @@ class TestContinuedFraction:
         assert cf.terminated
         assert cf.convergents[-1] == Fraction(7, 16)
 
+    def test_negative_depth_rejected(self):
+        assert continued_fraction(golden_rotation(), depth=0).quotients == (0,)
+        with pytest.raises(ValueError):
+            continued_fraction(golden_rotation(), depth=-1)
+
     def test_quality_holds_for_surd_input(self):
         # the constructor asserts dist(q_j alpha) < 1/q_{j+1} internally;
         # spot-check one pair here as well

@@ -497,10 +497,14 @@ class TestHelp:
         ["birkhoff", "check", "--elements", "1"],
         ["birkhoff", "check", "--elements", "2", "--arity", "2", "--seed", "3"],
         ["dyn", "rigidity", "--alpha", "golden", "--horizon", "10", "--point", "1/3"],
+        ["bohr", "cf", "--alpha", "golden", "--depth", "-5"],
+        ["bohr", "witness", "--elements", "1,3,10,40", "--delta", "1/5", "--depth", "-1"],
+        ["dyn", "rigidity", "--alpha", "golden", "--horizon", "-3"],
         ["--precision-bits", "8", "sets", "diff", "--elements", "1,2"],
     ],
     ids=["unknown group", "unknown command", "missing command", "missing required flag", "global flag last",
-         "point on rigidity", "precision flag"],
+         "point on rigidity", "negative cf depth", "negative witness depth", "negative horizon",
+         "precision flag"],
 )
 def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
