@@ -65,15 +65,17 @@ class WindowUnsat:
     """The window graph on {0..window-1} has no proper ``arity``-coloring.
 
     ``proof``, when present, is the refutation the solver found: the
-    DSATUR search tree of one component that is not colorable, built on a
-    subset D of the query distances.  It is packed as
+    search tree of one component that is not colorable, built on a subset
+    D of the query distances.  It is packed as
     ``struct.pack(f"{n}{T}", len(D), *D, *vertices)``, where ``vertices``
     lists the tree's branching vertices in preorder and T is the smallest
     unsigned type that holds the window (every entry is below it).  A
-    node's children are implied: one per color its colored neighbours
-    (v +- m, m in D) leave free, in ascending order; a leaf is a vertex
-    with every color blocked.  The verifier replays it in
-    O(len(proof) * |D|).
+    node's children are implied: one per color in 1..min(r, top + 1) that
+    its colored neighbours (v +- m, m in D) leave free, in ascending
+    order, where top is the largest color on its path.  A leaf is a
+    vertex with no such color; as top + 1 is never blocked, that means
+    all r colors are.  An (r+1)-clique is written as its r+1 vertices.
+    The verifier replays it in O(len(proof) * |D|).
     """
 
     window: int
@@ -307,23 +309,6 @@ def _greedy_cliques(adj: list[list[int]], starts: Sequence[int]) -> Iterator[lis
         yield clique
 
 
-def _clique_tree(clique: Sequence[int], r: int, limit: int) -> list[int]:
-    """The search tree refuting r-colorings of an (r+1)-clique, in the
-    proof format of WindowUnsat: depth i branches on clique[i] over the
-    r - i colors left free.  It has floor(e * r!) nodes; empty when that
-    exceeds limit."""
-    size = term = 1
-    for k in range(r, 0, -1):
-        term *= k
-        size += term
-        if size > limit:
-            return []
-    tree = [clique[r]]
-    for i in range(r - 1, -1, -1):  # the subtree at depth i, from the leaves up
-        tree = [clique[i], *tree * (r - i)]
-    return tree
-
-
 # ---------------------------------------------------------------------------
 # exact coloring searches
 # ---------------------------------------------------------------------------
@@ -349,14 +334,14 @@ def _ranked(adj: list[list[int]]) -> tuple[list[int], list[int], list[list[int]]
     return order, rank, [list(map(rank.__getitem__, adj[v])) for v in order]
 
 
-def _greedy_colors(nbrs: list[list[int]], members: int, cap: int) -> int:
-    """Colors plain DSATUR greedy (no backtracking) uses on the ranks in
-    the bitmask members, a union of components; the first color above cap
-    stops it and is returned."""
+def _greedy_colors(nbrs: list[list[int]], members: int, cap: int) -> Optional[list[int]]:
+    """Plain DSATUR greedy (no backtracking) on the ranks in the bitmask
+    members, a union of components: the color of each rank (0 outside
+    members), or None as soon as it needs a color above cap."""
     used = [1] * len(nbrs)  # bit c: a colored neighbour has color c; -1 once colored
     sat = [0] * len(nbrs)
+    colors = [0] * len(nbrs)
     levels = [members]  # uncolored ranks by saturation
-    top = 0
     for _ in range(members.bit_count()):
         s = len(levels) - 1
         while not levels[s]:
@@ -366,11 +351,10 @@ def _greedy_colors(nbrs: list[list[int]], members: int, cap: int) -> int:
         i = low.bit_length() - 1
         x = used[i]
         c = (~x & (x + 1)).bit_length() - 1  # least color not in used[i]
-        if c > top:
-            if c > cap:
-                return c
-            top = c
+        if c > cap:
+            return None
         used[i] = -1
+        colors[i] = c
         bit = 1 << c
         for j in nbrs[i]:
             x = used[j]
@@ -384,7 +368,7 @@ def _greedy_colors(nbrs: list[list[int]], members: int, cap: int) -> int:
                     levels[s + 1] |= low
                 else:
                     levels.append(low)
-    return top
+    return colors
 
 
 def _dsatur_decide(
@@ -394,25 +378,32 @@ def _dsatur_decide(
     r: int,
     budget: _Budget,
     trace: list[int],
-) -> bool:
+) -> Optional[list[int]]:
     """Exhaustive r-colorability of the ranks in the bitmask members, one
     component, DSATUR-ordered, with an explicit stack.
 
-    Appends each search node's branching vertex to trace, so on failure
-    trace holds the search tree in preorder."""
+    A vertex takes only colors up to 1 + the largest color on its search
+    path.  Renaming colors in order of first use turns any coloring into
+    one that keeps this rule, so no coloring is lost, and of the up to r!
+    relabellings of a partial coloring only one is searched.
+
+    Returns the color of each rank (0 outside members) when colorable.
+    Otherwise None, and trace, to which each search node's branching
+    vertex is appended, holds the search tree in preorder."""
     n = len(nbrs)
     support = [[0] * (r + 1) for _ in range(n)]  # [i][c]: colored neighbours of i with color c
     sat = [0] * n
     color = [0] * n
     levels = [0] * (r + 1)  # uncolored ranks by saturation
     levels[0] = members
-    path: list[tuple[int, int]] = []  # (rank, color) of the colored vertices
+    path: list[tuple[int, int, int]] = []  # (rank, color, top before it) of the colored vertices
+    top = 0  # the largest color on the path
     left = members.bit_count()
     descend = True
     while True:
         if descend:
             if not left:
-                return True
+                return color
             budget.charge()
             s = r
             while not levels[s]:
@@ -425,8 +416,8 @@ def _dsatur_decide(
             c = 0
         else:
             if not path:
-                return False
-            i, c = path.pop()
+                return None
+            i, c, top = path.pop()
             color[i] = 0
             for j in nbrs[i]:
                 if not color[j]:
@@ -439,10 +430,11 @@ def _dsatur_decide(
                         levels[s] ^= low
                         levels[s - 1] |= low
         counts = support[i]
+        last = top + 1 if top < r else r
         c += 1
-        while c <= r and counts[c]:
+        while c <= last and counts[c]:
             c += 1
-        if c > r:  # every color tried: back up
+        if c > last:  # every color tried: back up
             levels[sat[i]] |= 1 << i
             left += 1
             descend = False
@@ -458,7 +450,9 @@ def _dsatur_decide(
                     low = 1 << j
                     levels[s] ^= low
                     levels[s + 1] |= low
-        path.append((i, c))
+        path.append((i, c, top))
+        if c > top:
+            top = c
         descend = True
 
 
@@ -485,27 +479,39 @@ def _static_lex_coloring(adj: list[list[int]], n: int, r: int, budget: _Budget) 
     return colors if v == n else None
 
 
-def _refutation(adj: list[list[int]], r: int, budget: _Budget) -> Optional[tuple[str, list[int]]]:
-    """Exact r-colorability of the whole graph (component by component).
+def _refutation(
+    adj: list[list[int]], r: int, budget: _Budget, colors: Optional[list[int]] = None
+) -> Optional[list[int]]:
+    """Exact r-colorability of the whole graph, component by component.
 
-    None when the graph is r-colorable.  Otherwise why a component is not:
-    ("clique", an (r+1)-clique) or ("tree", its DSATUR search tree in
-    WindowUnsat's proof format)."""
+    None when the graph is r-colorable, and then colors, if given, is set
+    to an r-coloring of it, by vertex.  Otherwise the refutation of a
+    component that is not, in WindowUnsat's proof format: the vertices of
+    an (r+1)-clique, or the DSATUR search tree."""
     order, rank, nbrs = _ranked(adj)
-    if _greedy_colors(nbrs, (1 << len(adj)) - 1, r) <= r:
-        return None  # the greedy colors every component within r colors
-    for comp in _components(adj):
-        if len(comp) <= r:
-            continue  # trivially colorable
-        members = sum(1 << rank[v] for v in comp)
-        if _greedy_colors(nbrs, members, r) <= r:
-            continue
-        clique = max(_greedy_cliques(adj, comp[:_CLIQUE_TRIES]), key=len)  # the first largest
-        if len(clique) > r:
-            return "clique", clique[: r + 1]
-        trace: list[int] = []
-        if not _dsatur_decide(order, nbrs, members, r, budget, trace):
-            return "tree", trace
+    found = _greedy_colors(nbrs, (1 << len(adj)) - 1, r)
+    if found is None:
+        found = [0] * len(adj)
+        for comp in _components(adj):
+            ranks = [rank[v] for v in comp]
+            if len(comp) <= r:  # trivially colorable
+                for c, i in enumerate(ranks, 1):
+                    found[i] = c
+                continue
+            members = sum(1 << i for i in ranks)
+            part = _greedy_colors(nbrs, members, r)
+            if part is None:
+                clique = max(_greedy_cliques(adj, comp[:_CLIQUE_TRIES]), key=len)  # the first largest
+                if len(clique) > r:
+                    return clique[: r + 1]
+                trace: list[int] = []
+                part = _dsatur_decide(order, nbrs, members, r, budget, trace)
+                if part is None:
+                    return trace
+            for i in ranks:
+                found[i] = part[i]
+    if colors is not None:
+        colors[:] = [found[i] for i in rank]
     return None
 
 
@@ -537,6 +543,7 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
         stats.nodes = budget.spent
         return Verdict(status, cert, stats)
 
+    colors: list[int] = []  # an r-coloring of the last window, which was colorable
     try:
         top = max(limits.max_window, limits.max_period)
         windows = islice(_windows(dists), 1, None)
@@ -544,15 +551,21 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
             if t <= limits.max_window:
                 stats.windows_tried = t
                 adj = next(windows)
-                if t > dists[0]:  # smaller windows have no edges at all
-                    found = _refutation(adj, r, budget)
-                    if found is not None:
-                        kind, entries = found
-                        tree = _clique_tree(entries, r, budget.left) if kind == "clique" else entries
+                # the new vertex t - 1 has neighbours only behind it: if
+                # they leave it a color, the coloring extends in place
+                blocked = {colors[u] for u in adj[-1]}
+                c = 1
+                while c in blocked:
+                    c += 1
+                if c <= r:
+                    colors.append(c)
+                else:
+                    proof = _refutation(adj, r, budget, colors)
+                    if proof is not None:
                         # distances >= t add no edge, and leaving them out
                         # keeps every packed entry below t
-                        proof = _pack_proof(t, [mm for mm in dists if mm < t], tree) if tree else None
-                        return finish(Status.R_BIRKHOFF, WindowUnsat(window=t, arity=r, proof=proof))
+                        packed = _pack_proof(t, [mm for mm in dists if mm < t], proof)
+                        return finish(Status.R_BIRKHOFF, WindowUnsat(window=t, arity=r, proof=packed))
             if t <= limits.max_period and all(mm % t != 0 for mm in dists):
                 stats.periods_tried += 1
                 witness = _circulant_witness(dists, t, r, budget)
@@ -654,7 +667,8 @@ def verify_certificate(m: ZSetLike, r: int, cert: Certificate, node_cap: int = V
     with a proof has the proof replayed, which shares no code with the
     solver.  One without a proof is re-proved by a plain left-to-right
     exhaustive search under node_cap, and only up to the solver's default
-    window of 4 * max M; a larger one raises VerificationBudgetExceeded.
+    window of 4 * max M and up to node_cap vertices; a larger one raises
+    VerificationBudgetExceeded.
     """
     dists = _normalize_distances(m)
     if isinstance(cert, PeriodicWitness):
@@ -671,6 +685,8 @@ def verify_certificate(m: ZSetLike, r: int, cert: Certificate, node_cap: int = V
                 f"window {cert.window} exceeds 4 * max distance = {4 * dists[-1]}, "
                 "the most a certificate without a proof is re-searched for"
             )
+        if cert.window > node_cap:  # refused before its graph is built
+            raise VerificationBudgetExceeded(f"window {cert.window} exceeds the node cap {node_cap}")
         return not _reference_window_colorable(dists, cert.window, r, node_cap)
     raise MalformedCertificate(f"unknown certificate object {cert!r}")
 
@@ -679,8 +695,12 @@ def _replay_refutation(dists: Sequence[int], window: int, r: int, proof: bytes) 
     """Walk a packed refutation (see WindowUnsat) and accept it only if it
     is a complete search tree whose every leaf has all r colors blocked.
 
-    Neighbours come straight from the proof's distances D, which must be
-    query distances; the cost is O(len(proof) * |D|).
+    A node's children are the free colors up to 1 + the largest color on
+    its path.  A proper r-coloring, its colors renamed in order of first
+    use along a path, would follow one child at every node down to a leaf,
+    where the leaf's vertex would have no color: so no such coloring
+    exists.  Neighbours come straight from the proof's distances D, which
+    must be query distances; the cost is O(len(proof) * |D|).
     """
     try:
         proof_dists, vertices = _unpack_proof(window, proof)
@@ -691,22 +711,24 @@ def _replay_refutation(dists: Sequence[int], window: int, r: int, proof: bytes) 
         return False  # past 2|D| colors no vertex can have all of them blocked
     offsets = [*d_set, *(-m for m in d_set)]  # v's neighbours are v + offset
     colors: dict[int, int] = {}  # the coloring along the current path
-    path: list[list] = []  # per open node: [vertex, free colors, index of the one in use]
+    path: list[list] = []  # per open node: [vertex, free colors, index of the one in use, path max]
     for pos, v in enumerate(vertices):
         if v >= window or v in colors:
             return False
+        top = path[-1][3] if path else 0
         blocked = {colors.get(v + d) for d in offsets}
-        free = [c for c in range(1, r + 1) if c not in blocked]
+        free = [c for c in range(1, min(r, top + 1) + 1) if c not in blocked]
         if free:
             colors[v] = free[0]
-            path.append([v, free, 0])
+            path.append([v, free, 0, max(top, free[0])])
             continue
         # a leaf: move on to the next free color of the deepest open node
         while path:
             node = path[-1]
             node[2] += 1
             if node[2] < len(node[1]):
-                colors[node[0]] = node[1][node[2]]
+                c = colors[node[0]] = node[1][node[2]]
+                node[3] = max(node[3], c)  # free colors ascend
                 break
             path.pop()
             del colors[node[0]]
@@ -873,7 +895,7 @@ def chromatic_number_window(m: ZSetLike, window: int, limits: SearchLimits | Non
     node_budget = (limits or SearchLimits()).node_budget
     budget = _Budget(node_budget)
     adj = _window_adjacency(window, dists)
-    greedy_upper = _greedy_colors(_ranked(adj)[2], (1 << window) - 1, window)
+    greedy_upper = max(_greedy_colors(_ranked(adj)[2], (1 << window) - 1, window))
     lower = 1
     for r in range(1, greedy_upper + 1):
         try:

@@ -251,13 +251,13 @@ class TestBudgets:
         assert v.certificate.coloring.is_valid_for((1,), 2)
 
     def test_exhausted_budget_falls_back_when_arity_exceeds_cardinality(self):
-        # this set spends any node budget in a small circulant; r > |M|
+        # this set needs 2,199 nodes, mostly in small circulants; r > |M|
         # guarantees a witness and the greedy cycle has period 49
         dists = [10, 11, 14, 24, 29, 39]
-        v = check_r_birkhoff(dists, 7, SearchLimits(node_budget=10_000))
+        v = check_r_birkhoff(dists, 7, SearchLimits(node_budget=1_000))
         assert v.status is Status.NOT_R_BIRKHOFF
         assert v.stats.budget_exhausted and v.stats.fallback_used
-        assert v.stats.nodes > 10_000
+        assert v.stats.nodes > 1_000
         assert v.certificate.coloring.period == 49
         assert verify_certificate(dists, 7, v.certificate)
 
@@ -345,9 +345,15 @@ def with_proof(cert, **changes):
 
 class TestRefutationReplay:
     # (1, 3, 4) at arity 3 is refuted by a DSATUR search tree; (2, 4, 6) by
-    # the greedy clique {0, 2, 4, 6}, written as a tree of floor(e * 3!) nodes
+    # the greedy clique {0, 2, 4, 6}, written as its four vertices
     DSATUR_CASE = ((1, 3, 4), 3)
     CLIQUE_CASE = ((2, 4, 6), 3)
+    # the same two refutations as trees that try every color at every node,
+    # not only those up to 1 + the largest on the path
+    UNBROKEN_TREES = {
+        DSATUR_CASE: [1, *[2, *[5, 4, 0, 3, 6] * 2] * 3],
+        CLIQUE_CASE: [0, *[2, 4, 6, 4, 6] * 3],
+    }
 
     @given(
         st.sets(st.integers(1, 9), min_size=1, max_size=4).map(sorted),
@@ -365,9 +371,9 @@ class TestRefutationReplay:
         assert not _reference_window_colorable(tuple(dists), cert.window, r, 10**7)
 
     def test_clique_tree_layout(self):
-        # depth i branches on the i-th clique vertex over its 3 - i free colors
+        # clique vertex i has colors 1..i blocked and may take only i + 1
         cert = check_r_birkhoff(*self.CLIQUE_CASE).certificate
-        assert proof_to_json(cert) == {"distances": [2, 4, 6], "vertices": [0] + [2, 4, 6, 4, 6] * 3}
+        assert proof_to_json(cert) == {"distances": [2, 4, 6], "vertices": [0, 2, 4, 6]}
 
     @pytest.mark.parametrize("case", [DSATUR_CASE, CLIQUE_CASE])
     def test_corruptions_rejected(self, case):
@@ -384,6 +390,7 @@ class TestRefutationReplay:
             replace(cert, window=cert.window - 1),  # the proof does not fit a smaller window
             replace(cert, arity=r + 1),  # built for r colors, claimed for r + 1
             replace(cert, proof=b""),  # no header
+            with_proof(cert, vertices=self.UNBROKEN_TREES[case]),  # branches past 1 + the path's largest color
         ]
         for bad in corrupt:
             assert not verify_certificate(dists, bad.arity, bad)
@@ -395,9 +402,9 @@ class TestRefutationReplay:
     def test_file_proof_hardening(self, monkeypatch):
         cert = check_r_birkhoff(*self.CLIQUE_CASE).certificate
         doc = {**certificate_to_json(cert), "proof": proof_to_json(cert)}
-        monkeypatch.setattr(birkhoff, "VERIFY_NODE_CAP", 19)
-        assert certificate_from_json(doc).proof is not None  # 3 + 16 entries
-        monkeypatch.setattr(birkhoff, "VERIFY_NODE_CAP", 18)
+        monkeypatch.setattr(birkhoff, "VERIFY_NODE_CAP", 7)
+        assert certificate_from_json(doc).proof is not None  # 3 + 4 entries
+        monkeypatch.setattr(birkhoff, "VERIFY_NODE_CAP", 6)
         with pytest.raises(MalformedCertificate):
             certificate_from_json(doc)
         monkeypatch.undo()
@@ -417,26 +424,34 @@ class TestRefutationReplay:
         with pytest.raises(VerificationBudgetExceeded):
             verify_certificate([2, 4, 6], 3, WindowUnsat(window=25, arity=3))
 
-    def test_clique_tree_past_the_budget_is_not_kept(self):
-        # K_12 refutes 11 colors; its tree would hold floor(e * 11!) nodes
+    def test_clique_proof_is_its_r_plus_one_vertices(self):
+        # K_12 refutes 11 colors; without the color rule its tree would
+        # hold floor(e * 11!) nodes
         v = check_r_birkhoff(range(1, 12), 11)
         assert v.certificate == WindowUnsat(window=12, arity=11)
-        assert v.certificate.proof is None
+        assert proof_to_json(v.certificate)["vertices"] == list(range(12))
+        assert verify_certificate(range(1, 12), 11, v.certificate, node_cap=1000)
+        assert verify_certificate(range(1, 12), 11, with_proof(v.certificate), node_cap=1000)
+
+    def test_bare_window_above_the_node_cap_builds_no_graph(self, monkeypatch):
+        def no_graph(*args):
+            raise AssertionError("window graph built")
+
+        monkeypatch.setattr(birkhoff, "_window_adjacency", no_graph)
         with pytest.raises(VerificationBudgetExceeded):
-            verify_certificate(range(1, 12), 11, v.certificate, node_cap=1000)
+            verify_certificate([2, 200_000], 2, WindowUnsat(window=800_000, arity=2), node_cap=1000)
 
-    def test_only_the_solver_builds_clique_trees(self, monkeypatch):
-        # K_11 would need trees of floor(e * r!) nodes for r = 1..10; the
-        # boolean callers only need to know that a clique exists
-        def no_tree(*args):
-            raise AssertionError("clique tree built")
-
-        monkeypatch.setattr(birkhoff, "_clique_tree", no_tree)
-        b = chromatic_number_window(range(1, 11), 11)
-        assert (b.lower, b.upper, b.exact) == (11, 11, True)
-        assert not window_r_colorable(range(1, 11), 11, 10)
-        with pytest.raises(AssertionError):
-            check_r_birkhoff(*self.CLIQUE_CASE)
+    def test_windows_extend_one_coloring(self, monkeypatch):
+        # windows 1..6000 extend one 2-coloring vertex by vertex; only at
+        # 6001, where vertex 6000 finds both colors blocked, is a window
+        # searched, and that one is refuted (no periods: they search too)
+        searched = []
+        refutation = birkhoff._refutation
+        monkeypatch.setattr(birkhoff, "_refutation", lambda adj, *a: searched.append(len(adj)) or refutation(adj, *a))
+        v = check_r_birkhoff([1, 6000], 2, SearchLimits(max_period=0))
+        assert searched == [6001]
+        assert v.certificate == WindowUnsat(window=6001, arity=2)
+        assert verify_certificate([1, 6000], 2, v.certificate)
 
     def test_layer_certificate_verifies_for_the_truncation(self):
         res = stably_r_birkhoff_probe(2, removed=gen_l_r(2, 0), k_max=2)

@@ -59,6 +59,11 @@ LEAVES = {
         "e075ac6c446c38972f0693944dcab3873f54758c0a3966d085cb6477352d0002",
     ("birkhoff", "check", "--elements", "1,2,4,8", "--arity", "3", "--emit-cert", "emitted.json"):
         "638e131dc1ae42fcb5d170d7bcf1f4ac2c894e142992f20704532300601d670c",
+    # a DSATUR search (stats.nodes > 0) and an (r+1)-clique proof at r = 11
+    ("birkhoff", "check", "--elements", "1,3,4", "--arity", "3"):
+        "5d7b23b079d8b5de3aa64e6f99cd0cdca4761deafebdb7cd744b288d67e09988",
+    ("birkhoff", "check", "--elements", "1,2,3,4,5,6,7,8,9,10,11", "--arity", "11"):
+        "efce5d9ca7cb666c184d68565659136b69f784c7d9cd5842eca35028f4d7ba97",
     ("birkhoff", "verify", "--elements", "3,6,9", "--arity", "3", "--cert", "window.json"):
         "047539949734e44784e070af770ff76f1f6b71913df445b1edf49d2ce67a7833",
     ("birkhoff", "minimal", "--elements", "2,4,6,7", "--arity", "3"):
