@@ -60,7 +60,7 @@ from .dynamics import (
     uniform_rigidity_scan,
     verify_nuu,
 )
-from .errors import NoSuchM, RecLabError, UncertainAtPrecision, VerificationBudgetExceeded
+from .errors import NoSuchM, PruningBudgetExceeded, RecLabError, UncertainAtPrecision, VerificationBudgetExceeded
 from .exactreal import (
     TorusPoint,
     golden_rotation,
@@ -658,7 +658,7 @@ COMMANDS = {
     ("bohr", "obstruct"): (cmd_bohr_obstruct, "smallest modulus missing the set", {
         **SET_FLAGS, "--m-max": REQUIRED_INT, "--poly": {"help": "generator coefficients, constant first"}}),
     ("bohr", "separate"): (cmd_bohr_separate, "frequency spec disjoint from the set", {
-        **SET_FLAGS, "--eps": REQUIRED, "--grid-depth": {"type": int, "default": 20_000}}),
+        **SET_FLAGS, "--eps": REQUIRED, "--grid-depth": {**COUNT, "default": 20_000}}),
     ("bohr", "cf"): (cmd_bohr_cf, "continued fraction with convergents", {
         "--alpha": REQUIRED, "--depth": {**COUNT, "default": 30}}),
     ("bohr", "threedist"): (cmd_bohr_threedist, "circular gap structure of an orbit", {
@@ -743,7 +743,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         }
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 3
-    except VerificationBudgetExceeded as exc:
+    except (VerificationBudgetExceeded, PruningBudgetExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
     except (RecLabError, OSError, ValueError) as exc:

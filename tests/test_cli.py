@@ -425,6 +425,13 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds 4 * max distance" in err
 
+    def test_pruning_budget_exit(self, capsys):
+        # --grid-depth caps the pruning interval count, a work budget
+        rc, out, err = run(capsys, ["bohr", "separate", "--elements", "1,2", "--eps", "1/5", "--grid-depth", "1"])
+        assert rc == 4
+        assert out == ""
+        assert "interval count exceeded 1" in err
+
 
 # every option string of every command; help text itself is not pinned,
 # argparse formats it differently across Python 3.10-3.13
@@ -501,10 +508,11 @@ class TestHelp:
         ["bohr", "witness", "--elements", "1,3,10,40", "--delta", "1/5", "--depth", "-1"],
         ["dyn", "rigidity", "--alpha", "golden", "--horizon", "-3"],
         ["--precision-bits", "8", "sets", "diff", "--elements", "1,2"],
+        ["bohr", "separate", "--elements", "1,2", "--eps", "1/5", "--grid-depth", "-1"],
     ],
     ids=["unknown group", "unknown command", "missing command", "missing required flag", "global flag last",
          "point on rigidity", "negative cf depth", "negative witness depth", "negative horizon",
-         "precision flag"],
+         "precision flag", "negative grid depth"],
 )
 def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
