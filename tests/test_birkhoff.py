@@ -432,6 +432,10 @@ class TestRefutationReplay:
         assert proof_to_json(v.certificate)["vertices"] == list(range(12))
         assert verify_certificate(range(1, 12), 11, v.certificate, node_cap=1000)
         assert verify_certificate(range(1, 12), 11, with_proof(v.certificate), node_cap=1000)
+        # the boolean callers meet K_11 at every arity up to 11 at once too
+        b = chromatic_number_window(range(1, 11), 11)
+        assert (b.lower, b.upper, b.exact) == (11, 11, True)
+        assert not window_r_colorable(range(1, 11), 11, 10)
 
     def test_bare_window_above_the_node_cap_builds_no_graph(self, monkeypatch):
         def no_graph(*args):
