@@ -21,7 +21,6 @@ from .birkhoff import (
     minimal_r_birkhoff_subset,
     stably_r_birkhoff_probe,
     verify_certificate,
-    window_r_colorable,
 )
 from .bohr import (
     BohrSpec,

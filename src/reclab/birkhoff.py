@@ -520,12 +520,6 @@ def _refutation(
 # ---------------------------------------------------------------------------
 
 
-def window_r_colorable(m: ZSetLike, window: int, r: int, budget: Optional[_Budget] = None) -> bool:
-    dists = _normalize_distances(m)
-    budget = budget or _Budget(10_000_000)
-    return _refutation(_window_adjacency(window, dists), r, budget) is None
-
-
 def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) -> Verdict:
     """Round-robin certificate search; see the module docstring."""
     if r < 1:
@@ -929,5 +923,4 @@ __all__ = [
     "StableProbeResult",
     "chromatic_number_window",
     "ChromaticBracket",
-    "window_r_colorable",
 ]

@@ -7,12 +7,25 @@ any number of quadratic fields; only the displayed norm and margin of a
 multi-frequency member query are tracked-error approximations.  Alphas that
 are already approximations (float input) keep their tracked error and raise
 UncertainAtPrecision instead of guessing.
+
+On the circle, one exact alpha is served by ``CircleKernel``: one walk of
+the continued fraction that keeps each convergent denominator q_k with
+delta_k = ||q_k alpha|| exactly.  The three-gap theorem (Sos 1958), in the
+explicit form of Alessandri and Berthe (1998), reads the gaps of an orbit
+segment, and so its largest gap and the rigidity records, off that walk in
+O(log N) exact steps.  The hits of an arc come from Slater's three-step
+theorem (1967): consecutive hits differ by a, b or a + b, so a Bohr set or a
+return-time set costs O(hits + log H) exact steps instead of one test per n.
+Tori of dimension >= 2, Approx alphas and offsets from a second quadratic
+field keep the per-n and per-m scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -26,14 +39,13 @@ from .exactreal import (
     Surd,
     TorusPoint,
     as_real,
+    floor_div,
     real_abs,
     real_add,
     real_cmp,
-    real_eq,
     real_floor,
     real_frac,
     real_mul_int,
-    real_sort,
     real_sub,
     torus_norm,
     torus_norm1,
@@ -78,16 +90,26 @@ def bohr_membership(n: int, spec: BohrSpec) -> Membership:
 def bohr_enumerate(spec: BohrSpec, window: Window) -> tuple[int, ...]:
     """All nonzero n in the window with dist(n*alpha) < eps, ascending.
 
-    Membership only: no norm or margin is computed.  Undecidable n (an
-    Approx frequency) are collected and raised together so the caller can
-    rerun at higher precision.
+    Membership only: no norm or margin is computed; see frequency_hits.
     """
+    return tuple(n for n in frequency_hits(spec.alphas, spec.eps, window) if n)
+
+
+def frequency_hits(alphas: Sequence[TorusPoint], eps: Fraction, window: Window) -> tuple[int, ...]:
+    """All n in the window, 0 included, with dist(n*alpha, Z^k) < eps, ascending.
+
+    One exact frequency is walked from hit to hit by the circle kernel.  A
+    torus or an Approx frequency tests every n; undecidable n are collected
+    and raised together so the caller can rerun at higher precision.
+    """
+    if len(alphas) == 1:
+        hits = circle_hits(alphas[0].value, Fraction(0), eps, window)
+        if hits is not None:
+            return hits
     hits, ambiguous = [], []
     for n in window:
-        if n == 0:
-            continue
         try:
-            if torus_norm_lt([a.multiple(n) for a in spec.alphas], spec.eps):
+            if torus_norm_lt([a.multiple(n) for a in alphas], eps):
                 hits.append(n)
         except UncertainAtPrecision:
             ambiguous.append(n)
@@ -97,6 +119,229 @@ def bohr_enumerate(spec: BohrSpec, window: Window) -> tuple[int, ...]:
             ambiguous=ambiguous,
         )
     return tuple(hits)
+
+
+def circle_hits(alpha: Real, offset: Real, radius: Fraction, window: Window) -> Optional[tuple[int, ...]]:
+    """All n in the window with dist(offset + n*alpha, Z) < radius, ascending;
+    None unless alpha and offset are exact with at most one quadratic field."""
+    kernel = CircleKernel.of(alpha, offset, radius)
+    if kernel is None:
+        return None
+    if radius > Fraction(1, 2):
+        return tuple(window)
+    return tuple(kernel.hits(offset, radius, window.lo, window.hi))
+
+
+# ---------------------------------------------------------------------------
+# the circle kernel: convergents, the three-gap theorem and Slater's steps
+# ---------------------------------------------------------------------------
+
+
+class CircleKernel:
+    """The continued-fraction walk of one exact rotation number alpha in [0, 1).
+
+    Lengths are kept in units in which the circle has length ``unit``, the
+    common denominator of the rationals handed to ``of``: ints, and Surds of
+    alpha's one quadratic field.  ``q[i]`` and ``delta[i]`` hold the
+    convergent denominator q_k and delta_k = |q_k*alpha - p_k| for
+    k = i - 1, starting from (q_-1, delta_-1) = (0, 1) and
+    (q_0, delta_0) = (1, alpha); the Euclidean step is
+    delta_{k+1} = delta_{k-1} - a_{k+1}*delta_k with
+    a_{k+1} = floor(delta_{k-1}/delta_k).  Both lists grow on demand, and a
+    rational alpha's walk ends at delta = 0.  delta_k = ||q_k*alpha|| for
+    k >= 1, and for k = 0 when alpha <= 1/2.
+    """
+
+    __slots__ = ("unit", "q", "delta")
+
+    def __init__(self, alpha: Real, unit: int):
+        self.unit = unit
+        self.q = [0, 1]
+        self.delta = [unit, self.scaled(alpha)]
+
+    @classmethod
+    def of(cls, alpha: Real, *others: Real) -> Optional["CircleKernel"]:
+        """The kernel of alpha, in units that make alpha and others exact
+        ints or Surds; None for an Approx or a second quadratic field."""
+        den, fields = 1, set()
+        for v in (alpha, *others):
+            if isinstance(v, Surd):
+                fields.add(v.d)
+            elif isinstance(v, (int, Fraction)):
+                den = lcm(den, v.denominator)
+            else:
+                return None
+        return cls(alpha, den) if len(fields) <= 1 else None
+
+    def scaled(self, x: Real):
+        if isinstance(x, Surd):
+            return x * self.unit
+        return x.numerator * (self.unit // x.denominator)
+
+    def real(self, v) -> Real:
+        if isinstance(v, int):
+            return Fraction(v, self.unit)
+        return v / self.unit if self.unit != 1 else v
+
+    def _reach(self, i: int) -> bool:
+        """Extend the walk to index i; False when it ends (delta = 0) first."""
+        q, delta = self.q, self.delta
+        while len(q) <= i:
+            if delta[-1] == 0:
+                return False
+            a = floor_div(delta[-2], delta[-1])
+            q.append(a * q[-1] + q[-2])
+            delta.append(delta[-2] - a * delta[-1])
+        return True
+
+    # -- the three-gap theorem (Sos; explicit form by Alessandri and Berthe)
+
+    def gaps(self, count: int) -> list[tuple[Real, int]]:
+        """(length, multiplicity) of the circular gaps of
+        {j*alpha : 0 <= j <= count}, ascending, distinct lengths.
+
+        With q_k <= count < q_{k+1} and count = r*q_k + q_{k-1} + s,
+        0 <= s < q_k, the gaps are delta_k (count + 1 - q_k times),
+        delta_{k-1} - r*delta_k (s + 1 times) and
+        delta_{k-1} - (r - 1)*delta_k (q_k - s - 1 times).  An orbit that
+        has closed at q points has q gaps 1/q.
+        """
+        i = 1
+        while True:
+            if not self._reach(i + 1):
+                q = self.q[i]
+                return [(Fraction(1, q), q)]
+            if self.q[i + 1] > count:
+                break
+            i += 1
+        qk, qp, dk, dp = self.q[i], self.q[i - 1], self.delta[i], self.delta[i - 1]
+        r, s = divmod(count - qp, qk)
+        mid = dp - r * dk
+        out: list = []
+        for length, mult in ((dk, count + 1 - qk), (mid, s + 1), (mid + dk, qk - s - 1)):
+            if out and out[-1][0] == length:
+                out[-1][1] += mult
+            elif mult:
+                out.append([length, mult])
+        return [(self.real(length), mult) for length, mult in out]
+
+    def density_constant(self, bound: Fraction) -> tuple[int, Real]:
+        """Least N >= 1 with no gap of {j*alpha : 0 <= j <= N} above bound,
+        and its largest gap.  A rational alpha's closed-orbit gap 1/q must
+        not exceed bound.
+
+        For q_k <= N < q_{k+1} the largest gap is
+        delta_{k-1} - (j - 1)*delta_k with j = floor((N + 1 - q_{k-1})/q_k),
+        so the walk takes the first block whose last N is dense enough and
+        solves for the least j there.
+        """
+        if self.delta[1] == 0:  # alpha = 0: one point, one gap
+            return 1, self.real(self.unit)
+        b = self.scaled(bound)
+        i = 1
+        while True:
+            self._reach(i + 1)
+            qk, qn, qp = self.q[i], self.q[i + 1], self.q[i - 1]
+            dk, dp = self.delta[i], self.delta[i - 1]
+            if qn > qk and dp - ((qn - qp) // qk - 1) * dk <= b:
+                j = max((qk + 1 - qp) // qk, 1 - floor_div(b - dp, dk))
+                n = max(qk, j * qk + qp - 1)
+                return n, self.real(dp - ((n + 1 - qp) // qk - 1) * dk)
+            i += 1
+
+    def records(self, horizon: int) -> list[tuple[int, Real]]:
+        """(q_k, ||q_k*alpha||) for the distinct q_k <= horizon: the m at
+        which ||m*alpha|| is below its value at every earlier m >= 1
+        (Lagrange: the best approximations are the convergents)."""
+        out: list[tuple[int, Real]] = []
+        i = 1
+        while self._reach(i) and self.q[i] <= horizon:
+            if out and out[-1][0] == self.q[i]:  # q_0 = q_1 = 1 when alpha > 1/2
+                out.pop()
+            out.append((self.q[i], self.real(self.delta[i])))
+            i += 1
+        return out
+
+    # -- hits of an arc: Euclid on the circle, then Slater's three steps ----
+
+    def first_entry(self, start, lo, hi) -> Optional[int]:
+        """Least x >= 0 with start + x*alpha in the open arc (lo, hi) modulo
+        unit, for 0 <= start < unit and 0 <= lo < hi <= unit (kernel units);
+        None when the orbit never enters it (rational alpha).
+
+        The x that land in the arc after j wraps are the integers in
+        ((j*unit + lo - start)/alpha, (j*unit + hi - start)/alpha), and such
+        an integer exists when j*unit falls in an arc of the same width
+        modulo alpha: the same question on a circle of length alpha turned
+        by unit mod alpha.  Level i of that descent is the circle
+        delta_{i-1} turned by delta_i, so it is the convergent walk itself.
+        """
+        frames = []
+        i = 0
+        while not lo < start < hi:
+            self._reach(i + 1)
+            circ, step = self.delta[i], self.delta[i + 1]
+            if step == 0:
+                return None
+            z = (circ if start >= hi else 0) + lo - start
+            frames.append((z, circ, step))
+            width = hi - lo
+            if width > step:
+                break
+            start, lo, hi = z - floor_div(z, step) * step, step - width, step
+            i += 1
+        x = 0
+        for z, circ, step in reversed(frames):
+            x = floor_div(z + x * circ, step) + 1
+        return x
+
+    def hits(self, offset: Real, radius: Fraction, lo: int, hi: int) -> list[int]:
+        """All n in [lo, hi] with dist(offset + n*alpha, Z) < radius <= 1/2,
+        ascending, in O(hits + log) exact steps.
+
+        Shifted so that the target is the open arc (0, l), l = 2*radius:
+        let a >= 1 be least with a*alpha in [0, l) and b >= 1 least with
+        b*alpha in (1 - l, 1), at u = a*alpha and 1 - v = b*alpha (mod 1).
+        From a hit at p, the next hit is a steps on when p + u < l, b steps
+        on when p - v > 0, and a + b steps on otherwise (Slater's three-step
+        theorem).  The first hit from lo comes from first_entry.
+        """
+        unit, alpha = self.unit, self.delta[1]
+        rad = self.scaled(radius)
+        ell = 2 * rad
+        start = self._mod(self.scaled(offset) + rad + lo * alpha)
+        x = self.first_entry(start, 0, ell)
+        if x is None or lo + x > hi:
+            return []
+        # a: the first position in (0, l), or the period of a rational alpha
+        # at position 0; b: None when no position lies in (1 - l, 1)
+        a = self.first_entry(alpha, 0, ell)
+        a = None if a is None else a + 1
+        if isinstance(alpha, int):
+            period = unit // gcd(unit, alpha)
+            a = period if a is None else min(a, period)
+        u = self._mod(a * alpha)
+        b = self.first_entry(alpha, unit - ell, unit)
+        if b is None:  # u = 0, so p < l - u at every hit and b is never taken
+            v = unit
+        else:
+            b += 1
+            v = unit - self._mod(b * alpha)
+        below = ell - u
+        n, p = lo + x, self._mod(start + x * alpha)
+        out = []
+        while n <= hi:
+            out.append(n)
+            if p < below:
+                n, p = n + a, p + u
+            elif p > v:
+                n, p = n + b, p - v
+            else:
+                n, p = n + a + b, p + u - v
+        return out
+
+    def _mod(self, x):
+        return x % self.unit if isinstance(x, int) else x - floor_div(x, self.unit) * self.unit
 
 
 # ---------------------------------------------------------------------------
@@ -118,31 +363,21 @@ class ContinuedFraction:
 def continued_fraction(alpha, depth: int = 30) -> ContinuedFraction:
     """Continued fraction expansion with convergents p_j/q_j.
 
-    Exact for rational and quadratic-surd inputs.  The approximation
-    quality invariant dist(q_j * alpha) < 1/q_{j+1} is asserted as the
-    convergents are produced.
+    Exact for rational and quadratic-surd inputs: the partial quotients past
+    the integer part are the circle kernel's walk of the fractional part.
+    The approximation quality invariant dist(q_j * alpha) < 1/q_{j+1} is
+    asserted on the convergents produced.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     x = alpha.value if isinstance(alpha, TorusPoint) else as_real(alpha)
     if isinstance(x, Approx):
         x = x.value  # expand the midpoint; the result is flagged rational
-    quotients: list[int] = []
-    terminated = False
-    cur: Real = x
-    for _ in range(depth + 1):
-        a = real_floor(cur)
-        quotients.append(a)
-        frac = real_sub(cur, Fraction(a))
-        if isinstance(frac, Fraction) and frac == 0:
-            terminated = True
-            break
-        if isinstance(frac, Fraction):
-            cur = 1 / frac
-        elif isinstance(frac, Surd):
-            cur = frac.reciprocal()
-        else:
-            raise UncertainAtPrecision("cannot expand an approximate remainder")
+    kernel = CircleKernel.of(real_frac(x))
+    kernel._reach(depth + 1)
+    q = kernel.q
+    quotients = [real_floor(x)] + [(q[j + 1] - q[j - 1]) // q[j] for j in range(1, len(q) - 1)]
+    terminated = kernel.delta[-1] == 0
 
     convergents: list[Fraction] = []
     p_prev, p_cur = 1, quotients[0]
@@ -174,23 +409,31 @@ class ThreeDistanceResult:
 
 
 def three_distance(alpha, count: int) -> ThreeDistanceResult:
-    """Circular gap structure of {j*alpha mod 1 : 0 <= j <= count}."""
+    """Circular gap structure of {j*alpha mod 1 : 0 <= j <= count}.
+
+    Exact alphas read it off the circle kernel's convergents; an Approx
+    alpha sorts the count + 1 points, each comparison clearing its tracked
+    error or raising UncertainAtPrecision.
+    """
     point = alpha if isinstance(alpha, TorusPoint) else TorusPoint(alpha)
     if count < 1:
         raise ValueError("count must be >= 1")
-    values = [real_frac(point.multiple(j)) for j in range(count + 1)]
-    values = real_sort(values)
-    dedup: list[Real] = []
-    for v in values:
-        if not dedup or not real_eq(dedup[-1], v):
-            dedup.append(v)
-    gaps = [real_sub(b, a) for a, b in zip(dedup, dedup[1:])]
-    gaps.append(real_sub(real_add(Fraction(1), dedup[0]), dedup[-1]))  # wrap
-    gaps = real_sort(gaps)
-    distinct: list[Real] = []
-    for g in gaps:
-        if not distinct or not real_eq(distinct[-1], g):
-            distinct.append(g)
+    kernel = CircleKernel.of(point.value)
+    if kernel is None:
+        return _sorted_gaps(point, count)
+    parts = kernel.gaps(count)
+    gaps = sum(((g,) * mult for g, mult in parts), ())
+    return ThreeDistanceResult(gaps, tuple(g for g, _ in parts))
+
+
+def _sorted_gaps(point: TorusPoint, count: int) -> ThreeDistanceResult:
+    order = cmp_to_key(real_cmp)
+    values = sorted((real_frac(point.multiple(j)) for j in range(count + 1)), key=order)
+    values = [v for i, v in enumerate(values) if i == 0 or real_cmp(values[i - 1], v)]
+    gaps = [real_sub(b, a) for a, b in zip(values, values[1:])]
+    gaps.append(real_sub(real_add(Fraction(1), values[0]), values[-1]))  # wrap
+    gaps.sort(key=order)
+    distinct = [g for i, g in enumerate(gaps) if i == 0 or real_cmp(gaps[i - 1], g)]
     assert len(distinct) <= 3, "circle orbit produced more than three gap lengths"
     return ThreeDistanceResult(tuple(gaps), tuple(distinct))
 

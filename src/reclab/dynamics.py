@@ -3,9 +3,18 @@
 Rotations use the exact arithmetic kinds throughout, so return-time sets,
 rigidity records, the phi and psi minimisers and psi's comparison with eps
 are decided exactly; the displayed distances of a multi-frequency rotation
-are tracked-error approximations, built for the winners only.  Subshift
-points are shifts of a single base word declared on a finite window; every
-operation checks the window covers its horizon with room to spare (ratio 4).
+are tracked-error approximations, built for the winners only.
+
+A circle rotation by an exact alpha goes through ``bohr.CircleKernel``:
+return times are walked from hit to hit (Slater's three-step theorem),
+rigidity records are the convergents, and density constants come from the
+three-gap theorem (Sos; Alessandri and Berthe).  Tori of dimension >= 2,
+Approx frequencies, points from a second quadratic field and subshifts test
+every n or m.
+
+Subshift points are shifts of a single base word declared on a finite
+window; every operation checks the window covers its horizon with room to
+spare (ratio 4).
 
 All verdicts here are horizon-limited observations, never limit claims; the
 experiment reports say so explicitly in their ``note`` field.
@@ -17,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+from .bohr import CircleKernel, circle_hits, frequency_hits, three_distance
 from .errors import NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
     Real,
@@ -208,6 +218,12 @@ def return_times_point(sys_: System, x, target, horizon: int) -> TimeSet:
             raise TypeError("rotation targets are balls")
         x, center = sys_.point(x), sys_.point(target.center)
         radius = Fraction(target.radius)
+        if sys_.dim == 1:
+            hits = circle_hits(
+                sys_.alphas[0].value, real_sub(x[0], center[0]), radius, Window(-horizon, horizon)
+            )
+            if hits is not None:
+                return hits
         return tuple(n for n in window if sys_.dist_lt(sys_.step(x, n), center, radius))
     sys_.require_horizon(max(1, horizon // 4 + 1))
     base = int(x)
@@ -218,12 +234,12 @@ def return_times_set(sys_: RotationSystem, target: BallSpec, horizon: int) -> Ti
     """{n in [-H, H] : T^n U meets U} for an open ball U; exact for rotations.
 
     Two radius-rho balls on the torus overlap exactly when the displacement
-    norm is below 2*rho, independently of the center.
+    norm is below 2*rho, independently of the center: the frequency set at
+    2*rho, plus 0.
     """
     if not isinstance(sys_, RotationSystem):
         raise TypeError("set-level return times are exact for rotations only")
-    two_rho = 2 * Fraction(target.radius)
-    return tuple(n for n in range(-horizon, horizon + 1) if sys_.displacement_lt(n, two_rho))
+    return frequency_hits(sys_.alphas, 2 * Fraction(target.radius), Window(-horizon, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +457,13 @@ class EtaDenseResult:
     max_gap: Real
 
 
-def eta_dense_constant(sys_: RotationSystem, eta: Fraction, hard_cap: int = 1_000_000) -> EtaDenseResult:
+def eta_dense_constant(sys_: RotationSystem, eta: Fraction) -> EtaDenseResult:
     """Least M with {x, Tx, ..., T^M x} eta-dense for every x (circle case).
 
     Eta-density of the orbit segment is max circular gap <= 2*eta; rotations
-    make the segment's gap structure independent of x.
+    make the segment's gap structure independent of x.  An exact alpha walks
+    the circle kernel's convergents; an Approx alpha tries M = 1, 2, ...
     """
-    from .bohr import three_distance
-
     if sys_.dim != 1:
         raise NotImplementedError("density constants are computed on the circle")
     eta = Fraction(eta)
@@ -463,15 +478,15 @@ def eta_dense_constant(sys_: RotationSystem, eta: Fraction, hard_cap: int = 1_00
                 f"orbit closes after {q} points with gap 1/{q} > 2*eta; "
                 "no density constant exists"
             )
-        cap = q
-    else:
-        cap = hard_cap
-    for m in range(1, cap + 1):
-        gaps = three_distance(alpha, m)
-        worst = gaps.gaps[-1]
+    kernel = CircleKernel.of(alpha.value, bound)
+    if kernel is not None:
+        return EtaDenseResult(*kernel.density_constant(bound))
+    m = 1
+    while True:
+        worst = three_distance(alpha, m).gaps[-1]
         if real_cmp(worst, bound) <= 0:
             return EtaDenseResult(constant=m, max_gap=worst)
-    raise NoSuchM(f"no density constant up to {cap}")
+        m += 1
 
 
 @dataclass(frozen=True)
@@ -485,11 +500,15 @@ def uniform_rigidity_scan(
 ) -> tuple[RigidityRecord, ...]:
     """Record minima of the sup displacement sup_x dist(x, T^m x), m = 1..H.
 
-    Exact for rotations (the sup is the displacement norm).  Subshifts use
+    Exact for rotations (the sup is the displacement norm); on the circle
+    with an exact alpha the records are the convergents.  Subshifts use
     sampled shifts of the base word, which can only underestimate the sup;
     records are still monotone by construction.
     """
     if isinstance(sys_, RotationSystem):
+        kernel = CircleKernel.of(sys_.alphas[0].value) if sys_.dim == 1 else None
+        if kernel is not None:
+            return tuple(RigidityRecord(m, value) for m, value in kernel.records(horizon))
         # the displayed norm is an Approx on a torus: build it for records only
         moves = ([a.multiple(m) for a in sys_.alphas] for m in range(1, horizon + 1))
         return tuple(RigidityRecord(i + 1, torus_norm(xs)) for i, xs in _norm_records(moves))

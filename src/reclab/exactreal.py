@@ -480,6 +480,24 @@ def real_floor(x: Real) -> int:
     return real_floor(as_real(x))
 
 
+def floor_div(x, y) -> int:
+    """floor(x/y) for y != 0: ints and Fractions, or Surds of one field
+    with rationals.  A surd quotient is multiplied out by the divisor's
+    conjugate, (a1 + b1 r)(a2 - b2 r) c2 / (c1 (a2^2 - b2^2 d)) with
+    r = sqrt(d), and floored in integers; no Surd is built."""
+    if not isinstance(x, Surd) and not isinstance(y, Surd):
+        return x // y
+    d = x.d if isinstance(x, Surd) else y.d
+    a1, b1, c1 = (x.a, x.b, x.c) if isinstance(x, Surd) else (x.numerator, 0, x.denominator)
+    a2, b2, c2 = (y.a, y.b, y.c) if isinstance(y, Surd) else (y.numerator, 0, y.denominator)
+    if isinstance(x, Surd) and isinstance(y, Surd) and x.d != y.d:
+        raise TypeError("floor_div needs one quadratic field")
+    p, q, r = (a1 * a2 - b1 * b2 * d) * c2, (b1 * a2 - a1 * b2) * c2, c1 * (a2 * a2 - b2 * b2 * d)
+    if r < 0:
+        p, q, r = -p, -q, -r
+    return _floor_surd(p, q, r, d) if q else p // r
+
+
 def real_frac(x: Real) -> Real:
     if isinstance(x, Surd):
         # x - floor(x) keeps gcd(a, b, c) == 1
@@ -612,10 +630,6 @@ def real_sum(terms: Iterable[Real]) -> Real:
     return total
 
 
-def real_eq(x, y) -> bool:
-    return real_cmp(x, y) == 0
-
-
 def real_min(values: Iterable[Real]) -> Real:
     best = None
     for v in values:
@@ -624,12 +638,6 @@ def real_min(values: Iterable[Real]) -> Real:
     if best is None:
         raise ValueError("real_min of empty iterable")
     return best
-
-
-def real_sort(values: Iterable[Real]) -> list[Real]:
-    import functools
-
-    return sorted(values, key=functools.cmp_to_key(real_cmp))
 
 
 def real_sqrt(x: Real) -> Real:

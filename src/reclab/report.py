@@ -34,8 +34,6 @@ from .birkhoff import (
     verify_certificate,
 )
 from .bohr import (
-    BohrSpec,
-    bohr_enumerate,
     continued_fraction,
     cyclic_obstruction,
     lacunary_witness,
@@ -45,6 +43,7 @@ from .dynamics import (
     BallSpec,
     MovingQuery,
     RotationSystem,
+    _norm_records,
     moving_recurrence_experiment,
     return_times_set,
     uniform_rigidity_scan,
@@ -57,9 +56,9 @@ from .exactreal import (
     real_cmp,
     real_min,
     real_to_float,
+    torus_norm1,
 )
 from .intsets import (
-    Window,
     gen_k_times_nr,
     gen_l_r,
     gen_polynomial,
@@ -244,7 +243,8 @@ def _claim_ball_returns(limits: SearchLimits, rng, corrupt: bool):
 
 def _claim_return_set_identity(limits: SearchLimits, rng, corrupt: bool):
     """Set return times of a radius-rho ball match the frequency set at 2*rho
-    exactly, for rational and quadratic frequencies."""
+    exactly, for rational and quadratic frequencies; the frequency set is
+    found by testing every n."""
     quadratics = [
         golden_rotation(),
         TorusPoint(Surd.make(Fraction(-1), Fraction(1), 2)),
@@ -262,34 +262,38 @@ def _claim_return_set_identity(limits: SearchLimits, rng, corrupt: bool):
         rho = Fraction(rng.randint(2, 25), 100)
         sys_ = RotationSystem((alpha,))
         observed = return_times_set(sys_, BallSpec((Fraction(0),), rho), horizon)
-        spec = BohrSpec((alpha,), 2 * rho)
-        expected = tuple(sorted({0, *bohr_enumerate(spec, Window(-horizon, horizon))}))
+        expected = tuple(n for n in range(-horizon, horizon + 1) if sys_.displacement_lt(n, 2 * rho))
         if observed != expected:
             return FAIL, {"trial": trial, "rho": str(rho)}, []
     return PASS, {"trials": 20, "horizon": horizon}, []
 
 
 def _claim_rigidity_records(limits: SearchLimits, rng, corrupt: bool):
-    """Displacement record times are exactly the convergent denominators and
-    each record beats the next denominator's reciprocal."""
-    sys_ = RotationSystem((golden_rotation(),))
+    """Displacement record times, found by testing every m, are exactly the
+    convergent denominators, each record beats the next denominator's
+    reciprocal, and the rigidity scan reports the same records."""
+    alpha = golden_rotation()
     horizon = 10_000
-    records = uniform_rigidity_scan(sys_, horizon)
-    cf = continued_fraction(golden_rotation(), depth=25)
+    moves = ([alpha.multiple(m)] for m in range(1, horizon + 1))
+    records = [(i + 1, torus_norm1(xs[0])) for i, xs in _norm_records(moves)]
+    cf = continued_fraction(alpha, depth=25)
     denoms = []
     for q in cf.denominators:
         if q <= horizon and (not denoms or q > denoms[-1]):
             denoms.append(q)
-    times = [rec.time for rec in records]
+    times = [m for m, _ in records]
     if times != denoms:
         return FAIL, {"times": times[:12], "denominators": denoms[:12]}, []
     by_next = dict(zip(cf.denominators, cf.denominators[1:]))
-    for rec in records:
-        q_next = by_next.get(rec.time)
+    for m, value in records:
+        q_next = by_next.get(m)
         if q_next is None:
             continue
-        if not real_cmp(rec.value, Fraction(1, q_next)) < 0:
-            return FAIL, {"at": rec.time, "bound": f"1/{q_next}"}, []
+        if not real_cmp(value, Fraction(1, q_next)) < 0:
+            return FAIL, {"at": m, "bound": f"1/{q_next}"}, []
+    reported = [(rec.time, rec.value) for rec in uniform_rigidity_scan(RotationSystem((alpha,)), horizon)]
+    if reported != records:
+        return FAIL, {"rigidity_scan": [m for m, _ in reported][:12]}, []
     return PASS, {"records": len(records), "horizon": horizon}, []
 
 

@@ -1,0 +1,97 @@
+"""Per-n and per-m reference scans for the circle kernel's differential tests.
+
+These are the computations the circle kernel in ``reclab.bohr`` replaced:
+the sorting three-gap computation, and scans that test every n or m.  They
+use only the package's exact comparisons, never the kernel.
+"""
+
+import functools
+from fractions import Fraction
+
+from reclab.dynamics import _norm_records
+from reclab.errors import NoSuchM, UncertainAtPrecision
+from reclab.exactreal import (
+    TorusPoint,
+    real_add,
+    real_cmp,
+    real_frac,
+    real_sub,
+    torus_norm,
+    torus_norm_lt,
+)
+
+
+def real_eq(x, y) -> bool:
+    return real_cmp(x, y) == 0
+
+
+def real_sort(values) -> list:
+    return sorted(values, key=functools.cmp_to_key(real_cmp))
+
+
+def sorting_three_distance(alpha, count: int):
+    """(gaps ascending with multiplicity, distinct gaps) of {j*alpha : 0 <= j <= count},
+    by sorting the points."""
+    point = alpha if isinstance(alpha, TorusPoint) else TorusPoint(alpha)
+    values = real_sort(real_frac(point.multiple(j)) for j in range(count + 1))
+    dedup = []
+    for v in values:
+        if not dedup or not real_eq(dedup[-1], v):
+            dedup.append(v)
+    gaps = [real_sub(b, a) for a, b in zip(dedup, dedup[1:])]
+    gaps.append(real_sub(real_add(Fraction(1), dedup[0]), dedup[-1]))
+    gaps = real_sort(gaps)
+    distinct = []
+    for g in gaps:
+        if not distinct or not real_eq(distinct[-1], g):
+            distinct.append(g)
+    return tuple(gaps), tuple(distinct)
+
+
+def scan_eta_dense(alpha: TorusPoint, eta: Fraction, cap: int):
+    """(M, largest gap) for the least M whose M + 1 orbit points leave no gap above 2*eta."""
+    bound = 2 * Fraction(eta)
+    for m in range(1, cap + 1):
+        gaps, _ = sorting_three_distance(alpha, m)
+        if real_cmp(gaps[-1], bound) <= 0:
+            return m, gaps[-1]
+    raise NoSuchM(f"no density constant up to {cap}")
+
+
+def scan_records(alphas, horizon: int):
+    """(m, displacement) records of the displacement over m = 1..horizon, testing every m."""
+    moves = ([a.multiple(m) for a in alphas] for m in range(1, horizon + 1))
+    return [(i + 1, torus_norm(xs)) for i, xs in _norm_records(moves)]
+
+
+def scan_hits(alphas, offsets, radius, lo: int, hi: int, skip_zero: bool = False):
+    """n in [lo, hi] with |offsets + n*alphas| < radius on the torus, testing every n;
+    undecidable n are raised together, as bohr_enumerate does."""
+    hits, ambiguous = [], []
+    for n in range(lo, hi + 1):
+        if skip_zero and n == 0:
+            continue
+        try:
+            xs = [real_add(o, a.multiple(n)) for o, a in zip(offsets, alphas)]
+            if torus_norm_lt(xs, radius):
+                hits.append(n)
+        except UncertainAtPrecision:
+            ambiguous.append(n)
+    if ambiguous:
+        raise UncertainAtPrecision("undecidable", ambiguous=ambiguous)
+    return tuple(hits)
+
+
+def scan_return_times_point(sys_, x, target, horizon: int):
+    """{n in [-H, H] : T^n x in the ball}, stepping every n as the rotation does."""
+    x, center = sys_.point(x), sys_.point(target.center)
+    radius = Fraction(target.radius)
+    return tuple(
+        n for n in range(-horizon, horizon + 1) if sys_.dist_lt(sys_.step(x, n), center, radius)
+    )
+
+
+def scan_return_times_set(sys_, target, horizon: int):
+    """{n in [-H, H] : the displacement of T^n is below 2*rho}, testing every n."""
+    two_rho = 2 * Fraction(target.radius)
+    return tuple(n for n in range(-horizon, horizon + 1) if sys_.displacement_lt(n, two_rho))

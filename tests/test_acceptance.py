@@ -19,8 +19,6 @@ from reclab.birkhoff import (
     verify_certificate,
 )
 from reclab.bohr import (
-    BohrSpec,
-    bohr_enumerate,
     continued_fraction,
     cyclic_obstruction,
     lacunary_witness,
@@ -45,7 +43,6 @@ from reclab.exactreal import (
     sqrt2_rotation,
 )
 from reclab.intsets import (
-    Window,
     gen_k_times_nr,
     gen_l_r,
     gen_polynomial,
@@ -53,6 +50,8 @@ from reclab.intsets import (
     lacunarity_ratios,
 )
 from reclab.report import FAIL, PASS, UNDECIDED, run_claim_suite
+
+from oracles import scan_records, scan_return_times_set
 
 
 GOLDEN = RotationSystem((golden_rotation(),))
@@ -186,8 +185,7 @@ def test_criterion_07_return_set_cross_check():
         center = (Fraction(rng.randint(0, 99), 100),)
         observed = set(return_times_set(system, BallSpec(center, rho), horizon))
 
-        spec = BohrSpec((alpha,), 2 * rho)
-        expected = {0} | set(bohr_enumerate(spec, Window(-horizon, horizon)))
+        expected = set(scan_return_times_set(system, BallSpec(center, rho), horizon))
         assert observed == expected, (trial, sorted(observed ^ expected))
     report(7, "20 instances: return-time sets equal frequency sets exactly")
 
@@ -196,6 +194,7 @@ def test_criterion_08_rigidity_matches_cf():
     horizon = 10**4
     records = uniform_rigidity_scan(GOLDEN, horizon)
     times = [rec.time for rec in records]
+    assert [(rec.time, rec.value) for rec in records] == scan_records(GOLDEN.alphas, horizon)
 
     cf = continued_fraction(golden_rotation(), depth=25)
     dens = []

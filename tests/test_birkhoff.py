@@ -28,13 +28,22 @@ from reclab.birkhoff import (
     proof_to_json,
     stably_r_birkhoff_probe,
     verify_certificate,
-    window_r_colorable,
+    _Budget,
+    _normalize_distances,
     _reference_window_colorable,
+    _refutation,
+    _window_adjacency,
 )
 from reclab import birkhoff, cli
 from reclab.errors import InvalidArity, MalformedCertificate, VerificationBudgetExceeded
 from reclab.intsets import gen_k_times_nr, gen_l_r
 from reclab.report import FAIL, PASS, run_claim_suite
+
+
+def window_r_colorable(dists, window, r):
+    """The solver's window test: _refutation finds no obstruction."""
+    adj = _window_adjacency(window, _normalize_distances(dists))
+    return _refutation(adj, r, _Budget(10_000_000)) is None
 
 
 def brute_window_colorable(dists, window, r):

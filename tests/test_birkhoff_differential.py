@@ -48,10 +48,11 @@ from reclab.birkhoff import (
     _OutOfBudget,
     _normalize_distances,
     _pack_proof,
+    _refutation,
+    _window_adjacency,
     check_r_birkhoff,
     chromatic_number_window,
     verify_certificate,
-    window_r_colorable,
 )
 
 # ---------------------------------------------------------------------------
@@ -357,6 +358,9 @@ def test_window_colorability_matches_the_oracle(dists, window, r, node_budget):
             return fn(dists, window, r, budget)
         except _OutOfBudget:
             return "out of budget"
+
+    def window_r_colorable(dists, window, r, budget):
+        return _refutation(_window_adjacency(window, _normalize_distances(dists)), r, budget) is None
 
     new_budget, old_budget = _Budget(node_budget), _Budget(node_budget)
     new, old = run(window_r_colorable, new_budget), run(old_window_r_colorable, old_budget)

@@ -1,0 +1,229 @@
+"""The circle kernel against the per-n and per-m scans it replaced.
+
+Every comparison is exact: the kernel must give the same Fractions and Surds,
+the same hits in the same order, and for an Approx frequency the same
+UncertainAtPrecision with the same undecidable n.  The oracles live in
+``tests/oracles.py`` and never call the kernel.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from reclab.bohr import BohrSpec, bohr_enumerate, three_distance
+from reclab.dynamics import (
+    BallSpec,
+    RotationSystem,
+    eta_dense_constant,
+    return_times_point,
+    return_times_set,
+    uniform_rigidity_scan,
+)
+from reclab.errors import NoSuchM, UncertainAtPrecision
+from reclab.exactreal import Approx, Surd, TorusPoint, real_add, real_mul_int, torus_norm1
+from reclab.intsets import Window
+
+from oracles import (
+    scan_eta_dense,
+    scan_hits,
+    scan_records,
+    scan_return_times_point,
+    scan_return_times_set,
+    sorting_three_distance,
+)
+
+FIELDS = (2, 3, 5, 6, 7, 10, 11, 13)
+
+rationals = st.integers(1, 300).flatmap(
+    lambda q: st.integers(0, q - 1).map(lambda p: TorusPoint(Fraction(p, q)))
+)
+surds = st.builds(
+    lambda d, a, b, c: TorusPoint(Surd.make(Fraction(a, c), Fraction(b, c), d)),
+    st.sampled_from(FIELDS),
+    st.integers(-6, 6),
+    st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
+    st.integers(1, 6),
+)
+alphas = st.one_of(rationals, surds)
+small_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+windows = st.integers(-80, 80).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo - 5, lo + 160)))
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and undecidable n of the UncertainAtPrecision it raised."""
+    try:
+        return fn(*args)
+    except UncertainAtPrecision as exc:
+        return ("uncertain", tuple(exc.ambiguous))
+
+
+def gaps_of(alpha, count):
+    res = three_distance(alpha, count)
+    return res.gaps, res.distinct
+
+
+def records_of(alpha, horizon):
+    return [(rec.time, rec.value) for rec in uniform_rigidity_scan(RotationSystem((alpha,)), horizon)]
+
+
+def offset_in_field(draw, alpha: TorusPoint):
+    """A rational, or an element of alpha's field: k*alpha + r for a surd
+    alpha, any surd for a rational one."""
+    r = draw(small_fractions)
+    if draw(st.booleans()):
+        return r
+    if alpha.is_rational:
+        return draw(surds).value
+    return real_add(real_mul_int(alpha.value, draw(st.integers(-30, 30))), r)
+
+
+def boundary_or_free(draw, value, lo, hi):
+    """A radius: the exact distance dist(value(n)) at some n of the window when
+    that is a positive rational, so that the open ball's edge is hit, else free."""
+    if lo <= hi and draw(st.booleans()):
+        edge = torus_norm1(value(draw(st.integers(lo, hi))))
+        if isinstance(edge, Fraction) and 0 < edge <= Fraction(1, 2):
+            return edge
+    return Fraction(draw(st.integers(1, 60)), 120)
+
+
+# -- gaps, density constants, rigidity records ------------------------------
+
+
+@given(st.integers(1, 300).flatmap(lambda q: st.tuples(st.integers(0, q - 1), st.just(q), st.integers(1, 2 * q))))
+@settings(max_examples=150, deadline=None)
+def test_three_distance_rational(case):
+    p, q, count = case
+    alpha = TorusPoint(Fraction(p, q))
+    assert gaps_of(alpha, count) == sorting_three_distance(alpha, count)
+
+
+@given(surds, st.integers(1, 150))
+@settings(max_examples=100, deadline=None)
+def test_three_distance_surd(alpha, count):
+    gaps, distinct = gaps_of(alpha, count)
+    assert (gaps, distinct) == sorting_three_distance(alpha, count)
+    assert all(isinstance(g, Surd) for g in gaps)
+
+
+@given(alphas, st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_eta_dense_at_a_gap_of_the_orbit(alpha, m0):
+    # eta is half the largest gap of the first m0 + 1 points (rounded up to a
+    # Fraction for a surd), so M <= m0, or about that
+    gaps, _ = sorting_three_distance(alpha, m0)
+    worst = gaps[-1]
+    eta = worst / 2 if isinstance(worst, Fraction) else Fraction(math.ceil(float(worst) * 4096), 8192)
+    res = eta_dense_constant(RotationSystem((alpha,)), eta)
+    assert (res.constant, res.max_gap) == scan_eta_dense(alpha, eta, max(m0, res.constant))
+
+
+@given(st.integers(1, 60).flatmap(lambda q: st.tuples(st.integers(0, q - 1), st.just(q))), st.integers(1, 130))
+@settings(max_examples=100, deadline=None)
+def test_eta_dense_rational(pq, k):
+    alpha, eta = TorusPoint(Fraction(*pq)), Fraction(1, k)
+    system = RotationSystem((alpha,))
+    q = alpha.value.denominator
+    if Fraction(1, q) > 2 * eta:
+        with pytest.raises(NoSuchM):
+            eta_dense_constant(system, eta)
+        return
+    res = eta_dense_constant(system, eta)
+    assert (res.constant, res.max_gap) == scan_eta_dense(alpha, eta, q)
+
+
+@given(alphas, st.integers(0, 400))
+@settings(max_examples=100, deadline=None)
+def test_rigidity_records(alpha, horizon):
+    assert records_of(alpha, horizon) == scan_records((alpha,), horizon)
+
+
+# -- hits: Bohr sets, point and set return times ----------------------------
+
+
+@given(st.data(), alphas, windows)
+@settings(max_examples=200, deadline=None)
+def test_bohr_enumerate(data, alpha, window):
+    lo, hi = window
+    eps = boundary_or_free(data.draw, alpha.multiple, lo, hi)
+    hits = bohr_enumerate(BohrSpec((alpha,), eps), Window(lo, hi))
+    assert hits == scan_hits((alpha,), (Fraction(0),), eps, lo, hi, skip_zero=True)
+
+
+@given(st.data(), alphas, st.integers(0, 90))
+@settings(max_examples=200, deadline=None)
+def test_return_times_point(data, alpha, horizon):
+    point = offset_in_field(data.draw, alpha)
+    center = data.draw(small_fractions)
+    system = RotationSystem((alpha,))
+    if data.draw(st.booleans()):
+        x0, c0 = system.point([point])[0], system.point([center])[0]
+        radius = boundary_or_free(
+            data.draw, lambda n: real_add(real_add(x0, -c0), alpha.multiple(n)), -horizon, horizon
+        )
+    else:
+        radius = Fraction(data.draw(st.integers(1, 90)), 120)  # up to 3/4: past 1/2 every n returns
+    ball = BallSpec((center,), radius)
+    got = return_times_point(system, (point,), ball, horizon)
+    assert got == scan_return_times_point(system, (point,), ball, horizon)
+
+
+@given(alphas, st.integers(0, 90), st.integers(1, 50))
+@settings(max_examples=150, deadline=None)
+def test_return_times_set(alpha, horizon, k):
+    system, ball = RotationSystem((alpha,)), BallSpec((Fraction(1, 3),), Fraction(k, 120))
+    assert return_times_set(system, ball, horizon) == scan_return_times_set(system, ball, horizon)
+
+
+@given(st.data(), surds, surds, st.integers(0, 30))
+@settings(max_examples=40, deadline=None)
+def test_two_fields_keep_the_scan(data, alpha, other, horizon):
+    # a point from another quadratic field, or a torus, is tested n by n
+    assume(isinstance(other.value, Surd) and other.value.d != alpha.value.d)
+    system = RotationSystem((alpha,))
+    ball = BallSpec((Fraction(0),), Fraction(data.draw(st.integers(1, 60)), 120))
+    got = outcome(return_times_point, system, (other.value,), ball, horizon)
+    assert got == outcome(scan_return_times_point, system, (other.value,), ball, horizon)
+    torus = RotationSystem((alpha, other))
+    assert return_times_set(torus, ball, horizon) == scan_return_times_set(torus, ball, horizon)
+
+
+# -- Approx frequencies keep the scan and its undecidable list ---------------
+
+
+approx_alphas = st.builds(
+    lambda p, q, k: TorusPoint(Approx(Fraction(p % q, q), Fraction(1, 10**k))),
+    st.integers(0, 60),
+    st.integers(1, 30),
+    st.integers(2, 5),
+)
+
+
+@given(approx_alphas, st.integers(1, 20), windows)
+@settings(max_examples=100, deadline=None)
+def test_approx_enumerate_lists_the_same_undecidable_n(alpha, k, window):
+    lo, hi = window
+    eps = Fraction(k, 40)
+    got = outcome(bohr_enumerate, BohrSpec((alpha,), eps), Window(lo, hi))
+    assert got == outcome(scan_hits, (alpha,), (Fraction(0),), eps, lo, hi, True)
+
+
+@given(approx_alphas, st.integers(1, 20), st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_approx_returns_keep_the_scan(alpha, k, horizon):
+    system, ball = RotationSystem((alpha,)), BallSpec((Fraction(1, 7),), Fraction(k, 80))
+    got = outcome(return_times_point, system, (Fraction(2, 9),), ball, horizon)
+    assert got == outcome(scan_return_times_point, system, (Fraction(2, 9),), ball, horizon)
+    got, want = (outcome(return_times_set, system, ball, horizon),
+                 outcome(scan_return_times_set, system, ball, horizon))
+    # the scan stops at its first undecidable n; the enumeration lists all of them
+    assert got == want or (got[0] == want[0] == "uncertain" and set(want[1]) <= set(got[1]))
+
+
+@given(approx_alphas, st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_approx_three_distance_and_records_keep_the_scan(alpha, count):
+    assert outcome(gaps_of, alpha, count) == outcome(sorting_three_distance, alpha, count)
+    assert outcome(records_of, alpha, count) == outcome(scan_records, (alpha,), count)

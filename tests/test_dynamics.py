@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reclab import exactreal
-from reclab.bohr import BohrSpec, bohr_enumerate
 from reclab.dynamics import (
     HORIZON_NOTE,
     BallSpec,
@@ -31,7 +30,6 @@ from reclab.exactreal import (
     TorusPoint,
     golden_rotation,
     real_cmp,
-    real_eq,
     parse_real,
     real_sub,
     real_to_float,
@@ -40,6 +38,8 @@ from reclab.exactreal import (
     torus_norm1,
 )
 from reclab.intsets import Window
+
+from oracles import real_eq, scan_return_times_set
 
 
 GOLDEN = RotationSystem((golden_rotation(),))
@@ -89,9 +89,7 @@ class TestReturnTimes:
         rho = Fraction(1, 10)
         ball = BallSpec((Fraction(1, 3),), rho)  # center irrelevant
         observed = return_times_set(GOLDEN, ball, 30)
-        spec = BohrSpec((golden_rotation(),), 2 * rho)
-        expected = tuple(sorted({0, *bohr_enumerate(spec, Window(-30, 30))}))
-        assert observed == expected
+        assert observed == scan_return_times_set(GOLDEN, ball, 30)
 
     def test_zero_always_returns(self):
         ball = BallSpec((Fraction(0),), Fraction(1, 50))
@@ -104,10 +102,10 @@ class TestReturnTimes:
         sys_ = RotationSystem((alpha,))
         rho = Fraction(1, 2 * inv_rho)
         times = return_times_set(sys_, BallSpec((Fraction(0),), rho), 25)
-        spec = BohrSpec((alpha,), min(2 * rho, Fraction(1, 2)))
-        allowed = {0, *bohr_enumerate(spec, Window(-25, 25))}
-        if 2 * rho <= Fraction(1, 2):
-            assert set(times) == allowed
+        assert times == scan_return_times_set(sys_, BallSpec((Fraction(0),), rho), 25)
+        den = alpha.value.denominator
+        if 2 * rho <= Fraction(1, den):
+            assert times == tuple(n for n in range(-25, 26) if n % den == 0)
 
 
 class TestNuu:

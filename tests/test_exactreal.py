@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from reclab.errors import RadicandTooLarge, UncertainAtPrecision
 from reclab.exactreal import (
+    floor_div,
     MAX_RADICAND_BITS,
     Approx,
     Surd,
@@ -19,18 +20,18 @@ from reclab.exactreal import (
     parse_real,
     real_add,
     real_cmp,
-    real_eq,
     real_floor,
     real_frac,
     real_mul,
     real_mul_int,
-    real_sort,
     real_sqrt,
     real_sub,
     real_to_float,
     sqrt2_rotation,
     torus_norm1,
 )
+
+from oracles import real_eq, real_sort
 
 
 class TestSurd:
@@ -101,6 +102,27 @@ def test_surd_floor_agrees_with_float(p, q):
     approx = p + q * math.sqrt(2)
     # float floor can be off only within rounding slack of an exact integer
     assert abs(s.floor() - math.floor(approx)) <= (abs(approx - round(approx)) < 1e-9)
+
+
+exact_reals = st.one_of(
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9)),
+    st.builds(
+        lambda a, b, c, d: Surd.make(Fraction(a, c), Fraction(b, c), d),
+        st.integers(-60, 60),
+        st.integers(-9, 9).filter(bool),
+        st.integers(1, 9),
+        st.sampled_from((2, 3, 5)),
+    ),
+)
+
+
+@given(exact_reals, exact_reals.filter(lambda y: y != 0))
+def test_floor_div_is_the_floor_of_the_quotient(x, y):
+    if len({v.d for v in (x, y) if isinstance(v, Surd)}) > 1:
+        with pytest.raises(TypeError):
+            floor_div(x, y)
+        return
+    assert floor_div(x, y) == real_floor(x / y)
 
 
 class TestParsing:
