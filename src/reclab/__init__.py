@@ -36,6 +36,7 @@ from .bohr import (
     lacunary_witness,
     revalidate_witness,
     three_distance,
+    three_distance_parts,
 )
 from .dynamics import (
     BallSpec,

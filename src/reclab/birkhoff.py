@@ -657,15 +657,19 @@ def _primitive_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
 def verify_certificate(m: ZSetLike, r: int, cert: Certificate, node_cap: int = VERIFY_NODE_CAP) -> bool:
     """Independent re-check of a certificate.
 
-    Periodic witnesses are checked residue by residue.  A window certificate
-    with a proof has the proof replayed, which shares no code with the
-    solver.  One without a proof is re-proved by a plain left-to-right
-    exhaustive search under node_cap, and only up to the solver's default
-    window of 4 * max M and up to node_cap vertices; a larger one raises
-    VerificationBudgetExceeded.
+    Periodic witnesses are checked residue by residue, in O(period * |M|),
+    and only up to a period of node_cap; a longer one raises
+    VerificationBudgetExceeded before any residue is checked.  A window
+    certificate with a proof has the proof replayed, which shares no code
+    with the solver.  One without a proof is re-proved by a plain
+    left-to-right exhaustive search under node_cap, and only up to the
+    solver's default window of 4 * max M and up to node_cap vertices; a
+    larger one raises VerificationBudgetExceeded.
     """
     dists = _normalize_distances(m)
     if isinstance(cert, PeriodicWitness):
+        if cert.coloring.period > node_cap:
+            raise VerificationBudgetExceeded(f"period {cert.coloring.period} exceeds the node cap {node_cap}")
         return cert.coloring.is_valid_for(dists, r)
     if isinstance(cert, WindowUnsat):
         if cert.arity != r:

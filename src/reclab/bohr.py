@@ -409,11 +409,19 @@ class ThreeDistanceResult:
 
 
 def three_distance(alpha, count: int) -> ThreeDistanceResult:
-    """Circular gap structure of {j*alpha mod 1 : 0 <= j <= count}.
+    """Circular gap structure of {j*alpha mod 1 : 0 <= j <= count}."""
+    parts = three_distance_parts(alpha, count)
+    gaps = tuple(g for g, mult in parts for _ in range(mult))
+    return ThreeDistanceResult(gaps, tuple(g for g, _ in parts))
 
-    Exact alphas read it off the circle kernel's convergents; an Approx
-    alpha sorts the count + 1 points, each comparison clearing its tracked
-    error or raising UncertainAtPrecision.
+
+def three_distance_parts(alpha, count: int) -> list[tuple[Real, int]]:
+    """(length, multiplicity) of the circular gaps of
+    {j*alpha mod 1 : 0 <= j <= count}, ascending, distinct lengths.
+
+    Exact alphas read it off the circle kernel's convergents in O(log count)
+    time and memory; an Approx alpha sorts the count + 1 points, each
+    comparison clearing its tracked error or raising UncertainAtPrecision.
     """
     point = alpha if isinstance(alpha, TorusPoint) else TorusPoint(alpha)
     if count < 1:
@@ -421,21 +429,24 @@ def three_distance(alpha, count: int) -> ThreeDistanceResult:
     kernel = CircleKernel.of(point.value)
     if kernel is None:
         return _sorted_gaps(point, count)
-    parts = kernel.gaps(count)
-    gaps = sum(((g,) * mult for g, mult in parts), ())
-    return ThreeDistanceResult(gaps, tuple(g for g, _ in parts))
+    return kernel.gaps(count)
 
 
-def _sorted_gaps(point: TorusPoint, count: int) -> ThreeDistanceResult:
+def _sorted_gaps(point: TorusPoint, count: int) -> list[tuple[Real, int]]:
     order = cmp_to_key(real_cmp)
     values = sorted((real_frac(point.multiple(j)) for j in range(count + 1)), key=order)
     values = [v for i, v in enumerate(values) if i == 0 or real_cmp(values[i - 1], v)]
     gaps = [real_sub(b, a) for a, b in zip(values, values[1:])]
     gaps.append(real_sub(real_add(Fraction(1), values[0]), values[-1]))  # wrap
     gaps.sort(key=order)
-    distinct = [g for i, g in enumerate(gaps) if i == 0 or real_cmp(gaps[i - 1], g)]
-    assert len(distinct) <= 3, "circle orbit produced more than three gap lengths"
-    return ThreeDistanceResult(tuple(gaps), tuple(distinct))
+    parts: list = []
+    for i, g in enumerate(gaps):
+        if i and not real_cmp(gaps[i - 1], g):
+            parts[-1][1] += 1
+        else:
+            parts.append([g, 1])
+    assert len(parts) <= 3, "circle orbit produced more than three gap lengths"
+    return [(g, mult) for g, mult in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -456,49 +467,85 @@ class WitnessInterval:
         return (self.lo + self.hi) / 2
 
 
-def _prune_stage(
-    intervals: list[tuple[Fraction, Fraction]], n: int, delta: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Intersect with {alpha : dist(n*alpha, Z) >= delta} exactly.
+# An interval of the pruning is four ints (lo_num, lo_den, hi_num, hi_den):
+# denominators positive, fractions not reduced.
+Span = tuple[int, int, int, int]
+
+
+def _prune_stage(intervals: list[Span], n: int, delta: Fraction, cap: int) -> list[Span]:
+    """Intersect with {alpha : dist(n*alpha, Z) >= delta} exactly, raising
+    PruningBudgetExceeded before more than cap intervals are built.
 
     Keeps [max(lo, (j + delta)/n), min(hi, (j + 1 - delta)/n)] for every j
-    where it is nonempty.  The cut points share the denominator
-    n*delta.denominator, so max, min and the emptiness test are integer
-    cross-multiplications, and a Fraction is built only for a kept cut point.
+    where it is nonempty: for lo <= hi, exactly the j with
+    n*lo - 1 + delta <= j <= n*hi - delta.  The cut points are a/den with
+    den = n*delta.denominator and a = j*delta.denominator + delta.numerator.
+    Only the least j can keep lo and only the greatest can keep hi, so every
+    other kept interval is two cut points.  Endpoints stay unreduced integer
+    pairs from stage to stage: no gcd and no Fraction.
     """
     dn, dd = delta.numerator, delta.denominator
     den = n * dd
     width = dd - 2 * dn  # (j + 1 - delta)/n - (j + delta)/n, over den
-    out: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in intervals:
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        lo_cross, hi_cross = ln * den, hn * den
-        j_first = ln * n // ld - 1
-        j_last = -(-hn * n // hd) + 1
-        for a in range(j_first * dd + dn, j_last * dd + dn + 1, dd):
-            b = a + width  # the cut points are a/den and b/den
-            a_cut, b_cut = a * ld > lo_cross, b * hd < hi_cross
-            an, ad = (a, den) if a_cut else (ln, ld)
-            bn, bd = (b, den) if b_cut else (hn, hd)
-            if an * bd <= bn * ad:
-                out.append((
-                    Fraction(a, den) if a_cut else lo,
-                    Fraction(b, den) if b_cut else hi,
-                ))
+    out: list[Span] = []
+    for ln, ld, hn, hd in intervals:
+        # the a of the least and of the greatest j
+        first = -((ld * (dd - dn) - ln * den) // (ld * dd)) * dd + dn
+        last = (hn * den - hd * dn) // (hd * dd) * dd + dn
+        if first > last:
+            continue
+        lo = (first, den) if first * ld > ln * den else (ln, ld)
+        b = last + width
+        hi = (b, den) if b * hd < hn * den else (hn, hd)
+        if first == last:
+            out.append(lo + hi)
+            continue
+        if len(out) + (last - first) // dd >= cap:  # before the range is built
+            raise PruningBudgetExceeded(f"interval count exceeded {cap}")
+        out.append(lo + (first + width, den))
+        out.extend([(a, den, a + width, den) for a in range(first + dd, last, dd)])
+        out.append((last, den) + hi)
+    if len(out) > cap:
+        raise PruningBudgetExceeded(f"interval count exceeded {cap}")
     return out
 
 
-def _prune(values: Sequence[int], delta: Fraction, cap: int) -> list[tuple[Fraction, Fraction]]:
-    if delta <= 0 or delta >= Fraction(1, 2):
+def _prune(values: Sequence[int], delta: Fraction, cap: int) -> list[Span]:
+    """The intervals of [0, 1] left after one _prune_stage per value, in
+    order; [] when one stage empties them."""
+    if not 0 < 2 * delta.numerator < delta.denominator:
         raise ValueError("delta must satisfy 0 < delta < 1/2")
-    intervals = [(Fraction(0), Fraction(1))]
+    intervals = [(0, 1, 1, 1)]
     for n in values:
-        intervals = _prune_stage(intervals, n, delta)
+        intervals = _prune_stage(intervals, n, delta, cap)
         if not intervals:
             return []
-        if len(intervals) > cap:
-            raise PruningBudgetExceeded(f"interval count exceeded {cap}")
     return intervals
+
+
+def _longest(intervals: list[Span]) -> Span:
+    """The longest interval, the leftmost of the longest on ties, by
+    cross-multiplication."""
+    best = intervals[0]
+    ln, ld, hn, hd = best
+    wn, wd = hn * ld - ln * hd, ld * hd
+    for iv in intervals:
+        an, ad, bn, bd = iv
+        vn, vd = bn * ad - an * bd, ad * bd
+        c = vn * wd - wn * vd
+        if c > 0 or (c == 0 and an * ld < ln * ad):
+            best, ln, ld, wn, wd = iv, an, ad, vn, vd
+    return best
+
+
+def _measure(intervals: list[Span]) -> Fraction:
+    """Total length: numerators summed per denominator, then one Fraction
+    per denominator."""
+    sums: dict[int, int] = {}
+    for an, ad, bn, bd in intervals:
+        sums[ad] = sums.get(ad, 0) - an
+        sums[bd] = sums.get(bd, 0) + bn
+    return sum((Fraction(v, d) for d, v in sums.items()), Fraction(0))
 
 
 def lacunary_witness(
@@ -518,11 +565,10 @@ def lacunary_witness(
     intervals = _prune(values, delta, budget)
     if not intervals:
         return None
-    best = max(intervals, key=lambda iv: (iv[1] - iv[0], -iv[0]))
-    measure = sum((b - a for a, b in intervals), Fraction(0))
+    an, ad, bn, bd = _longest(intervals)
     return WitnessInterval(
-        lo=best[0], hi=best[1], stages=len(values),
-        surviving=len(intervals), total_measure=measure,
+        lo=Fraction(an, ad), hi=Fraction(bn, bd), stages=len(values),
+        surviving=len(intervals), total_measure=_measure(intervals),
     )
 
 
@@ -553,12 +599,15 @@ def bohr_separation_search(
     intervals = _prune(sorted(set(values)), eps, grid_depth)
     if not intervals:
         return None
-    lo, hi = max(intervals, key=lambda iv: (iv[1] - iv[0], -iv[0]))
-    alpha = (lo + hi) / 2
-    # exact post-check before promising anything
+    an, ad, bn, bd = _longest(intervals)
+    num, den = an * bd + bn * ad, 2 * ad * bd  # the midpoint
+    # exact post-check before promising anything: ||n*num/den|| >= eps
+    en, ed = eps.numerator, eps.denominator
     for n in values:
-        if torus_norm1(Fraction(n) * alpha) < eps:
+        r = n * num % den
+        if min(r, den - r) * ed < en * den:
             return None
+    alpha = Fraction(num, den)
     return BohrSpec(alphas=(TorusPoint(alpha),), eps=eps)
 
 

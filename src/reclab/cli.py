@@ -42,7 +42,7 @@ from .bohr import (
     cyclic_obstruction,
     lacunary_witness,
     revalidate_witness,
-    three_distance,
+    three_distance_parts,
 )
 from .dynamics import (
     BallSpec,
@@ -349,11 +349,11 @@ def cmd_bohr_cf(args) -> dict:
 
 def cmd_bohr_threedist(args) -> dict:
     alpha = parse_alpha(args.alpha)
-    res = three_distance(alpha, args.count)
+    parts = three_distance_parts(alpha, args.count)
     return {
-        "distinct_gaps": [real_to_json(g) for g in res.distinct],
-        "gap_count": len(res.gaps),
-        "distinct_count": len(res.distinct),
+        "distinct_gaps": [real_to_json(g) for g, _ in parts],
+        "gap_count": sum(mult for _, mult in parts),
+        "distinct_count": len(parts),
     }
 
 

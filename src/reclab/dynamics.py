@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .bohr import CircleKernel, circle_hits, frequency_hits, three_distance
+from .bohr import CircleKernel, circle_hits, frequency_hits, three_distance_parts
 from .errors import NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
     Real,
@@ -247,6 +247,19 @@ def return_times_set(sys_: RotationSystem, target: BallSpec, horizon: int) -> Ti
 # ---------------------------------------------------------------------------
 
 
+def _bitmask(times: Sequence[int], low: int, size: int) -> int:
+    """The int whose bit t - low is set for each t in times, low <= t < low + size."""
+    bits = bytearray(b"0" * size)
+    for t in times:
+        bits[size - 1 - t + low] = 49  # ord("1"), most significant first
+    return int(bits, 2)
+
+
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits of mask >= 0, ascending."""
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
 @dataclass(frozen=True)
 class NuuReport:
     set_returns: TimeSet
@@ -281,21 +294,22 @@ def verify_nuu(
     x = sys_.point(x)
     point_returns = return_times_point(sys_, x, target, horizon)
     set_returns = return_times_set(sys_, target, horizon)
-    set_lookup = set(set_returns)
 
-    forward = sorted(
-        {a - b for a in point_returns for b in point_returns if abs(a - b) <= horizon}
-        - set_lookup
-    )
+    # bit d of the point mask shifted down by each return p is set when
+    # p + d returns too: the differences d >= 0, and P - P is symmetric
+    points = _bitmask(point_returns, -horizon, 2 * horizon + 1)
+    diffs = 0
+    for p in point_returns:
+        diffs |= points >> (p + horizon)
+    nonnegative = _members(diffs & ((2 << horizon) - 1))
+    forward = sorted({s * d for d in nonnegative for s in (1, -1)} - set(set_returns))
 
+    # need m with both m and n+m hitting the enlarged ball inside [-4H, 4H]:
+    # n in B - B, tested as bit |n| of the mask shifted against itself
     big_h = 4 * horizon
-    enlarged = target.enlarged(margin)
-    big_returns = set(return_times_point(sys_, x, enlarged, big_h))
-    reverse = []
-    for n in set_returns:
-        # need m with both m and n+m hitting the enlarged ball inside [-4H, 4H]
-        if not any((m + n) in big_returns for m in big_returns if abs(m + n) <= big_h):
-            reverse.append(n)
+    big_returns = return_times_point(sys_, x, target.enlarged(margin), big_h)
+    big = _bitmask(big_returns, -big_h, 2 * big_h + 1)
+    reverse = [n for n in set_returns if not big & (big >> abs(n))]
 
     return NuuReport(
         set_returns=set_returns,
@@ -483,7 +497,7 @@ def eta_dense_constant(sys_: RotationSystem, eta: Fraction) -> EtaDenseResult:
         return EtaDenseResult(*kernel.density_constant(bound))
     m = 1
     while True:
-        worst = three_distance(alpha, m).gaps[-1]
+        worst = three_distance_parts(alpha, m)[-1][0]
         if real_cmp(worst, bound) <= 0:
             return EtaDenseResult(constant=m, max_gap=worst)
         m += 1

@@ -142,8 +142,9 @@ def _claim_cardinality(limits: SearchLimits, rng, corrupt: bool):
         n_terms = 10 * max(elems)
         run = greedy_coloring(elems, n_terms)
         seq = run.sequence
+        dists = sorted(set(abs(e) for e in elems))
         for i in range(1, n_terms + 1):
-            for m in sorted(set(abs(e) for e in elems)):
+            for m in dists:
                 earlier = seq[i - m - 1] if i - m >= 1 else 1
                 if seq[i - 1] == earlier:
                     return FAIL, {"trial": trial, "greedy_clash_at": i}, []

@@ -454,6 +454,20 @@ class TestRefutationReplay:
         with pytest.raises(VerificationBudgetExceeded):
             verify_certificate([2, 200_000], 2, WindowUnsat(window=800_000, arity=2), node_cap=1000)
 
+    def test_periodic_witness_above_the_node_cap_checks_no_residue(self, monkeypatch):
+        def no_residues(*args):
+            raise AssertionError("residues checked")
+
+        coloring = PeriodicColoring(period=1001, colors=(1, 2) * 500 + (1,))
+        monkeypatch.setattr(PeriodicColoring, "is_valid_for", no_residues)
+        with pytest.raises(VerificationBudgetExceeded, match="period 1001"):
+            verify_certificate([1], 2, PeriodicWitness(coloring), node_cap=1000)
+
+    def test_periodic_witness_up_to_the_node_cap_is_checked(self):
+        alternating = PeriodicWitness(PeriodicColoring(period=1000, colors=(1, 2) * 500))
+        assert verify_certificate([1, 3], 2, alternating, node_cap=1000)
+        assert not verify_certificate([2], 2, alternating, node_cap=1000)
+
     def test_windows_extend_one_coloring(self, monkeypatch):
         # windows 1..6000 extend one 2-coloring vertex by vertex; only at
         # 6001, where vertex 6000 finds both colors blocked, is a window

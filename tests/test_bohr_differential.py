@@ -1,7 +1,8 @@
 """Differential tests of interval pruning and continued fractions.
 
-``_prune_stage`` picks and compares cut points by integer cross-multiplication;
-the Fraction version it replaced is kept here as the reference.  Continued
+``_prune_stage`` keeps every endpoint as an unreduced integer pair and
+compares by cross-multiplication; the Fraction version it replaced is kept
+here as the reference, and outputs are compared as values.  Continued
 fraction quotients are checked against sympy (skipped when sympy is absent).
 """
 
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reclab import bohr
-from reclab.bohr import bohr_separation_search, continued_fraction, lacunary_witness
-from reclab.exactreal import parse_real
+from reclab.bohr import BohrSpec, WitnessInterval, bohr_separation_search, continued_fraction, lacunary_witness
+from reclab.errors import PruningBudgetExceeded
+from reclab.exactreal import TorusPoint, parse_real, torus_norm1
 
 FIELDS = (2, 3, 5, 6, 7, 10, 11, 13)
 DOUBLING = [2**k for k in range(21)]
@@ -32,6 +34,36 @@ def reference_prune_stage(intervals, n, delta):
             if a <= b:
                 out.append((a, b))
     return out
+
+
+def as_spans(intervals, scale=1):
+    """Fraction intervals as _prune_stage's (lo_num, lo_den, hi_num, hi_den),
+    numerators and denominators multiplied by scale."""
+    return [(scale * lo.numerator, scale * lo.denominator, scale * hi.numerator, scale * hi.denominator)
+            for lo, hi in intervals]
+
+
+def as_fractions(spans):
+    return [(Fraction(ln, ld), Fraction(hn, hd)) for ln, ld, hn, hd in spans]
+
+
+def reference_stage_on_spans(spans, n, delta, cap):
+    """The Fraction reference behind _prune_stage's integer interface."""
+    out = reference_prune_stage(as_fractions(spans), n, delta)
+    if len(out) > cap:
+        raise PruningBudgetExceeded(f"interval count exceeded {cap}")
+    return as_spans(out)
+
+
+def reference_prune(values, delta):
+    intervals = [(Fraction(0), Fraction(1))]
+    for n in values:
+        intervals = reference_prune_stage(intervals, n, delta)
+    return intervals
+
+
+def reference_longest(intervals):
+    return max(intervals, key=lambda iv: (iv[1] - iv[0], -iv[0]))
 
 
 # -- one stage --------------------------------------------------------------------------
@@ -63,18 +95,46 @@ def interval_lists(draw):
     return out
 
 
-@given(interval_lists(), st.integers(1, 200), deltas)
-def test_stage_matches_fraction_reference(intervals, n, delta):
-    out = bohr._prune_stage(intervals, n, delta)
-    expected = reference_prune_stage(intervals, n, delta)
-    assert out == expected
-    assert all(type(v) is Fraction for iv in out for v in iv)
+@given(interval_lists(), st.integers(1, 200), deltas, st.integers(1, 6))
+def test_stage_matches_fraction_reference(intervals, n, delta, scale):
+    out = bohr._prune_stage(as_spans(intervals, scale), n, delta, 10**6)
+    assert all(type(v) is int for span in out for v in span)
+    assert all(ld > 0 and hd > 0 for _, ld, _, hd in out)
+    assert as_fractions(out) == reference_prune_stage(intervals, n, delta)
+
+
+@given(interval_lists(), st.integers(1, 200), deltas, st.integers(0, 40))
+def test_stage_budget_matches_the_count(intervals, n, delta, cap):
+    count = len(reference_prune_stage(intervals, n, delta))
+    if count > cap:
+        with pytest.raises(PruningBudgetExceeded):
+            bohr._prune_stage(as_spans(intervals), n, delta, cap)
+    else:
+        assert len(bohr._prune_stage(as_spans(intervals), n, delta, cap)) == count
+
+
+def test_a_huge_stage_is_refused_before_it_is_built():
+    with pytest.raises(PruningBudgetExceeded):
+        lacunary_witness([10**15], Fraction(1, 5))
+    with pytest.raises(PruningBudgetExceeded):
+        bohr_separation_search([10**15], Fraction(1, 5))
 
 
 @given(st.integers(1, 60), deltas)
 def test_stage_on_unit_interval_matches_fraction_reference(n, delta):
     unit = [(Fraction(0), Fraction(1))]
-    assert bohr._prune_stage(unit, n, delta) == reference_prune_stage(unit, n, delta)
+    assert as_fractions(bohr._prune_stage(as_spans(unit), n, delta, 60)) == reference_prune_stage(unit, n, delta)
+
+
+def test_prune_builds_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built between stages")
+
+    delta = Fraction(1, 5)
+    monkeypatch.setattr(bohr, "Fraction", no_fraction)
+    spans = bohr._prune(DOUBLING, delta, 20_000)
+    assert all(type(v) is int for span in spans for v in span)
+    bohr._longest(spans)
 
 
 # -- the searches built on it -------------------------------------------------------------
@@ -96,15 +156,75 @@ SEPARATION_CASES = [
 @pytest.mark.parametrize("seq, delta", WITNESS_CASES)
 def test_lacunary_witness_matches_fraction_reference(monkeypatch, seq, delta):
     out = lacunary_witness(seq, delta)
-    monkeypatch.setattr(bohr, "_prune_stage", reference_prune_stage)
+    monkeypatch.setattr(bohr, "_prune_stage", reference_stage_on_spans)
     assert out == lacunary_witness(seq, delta)
 
 
 @pytest.mark.parametrize("seq, eps", SEPARATION_CASES)
 def test_separation_search_matches_fraction_reference(monkeypatch, seq, eps):
     out = bohr_separation_search(seq, eps)
-    monkeypatch.setattr(bohr, "_prune_stage", reference_prune_stage)
+    monkeypatch.setattr(bohr, "_prune_stage", reference_stage_on_spans)
     assert out == bohr_separation_search(seq, eps)
+
+
+def reference_witness(seq, delta):
+    """lacunary_witness computed with Fractions throughout."""
+    intervals = reference_prune(seq, delta)
+    if not intervals:
+        return None
+    lo, hi = reference_longest(intervals)
+    measure = sum((b - a for a, b in intervals), Fraction(0))
+    return WitnessInterval(lo=lo, hi=hi, stages=len(seq), surviving=len(intervals), total_measure=measure)
+
+
+@st.composite
+def lacunary_sequences(draw):
+    """Up to seven terms, each at least twice the one before."""
+    seq = [draw(st.integers(1, 6))]
+    for _ in range(draw(st.integers(0, 6))):
+        seq.append(2 * seq[-1] + draw(st.integers(0, seq[-1])))
+    return seq
+
+
+small_deltas = st.builds(
+    lambda den, num: Fraction(min(num, (den - 1) // 2), den), st.integers(3, 60), st.integers(1, 30)
+)
+
+
+@settings(max_examples=300)
+@given(lacunary_sequences(), small_deltas)
+def test_whole_witness_matches_fraction_pipeline(seq, delta):
+    assert lacunary_witness(seq, delta) == reference_witness(seq, delta)
+
+
+@pytest.mark.parametrize("seq, delta, lo, hi", [
+    ([3], Fraction(1, 4), Fraction(1, 12), Fraction(1, 4)),      # three equal widths
+    ([2], Fraction(1, 5), Fraction(1, 10), Fraction(2, 5)),      # two equal widths
+    ([1, 2], Fraction(1, 4), Fraction(1, 4), Fraction(3, 8)),    # each keeps one inherited end
+    ([1, 2], Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),    # two single points
+])
+def test_equal_widths_pick_the_leftmost(seq, delta, lo, hi):
+    intervals = reference_prune(seq, delta)
+    widths = sorted((b - a for a, b in intervals), reverse=True)
+    assert len(widths) > 1 and widths[0] == widths[1]
+    w = lacunary_witness(seq, delta)
+    assert (w.lo, w.hi) == (lo, hi) == reference_longest(intervals)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-80, 80), min_size=1, max_size=10), small_deltas)
+def test_separation_matches_fraction_pipeline(seq, eps):
+    if not any(seq):
+        return
+    values = [abs(v) for v in seq if v]
+    intervals = reference_prune(sorted(set(values)), eps)
+    expected = None
+    if intervals:
+        lo, hi = reference_longest(intervals)
+        alpha = (lo + hi) / 2
+        assert all(torus_norm1(n * alpha) >= eps for n in values)
+        expected = BohrSpec(alphas=(TorusPoint(alpha),), eps=eps)
+    assert bohr_separation_search(seq, eps) == expected
 
 
 # -- continued fractions against sympy ----------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reclab.bohr import BohrSpec, bohr_enumerate, three_distance
+from reclab.bohr import BohrSpec, bohr_enumerate, three_distance, three_distance_parts
 from reclab.dynamics import (
     BallSpec,
     RotationSystem,
@@ -100,11 +100,24 @@ def test_three_distance_rational(case):
     assert gaps_of(alpha, count) == sorting_three_distance(alpha, count)
 
 
+def expanded_parts(alpha, count):
+    parts = three_distance_parts(alpha, count)
+    return tuple(g for g, mult in parts for _ in range(mult)), tuple(g for g, _ in parts)
+
+
+@given(st.integers(1, 300).flatmap(lambda q: st.tuples(st.integers(0, q - 1), st.just(q), st.integers(1, 2 * q))))
+@settings(max_examples=100, deadline=None)
+def test_three_distance_parts_rational(case):
+    p, q, count = case
+    alpha = TorusPoint(Fraction(p, q))
+    assert expanded_parts(alpha, count) == sorting_three_distance(alpha, count)
+
+
 @given(surds, st.integers(1, 150))
 @settings(max_examples=100, deadline=None)
 def test_three_distance_surd(alpha, count):
     gaps, distinct = gaps_of(alpha, count)
-    assert (gaps, distinct) == sorting_three_distance(alpha, count)
+    assert (gaps, distinct) == sorting_three_distance(alpha, count) == expanded_parts(alpha, count)
     assert all(isinstance(g, Surd) for g in gaps)
 
 
@@ -226,4 +239,5 @@ def test_approx_returns_keep_the_scan(alpha, k, horizon):
 @settings(max_examples=60, deadline=None)
 def test_approx_three_distance_and_records_keep_the_scan(alpha, count):
     assert outcome(gaps_of, alpha, count) == outcome(sorting_three_distance, alpha, count)
+    assert outcome(expanded_parts, alpha, count) == outcome(sorting_three_distance, alpha, count)
     assert outcome(records_of, alpha, count) == outcome(scan_records, (alpha,), count)

@@ -42,6 +42,18 @@ class TestEnvelope:
         assert out1 == out2
         assert len(out1) > 0
 
+    def test_threedist_reads_counts_off_the_kernel(self, capsys):
+        # 10**9 + 1 gaps are counted from three (length, multiplicity) parts,
+        # never listed
+        start = time.perf_counter()
+        doc = run_json(capsys, ["bohr", "threedist", "--alpha", "golden", "--count", "1000000000"])
+        assert time.perf_counter() - start < 1
+        assert doc["result"]["gap_count"] == 10**9 + 1
+        assert doc["result"]["distinct_count"] == len(doc["result"]["distinct_gaps"]) == 3
+        # a closed orbit of 7 points has 7 gaps, however long the count
+        doc = run_json(capsys, ["bohr", "threedist", "--alpha", "3/7", "--count", "1000000000"])
+        assert doc["result"]["gap_count"] == 7 and doc["result"]["distinct_count"] == 1
+
     def test_human_summary_stays_on_stderr(self, capsys):
         rc, out, err = run(
             capsys, ["birkhoff", "check", "--elements", "2,4,6", "--arity", "3"]

@@ -139,6 +139,40 @@ class TestNuu:
         assert rep.forward_exceptions == ()
 
 
+def pairwise_nuu(sys_, ball, x, horizon, margin):
+    """Both inclusions of verify_nuu, pair by pair."""
+    points = return_times_point(sys_, x, ball, horizon)
+    set_returns = return_times_set(sys_, ball, horizon)
+    forward = sorted({a - b for a in points for b in points if abs(a - b) <= horizon} - set(set_returns))
+    big = set(return_times_point(sys_, x, ball.enlarged(margin), 4 * horizon))
+    reverse = [n for n in set_returns if not any((m + n) in big for m in big if abs(m + n) <= 4 * horizon)]
+    return tuple(forward), tuple(reverse)
+
+
+nuu_alphas = st.one_of(
+    st.sampled_from([golden_rotation(), sqrt2_rotation()]),
+    st.builds(lambda p, q: TorusPoint(Fraction(p % q, q)), st.integers(0, 40), st.integers(1, 20)),
+)
+
+
+@given(nuu_alphas, st.integers(0, 11), st.integers(1, 30), st.integers(0, 11),
+       st.integers(0, 40), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_nuu_matches_the_pairwise_definition(alpha, c, k, p, horizon, m):
+    sys_ = RotationSystem((alpha,))
+    ball, x, margin = BallSpec((Fraction(c, 12),), Fraction(k, 64)), (Fraction(p, 12),), Fraction(m, 100)
+    rep = verify_nuu(sys_, ball, x, horizon, margin=margin)
+    assert (rep.forward_exceptions, rep.reverse_exceptions) == pairwise_nuu(sys_, ball, x, horizon, margin)
+
+
+def test_nuu_on_a_torus_matches_the_pairwise_definition():
+    sys_ = RotationSystem((TorusPoint(Fraction(1, 4)), TorusPoint(Fraction(1, 3))))
+    ball, x = BallSpec((Fraction(0), Fraction(1, 6)), Fraction(1, 5)), (Fraction(1, 8), Fraction(0))
+    rep = verify_nuu(sys_, ball, x, 15, margin=Fraction(0))
+    assert rep.reverse_exceptions
+    assert (rep.forward_exceptions, rep.reverse_exceptions) == pairwise_nuu(sys_, ball, x, 15, Fraction(0))
+
+
 class TestSubshift:
     def make(self, horizon=10):
         members = [n for n in range(-4 * horizon, 4 * horizon + 1) if n % 3 == 0]
