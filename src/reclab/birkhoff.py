@@ -20,6 +20,7 @@ UNDECIDED, never a wrong answer.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from itertools import count, islice
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -265,8 +266,14 @@ def _window_adjacency(window: int, dists: Sequence[int]) -> list[list[int]]:
     return next(islice(_windows(dists), max(window, 0), None))
 
 
+def _circulant_steps(p: int, dists: Sequence[int]) -> list[int]:
+    """The residues +-m mod p, ascending: j's neighbours in the circulant
+    graph are j + t mod p."""
+    return sorted({t for m in dists for t in (m % p, -m % p)})  # no 0: no m is a multiple of p
+
+
 def _circulant_adjacency(p: int, dists: Sequence[int]) -> list[list[int]]:
-    steps = sorted({t for m in dists for t in (m % p, -m % p)})  # no 0: no m is a multiple of p
+    steps = _circulant_steps(p, dists)
     return [sorted([(j + t) % p for t in steps]) for j in range(p)]
 
 
@@ -307,6 +314,36 @@ def _greedy_cliques(adj: list[list[int]], starts: Sequence[int]) -> Iterator[lis
                 clique.append(u)
                 common.intersection_update(adj[u])
         yield clique
+
+
+def _circulant_clique_exceeds(p: int, dists: Sequence[int], r: int) -> bool:
+    """Whether a greedy clique grown from one of the first _CLIQUE_TRIES
+    vertices of the circulant graph has more than r vertices: the answer
+    _greedy_cliques gives on _circulant_adjacency(p, dists), found without
+    building the graph.
+
+    The steps are symmetric (t is one when p - t is), so j's neighbours in
+    ascending order are j + t - p for the c = #{steps <= j} largest steps,
+    then j + t for the others: the steps rotated by c.  Adjacency is
+    invariant under translation, so the clique from j is j plus the clique
+    grown from 0 over the steps in that order, and only c decides its
+    size.  Sets of residues are p-bit masks, in which u's neighbourhood is
+    the step mask rotated by u."""
+    steps = _circulant_steps(p, dists)
+    n = len(steps)
+    if n < r:  # a clique has at most n + 1 vertices
+        return False
+    full = (1 << p) - 1
+    nbr0 = sum(1 << t for t in steps)
+    for c in range(bisect_left(steps, _CLIQUE_TRIES) + 1):  # c over the starts j < min(p, _CLIQUE_TRIES)
+        common, size = nbr0, 1
+        for t in steps[n - c :] + steps[: n - c]:
+            if common >> t & 1:
+                size += 1
+                common &= ((nbr0 << t) | (nbr0 >> (p - t))) & full
+        if size > r:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +526,8 @@ def _refutation(
     component that is not, in WindowUnsat's proof format: the vertices of
     an (r+1)-clique, or the DSATUR search tree."""
     order, rank, nbrs = _ranked(adj)
-    found = _greedy_colors(nbrs, (1 << len(adj)) - 1, r)
+    whole = (1 << len(adj)) - 1
+    found = _greedy_colors(nbrs, whole, r)
     if found is None:
         found = [0] * len(adj)
         for comp in _components(adj):
@@ -499,7 +537,8 @@ def _refutation(
                     found[i] = c
                 continue
             members = sum(1 << i for i in ranks)
-            part = _greedy_colors(nbrs, members, r)
+            # on the whole graph this is the call that has just failed
+            part = None if members == whole else _greedy_colors(nbrs, members, r)
             if part is None:
                 clique = max(_greedy_cliques(adj, comp[:_CLIQUE_TRIES]), key=len)  # the first largest
                 if len(clique) > r:
@@ -583,9 +622,9 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
 
 
 def _circulant_witness(dists: Sequence[int], p: int, r: int, budget: _Budget) -> Optional[PeriodicColoring]:
-    adj = _circulant_adjacency(p, dists)
-    if p > r and any(len(c) > r for c in _greedy_cliques(adj, range(p)[:_CLIQUE_TRIES])):
+    if p > r and _circulant_clique_exceeds(p, dists, r):
         return None
+    adj = _circulant_adjacency(p, dists)
     if _refutation(adj, r, budget) is not None:
         return None
     lex = _static_lex_coloring(adj, p, r, budget)
@@ -886,10 +925,14 @@ class ChromaticBracket:
 
 def chromatic_number_window(m: ZSetLike, window: int, limits: SearchLimits | None = None) -> ChromaticBracket:
     """Exact chromatic number of the window distance graph, or a bracket if
-    the node budget runs out."""
+    the node budget runs out.  A window of more than VERIFY_NODE_CAP
+    vertices, the verifier's cap, raises VerificationBudgetExceeded before
+    its graph is built."""
     dists = _normalize_distances(m)
     if window < 1:
         raise ValueError("window must be >= 1")
+    if window > VERIFY_NODE_CAP:
+        raise VerificationBudgetExceeded(f"window {window} exceeds the node cap {VERIFY_NODE_CAP}")
     node_budget = (limits or SearchLimits()).node_budget
     budget = _Budget(node_budget)
     adj = _window_adjacency(window, dists)

@@ -9,9 +9,10 @@ import json
 import sys
 from dataclasses import replace
 from itertools import product
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reclab.birkhoff import (
     PeriodicColoring,
@@ -28,7 +29,12 @@ from reclab.birkhoff import (
     proof_to_json,
     stably_r_birkhoff_probe,
     verify_certificate,
+    VERIFY_NODE_CAP,
     _Budget,
+    _CLIQUE_TRIES,
+    _circulant_adjacency,
+    _circulant_clique_exceeds,
+    _greedy_cliques,
     _normalize_distances,
     _reference_window_colorable,
     _refutation,
@@ -334,6 +340,72 @@ class TestChromatic:
         assert b.lower <= b.upper
         full = chromatic_number_window([1, 4, 9, 16, 25], 45)
         assert full.exact and b.lower <= full.lower <= b.upper
+
+
+    def test_window_above_the_node_cap_is_refused_before_it_is_built(self):
+        with pytest.raises(VerificationBudgetExceeded, match="exceeds the node cap"):
+            chromatic_number_window([1, 2], VERIFY_NODE_CAP + 1)
+
+
+class TestResidueCliqueBound:
+    """The circulant clique bound on residue masks against _greedy_cliques
+    on the circulant graph built in full."""
+
+    @given(st.sets(st.integers(1, 300), min_size=1, max_size=7).map(sorted), st.integers(1, 6))
+    @example([1, 3], 1)  # p = 2: the step 1 is its own inverse
+    @example([5, 12], 2)  # p = 10: so is 5
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_greedy_cliques_of_the_graph(self, dists, r):
+        for p in range(1, 2 * dists[-1] + 2):
+            if any(m % p == 0 for m in dists):
+                continue
+            cliques = _greedy_cliques(_circulant_adjacency(p, dists), range(p)[:_CLIQUE_TRIES])
+            assert _circulant_clique_exceeds(p, dists, r) == any(len(c) > r for c in cliques), p
+
+
+@st.composite
+def three_distance_sets(draw):
+    """3-sets from 1..30, half of them of the two 4-chromatic shapes {1, 2, 3n}
+    and {a, b, a + b} (a = b mod 3 included), times a common factor."""
+    if draw(st.booleans()):
+        return sorted(draw(st.sets(st.integers(1, 30), min_size=3, max_size=3)))
+    if draw(st.booleans()):
+        base = (1, 2, 3 * draw(st.integers(1, 10)))
+    else:
+        a = draw(st.integers(1, 29))
+        b = draw(st.integers(1, 30 - a).filter(lambda b: b != a))
+        base = (a, b, a + b)
+    g = draw(st.integers(1, 30 // max(base)))
+    return sorted(g * x for x in base)
+
+
+class TestClosedForms:
+    """Verdicts against the chromatic numbers of distance graphs on Z known
+    in closed form, each certificate verified."""
+
+    @given(st.sets(st.integers(1, 100), min_size=2, max_size=2).map(sorted))
+    @settings(max_examples=60, deadline=None)
+    def test_two_distances(self, dists):
+        # Eggleton, Erdos and Skilton (JCTB 1985): G(Z, {a, b}) is
+        # 2-chromatic when a/g and b/g are both odd, 3-chromatic otherwise
+        a, b = (m // gcd(*dists) for m in dists)
+        verdict = check_r_birkhoff(dists, 2)
+        assert verdict.status is (Status.NOT_R_BIRKHOFF if a % 2 and b % 2 else Status.R_BIRKHOFF)
+        assert verify_certificate(dists, 2, verdict.certificate)
+
+    @given(three_distance_sets())
+    @example([1, 2, 3])
+    @example([1, 4, 5])  # {a, b, a + b} with a = b mod 3: 3-colorable
+    @settings(max_examples=200, deadline=None)
+    def test_three_distances(self, dists):
+        # Chen, Chang and Huang (JGT 1997), Zhu (JGT 2002): after dividing
+        # by the gcd, G(Z, {a, b, c}) is 4-chromatic exactly for {1, 2, 3n}
+        # and for {a, b, a + b} with a != b mod 3, else at most 3-chromatic
+        a, b, c = (m // gcd(*dists) for m in dists)
+        four = (a, b) == (1, 2) and c % 3 == 0 or (a + b == c and (a - b) % 3 != 0)
+        verdict = check_r_birkhoff(dists, 3)
+        assert verdict.status is (Status.R_BIRKHOFF if four else Status.NOT_R_BIRKHOFF)
+        assert verify_certificate(dists, 3, verdict.certificate)
 
 
 class TestPigeonholeSweep:

@@ -20,12 +20,16 @@ never UNDECIDED where the oracle decided.
 
 Run this file as a script to compare the whole solver space of the
 benchmark (every 2-6 distance set from 1..14 at arity 2 and 3), with the
-node and proof-byte totals of both kernels:
+node, proof-byte, window and period totals of both kernels.  It exits
+non-zero when a solver total differs from SOLVER_SPACE_TOTALS, so a shift
+in nodes or proofs that the per-pair checks allow still fails:
 
     PYTHONPATH=src python tests/test_birkhoff_differential.py
 """
 
+import hashlib
 import itertools
+import json
 import random
 import sys
 from typing import Optional, Sequence
@@ -398,9 +402,30 @@ def solver_space():
     ]
 
 
+# The solver's totals over the whole solver space.
+SOLVER_SPACE_TOTALS = {"nodes": 165_209, "proof bytes": 129_821, "windows": 120_095, "periods": 33_505}
+
+# sha256 of each verdict's to_json(), dumped with sorted keys, then its
+# proof bytes, over the 300-pair sample below.
+SAMPLE_DIGEST = "039528e88f75d72091a96f28589a883d93209411978a28fff7d61ab376f74b59"
+
+
+def sample_pairs():
+    return random.Random(20260601).sample(solver_space(), 300)
+
+
 def test_solver_space_sample_matches_the_oracle():
-    for dists, r in random.Random(20260601).sample(solver_space(), 300):
+    for dists, r in sample_pairs():
         compare(dists, r)
+
+
+def test_solver_space_sample_is_byte_identical():
+    digest = hashlib.sha256()
+    for dists, r in sample_pairs():
+        verdict = check_r_birkhoff(dists, r)
+        digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode())
+        digest.update(proof_of(verdict) or b"")
+    assert digest.hexdigest() == SAMPLE_DIGEST
 
 
 @pytest.mark.parametrize("node_budget", [1, 10, 100, 1000])
@@ -432,16 +457,25 @@ def test_hard_sets_match_the_oracle(dists, r):
 
 if __name__ == "__main__":
     space = solver_space()
-    totals = {"nodes": [0, 0], "proof bytes": [0, 0]}
+    totals = {name: [0, 0] for name in SOLVER_SPACE_TOTALS}
     changed = 0
     for n, (dists, r) in enumerate(space, 1):
         new, old = compare(dists, r)
         for k, verdict in enumerate((new, old)):
             totals["nodes"][k] += verdict.stats.nodes
             totals["proof bytes"][k] += len(proof_of(verdict) or b"")
+            totals["windows"][k] += verdict.stats.windows_tried
+            totals["periods"][k] += verdict.stats.periods_tried
         changed += (new.status, new.to_json()["certificate"]) != (old.status, old.to_json()["certificate"])
         if n % 1000 == 0:
             print(f"{n}/{len(space)}", file=sys.stderr)
     print(f"all {len(space)} solver-space pairs agree with the oracle; {changed} change status or certificate")
     for name, (new_total, old_total) in totals.items():
         print(f"{name}: {old_total:,} -> {new_total:,} ({new_total / old_total - 1:+.1%})")
+    moved = [
+        f"{name} {totals[name][0]:,} != {want:,}"
+        for name, want in SOLVER_SPACE_TOTALS.items()
+        if totals[name][0] != want
+    ]
+    if moved:
+        sys.exit("solver totals moved: " + ", ".join(moved))

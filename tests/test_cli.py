@@ -444,6 +444,13 @@ class TestExitCodes:
         assert out == ""
         assert "interval count exceeded 1" in err
 
+    def test_chromatic_window_budget_exit(self, capsys):
+        # refused before the 10^8-vertex window graph is built
+        rc, out, err = run(capsys, ["birkhoff", "chromatic", "--elements", "1,2", "--window", "100000000"])
+        assert rc == 4
+        assert out == ""
+        assert "window 100000000 exceeds the node cap" in err
+
 
 # every option string of every command; help text itself is not pinned,
 # argparse formats it differently across Python 3.10-3.13
