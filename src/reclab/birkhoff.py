@@ -661,20 +661,33 @@ def _greedy_terms(dists: Sequence[int]) -> Iterator[tuple[int, Optional[tuple[in
     color differing from every position one M-distance back.  A term depends
     only on the max(M) terms before it, so once such a state repeats the
     sequence is periodic; the cycle is its primitive, lex-least rotation.
+
+    A term costs O(|M|): the forbidden colors are a bitmask, and the state
+    is an integer holding the last max(M) terms in `width` bits each.  Once
+    a state repeats, each later term is the one i - j0 terms back.
     """
     top = max(dists)
-    palette = range(1, len(dists) + 2)
+    width = (len(dists) + 1).bit_length()
+    mask = (1 << width * top) - 1
     z = [1] * top  # positions 1 - top .. 0, then z[top - 1 + i] is term i
-    seen: dict[tuple[int, ...], int] = {}
-    cycle = None
+    state = 0  # the latest term in the low bits; whole once i >= top
+    seen: dict[int, int] = {}
     for i in count(1):
-        forbidden = {z[-mm] for mm in dists}
-        z.append(next(c for c in palette if c not in forbidden))
-        if cycle is None and i >= top:
-            state = tuple(z[-top:])
-            j0 = seen.setdefault(state, i)
-            if j0 != i:
-                cycle = _primitive_rotation(tuple(z[j0 + top :]))
+        used = 1  # bit c is set when color c is taken; there is no color 0
+        for mm in dists:
+            used |= 1 << z[-mm]
+        c = (~used & (used + 1)).bit_length() - 1
+        z.append(c)
+        state = (state << width | c) & mask
+        if i >= top and seen.setdefault(state, i) != i:
+            break
+        yield c, None
+    j0 = seen[state]
+    cycle = _primitive_rotation(tuple(z[j0 + top :]))
+    yield c, cycle
+    period = i - j0
+    while True:
+        z.append(z[-period])
         yield z[-1], cycle
 
 

@@ -423,8 +423,7 @@ def cmd_dyn_phi(args) -> dict:
     if args.indicator:
         value = phi_l(indicator_shift(args), args.offset, targets, args.horizon)
     else:
-        sys_ = make_system(args)
-        value = phi_l(sys_, parse_point(args.point, sys_), targets, args.horizon)
+        value = phi_l(make_system(args), None, targets, args.horizon)
     return {"phi": real_to_json(value), "horizon": args.horizon}
 
 
@@ -435,9 +434,8 @@ def build_query(args) -> MovingQuery:
 
 
 def cmd_dyn_psi(args) -> dict:
-    sys_ = make_system(args)
     query = build_query(args)
-    value, below_eps = psi_moving(sys_, parse_point(args.point, sys_), query)
+    value, below_eps = psi_moving(make_system(args), None, query)
     return {
         "psi": real_to_json(value),
         "horizon": args.horizon,
@@ -589,7 +587,7 @@ def cmd_report_claims(args) -> dict:
 
 
 def count(text: str) -> int:
-    """argparse type of a budget, horizon or depth: a non-negative integer."""
+    """argparse type of a budget, horizon, depth or sample count: a non-negative integer."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
@@ -609,8 +607,7 @@ SET_FLAGS = {
 BUDGET_FLAGS = {"--max-window": COUNT, "--max-period": COUNT, "--node-budget": COUNT}
 # --alpha is checked at run time, so subshift-mode calls can omit it
 ROTATION_FLAGS = {"--alpha": {"action": "append"}}
-POINT_FLAGS = {**ROTATION_FLAGS, "--point": {}}
-BALL_FLAGS = {**POINT_FLAGS, "--center": {"default": "0"}, "--radius": {"default": "1/10"}}
+BALL_FLAGS = {**ROTATION_FLAGS, "--point": {}, "--center": {"default": "0"}, "--radius": {"default": "1/10"}}
 INDICATOR_FLAGS = {
     "--indicator": {"help": "set file; switches to the subshift"},
     "--window-lo": INT,
@@ -668,14 +665,14 @@ COMMANDS = {
     ("dyn", "nuu"): (cmd_dyn_nuu, "set returns vs point-return differences", {
         **BALL_FLAGS, **HORIZON, "--margin": {"default": "1/100"}}),
     ("dyn", "phi"): (cmd_dyn_phi, "closest approach over target times", {
-        **POINT_FLAGS, **SET_FLAGS, **HORIZON, **INDICATOR_FLAGS}),
-    ("dyn", "psi"): (cmd_dyn_psi, "moving-target closest approach", {**POINT_FLAGS, **QUERY_FLAGS}),
+        **ROTATION_FLAGS, **SET_FLAGS, **HORIZON, **INDICATOR_FLAGS}),
+    ("dyn", "psi"): (cmd_dyn_psi, "moving-target closest approach", {**ROTATION_FLAGS, **QUERY_FLAGS}),
     ("dyn", "recurrent"): (cmd_dyn_recurrent, "find a time bringing a point home", {
         **ROTATION_FLAGS, **SET_FLAGS, "--eps": REQUIRED}),
     ("dyn", "etadense"): (cmd_dyn_etadense, "orbit-density constant", {**ROTATION_FLAGS, "--eta": REQUIRED}),
     ("dyn", "rigidity"): (cmd_dyn_rigidity, "displacement record minima", {**ROTATION_FLAGS, **HORIZON}),
     ("dyn", "moving"): (cmd_dyn_moving, "moving recurrence sample experiment", {
-        **ROTATION_FLAGS, **QUERY_FLAGS, "--samples": {"type": int, "default": 10}}),
+        **ROTATION_FLAGS, **QUERY_FLAGS, "--samples": {**COUNT, "default": 10}}),
     ("sets", "diff"): (cmd_sets_diff, "difference set, optionally windowed", {
         **SET_FLAGS, "--lo": INT, "--hi": INT}),
     ("sets", "gaps"): (cmd_sets_gaps, "gap profile over a window", {

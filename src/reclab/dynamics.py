@@ -3,7 +3,9 @@
 Rotations use the exact arithmetic kinds throughout, so return-time sets,
 rigidity records, the phi and psi minimisers and psi's comparison with eps
 are decided exactly; the displayed distances of a multi-frequency rotation
-are tracked-error approximations, built for the winners only.
+are tracked-error approximations, built for the winners only.  A rotation
+is an isometry, so phi and psi are minima of ||n*alpha|| over exact
+multiples and read no point.
 
 A circle rotation by an exact alpha goes through ``bohr.CircleKernel``:
 return times are walked from hit to hit (Slater's three-step theorem),
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bohr import CircleKernel, circle_hits, frequency_hits, three_distance_parts
@@ -349,22 +352,29 @@ def _norm_records(vectors: Iterable[Sequence[Real]]):
             yield i, xs
 
 
-def _closest(pairs: Sequence[tuple[RotPoint, RotPoint]]) -> list[Real]:
-    """Coordinate differences y - z of the first (y, z) pair at least distance."""
-    if not pairs:
+def _least_move(sys_: RotationSystem, times: Sequence[int]) -> list[Real]:
+    """The exact move [n*alpha, ...] of the first n in times at least norm.
+
+    A rotation is an isometry: dist(T^(m+n) x, T^m x) is the torus norm of
+    this move for every x and m.
+    """
+    if not times:
         raise ValueError("minimum over no times")
-    *_, (_, least) = _norm_records([real_sub(a, b) for a, b in zip(y, z)] for y, z in pairs)
+    *_, (_, least) = _norm_records([a.multiple(n) for a in sys_.alphas] for n in times)
     return least
 
 
 def phi_l(sys_: System, x, targets: ZSetLike, horizon: int) -> Real:
-    """Minimum of dist(T^n x, x) over target times n within the horizon."""
+    """Minimum of dist(T^n x, x) over target times n within the horizon.
+
+    For a rotation this is min_n ||n*alpha|| whatever x is, and x is not
+    read; on a subshift x is the shift of the base word.
+    """
     times = [n for n in as_int_list(targets) if abs(n) <= horizon and n != 0]
     if not times:
         raise NoElementsInWindow("no target times inside the horizon")
     if isinstance(sys_, RotationSystem):
-        x = sys_.point(x)
-        return torus_norm(_closest([(sys_.step(x, n), x) for n in times]))
+        return torus_norm(_least_move(sys_, times))
     sys_.require_horizon(max(abs(n) for n in times))
     base = int(x)
     scan = min(sys_.window.hi // 2, 4 * horizon)
@@ -401,12 +411,14 @@ class MovingQuery:
 
 def psi_moving(sys_: System, x, query: MovingQuery) -> tuple[Real, bool]:
     """min over k of dist(T^(n_k + r_k) x, T^(n_k) x) within the horizon,
-    and whether it is below query.eps, decided exactly."""
+    and whether it is below query.eps, decided exactly.
+
+    For a rotation this is min_k ||r_k*alpha||, from the horizon's exact
+    multiples alone: x and the n_k are not read.  On a subshift x is the
+    shift of the base word.
+    """
     if isinstance(sys_, RotationSystem):
-        x = sys_.point(x)
-        least = _closest(
-            [(sys_.step(x, n + r), sys_.step(x, n)) for n, r in zip(query.n_terms, query.r_terms)]
-        )
+        least = _least_move(sys_, query.r_terms)
         return torus_norm(least), torus_norm_lt(least, query.eps)
     reach = max(abs(n) + abs(r) for n, r in zip(query.n_terms, query.r_terms))
     sys_.require_horizon(reach)
@@ -563,26 +575,29 @@ def moving_recurrence_experiment(
     sys_: System, query: MovingQuery, samples: int = 10
 ) -> MovingExperimentReport:
     """Evaluate the moving-recurrence functional on a deterministic sample
-    grid and report the fraction below the query tolerance."""
+    grid and report the fraction below the query tolerance.
+
+    A rotation's functional is the same at every point (see psi_moving), so
+    it is evaluated once and holds at all `samples` grid points; a subshift
+    evaluates it at the first `samples` shifts 0, 1, -1, 2, ...
+    """
     if samples < 1:
         raise ValueError("need at least one sample point")
-    psi = []
-    below = 0
     if isinstance(sys_, RotationSystem):
-        points = [
-            tuple(Fraction(i, samples) for _ in range(sys_.dim)) for i in range(samples)
-        ]
+        value, below_eps = psi_moving(sys_, None, query)
+        low = high = real_to_float(value)
+        psi = (low,) * samples
+        below = samples if below_eps else 0
     else:
-        points = [(off,) for off in list(_alternating(samples))[:samples]]
-    for pt in points:
-        value, below_eps = psi_moving(sys_, pt if isinstance(sys_, RotationSystem) else pt[0], query)
-        psi.append(real_to_float(value))
-        below += below_eps
+        results = [psi_moving(sys_, off, query) for off in islice(_alternating(samples), samples)]
+        psi = tuple(real_to_float(value) for value, _ in results)
+        low, high = min(psi), max(psi)
+        below = sum(below_eps for _, below_eps in results)
     return MovingExperimentReport(
         fraction_below=Fraction(below, samples),
-        psi_values=tuple(psi),
-        psi_min=min(psi),
-        psi_max=max(psi),
+        psi_values=psi,
+        psi_min=low,
+        psi_max=high,
         sample_count=samples,
         horizon=query.horizon,
         eps=query.eps,

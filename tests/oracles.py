@@ -1,13 +1,19 @@
-"""Per-n and per-m reference scans for the circle kernel's differential tests.
+"""Reference computations for the differential tests.
 
-These are the computations the circle kernel in ``reclab.bohr`` replaced:
-the sorting three-gap computation, and scans that test every n or m.  They
-use only the package's exact comparisons, never the kernel.
+The circle kernel in ``reclab.bohr`` replaced the sorting three-gap
+computation and scans that test every n or m; they use only the package's
+exact comparisons, never the kernel.  The point-free moving-recurrence
+functionals in ``reclab.dynamics`` replaced stepping orbit points and
+minimising their differences.  The rolling-state greedy generator in
+``reclab.birkhoff`` replaced one that hashes a tuple of the last max(M)
+terms per term.
 """
 
 import functools
 from fractions import Fraction
+from itertools import count
 
+from reclab.birkhoff import _primitive_rotation
 from reclab.dynamics import _norm_records
 from reclab.errors import NoSuchM, UncertainAtPrecision
 from reclab.exactreal import (
@@ -16,6 +22,7 @@ from reclab.exactreal import (
     real_cmp,
     real_frac,
     real_sub,
+    real_to_float,
     torus_norm,
     torus_norm_lt,
 )
@@ -95,3 +102,56 @@ def scan_return_times_set(sys_, target, horizon: int):
     """{n in [-H, H] : the displacement of T^n is below 2*rho}, testing every n."""
     two_rho = 2 * Fraction(target.radius)
     return tuple(n for n in range(-horizon, horizon + 1) if sys_.displacement_lt(n, two_rho))
+
+
+def closest(pairs):
+    """Coordinate differences y - z of the first (y, z) pair at least distance."""
+    if not pairs:
+        raise ValueError("minimum over no times")
+    *_, (_, least) = _norm_records([real_sub(a, b) for a, b in zip(y, z)] for y, z in pairs)
+    return least
+
+
+def stepping_phi(sys_, x, times, horizon: int):
+    """min of dist(T^n x, x) over the nonzero times within the horizon, from stepped points."""
+    x = sys_.point(x)
+    times = [n for n in times if abs(n) <= horizon and n != 0]
+    return torus_norm(closest([(sys_.step(x, n), x) for n in times]))
+
+
+def stepping_psi(sys_, x, query):
+    """(psi, psi < eps) from the points T^(n_k + r_k) x and T^(n_k) x."""
+    x = sys_.point(x)
+    least = closest(
+        [(sys_.step(x, n + r), sys_.step(x, n)) for n, r in zip(query.n_terms, query.r_terms)]
+    )
+    return torus_norm(least), torus_norm_lt(least, query.eps)
+
+
+def stepping_moving(sys_, query, samples: int):
+    """(psi_values, fraction_below) of psi at the sample points (i/samples, ...), one by one."""
+    values, below = [], 0
+    for i in range(samples):
+        value, below_eps = stepping_psi(sys_, tuple(Fraction(i, samples) for _ in range(sys_.dim)), query)
+        values.append(real_to_float(value))
+        below += below_eps
+    return tuple(values), Fraction(below, samples)
+
+
+def tuple_state_greedy_terms(dists):
+    """The greedy avoiding sequence, each term with the cycle closed so far,
+    keyed on a tuple of the last max(M) terms."""
+    top = max(dists)
+    palette = range(1, len(dists) + 2)
+    z = [1] * top
+    seen = {}
+    cycle = None
+    for i in count(1):
+        forbidden = {z[-mm] for mm in dists}
+        z.append(next(c for c in palette if c not in forbidden))
+        if cycle is None and i >= top:
+            state = tuple(z[-top:])
+            j0 = seen.setdefault(state, i)
+            if j0 != i:
+                cycle = _primitive_rotation(tuple(z[j0 + top :]))
+        yield z[-1], cycle

@@ -8,7 +8,7 @@ solver's DSATUR machinery.
 import json
 import sys
 from dataclasses import replace
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 import pytest
@@ -34,6 +34,8 @@ from reclab.birkhoff import (
     _CLIQUE_TRIES,
     _circulant_adjacency,
     _circulant_clique_exceeds,
+    _cycle_witness,
+    _greedy_cycle_witness,
     _greedy_cliques,
     _normalize_distances,
     _reference_window_colorable,
@@ -44,6 +46,8 @@ from reclab import birkhoff, cli
 from reclab.errors import InvalidArity, MalformedCertificate, VerificationBudgetExceeded
 from reclab.intsets import gen_k_times_nr, gen_l_r
 from reclab.report import FAIL, PASS, run_claim_suite
+
+from oracles import tuple_state_greedy_terms
 
 
 def window_r_colorable(dists, window, r):
@@ -188,6 +192,30 @@ class TestGreedy:
                 assert seq[i - 1] != earlier
         # palette bound: at most len+1 colors ever needed
         assert max(seq) <= len(dists) + 1
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_tuple_state_generator(self, data):
+        dists = sorted(data.draw(st.sets(st.integers(1, 80), min_size=1, max_size=7)))
+        reference = list(islice(tuple_state_greedy_terms(dists), 1500))
+        closes = next((i for i, (_, cycle) in enumerate(reference, 1) if cycle is not None), None)
+        sizes = [st.integers(1, 1500)]
+        if closes is not None:
+            sizes.append(st.sampled_from([n for n in (closes - 1, closes) if n >= 1]))
+        n = data.draw(st.one_of(sizes))
+        run, cycle = greedy_coloring(dists, n), reference[n - 1][1]
+        assert run.sequence == tuple(c for c, _ in reference[:n])
+        assert (run.period, run.cycle) == (None if cycle is None else len(cycle), cycle)
+        arity = data.draw(st.integers(1, len(dists) + 1))
+        want = None if cycle is None else _cycle_witness(cycle, dists, arity)
+        assert run.witness(dists, arity) == want
+
+    def test_fallback_witness_matches_the_tuple_state_generator(self):
+        dists = [10, 11, 14, 24, 29, 39]
+        cycle = next(cycle for _, cycle in tuple_state_greedy_terms(dists) if cycle is not None)
+        got = _greedy_cycle_witness(dists, 7, _Budget(birkhoff._FALLBACK_TERMS))
+        assert got == _cycle_witness(cycle, dists, 7)
+        assert got.period == 49 and got.is_valid_for(dists, 7)
 
 
 class TestAgainstBruteForce:

@@ -1,13 +1,21 @@
 """End-to-end command line checks, driven through ``cli.main``."""
 
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import reclab
 from reclab import cli, exactreal
 from reclab.errors import UncertainAtPrecision
+
+SRC = str(Path(reclab.__file__).resolve().parent.parent)
 
 
 def run(capsys, argv):
@@ -315,6 +323,24 @@ class TestDyn:
         assert res["psi"]["float"] == pytest.approx(0.0131556, abs=1e-6)
         assert res["below_eps"] is False
 
+    def test_moving_builds_nothing_per_sample(self):
+        # a rotation's psi is the same at every point, so it is evaluated
+        # once: 2 * 10**7 samples fit a 1 GB address space, in well under 2 s
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+        argv = ["dyn", "moving", "--alpha", "golden", "--nk", "k^2", "--horizon", "30", "--samples", "20000000"]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "reclab.cli", *argv], env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, timeout=60, preexec_fn=cap,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert time.perf_counter() - start < 2
+        res = json.loads(proc.stdout)["result"]
+        assert res["sample_count"] == 20_000_000 and res["fraction_below"] == "0"
+        assert res["psi_min"] == res["psi_max"]
+
     def test_rigidity(self, capsys):
         doc = run_json(
             capsys, ["dyn", "rigidity", "--alpha", "golden", "--horizon", "100"]
@@ -473,9 +499,9 @@ OPTIONS = {
     ("dyn", "returns"): ("--alpha", "--center", "--radius", "--point", "--horizon", "--indicator", "--window-lo",
                          "--window-hi", "--offset"),
     ("dyn", "nuu"): ("--alpha", "--center", "--radius", "--point", "--horizon", "--margin"),
-    ("dyn", "phi"): ("--alpha", "--point", "--set", "--elements", "--horizon", "--indicator", "--window-lo",
+    ("dyn", "phi"): ("--alpha", "--set", "--elements", "--horizon", "--indicator", "--window-lo",
                      "--window-hi", "--offset"),
-    ("dyn", "psi"): ("--alpha", "--point", "--nk", "--rk", "--horizon", "--eps"),
+    ("dyn", "psi"): ("--alpha", "--nk", "--rk", "--horizon", "--eps"),
     ("dyn", "recurrent"): ("--alpha", "--set", "--elements", "--eps"),
     ("dyn", "etadense"): ("--alpha", "--eta"),
     ("dyn", "rigidity"): ("--alpha", "--horizon"),
@@ -523,6 +549,9 @@ class TestHelp:
         ["birkhoff", "check", "--elements", "1"],
         ["birkhoff", "check", "--elements", "2", "--arity", "2", "--seed", "3"],
         ["dyn", "rigidity", "--alpha", "golden", "--horizon", "10", "--point", "1/3"],
+        ["dyn", "psi", "--alpha", "golden", "--nk", "k^2", "--horizon", "30", "--point", "sqrt:3:0:1:2"],
+        ["dyn", "phi", "--alpha", "golden", "--elements", "1,3,8", "--horizon", "30", "--point", "1/3"],
+        ["dyn", "moving", "--alpha", "golden", "--nk", "k^2", "--horizon", "30", "--samples", "-1"],
         ["bohr", "cf", "--alpha", "golden", "--depth", "-5"],
         ["bohr", "witness", "--elements", "1,3,10,40", "--delta", "1/5", "--depth", "-1"],
         ["dyn", "rigidity", "--alpha", "golden", "--horizon", "-3"],
@@ -530,7 +559,7 @@ class TestHelp:
         ["bohr", "separate", "--elements", "1,2", "--eps", "1/5", "--grid-depth", "-1"],
     ],
     ids=["unknown group", "unknown command", "missing command", "missing required flag", "global flag last",
-         "point on rigidity", "negative cf depth", "negative witness depth", "negative horizon",
+         "point on rigidity", "point on psi", "point on phi", "negative samples", "negative cf depth", "negative witness depth", "negative horizon",
          "precision flag", "negative grid depth"],
 )
 def test_usage_error_exits_2(capsys, argv):

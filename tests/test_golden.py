@@ -98,10 +98,10 @@ LEAVES = {
     ("dyn", "nuu", "--alpha", "1/5", "--alpha", "2/7", "--horizon", "12",
      "--center", "1/3", "--radius", "1/8", "--point", "1/10;3/10"):
         "3a06116eeaa222000214dd73299805ad9fa49987f80b0a3866d1747f25b3756b",
-    ("dyn", "phi", "--alpha", "golden", "--elements", "1,3,8,21,55,144", "--horizon", "600", "--point", "1/3"):
-        "55cec407b215cfa6b1ab41b2c16e3de965ed5acf88a6da1b3a7730c0793e2d68",
-    ("dyn", "psi", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--nk", "k^2", "--horizon", "30", "--point", "1/4"):
-        "7fd04b3a2bf7b03457e326aa7ce82f428475af3423c500f6583b6c00a0ec7a9f",
+    ("dyn", "phi", "--alpha", "golden", "--elements", "1,3,8,21,55,144", "--horizon", "600"):
+        "8a86e4e317398c272b6e90fa46103f94edbfe793b005867f18681460a5225684",
+    ("dyn", "psi", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--nk", "k^2", "--horizon", "30"):
+        "49572932f7dc7bb3c3f75a174c45a7a943a6a0b0fa9611c100a02c447258cac3",
     ("dyn", "recurrent", "--alpha", "golden", "--elements", "1,3,8,21,55,144", "--eps", "1/20"):
         "cd455a8716246746684513a31690fb0c11b17617333bc6e8b4ad0b98b0ef2306",
     ("dyn", "etadense", "--alpha", "golden", "--eta", "1/20"):

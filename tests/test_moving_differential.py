@@ -1,0 +1,110 @@
+"""Point-free moving-recurrence functionals against stepped orbit points.
+
+A rotation is an isometry, so psi_moving, phi_l and the moving-recurrence
+experiment read only the exact multiples r*alpha.  The oracles step the
+orbit points T^(n+r) x and T^n x and minimise their differences, as the
+functionals did before; both must print the same exact values and decide
+the same comparisons with eps.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, example, given, settings, strategies as st
+
+from reclab.dynamics import MovingQuery, RotationSystem, moving_recurrence_experiment, phi_l, psi_moving
+from reclab.exactreal import Surd, TorusPoint, real_add, real_mul_int, real_to_json, torus_norm
+
+from oracles import stepping_moving, stepping_phi, stepping_psi
+
+FIELDS = (2, 3, 5, 6, 7, 13)
+
+rationals = st.integers(1, 60).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: TorusPoint(Fraction(p, q))))
+surds = st.builds(
+    lambda d, a, b, c: TorusPoint(Surd.make(Fraction(a, c), Fraction(b, c), d)),
+    st.sampled_from(FIELDS),
+    st.integers(-6, 6),
+    st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    st.integers(1, 6),
+)
+systems = st.lists(st.one_of(rationals, surds), min_size=1, max_size=2).map(lambda a: RotationSystem(tuple(a)))
+small_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+# 0, negatives and repeats; r and -r tie in norm
+terms = st.lists(st.integers(-40, 40), min_size=1, max_size=12)
+
+
+@st.composite
+def points(draw, sys_):
+    """A rational coordinate, or one from the field of that coordinate's alpha
+    (any field when alpha is rational), so every difference stays exact."""
+    coords = []
+    for alpha in sys_.alphas:
+        r = draw(small_fractions)
+        if draw(st.booleans()):
+            coords.append(r)
+        elif alpha.is_rational:
+            coords.append(real_add(draw(surds).value, r))
+        else:
+            coords.append(real_add(real_mul_int(alpha.value, draw(st.integers(-9, 9))), r))
+    return tuple(coords)
+
+
+@st.composite
+def cases(draw):
+    """A system, a point in it, and a query whose eps may be one of its own
+    rational distances, so that strict < is tested at equality."""
+    sys_ = draw(systems)
+    n_terms = draw(terms)
+    r_terms = draw(st.lists(st.integers(-40, 40), min_size=len(n_terms), max_size=len(n_terms)))
+    eps = Fraction(draw(st.integers(1, 60)), 120)
+    edge = sys_.displacement_norm(draw(st.sampled_from(r_terms)))
+    if isinstance(edge, Fraction) and edge > 0 and draw(st.booleans()):
+        eps = edge
+    query = MovingQuery(tuple(n_terms), tuple(r_terms), len(n_terms), eps)
+    return sys_, draw(points(sys_)), query
+
+
+def shown(pair):
+    value, below_eps = pair
+    return real_to_json(value), below_eps
+
+
+GOLDEN = RotationSystem((TorusPoint(Surd.make(Fraction(-1, 2), Fraction(1, 2), 5)),))
+
+
+@given(cases())
+@example((GOLDEN, (Fraction(1, 3),), MovingQuery((0, -4, 9), (0, 3, -3), 3, Fraction(1, 100))))
+@example((RotationSystem((TorusPoint(Fraction(1, 5)),)), (Fraction(1, 7),),
+          MovingQuery((1, 2), (3, -3), 2, Fraction(2, 5))))
+@settings(max_examples=150, deadline=None)
+def test_psi_matches_stepped_points(case):
+    sys_, x, query = case
+    assert shown(psi_moving(sys_, x, query)) == shown(stepping_psi(sys_, x, query))
+
+
+@given(systems.flatmap(lambda s: st.tuples(st.just(s), points(s))), terms, st.integers(0, 40))
+@settings(max_examples=100, deadline=None)
+def test_phi_matches_stepped_points(system_point, times, horizon):
+    sys_, x = system_point
+    assume(any(n != 0 and abs(n) <= horizon for n in times))
+    got = phi_l(sys_, x, times, horizon)
+    assert real_to_json(got) == real_to_json(stepping_phi(sys_, x, times, horizon))
+
+
+@given(cases(), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_experiment_matches_every_sample_point(case, samples):
+    sys_, _, query = case
+    rep = moving_recurrence_experiment(sys_, query, samples)
+    assert (rep.psi_values, rep.fraction_below) == stepping_moving(sys_, query, samples)
+    assert rep.psi_min == min(rep.psi_values) and rep.psi_max == max(rep.psi_values)
+
+
+def test_a_third_field_point_no_longer_widens_psi():
+    # stepping a point from a third field turns the differences into Approx
+    # enclosures; the isometry gives the exact surd they enclose
+    query = MovingQuery.from_callables(lambda k: k * k, None, 30, Fraction(1, 100))
+    value, _ = psi_moving(GOLDEN, None, query)
+    approx, _ = stepping_psi(GOLDEN, (Surd.make(0, Fraction(1, 2), 3),), query)
+    assert real_to_json(value)["kind"] == "surd" and real_to_json(approx)["kind"] == "approx"
+    assert value == torus_norm([GOLDEN.alphas[0].multiple(21)])
+    assert abs(float(value) - float(approx)) <= approx.err
