@@ -4,9 +4,8 @@ A frequency spec (alphas; eps) describes the integer set
 {n : dist(n*alpha, Z^k) < eps} with the Euclidean distance on the k-torus.
 Membership is decided exactly for rational and quadratic-surd alphas, over
 any number of quadratic fields; only the displayed norm and margin of a
-multi-frequency member query are tracked-error approximations.  Alphas that
-are already approximations (float input) keep their tracked error and raise
-UncertainAtPrecision instead of guessing.
+multi-frequency member query are tracked-error approximations.  Alphas are
+exact: ``TorusPoint`` refuses a float or an Approx.
 
 On the circle, one exact alpha is served by ``CircleKernel``: one walk of
 the continued fraction that keeps each convergent denominator q_k with
@@ -16,15 +15,14 @@ segment, and so its largest gap and the rigidity records, off that walk in
 O(log N) exact steps.  The hits of an arc come from Slater's three-step
 theorem (1967): consecutive hits differ by a, b or a + b, so a Bohr set or a
 return-time set costs O(hits + log H) exact steps instead of one test per n.
-Tori of dimension >= 2, Approx alphas and offsets from a second quadratic
-field keep the per-n and per-m scans.
+An offset from a second quadratic field is refused (``field_unit``).  Tori
+of dimension >= 2 keep the per-n and per-m scans, decided exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -34,14 +32,12 @@ from .errors import (
     UncertainAtPrecision,
 )
 from .exactreal import (
-    Approx,
     Real,
     Surd,
     TorusPoint,
     as_real,
     floor_div,
     real_abs,
-    real_add,
     real_cmp,
     real_floor,
     real_frac,
@@ -98,14 +94,12 @@ def bohr_enumerate(spec: BohrSpec, window: Window) -> tuple[int, ...]:
 def frequency_hits(alphas: Sequence[TorusPoint], eps: Fraction, window: Window) -> tuple[int, ...]:
     """All n in the window, 0 included, with dist(n*alpha, Z^k) < eps, ascending.
 
-    One exact frequency is walked from hit to hit by the circle kernel.  A
-    torus or an Approx frequency tests every n; undecidable n are collected
-    and raised together so the caller can rerun at higher precision.
+    One frequency is walked from hit to hit by the circle kernel.  A torus
+    tests every n; n whose cross-field sum does not separate are collected
+    and raised together.
     """
     if len(alphas) == 1:
-        hits = circle_hits(alphas[0].value, Fraction(0), eps, window)
-        if hits is not None:
-            return hits
+        return circle_hits(alphas[0].value, Fraction(0), eps, window)
     hits, ambiguous = [], []
     for n in window:
         try:
@@ -121,12 +115,10 @@ def frequency_hits(alphas: Sequence[TorusPoint], eps: Fraction, window: Window) 
     return tuple(hits)
 
 
-def circle_hits(alpha: Real, offset: Real, radius: Fraction, window: Window) -> Optional[tuple[int, ...]]:
-    """All n in the window with dist(offset + n*alpha, Z) < radius, ascending;
-    None unless alpha and offset are exact with at most one quadratic field."""
+def circle_hits(alpha: Real, offset: Real, radius: Fraction, window: Window) -> tuple[int, ...]:
+    """All n in the window with dist(offset + n*alpha, Z) < radius, ascending,
+    for alpha and offset of at most one quadratic field."""
     kernel = CircleKernel.of(alpha, offset, radius)
-    if kernel is None:
-        return None
     if radius > Fraction(1, 2):
         return tuple(window)
     return tuple(kernel.hits(offset, radius, window.lo, window.hi))
@@ -135,6 +127,27 @@ def circle_hits(alpha: Real, offset: Real, radius: Fraction, window: Window) -> 
 # ---------------------------------------------------------------------------
 # the circle kernel: convergents, the three-gap theorem and Slater's steps
 # ---------------------------------------------------------------------------
+
+
+def field_unit(*values: Real) -> int:
+    """The lcm of the denominators of the rationals among values: the unit
+    in which every value is an int or a Surd.  Raises ValueError when the
+    surds among them come from two quadratic fields, and TypeError for a
+    value that is not exact."""
+    den, field = 1, None
+    for v in values:
+        if isinstance(v, Surd):
+            if field is not None and v.d != field:
+                raise ValueError(
+                    f"sqrt({field}) and sqrt({v.d}) in one coordinate: its frequency, "
+                    "point and center must use one quadratic field"
+                )
+            field = v.d
+        elif isinstance(v, (int, Fraction)):
+            den = lcm(den, v.denominator)
+        else:
+            raise TypeError(f"{v!r} is not an exact real")
+    return den
 
 
 class CircleKernel:
@@ -160,18 +173,10 @@ class CircleKernel:
         self.delta = [unit, self.scaled(alpha)]
 
     @classmethod
-    def of(cls, alpha: Real, *others: Real) -> Optional["CircleKernel"]:
-        """The kernel of alpha, in units that make alpha and others exact
-        ints or Surds; None for an Approx or a second quadratic field."""
-        den, fields = 1, set()
-        for v in (alpha, *others):
-            if isinstance(v, Surd):
-                fields.add(v.d)
-            elif isinstance(v, (int, Fraction)):
-                den = lcm(den, v.denominator)
-            else:
-                return None
-        return cls(alpha, den) if len(fields) <= 1 else None
+    def of(cls, alpha: Real, *others: Real) -> "CircleKernel":
+        """The kernel of alpha, in units that make alpha and others ints or
+        Surds; see field_unit for what it refuses."""
+        return cls(alpha, field_unit(alpha, *others))
 
     def scaled(self, x: Real):
         if isinstance(x, Surd):
@@ -371,8 +376,6 @@ def continued_fraction(alpha, depth: int = 30) -> ContinuedFraction:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     x = alpha.value if isinstance(alpha, TorusPoint) else as_real(alpha)
-    if isinstance(x, Approx):
-        x = x.value  # expand the midpoint; the result is flagged rational
     kernel = CircleKernel.of(real_frac(x))
     kernel._reach(depth + 1)
     q = kernel.q
@@ -419,34 +422,13 @@ def three_distance_parts(alpha, count: int) -> list[tuple[Real, int]]:
     """(length, multiplicity) of the circular gaps of
     {j*alpha mod 1 : 0 <= j <= count}, ascending, distinct lengths.
 
-    Exact alphas read it off the circle kernel's convergents in O(log count)
-    time and memory; an Approx alpha sorts the count + 1 points, each
-    comparison clearing its tracked error or raising UncertainAtPrecision.
+    Read off the circle kernel's convergents in O(log count) time and
+    memory.
     """
     point = alpha if isinstance(alpha, TorusPoint) else TorusPoint(alpha)
     if count < 1:
         raise ValueError("count must be >= 1")
-    kernel = CircleKernel.of(point.value)
-    if kernel is None:
-        return _sorted_gaps(point, count)
-    return kernel.gaps(count)
-
-
-def _sorted_gaps(point: TorusPoint, count: int) -> list[tuple[Real, int]]:
-    order = cmp_to_key(real_cmp)
-    values = sorted((real_frac(point.multiple(j)) for j in range(count + 1)), key=order)
-    values = [v for i, v in enumerate(values) if i == 0 or real_cmp(values[i - 1], v)]
-    gaps = [real_sub(b, a) for a, b in zip(values, values[1:])]
-    gaps.append(real_sub(real_add(Fraction(1), values[0]), values[-1]))  # wrap
-    gaps.sort(key=order)
-    parts: list = []
-    for i, g in enumerate(gaps):
-        if i and not real_cmp(gaps[i - 1], g):
-            parts[-1][1] += 1
-        else:
-            parts.append([g, 1])
-    assert len(parts) <= 3, "circle orbit produced more than three gap lengths"
-    return [(g, mult) for g, mult in parts]
+    return CircleKernel.of(point.value).gaps(count)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 Machine output is a single JSON document on stdout: {"config": ..., "result":
 ...} with sorted keys, so identical invocations are byte-identical.  Human
 summaries go to stderr.  Exit codes: 0 completed (the verdict, including
-UNDECIDED, lives inside the JSON), 2 usage error, 3 a cross-field sum that
-did not separate within 4096 bits, 4 certificate verification over its
-budget.
+UNDECIDED, lives inside the JSON), 2 usage error (a zero denominator, or a
+coordinate whose frequency, point and center use two quadratic fields,
+among them), 3 a cross-field sum that did not separate within 4096 bits, 4
+certificate verification over its budget.
 
-Every decision is exact, so no flag sets a precision: displayed cross-field
-values are Approx at exactreal.DEFAULT_PRECISION_BITS (128).  No solver
-verdict is printed without re-verifying its certificate first.
+Every input and every decision is exact, so no flag sets a precision:
+displayed cross-field values are Approx at exactreal.DEFAULT_PRECISION_BITS
+(128).  No solver verdict is printed without re-verifying its certificate
+first.
 """
 
 from __future__ import annotations
@@ -594,10 +596,24 @@ def count(text: str) -> int:
     return value
 
 
+def rationals(text: str) -> str:
+    """argparse type of a rational or a list of rationals: each comma or space
+    separated token must be a Fraction with a nonzero denominator.  Returns
+    the text itself, which the handler parses and the config echoes."""
+    for tok in text.replace(",", " ").split():
+        try:
+            Fraction(tok)
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"zero denominator in {tok!r}") from None
+    return text
+
+
 INT = {"type": int}
 COUNT = {"type": count}
+RATIONAL = {"type": rationals}
 REQUIRED = {"required": True}
 REQUIRED_INT = {"type": int, "required": True}
+REQUIRED_RATIONAL = {**RATIONAL, **REQUIRED}
 HORIZON = {"--horizon": {**COUNT, **REQUIRED}}
 
 SET_FLAGS = {
@@ -607,7 +623,8 @@ SET_FLAGS = {
 BUDGET_FLAGS = {"--max-window": COUNT, "--max-period": COUNT, "--node-budget": COUNT}
 # --alpha is checked at run time, so subshift-mode calls can omit it
 ROTATION_FLAGS = {"--alpha": {"action": "append"}}
-BALL_FLAGS = {**ROTATION_FLAGS, "--point": {}, "--center": {"default": "0"}, "--radius": {"default": "1/10"}}
+BALL_FLAGS = {
+    **ROTATION_FLAGS, "--point": {}, "--center": {"default": "0"}, "--radius": {**RATIONAL, "default": "1/10"}}
 INDICATOR_FLAGS = {
     "--indicator": {"help": "set file; switches to the subshift"},
     "--window-lo": INT,
@@ -618,9 +635,9 @@ QUERY_FLAGS = {
     "--nk": {"required": True, "help": "sequence formula in k"},
     "--rk": {"help": "offset formula, default k"},
     **HORIZON,
-    "--eps": {"default": "1/100"},
+    "--eps": {**RATIONAL, "default": "1/100"},
 }
-FREQUENCY_FLAGS = {"--alpha": {"action": "append", "required": True}, "--eps": REQUIRED}
+FREQUENCY_FLAGS = {"--alpha": {"action": "append", "required": True}, "--eps": REQUIRED_RATIONAL}
 
 GROUPS = {
     "birkhoff": "distance-set colorability certificates",
@@ -651,11 +668,11 @@ COMMANDS = {
     ("bohr", "enumerate"): (cmd_bohr_enumerate, "list members in a window", {
         **FREQUENCY_FLAGS, "--lo": REQUIRED_INT, "--hi": REQUIRED_INT}),
     ("bohr", "witness"): (cmd_bohr_witness, "frequency interval avoiding a sequence", {
-        **SET_FLAGS, "--delta": REQUIRED, "--depth": COUNT}),
+        **SET_FLAGS, "--delta": REQUIRED_RATIONAL, "--depth": COUNT}),
     ("bohr", "obstruct"): (cmd_bohr_obstruct, "smallest modulus missing the set", {
-        **SET_FLAGS, "--m-max": REQUIRED_INT, "--poly": {"help": "generator coefficients, constant first"}}),
+        **SET_FLAGS, "--m-max": REQUIRED_INT, "--poly": {**RATIONAL, "help": "generator coefficients, constant first"}}),
     ("bohr", "separate"): (cmd_bohr_separate, "frequency spec disjoint from the set", {
-        **SET_FLAGS, "--eps": REQUIRED, "--grid-depth": {**COUNT, "default": 20_000}}),
+        **SET_FLAGS, "--eps": REQUIRED_RATIONAL, "--grid-depth": {**COUNT, "default": 20_000}}),
     ("bohr", "cf"): (cmd_bohr_cf, "continued fraction with convergents", {
         "--alpha": REQUIRED, "--depth": {**COUNT, "default": 30}}),
     ("bohr", "threedist"): (cmd_bohr_threedist, "circular gap structure of an orbit", {
@@ -663,13 +680,13 @@ COMMANDS = {
     ("dyn", "returns"): (cmd_dyn_returns, "windowed return-time sets", {
         **BALL_FLAGS, **HORIZON, **INDICATOR_FLAGS}),
     ("dyn", "nuu"): (cmd_dyn_nuu, "set returns vs point-return differences", {
-        **BALL_FLAGS, **HORIZON, "--margin": {"default": "1/100"}}),
+        **BALL_FLAGS, **HORIZON, "--margin": {**RATIONAL, "default": "1/100"}}),
     ("dyn", "phi"): (cmd_dyn_phi, "closest approach over target times", {
         **ROTATION_FLAGS, **SET_FLAGS, **HORIZON, **INDICATOR_FLAGS}),
     ("dyn", "psi"): (cmd_dyn_psi, "moving-target closest approach", {**ROTATION_FLAGS, **QUERY_FLAGS}),
     ("dyn", "recurrent"): (cmd_dyn_recurrent, "find a time bringing a point home", {
-        **ROTATION_FLAGS, **SET_FLAGS, "--eps": REQUIRED}),
-    ("dyn", "etadense"): (cmd_dyn_etadense, "orbit-density constant", {**ROTATION_FLAGS, "--eta": REQUIRED}),
+        **ROTATION_FLAGS, **SET_FLAGS, "--eps": REQUIRED_RATIONAL}),
+    ("dyn", "etadense"): (cmd_dyn_etadense, "orbit-density constant", {**ROTATION_FLAGS, "--eta": REQUIRED_RATIONAL}),
     ("dyn", "rigidity"): (cmd_dyn_rigidity, "displacement record minima", {**ROTATION_FLAGS, **HORIZON}),
     ("dyn", "moving"): (cmd_dyn_moving, "moving recurrence sample experiment", {
         **ROTATION_FLAGS, **QUERY_FLAGS, "--samples": {**COUNT, "default": 10}}),
@@ -681,7 +698,7 @@ COMMANDS = {
     ("sets", "gen"): (cmd_sets_gen, "generate a named family", {
         "--family": {"choices": ["kxnr", "lr", "poly"], "required": True},
         "--k": {"type": int, "default": 1}, "--r": {"type": int, "default": 2},
-        "--k-max": {"type": int, "default": 3}, "--coeffs": {"default": "0,1"},
+        "--k-max": {"type": int, "default": 3}, "--coeffs": {**RATIONAL, "default": "0,1"},
         "--n-max": {"type": int, "default": 50}, "--out": {"help": "also write the listing to this file"}}),
     ("report", "paper-claims"): (cmd_report_claims, "run every claim end to end", {
         **BUDGET_FLAGS, "--inject-corruption": {"action": "store_true"},

@@ -7,12 +7,12 @@ are tracked-error approximations, built for the winners only.  A rotation
 is an isometry, so phi and psi are minima of ||n*alpha|| over exact
 multiples and read no point.
 
-A circle rotation by an exact alpha goes through ``bohr.CircleKernel``:
-return times are walked from hit to hit (Slater's three-step theorem),
-rigidity records are the convergents, and density constants come from the
-three-gap theorem (Sos; Alessandri and Berthe).  Tori of dimension >= 2,
-Approx frequencies, points from a second quadratic field and subshifts test
-every n or m.
+A circle rotation goes through ``bohr.CircleKernel``: return times are
+walked from hit to hit (Slater's three-step theorem), rigidity records are
+the convergents, and density constants come from the three-gap theorem (Sos;
+Alessandri and Berthe).  Tori of dimension >= 2 and subshifts test every n
+or m.  A coordinate whose frequency, point and center use two quadratic
+fields is refused with ValueError (``bohr.field_unit``).
 
 Subshift points are shifts of a single base word declared on a finite
 window; every operation checks the window covers its horizon with room to
@@ -29,12 +29,11 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .bohr import CircleKernel, circle_hits, frequency_hits, three_distance_parts
+from .bohr import CircleKernel, circle_hits, field_unit, frequency_hits
 from .errors import NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
     Real,
     TorusPoint,
-    as_real,
     real_add,
     real_cmp,
     real_frac,
@@ -58,6 +57,11 @@ HORIZON_NOTE = (
 RotPoint = tuple[Real, ...]
 TimeSet = tuple[int, ...]
 
+# find_l_recurrent tests at most this many (shift, time) pairs
+RECURRENT_SAMPLE_BUDGET = 5_000
+# uniform_rigidity_scan samples the sup over these shifts of a subshift's word
+RIGIDITY_OFFSETS = tuple(range(-8, 9))
+
 
 # ---------------------------------------------------------------------------
 # systems
@@ -80,7 +84,7 @@ class RotationSystem:
         return len(self.alphas)
 
     def point(self, coords) -> RotPoint:
-        coords = tuple(real_frac(as_real(c)) for c in coords)
+        coords = tuple(real_frac(c) for c in coords)
         if len(coords) != self.dim:
             raise ValueError("point dimension mismatch")
         return coords
@@ -220,13 +224,11 @@ def return_times_point(sys_: System, x, target, horizon: int) -> TimeSet:
         if not isinstance(target, BallSpec):
             raise TypeError("rotation targets are balls")
         x, center = sys_.point(x), sys_.point(target.center)
+        for a, xi, ci in zip(sys_.alphas, x, center):
+            field_unit(a.value, xi, ci)
         radius = Fraction(target.radius)
         if sys_.dim == 1:
-            hits = circle_hits(
-                sys_.alphas[0].value, real_sub(x[0], center[0]), radius, Window(-horizon, horizon)
-            )
-            if hits is not None:
-                return hits
+            return circle_hits(sys_.alphas[0].value, real_sub(x[0], center[0]), radius, Window(-horizon, horizon))
         return tuple(n for n in window if sys_.dist_lt(sys_.step(x, n), center, radius))
     sys_.require_horizon(max(1, horizon // 4 + 1))
     base = int(x)
@@ -438,9 +440,7 @@ class RecurrentWitness:
     value: Real
 
 
-def find_l_recurrent(
-    sys_: System, targets: ZSetLike, eps: Fraction, sample_budget: int = 5_000
-) -> Optional[RecurrentWitness]:
+def find_l_recurrent(sys_: System, targets: ZSetLike, eps: Fraction) -> Optional[RecurrentWitness]:
     """A point and a target time bringing it eps-close to itself, if the
     sampled search finds one within its budget."""
     eps = Fraction(eps)
@@ -449,12 +449,11 @@ def find_l_recurrent(
         raise NoElementsInWindow("no target times")
     if isinstance(sys_, RotationSystem):
         # displacement is point-independent: scan target times only
-        budgeted = times[:sample_budget]
-        for n in budgeted:
+        for n in times[:RECURRENT_SAMPLE_BUDGET]:
             if sys_.displacement_lt(n, eps):
                 return RecurrentWitness(point=sys_.zero(), time=n, value=sys_.displacement_norm(n))
         return None
-    scan_budget = sample_budget
+    scan_budget = RECURRENT_SAMPLE_BUDGET
     scan = max(8, sys_.window.hi // 4)
     for off in _alternating(sys_.window.hi // 2):
         for n in times:
@@ -487,8 +486,8 @@ def eta_dense_constant(sys_: RotationSystem, eta: Fraction) -> EtaDenseResult:
     """Least M with {x, Tx, ..., T^M x} eta-dense for every x (circle case).
 
     Eta-density of the orbit segment is max circular gap <= 2*eta; rotations
-    make the segment's gap structure independent of x.  An exact alpha walks
-    the circle kernel's convergents; an Approx alpha tries M = 1, 2, ...
+    make the segment's gap structure independent of x.  The circle kernel
+    walks alpha's convergents.
     """
     if sys_.dim != 1:
         raise NotImplementedError("density constants are computed on the circle")
@@ -504,15 +503,7 @@ def eta_dense_constant(sys_: RotationSystem, eta: Fraction) -> EtaDenseResult:
                 f"orbit closes after {q} points with gap 1/{q} > 2*eta; "
                 "no density constant exists"
             )
-    kernel = CircleKernel.of(alpha.value, bound)
-    if kernel is not None:
-        return EtaDenseResult(*kernel.density_constant(bound))
-    m = 1
-    while True:
-        worst = three_distance_parts(alpha, m)[-1][0]
-        if real_cmp(worst, bound) <= 0:
-            return EtaDenseResult(constant=m, max_gap=worst)
-        m += 1
+    return EtaDenseResult(*CircleKernel.of(alpha.value, bound).density_constant(bound))
 
 
 @dataclass(frozen=True)
@@ -521,30 +512,27 @@ class RigidityRecord:
     value: Real
 
 
-def uniform_rigidity_scan(
-    sys_: System, horizon: int, sample_offsets: Sequence[int] = ()
-) -> tuple[RigidityRecord, ...]:
+def uniform_rigidity_scan(sys_: System, horizon: int) -> tuple[RigidityRecord, ...]:
     """Record minima of the sup displacement sup_x dist(x, T^m x), m = 1..H.
 
     Exact for rotations (the sup is the displacement norm); on the circle
-    with an exact alpha the records are the convergents.  Subshifts use
-    sampled shifts of the base word, which can only underestimate the sup;
+    the records are the convergents.  Subshifts use the shifts
+    RIGIDITY_OFFSETS of the base word, which can only underestimate the sup;
     records are still monotone by construction.
     """
     if isinstance(sys_, RotationSystem):
-        kernel = CircleKernel.of(sys_.alphas[0].value) if sys_.dim == 1 else None
-        if kernel is not None:
+        if sys_.dim == 1:
+            kernel = CircleKernel.of(sys_.alphas[0].value)
             return tuple(RigidityRecord(m, value) for m, value in kernel.records(horizon))
         # the displayed norm is an Approx on a torus: build it for records only
         moves = ([a.multiple(m) for a in sys_.alphas] for m in range(1, horizon + 1))
         return tuple(RigidityRecord(i + 1, torus_norm(xs)) for i, xs in _norm_records(moves))
     records: list[RigidityRecord] = []
     best: Optional[Real] = None
-    offsets = list(sample_offsets) or list(range(-8, 9))
     scan = max(4, sys_.window.hi // 4)
     for m in range(1, horizon + 1):
         worst: Optional[Real] = None
-        for off in offsets:
+        for off in RIGIDITY_OFFSETS:
             try:
                 d = sys_.dist(off, off + m, scan)
             except WindowInadequate:
@@ -562,7 +550,6 @@ def uniform_rigidity_scan(
 @dataclass(frozen=True)
 class MovingExperimentReport:
     fraction_below: Fraction
-    psi_values: tuple[float, ...]
     psi_min: float
     psi_max: float
     sample_count: int
@@ -579,23 +566,23 @@ def moving_recurrence_experiment(
 
     A rotation's functional is the same at every point (see psi_moving), so
     it is evaluated once and holds at all `samples` grid points; a subshift
-    evaluates it at the first `samples` shifts 0, 1, -1, 2, ...
+    evaluates it at the first `samples` shifts 0, 1, -1, 2, ... in one pass
+    that keeps the least and greatest value and the count below eps.
     """
     if samples < 1:
         raise ValueError("need at least one sample point")
     if isinstance(sys_, RotationSystem):
         value, below_eps = psi_moving(sys_, None, query)
         low = high = real_to_float(value)
-        psi = (low,) * samples
         below = samples if below_eps else 0
     else:
-        results = [psi_moving(sys_, off, query) for off in islice(_alternating(samples), samples)]
-        psi = tuple(real_to_float(value) for value, _ in results)
-        low, high = min(psi), max(psi)
-        below = sum(below_eps for _, below_eps in results)
+        low, high, below = float("inf"), float("-inf"), 0
+        for off in islice(_alternating(samples), samples):
+            value, below_eps = psi_moving(sys_, off, query)
+            v = real_to_float(value)
+            low, high, below = min(low, v), max(high, v), below + below_eps
     return MovingExperimentReport(
         fraction_below=Fraction(below, samples),
-        psi_values=psi,
         psi_min=low,
         psi_max=high,
         sample_count=samples,

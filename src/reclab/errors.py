@@ -32,15 +32,14 @@ class MalformedCertificate(RecLabError):
 
 
 class UncertainAtPrecision(RecLabError):
-    """A comparison could not be decided within the tracked error bound.
+    """A sum of surds from several quadratic fields did not separate from
+    its bound within 4096 bits (``exactreal.real_sum_sign``).
 
-    Carries optional context: ``margin`` (how close the call was) and
-    ``ambiguous`` (e.g. the list of n values an enumeration could not place).
+    Carries ``ambiguous``: the n values an enumeration could not place.
     """
 
-    def __init__(self, message: str = "", margin=None, ambiguous=None):
+    def __init__(self, message: str = "", ambiguous=None):
         super().__init__(message or "comparison undecidable at current precision")
-        self.margin = margin
         self.ambiguous = ambiguous or []
 
 

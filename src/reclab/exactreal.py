@@ -7,7 +7,8 @@ A ``Real`` is one of three kinds:
   integers, normalised so that b != 0, c > 0, gcd(a, b, c) == 1 and d >= 2 is
   square-free; its rational and surd parts ``p = a/c`` and ``q = b/c`` are
   read-only ``Fraction`` views;
-* ``Approx`` -- a rational midpoint with a tracked absolute error bound.
+* ``Approx`` -- a rational midpoint with a tracked absolute error bound,
+  for display only.
 
 Arithmetic, order and rounding of surds run in integers: the sign of
 ``a + b*sqrt(d)`` compares a*a with b*b*d, and ``floor`` is one
@@ -20,13 +21,18 @@ Fraction straight from integers.  Sums of surds from several quadratic
 fields are compared with a rational by :func:`real_sum_sign`, in integers:
 square roots of distinct square-free integers are linearly independent over
 Q, so such a sum never equals a rational and integer brackets of each
-``b*sqrt(d)`` separate it.  All comparisons involving only the first two
-kinds are therefore decided exactly; multi-frequency torus norms are
-compared through that kernel (:func:`torus_norm_lt`), while their displayed
-values (:func:`torus_norm`, a square root of a sum across fields) are
-``Approx``.  Comparisons that touch an ``Approx`` either clear the tracked
-error bound or raise :class:`UncertainAtPrecision`; nothing is ever silently
-misclassified.
+``b*sqrt(d)`` separate it.  Multi-frequency torus norms are compared through
+that kernel (:func:`torus_norm_lt`).
+
+The exact kinds are the only inputs: ints, Fractions, Surds and strings
+parsed to them.  A float is refused with TypeError.  ``Approx`` is an
+output: a sum across quadratic fields (``real_add``, ``real_sub``), its
+``real_abs`` and ``real_sqrt``, and so a displayed torus norm
+(:func:`torus_norm`), and ``real_to_json`` prints it.  No comparison,
+rounding or product reads one: ``real_cmp``, ``real_sum_sign``,
+``real_floor``, ``nearest_int``, ``real_frac``, ``torus_norm1``,
+``real_mul`` and ``real_mul_int`` raise TypeError on it, and so does
+``TorusPoint``.
 
 Radicands are reduced to square-free form by trial division up to a cube
 root, so they are capped at ``MAX_RADICAND_BITS``: a larger one raises
@@ -58,7 +64,6 @@ MAX_RADICAND_BITS = 56
 _MAX_BRACKET_BITS = 4096
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
@@ -341,31 +346,33 @@ Real = Union[Fraction, Surd, Approx]
 # The rational kind below: ints and Fractions, read through .numerator and
 # .denominator.  Functions test Surd before it, because isinstance against
 # Fraction goes through the numbers ABCs for any other type.  What is left
-# (an Approx, surds of two fields, a str or float) takes the generic path.
+# (surds of two fields, a str, an Approx) takes the generic path.
 _RATIONAL = (int, Fraction)
 
 
 def as_real(x) -> Real:
-    """Coerce ints, Fractions, floats, surds and decimal strings to Real."""
-    if isinstance(x, (Surd, Approx)):
-        return x
-    if isinstance(x, Fraction):
+    """Coerce ints, Fractions, surds and decimal strings to Real; an Approx
+    passes through for display.  A float is refused: it is inexact."""
+    if isinstance(x, (Surd, Approx, Fraction)):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        # the float is an exact binary rational of unknown provenance;
-        # budget a few ulps of representation error
-        exact = Fraction(x)
-        ulp = Fraction(abs(x) or 2.0**-1022) * Fraction(1, 2**52)
-        return Approx(exact, 4 * ulp)
     if isinstance(x, str):
         return parse_real(x)
-    raise TypeError(f"cannot interpret {x!r} as a real")
+    raise TypeError(f"cannot interpret {x!r} as an exact real; pass an int, Fraction, Surd or string")
+
+
+def _exact(x) -> Real:
+    """as_real for an input that is compared or rounded: an Approx raises."""
+    x = as_real(x)
+    if isinstance(x, Approx):
+        raise TypeError(f"{x!r} is display-only; decisions take exact reals")
+    return x
 
 
 def parse_real(text: str) -> Real:
-    """Parse 'p/q', 'sqrt:d:a:b:c' meaning (a + b*sqrt(d))/c, or a decimal."""
+    """Parse 'p/q', 'sqrt:d:a:b:c' meaning (a + b*sqrt(d))/c, or a decimal.
+    A zero denominator is a ValueError."""
     text = text.strip()
     if text.startswith("sqrt:"):
         parts = text.split(":")
@@ -375,7 +382,10 @@ def parse_real(text: str) -> Real:
         if c == 0:
             raise ValueError("surd denominator c must be nonzero")
         return Surd.make(Fraction(a, c), Fraction(b, c), d)
-    return Fraction(text)  # handles 'p/q', '3', '0.618' exactly
+    try:
+        return Fraction(text)  # handles 'p/q', '3', '0.618' exactly
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +452,8 @@ def real_mul(x: Real, y: Real) -> Real:
         if isinstance(y, _RATIONAL):
             return Fraction(x.numerator * y.numerator, x.denominator * y.denominator)
     if isinstance(x, str) or isinstance(y, str):
-        return real_mul(as_real(x), as_real(y))
-    return _approx_mul(_as_approx(as_real(x)), _as_approx(as_real(y)))
-
-
-def _approx_mul(a: Approx, b: Approx) -> Approx:
-    err = abs(a.value) * b.err + abs(b.value) * a.err + a.err * b.err
-    return Approx(a.value * b.value, err)
+        return real_mul(_exact(x), _exact(y))
+    raise TypeError("real_mul takes exact reals of at most one quadratic field")
 
 
 def real_mul_int(x: Real, n: int) -> Real:
@@ -456,9 +461,7 @@ def real_mul_int(x: Real, n: int) -> Real:
         return x * n
     if isinstance(x, _RATIONAL):
         return Fraction(x.numerator * n, x.denominator)
-    if isinstance(x, Approx):
-        return Approx(x.value * n, x.err * abs(n))
-    return real_mul_int(as_real(x), n)
+    return real_mul_int(_exact(x), n)
 
 
 def real_abs(x: Real) -> Real:
@@ -469,15 +472,11 @@ def real_abs(x: Real) -> Real:
 
 
 def real_floor(x: Real) -> int:
-    """Exact for Fraction/Surd.  For Approx uses the midpoint (documented:
-    callers must tolerate a fold when the midpoint sits near an integer)."""
     if isinstance(x, Surd):
         return x.floor()
     if isinstance(x, _RATIONAL):
         return x.numerator // x.denominator
-    if isinstance(x, Approx):
-        return real_floor(x.value)
-    return real_floor(as_real(x))
+    return real_floor(_exact(x))
 
 
 def floor_div(x, y) -> int:
@@ -505,7 +504,7 @@ def real_frac(x: Real) -> Real:
     if isinstance(x, _RATIONAL):
         d = x.denominator
         return Fraction(x.numerator % d, d)
-    return real_sub(x, real_floor(x))
+    return real_frac(_exact(x))
 
 
 def nearest_int(x: Real) -> int:
@@ -515,14 +514,11 @@ def nearest_int(x: Real) -> int:
     if isinstance(x, _RATIONAL):
         d = x.denominator
         return (2 * x.numerator + d) // (2 * d)
-    return real_floor(real_add(x, _HALF))
+    return nearest_int(_exact(x))
 
 
 def torus_norm1(x) -> Real:
-    """Distance from x to the nearest integer; same kind as the input.
-
-    Lipschitz-1 in x, so an Approx keeps its error bound unchanged.
-    """
+    """Distance from x to the nearest integer; same kind as the input."""
     if isinstance(x, Surd):
         a, b, c, d = x.a, x.b, x.c, x.d
         a -= nearest_int(x) * c
@@ -530,15 +526,12 @@ def torus_norm1(x) -> Real:
     if isinstance(x, _RATIONAL):
         n, d = x.numerator, x.denominator
         return Fraction(abs(n - (2 * n + d) // (2 * d) * d), d)
-    if isinstance(x, str):
-        return torus_norm1(as_real(x))
-    return real_abs(real_sub(x, nearest_int(x)))
+    return torus_norm1(_exact(x))
 
 
 def real_cmp(x, y) -> int:
-    """Three-way compare.  Exact kinds are decided exactly; comparisons that
-    involve an Approx raise UncertainAtPrecision when the intervals overlap.
-    """
+    """Three-way compare of exact reals, decided exactly; surds of two
+    fields go through real_sum_sign."""
     if isinstance(x, Surd):
         if isinstance(y, Surd) and y.d == x.d or isinstance(y, _RATIONAL):
             return x._cmp_exact(y)
@@ -548,23 +541,7 @@ def real_cmp(x, y) -> int:
         if isinstance(y, _RATIONAL):
             s = x.numerator * y.denominator - y.numerator * x.denominator
             return (s > 0) - (s < 0)
-    if isinstance(x, str) or isinstance(y, str):
-        return real_cmp(as_real(x), as_real(y))
-    x, y = as_real(x), as_real(y)
-    if not isinstance(x, Approx) and not isinstance(y, Approx):
-        return real_sum_sign((x, -y))  # distinct quadratic fields
-    xl, xh = real_bounds(x, DEFAULT_PRECISION_BITS)
-    yl, yh = real_bounds(y, DEFAULT_PRECISION_BITS)
-    if xh < yl:
-        return -1
-    if xl > yh:
-        return 1
-    if xl == xh and yl == yh:  # two exact-by-luck approximations
-        return 0
-    gap = min(abs(xh - yl), abs(xl - yh))
-    raise UncertainAtPrecision(
-        "intervals overlap within tracked error", margin=float(gap)
-    )
+    return real_sum_sign((_exact(x), -_exact(y)))
 
 
 def real_sum_sign(terms: Sequence, bound=0) -> int:
@@ -578,8 +555,8 @@ def real_sum_sign(terms: Sequence, bound=0) -> int:
     ``isqrt(b*b*d << 2k)``, doubling k from 64 until the bracket of the sum
     excludes 0: square roots of distinct square-free integers are linearly
     independent over Q, so such a sum is never 0.  Past _MAX_BRACKET_BITS it
-    raises UncertainAtPrecision.  No Fraction is built.  A term that is an
-    Approx sends the sum through the tracked real_add fold and real_cmp.
+    raises UncertainAtPrecision.  No Fraction is built.  Any other term,
+    an Approx included, raises TypeError.
     """
     num, den = -bound.numerator, bound.denominator
     fields: dict[int, tuple[int, int]] = {}
@@ -591,7 +568,7 @@ def real_sum_sign(terms: Sequence, bound=0) -> int:
         elif isinstance(t, _RATIONAL):
             a, c = t.numerator, t.denominator
         else:
-            return real_cmp(real_sum(terms), bound)
+            raise TypeError(f"{t!r} is not an exact real")
         num, den = num * c + a * den, den * c
     surds = [(b, c, d) for d, (b, c) in fields.items() if b]
     if not surds:
@@ -699,8 +676,7 @@ class TorusPoint:
     __slots__ = ("value",)
 
     def __init__(self, value):
-        v = as_real(value)
-        self.value = real_frac(v)
+        self.value = real_frac(value)  # TypeError on a float or an Approx
 
     def multiple(self, n: int) -> Real:
         return real_mul_int(self.value, n)

@@ -315,7 +315,7 @@ def _claim_moving_recurrence(limits: SearchLimits, rng, corrupt: bool):
         if outcome.fraction_below != 1:
             return FAIL, {"formula": formula, "fraction": str(outcome.fraction_below)}, []
         want = real_to_float(expected_min)
-        if any(abs(v - want) > 1e-12 for v in outcome.psi_values):
+        if any(abs(v - want) > 1e-12 for v in (outcome.psi_min, outcome.psi_max)):
             return FAIL, {"formula": formula, "psi_mismatch": True}, []
     return PASS, {"formulas": 3, "samples": 10, "horizon": horizon}, []
 

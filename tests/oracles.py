@@ -129,7 +129,7 @@ def stepping_psi(sys_, x, query):
 
 
 def stepping_moving(sys_, query, samples: int):
-    """(psi_values, fraction_below) of psi at the sample points (i/samples, ...), one by one."""
+    """(psi values, fraction_below) at the sample points (i/samples, ...), one by one."""
     values, below = [], 0
     for i in range(samples):
         value, below_eps = stepping_psi(sys_, tuple(Fraction(i, samples) for _ in range(sys_.dim)), query)

@@ -16,9 +16,8 @@ from reclab.bohr import (
     revalidate_witness,
     three_distance,
 )
-from reclab.errors import EmptyInput, UncertainAtPrecision
+from reclab.errors import EmptyInput
 from reclab.exactreal import (
-    Approx,
     Surd,
     TorusPoint,
     golden_rotation,
@@ -93,13 +92,6 @@ class TestEnumerate:
     def test_zero_skipped(self):
         spec = BohrSpec((golden_rotation(),), Fraction(1, 2))
         assert 0 not in bohr_enumerate(spec, Window(-3, 3))
-
-    def test_ambiguous_approx_raises_with_listing(self):
-        alpha = TorusPoint(Approx(Fraction(1, 4), Fraction(1, 1000)))
-        spec = BohrSpec((alpha,), Fraction(1, 4))
-        with pytest.raises(UncertainAtPrecision) as info:
-            bohr_enumerate(spec, Window(1, 4))
-        assert info.value.ambiguous  # the undecidable n values are reported
 
     @given(st.integers(2, 40), st.integers(1, 39))
     @settings(max_examples=30, deadline=None)

@@ -1,9 +1,10 @@
 """The circle kernel against the per-n and per-m scans it replaced.
 
-Every comparison is exact: the kernel must give the same Fractions and Surds,
-the same hits in the same order, and for an Approx frequency the same
-UncertainAtPrecision with the same undecidable n.  The oracles live in
-``tests/oracles.py`` and never call the kernel.
+Every comparison is exact: the kernel must give the same Fractions and Surds
+and the same hits in the same order.  A coordinate whose frequency, point
+and center come from two quadratic fields is refused, on the circle and on
+a torus.  The oracles live in ``tests/oracles.py`` and never call the
+kernel.
 """
 
 import math
@@ -21,8 +22,8 @@ from reclab.dynamics import (
     return_times_set,
     uniform_rigidity_scan,
 )
-from reclab.errors import NoSuchM, UncertainAtPrecision
-from reclab.exactreal import Approx, Surd, TorusPoint, real_add, real_mul_int, torus_norm1
+from reclab.errors import NoSuchM
+from reclab.exactreal import Surd, TorusPoint, real_add, real_mul_int, torus_norm1
 from reclab.intsets import Window
 
 from oracles import (
@@ -49,14 +50,6 @@ surds = st.builds(
 alphas = st.one_of(rationals, surds)
 small_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 windows = st.integers(-80, 80).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo - 5, lo + 160)))
-
-
-def outcome(fn, *args):
-    """fn's value, or the type and undecidable n of the UncertainAtPrecision it raised."""
-    try:
-        return fn(*args)
-    except UncertainAtPrecision as exc:
-        return ("uncertain", tuple(exc.ambiguous))
 
 
 def gaps_of(alpha, count):
@@ -168,8 +161,9 @@ def test_bohr_enumerate(data, alpha, window):
 @given(st.data(), alphas, st.integers(0, 90))
 @settings(max_examples=200, deadline=None)
 def test_return_times_point(data, alpha, horizon):
+    # a rational alpha takes a point from any field, and the center from the point's
     point = offset_in_field(data.draw, alpha)
-    center = data.draw(small_fractions)
+    center = data.draw(st.one_of(small_fractions, st.just(real_mul_int(point, 2))))
     system = RotationSystem((alpha,))
     if data.draw(st.booleans()):
         x0, c0 = system.point([point])[0], system.point([center])[0]
@@ -193,51 +187,22 @@ def test_return_times_set(alpha, horizon, k):
 @given(st.data(), surds, surds, st.integers(0, 30))
 @settings(max_examples=40, deadline=None)
 def test_two_fields_keep_the_scan(data, alpha, other, horizon):
-    # a point from another quadratic field, or a torus, is tested n by n
+    # two fields on two coordinates of a torus keep the exact per-n scan; a
+    # point or center from another field than its own frequency is refused,
+    # on the circle and on a torus
     assume(isinstance(other.value, Surd) and other.value.d != alpha.value.d)
-    system = RotationSystem((alpha,))
     ball = BallSpec((Fraction(0),), Fraction(data.draw(st.integers(1, 60)), 120))
-    got = outcome(return_times_point, system, (other.value,), ball, horizon)
-    assert got == outcome(scan_return_times_point, system, (other.value,), ball, horizon)
+    circle = RotationSystem((alpha,))
+    with pytest.raises(ValueError, match="one quadratic field"):
+        return_times_point(circle, (other.value,), ball, horizon)
+    with pytest.raises(ValueError, match="one quadratic field"):
+        return_times_point(circle, (Fraction(1, 3),), BallSpec((other.value,), ball.radius), horizon)
     torus = RotationSystem((alpha, other))
+    with pytest.raises(ValueError, match="one quadratic field"):
+        return_times_point(torus, (Fraction(1, 5), alpha.value), BallSpec((0, 0), ball.radius), horizon)
+    point = (real_mul_int(alpha.value, 3), real_mul_int(other.value, 2))
+    torus_ball = BallSpec((Fraction(1, 3), Fraction(1, 4)), ball.radius)
+    assert return_times_point(torus, point, torus_ball, horizon) == scan_return_times_point(
+        torus, point, torus_ball, horizon
+    )
     assert return_times_set(torus, ball, horizon) == scan_return_times_set(torus, ball, horizon)
-
-
-# -- Approx frequencies keep the scan and its undecidable list ---------------
-
-
-approx_alphas = st.builds(
-    lambda p, q, k: TorusPoint(Approx(Fraction(p % q, q), Fraction(1, 10**k))),
-    st.integers(0, 60),
-    st.integers(1, 30),
-    st.integers(2, 5),
-)
-
-
-@given(approx_alphas, st.integers(1, 20), windows)
-@settings(max_examples=100, deadline=None)
-def test_approx_enumerate_lists_the_same_undecidable_n(alpha, k, window):
-    lo, hi = window
-    eps = Fraction(k, 40)
-    got = outcome(bohr_enumerate, BohrSpec((alpha,), eps), Window(lo, hi))
-    assert got == outcome(scan_hits, (alpha,), (Fraction(0),), eps, lo, hi, True)
-
-
-@given(approx_alphas, st.integers(1, 20), st.integers(0, 40))
-@settings(max_examples=60, deadline=None)
-def test_approx_returns_keep_the_scan(alpha, k, horizon):
-    system, ball = RotationSystem((alpha,)), BallSpec((Fraction(1, 7),), Fraction(k, 80))
-    got = outcome(return_times_point, system, (Fraction(2, 9),), ball, horizon)
-    assert got == outcome(scan_return_times_point, system, (Fraction(2, 9),), ball, horizon)
-    got, want = (outcome(return_times_set, system, ball, horizon),
-                 outcome(scan_return_times_set, system, ball, horizon))
-    # the scan stops at its first undecidable n; the enumeration lists all of them
-    assert got == want or (got[0] == want[0] == "uncertain" and set(want[1]) <= set(got[1]))
-
-
-@given(approx_alphas, st.integers(1, 30))
-@settings(max_examples=60, deadline=None)
-def test_approx_three_distance_and_records_keep_the_scan(alpha, count):
-    assert outcome(gaps_of, alpha, count) == outcome(sorting_three_distance, alpha, count)
-    assert outcome(expanded_parts, alpha, count) == outcome(sorting_three_distance, alpha, count)
-    assert outcome(records_of, alpha, count) == outcome(scan_records, (alpha,), count)

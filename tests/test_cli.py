@@ -325,11 +325,12 @@ class TestDyn:
 
     def test_moving_builds_nothing_per_sample(self):
         # a rotation's psi is the same at every point, so it is evaluated
-        # once: 2 * 10**7 samples fit a 1 GB address space, in well under 2 s
+        # once and nothing is kept per sample: 2 * 10**8 samples fit a 1 GB
+        # address space, in well under 2 s
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
 
-        argv = ["dyn", "moving", "--alpha", "golden", "--nk", "k^2", "--horizon", "30", "--samples", "20000000"]
+        argv = ["dyn", "moving", "--alpha", "golden", "--nk", "k^2", "--horizon", "30", "--samples", "200000000"]
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "reclab.cli", *argv], env={**os.environ, "PYTHONPATH": SRC},
@@ -338,7 +339,7 @@ class TestDyn:
         assert proc.returncode == 0, proc.stderr
         assert time.perf_counter() - start < 2
         res = json.loads(proc.stdout)["result"]
-        assert res["sample_count"] == 20_000_000 and res["fraction_below"] == "0"
+        assert res["sample_count"] == 200_000_000 and res["fraction_below"] == "0"
         assert res["psi_min"] == res["psi_max"]
 
     def test_rigidity(self, capsys):
@@ -567,3 +568,52 @@ def test_usage_error_exits_2(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def exit_code(argv) -> int:
+    """main's return code, or the code of the SystemExit argparse raised."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# a zero denominator is refused where the text is parsed: in parse_real, or
+# by the argparse type of a rational flag
+ZERO_DENOMINATORS = {
+    "member eps": ["bohr", "member", "--n", "3", "--alpha", "1/3", "--eps", "1/0"],
+    "member alpha": ["bohr", "member", "--n", "3", "--alpha", "2/0", "--eps", "1/10"],
+    "returns radius": ["dyn", "returns", "--alpha", "golden", "--radius", "1/0", "--horizon", "5"],
+    "returns point": ["dyn", "returns", "--alpha", "golden", "--point", "1/0", "--horizon", "5"],
+    "witness delta": ["bohr", "witness", "--elements", "1,3,10,40", "--delta", "1/0"],
+    "etadense eta": ["dyn", "etadense", "--alpha", "golden", "--eta", "1/0"],
+    "nuu margin": ["dyn", "nuu", "--alpha", "golden", "--point", "1/3", "--horizon", "5", "--margin", "1/0"],
+    "psi eps": ["dyn", "psi", "--alpha", "golden", "--nk", "k^2", "--horizon", "5", "--eps", "1/0"],
+    "gen coeffs": ["sets", "gen", "--family", "poly", "--coeffs", "1,1/0"],
+    "obstruct poly": ["bohr", "obstruct", "--elements", "1,2", "--m-max", "5", "--poly", "1/0"],
+    "cf alpha": ["bohr", "cf", "--alpha", "1/0"],
+}
+
+
+@pytest.mark.parametrize("argv", ZERO_DENOMINATORS.values(), ids=ZERO_DENOMINATORS)
+def test_zero_denominator_exits_2(capsys, argv):
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+SECOND_FIELD = {
+    "returns point": ["dyn", "returns", "--alpha", "golden", "--point", "sqrt:3:0:1:2", "--center", "0",
+                      "--radius", "1/10", "--horizon", "20"],
+    "returns center": ["dyn", "returns", "--alpha", "golden", "--point", "1/3", "--center", "sqrt:2:0:1:3",
+                       "--horizon", "20"],
+    "nuu point": ["dyn", "nuu", "--alpha", "sqrt2", "--point", "sqrt:3:0:1:2", "--horizon", "20"],
+    "torus point": ["dyn", "returns", "--alpha", "golden", "--alpha", "sqrt2", "--point", "1/3;sqrt:5:0:1:4",
+                    "--horizon", "20"],
+}
+
+
+@pytest.mark.parametrize("argv", SECOND_FIELD.values(), ids=SECOND_FIELD)
+def test_second_field_point_exits_2(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert "one quadratic field" in err

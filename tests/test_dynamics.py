@@ -311,9 +311,21 @@ class TestMovingExperiment:
         assert rep.fraction_below == 1
         assert rep.psi_max == 0.0
 
+    @given(st.lists(st.integers(-60, 60), max_size=40), st.integers(1, 9), st.integers(1, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_subshift_one_pass_matches_each_shift(self, members, samples, k):
+        # min, max and the count below eps are kept in one pass over the shifts
+        shift = subshift_from_indicator(members, Window(-400, 400))
+        q = MovingQuery.from_callables(lambda j: j, lambda j: 2 * j - 1, 6, Fraction(1, k))
+        rep = moving_recurrence_experiment(shift, q, samples)
+        results = [psi_moving(shift, off, q) for off in (0, 1, -1, 2, -2, 3, -3, 4, -4)[:samples]]
+        values = [real_to_float(value) for value, _ in results]
+        assert (rep.psi_min, rep.psi_max) == (min(values), max(values))
+        assert rep.fraction_below == Fraction(sum(below for _, below in results), samples)
+
     @pytest.mark.parametrize("eps, fraction", [(Fraction(1, 100), 0), (Fraction(1, 5), 1)])
     def test_two_field_fraction_needs_no_precision(self, monkeypatch, eps, fraction):
-        # psi against eps is decided on squared norms; only psi_values read the precision
+        # psi against eps is decided on squared norms; only psi_min and psi_max read the precision
         sys2 = RotationSystem((TorusPoint(parse_real("sqrt:2:0:1:1")), TorusPoint(parse_real("sqrt:3:0:1:1"))))
         q = MovingQuery.from_callables(lambda k: k * k, None, 30, eps)
         for bits in (128, 8):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings, strategies as st
 
 from reclab.dynamics import MovingQuery, RotationSystem, moving_recurrence_experiment, phi_l, psi_moving
-from reclab.exactreal import Surd, TorusPoint, real_add, real_mul_int, real_to_json, torus_norm
+from reclab.exactreal import Surd, TorusPoint, real_add, real_mul_int, real_to_json
 
 from oracles import stepping_moving, stepping_phi, stepping_psi
 
@@ -95,16 +95,5 @@ def test_phi_matches_stepped_points(system_point, times, horizon):
 def test_experiment_matches_every_sample_point(case, samples):
     sys_, _, query = case
     rep = moving_recurrence_experiment(sys_, query, samples)
-    assert (rep.psi_values, rep.fraction_below) == stepping_moving(sys_, query, samples)
-    assert rep.psi_min == min(rep.psi_values) and rep.psi_max == max(rep.psi_values)
-
-
-def test_a_third_field_point_no_longer_widens_psi():
-    # stepping a point from a third field turns the differences into Approx
-    # enclosures; the isometry gives the exact surd they enclose
-    query = MovingQuery.from_callables(lambda k: k * k, None, 30, Fraction(1, 100))
-    value, _ = psi_moving(GOLDEN, None, query)
-    approx, _ = stepping_psi(GOLDEN, (Surd.make(0, Fraction(1, 2), 3),), query)
-    assert real_to_json(value)["kind"] == "surd" and real_to_json(approx)["kind"] == "approx"
-    assert value == torus_norm([GOLDEN.alphas[0].multiple(21)])
-    assert abs(float(value) - float(approx)) <= approx.err
+    values, fraction = stepping_moving(sys_, query, samples)
+    assert (rep.psi_min, rep.psi_max, rep.fraction_below) == (min(values), max(values), fraction)
