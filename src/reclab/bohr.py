@@ -14,20 +14,27 @@ explicit form of Alessandri and Berthe (1998), reads the gaps of an orbit
 segment, and so its largest gap and the rigidity records, off that walk in
 O(log N) exact steps.  The hits of an arc come from Slater's three-step
 theorem (1967): consecutive hits differ by a, b or a + b, so a Bohr set or a
-return-time set costs O(hits + log H) exact steps instead of one test per n.
-An offset from a second quadratic field is refused (``field_unit``).  Tori
-of dimension >= 2 keep the per-n and per-m scans, decided exactly.
+return-time set costs O(hits + log H) steps in integers instead of one test
+per n.  An offset from a second quadratic field is refused (``field_unit``).
+
+On a torus of dimension >= 2, a Euclidean ball of radius eps lies inside the
+product of the coordinate arcs of radius eps, so every hit is a circle hit
+of every coordinate: the coordinates' walks are intersected, and the exact
+torus test runs on the common candidates only.  A listing of more than
+HIT_CAP hits raises ListingBudgetExceeded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import repeat
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .errors import (
     EmptyInput,
+    ListingBudgetExceeded,
     PruningBudgetExceeded,
     UncertainAtPrecision,
 )
@@ -35,9 +42,11 @@ from .exactreal import (
     Real,
     Surd,
     TorusPoint,
+    _sign2,
     as_real,
     floor_div,
     real_abs,
+    real_add,
     real_cmp,
     real_floor,
     real_frac,
@@ -48,6 +57,12 @@ from .exactreal import (
     torus_norm_lt,
 )
 from .intsets import Window, ZSetLike, as_int_list
+
+# Most hits a listing may hold: a circle walk, a coordinate walk of a torus,
+# or the whole window of a radius above 1/2.
+HIT_CAP = 1_000_000
+# Fractional bits of the integer positions of a surd walk (_slater_walk).
+_WALK_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -94,16 +109,30 @@ def bohr_enumerate(spec: BohrSpec, window: Window) -> tuple[int, ...]:
 def frequency_hits(alphas: Sequence[TorusPoint], eps: Fraction, window: Window) -> tuple[int, ...]:
     """All n in the window, 0 included, with dist(n*alpha, Z^k) < eps, ascending.
 
-    One frequency is walked from hit to hit by the circle kernel.  A torus
-    tests every n; n whose cross-field sum does not separate are collected
-    and raised together.
+    The orbit hits of the origin; see orbit_hits.
     """
-    if len(alphas) == 1:
-        return circle_hits(alphas[0].value, Fraction(0), eps, window)
+    return orbit_hits([a.value for a in alphas], (0,) * len(alphas), eps, window)
+
+
+def orbit_hits(
+    alphas: Sequence[Real], offsets: Sequence[Real], radius: Fraction, window: Window
+) -> tuple[int, ...]:
+    """All n in the window with dist(offsets + n*alphas, Z^k) < radius,
+    ascending, for each coordinate's alpha and offset of at most one
+    quadratic field.
+
+    Each coordinate is listed by circle_hits.  On a torus, a hit is a hit
+    of every coordinate, so the listings are intersected and the exact
+    torus norm is tested on the common candidates; candidates whose
+    cross-field sum does not separate are collected and raised together.
+    """
+    walks = [circle_hits(a, o, radius, window) for a, o in zip(alphas, offsets)]
+    if len(walks) == 1:
+        return walks[0]
     hits, ambiguous = [], []
-    for n in window:
+    for n in sorted(set(walks[0]).intersection(*walks[1:])):
         try:
-            if torus_norm_lt([a.multiple(n) for a in alphas], eps):
+            if torus_norm_lt([real_add(o, real_mul_int(a, n)) for a, o in zip(alphas, offsets)], radius):
                 hits.append(n)
         except UncertainAtPrecision:
             ambiguous.append(n)
@@ -117,9 +146,13 @@ def frequency_hits(alphas: Sequence[TorusPoint], eps: Fraction, window: Window) 
 
 def circle_hits(alpha: Real, offset: Real, radius: Fraction, window: Window) -> tuple[int, ...]:
     """All n in the window with dist(offset + n*alpha, Z) < radius, ascending,
-    for alpha and offset of at most one quadratic field."""
+    for alpha and offset of at most one quadratic field.  Raises
+    ListingBudgetExceeded past HIT_CAP hits, or for a radius above 1/2 (every
+    n a hit) on a window of more than HIT_CAP n."""
     kernel = CircleKernel.of(alpha, offset, radius)
     if radius > Fraction(1, 2):
+        if len(window) > HIT_CAP:
+            raise ListingBudgetExceeded(f"window of {len(window)} n exceeds the hit cap {HIT_CAP}")
         return tuple(window)
     return tuple(kernel.hits(offset, radius, window.lo, window.hi))
 
@@ -309,7 +342,9 @@ class CircleKernel:
         b*alpha in (1 - l, 1), at u = a*alpha and 1 - v = b*alpha (mod 1).
         From a hit at p, the next hit is a steps on when p + u < l, b steps
         on when p - v > 0, and a + b steps on otherwise (Slater's three-step
-        theorem).  The first hit from lo comes from first_entry.
+        theorem).  The first hit from lo comes from first_entry, and the
+        steps run in integers (see _slater_walk).  Raises
+        ListingBudgetExceeded on the (HIT_CAP + 1)-th hit.
         """
         unit, alpha = self.unit, self.delta[1]
         rad = self.scaled(radius)
@@ -319,7 +354,7 @@ class CircleKernel:
         if x is None or lo + x > hi:
             return []
         # a: the first position in (0, l), or the period of a rational alpha
-        # at position 0; b: None when no position lies in (1 - l, 1)
+        # at position 0; b: 0 when no position lies in (1 - l, 1)
         a = self.first_entry(alpha, 0, ell)
         a = None if a is None else a + 1
         if isinstance(alpha, int):
@@ -327,26 +362,75 @@ class CircleKernel:
             a = period if a is None else min(a, period)
         u = self._mod(a * alpha)
         b = self.first_entry(alpha, unit - ell, unit)
-        if b is None:  # u = 0, so p < l - u at every hit and b is never taken
-            v = unit
+        if b is None:  # then u = 0, so p < l - u at every hit: b is never taken
+            b, v = 0, unit
         else:
             b += 1
             v = unit - self._mod(b * alpha)
-        below = ell - u
-        n, p = lo + x, self._mod(start + x * alpha)
-        out = []
-        while n <= hi:
-            out.append(n)
+        return _slater_walk(lo + x, hi, a, b, self._mod(start + x * alpha), u, v, ell - u)
+
+    def _mod(self, x):
+        return x % self.unit if isinstance(x, int) else x - floor_div(x, self.unit) * self.unit
+
+
+def _slater_walk(n: int, hi: int, a: int, b: int, p, u, v, below) -> list[int]:
+    """The hits n, ... <= hi of Slater's steps from the hit n at position p:
+    a steps on when p < below (and p moves by u), b steps on when p > v (by
+    -v), a + b steps on otherwise.  p, u, v and below are ints, or
+    rationals and Surds of one field, and u = a*alpha mod unit.
+
+    The steps build no Surd.  Over one common denominator a surd walk's
+    values are (A + B*sqrt(d))/C, and each position is the int
+    X = A*2**K + B*s with s = isqrt(d*4**K), so a step is one integer
+    addition.  X is off 2**K*(A + B*sqrt(d)) by less than |B|, and exact
+    when B = 0.  The B part of p moves by that of alpha at each n, so a
+    comparison of X values decides unless the two are within the walk's
+    bound on the difference of B parts; such a close call goes to _sign2,
+    with p's (A, B) rebuilt from n and X.  Raises ListingBudgetExceeded on
+    the (HIT_CAP + 1)-th hit.
+    """
+    out: list[int] = []
+    append = out.append
+    if isinstance(p, int) and isinstance(u, int):  # a rational walk: all four are ints
+        for _ in repeat(None, HIT_CAP):
+            if n > hi:
+                return out
+            append(n)
             if p < below:
                 n, p = n + a, p + u
             elif p > v:
                 n, p = n + b, p - v
             else:
                 n, p = n + a + b, p + u - v
-        return out
+    else:
+        values = (p, u, v, below)
+        parts = [(w.a, w.b, w.c) if isinstance(w, Surd) else (w.numerator, 0, w.denominator) for w in values]
+        d = next(w.d for w in values if isinstance(w, Surd))
+        c, k = lcm(*(tc for _, _, tc in parts)), _WALK_BITS
+        s = isqrt(d << 2 * k)
+        (pa, pb), (ua, ub), (va, vb), (wa, wb) = [(ta * (c // tc), tb * (c // tc)) for ta, tb, tc in parts]
+        x, xu, xv, xw = [(ta << k) + tb * s for ta, tb in ((pa, pb), (ua, ub), (va, vb), (wa, wb))]
+        n0, slack = n, max(abs(wb - pb), abs(vb - pb)) + (hi - n) * abs(ub)
 
-    def _mod(self, x):
-        return x % self.unit if isinstance(x, int) else x - floor_div(x, self.unit) * self.unit
+        def sign_from(m: int, xm: int, ta: int, tb: int) -> int:
+            """The sign of (ta + tb*sqrt(d))/C - p for the hit m at position xm."""
+            pm = pb + (m - n0) * ub // a  # ub/a is the B part of alpha
+            return _sign2(ta - ((xm - pm * s) >> k), tb - pm, d)
+
+        lo_w, hi_w, lo_v, hi_v, ab, xuv = xw - slack, xw + slack, xv - slack, xv + slack, a + b, xu - xv
+        for _ in repeat(None, HIT_CAP):
+            if n > hi:
+                return out
+            append(n)
+            if x < lo_w or x <= hi_w and sign_from(n, x, wa, wb) > 0:
+                n, x = n + a, x + xu
+            elif x > hi_v or x >= lo_v and sign_from(n, x, va, vb) < 0:
+                n, x = n + b, x - xv
+            else:
+                n, x = n + ab, x + xuv
+    if n > hi:
+        return out
+    raise ListingBudgetExceeded(f"hit listing exceeds the hit cap {HIT_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +719,6 @@ def cyclic_obstruction(
 
 
 def _full_period_avoids_zero(coeffs: Sequence, m: int) -> tuple[bool, int]:
-    from math import lcm
-
     from .intsets import poly_eval_int
 
     cs = [Fraction(c) for c in coeffs]

@@ -6,7 +6,8 @@ summaries go to stderr.  Exit codes: 0 completed (the verdict, including
 UNDECIDED, lives inside the JSON), 2 usage error (a zero denominator, or a
 coordinate whose frequency, point and center use two quadratic fields,
 among them), 3 a cross-field sum that did not separate within 4096 bits, 4
-certificate verification over its budget.
+a budget ran out: certificate verification, interval pruning, or a listing
+of more than bohr.HIT_CAP hits.
 
 Every input and every decision is exact, so no flag sets a precision:
 displayed cross-field values are Approx at exactreal.DEFAULT_PRECISION_BITS
@@ -62,7 +63,14 @@ from .dynamics import (
     uniform_rigidity_scan,
     verify_nuu,
 )
-from .errors import NoSuchM, PruningBudgetExceeded, RecLabError, UncertainAtPrecision, VerificationBudgetExceeded
+from .errors import (
+    ListingBudgetExceeded,
+    NoSuchM,
+    PruningBudgetExceeded,
+    RecLabError,
+    UncertainAtPrecision,
+    VerificationBudgetExceeded,
+)
 from .exactreal import (
     TorusPoint,
     golden_rotation,
@@ -757,7 +765,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         }
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 3
-    except (VerificationBudgetExceeded, PruningBudgetExceeded) as exc:
+    except (VerificationBudgetExceeded, PruningBudgetExceeded, ListingBudgetExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
     except (RecLabError, OSError, ValueError) as exc:

@@ -10,9 +10,12 @@ multiples and read no point.
 A circle rotation goes through ``bohr.CircleKernel``: return times are
 walked from hit to hit (Slater's three-step theorem), rigidity records are
 the convergents, and density constants come from the three-gap theorem (Sos;
-Alessandri and Berthe).  Tori of dimension >= 2 and subshifts test every n
-or m.  A coordinate whose frequency, point and center use two quadratic
-fields is refused with ValueError (``bohr.field_unit``).
+Alessandri and Berthe).  On a torus of dimension >= 2, return times
+intersect the coordinates' circle walks and test the exact torus norm on
+the common candidates only (``bohr.orbit_hits``); torus rigidity records
+and subshifts test every m or n.  A coordinate whose frequency, point and
+center use two quadratic fields is refused with ValueError
+(``bohr.field_unit``).
 
 Subshift points are shifts of a single base word declared on a finite
 window; every operation checks the window covers its horizon with room to
@@ -29,7 +32,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .bohr import CircleKernel, circle_hits, field_unit, frequency_hits
+from .bohr import CircleKernel, field_unit, frequency_hits, orbit_hits
 from .errors import NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
     Real,
@@ -219,20 +222,18 @@ def return_times_point(sys_: System, x, target, horizon: int) -> TimeSet:
     """{n in [-H, H] : T^n x in target}; 0 belongs when x itself does."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    window = range(-horizon, horizon + 1)
     if isinstance(sys_, RotationSystem):
         if not isinstance(target, BallSpec):
             raise TypeError("rotation targets are balls")
         x, center = sys_.point(x), sys_.point(target.center)
         for a, xi, ci in zip(sys_.alphas, x, center):
             field_unit(a.value, xi, ci)
-        radius = Fraction(target.radius)
-        if sys_.dim == 1:
-            return circle_hits(sys_.alphas[0].value, real_sub(x[0], center[0]), radius, Window(-horizon, horizon))
-        return tuple(n for n in window if sys_.dist_lt(sys_.step(x, n), center, radius))
+        offsets = [real_sub(xi, ci) for xi, ci in zip(x, center)]
+        alphas = [a.value for a in sys_.alphas]
+        return orbit_hits(alphas, offsets, Fraction(target.radius), Window(-horizon, horizon))
     sys_.require_horizon(max(1, horizon // 4 + 1))
     base = int(x)
-    return tuple(n for n in window if in_target(sys_, base + n, target))
+    return tuple(n for n in range(-horizon, horizon + 1) if in_target(sys_, base + n, target))
 
 
 def return_times_set(sys_: RotationSystem, target: BallSpec, horizon: int) -> TimeSet:

@@ -66,3 +66,7 @@ class PruningBudgetExceeded(RecLabError):
 
 class VerificationBudgetExceeded(RecLabError):
     """Independent certificate re-verification hit its safety cap."""
+
+
+class ListingBudgetExceeded(RecLabError):
+    """A listing of hits would hold more than ``bohr.HIT_CAP`` members."""

@@ -1,10 +1,11 @@
 """The circle kernel against the per-n and per-m scans it replaced.
 
 Every comparison is exact: the kernel must give the same Fractions and Surds
-and the same hits in the same order.  A coordinate whose frequency, point
-and center come from two quadratic fields is refused, on the circle and on
-a torus.  The oracles live in ``tests/oracles.py`` and never call the
-kernel.
+and the same hits in the same order, on the circle and on tori whose
+coordinates' walks are intersected.  A coordinate whose frequency, point and
+center come from two quadratic fields is refused, on the circle and on a
+torus.  A listing past ``bohr.HIT_CAP`` hits raises, and the CLI exits 4.
+The oracles live in ``tests/oracles.py`` and never call the kernel.
 """
 
 import math
@@ -13,7 +14,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reclab.bohr import BohrSpec, bohr_enumerate, three_distance, three_distance_parts
+from reclab import bohr, cli
+from reclab.bohr import BohrSpec, bohr_enumerate, frequency_hits, orbit_hits, three_distance, three_distance_parts
 from reclab.dynamics import (
     BallSpec,
     RotationSystem,
@@ -22,8 +24,8 @@ from reclab.dynamics import (
     return_times_set,
     uniform_rigidity_scan,
 )
-from reclab.errors import NoSuchM
-from reclab.exactreal import Surd, TorusPoint, real_add, real_mul_int, torus_norm1
+from reclab.errors import ListingBudgetExceeded, NoSuchM
+from reclab.exactreal import Surd, TorusPoint, golden_rotation, real_add, real_mul_int, real_sub, torus_norm1
 from reclab.intsets import Window
 
 from oracles import (
@@ -40,13 +42,19 @@ FIELDS = (2, 3, 5, 6, 7, 10, 11, 13)
 rationals = st.integers(1, 300).flatmap(
     lambda q: st.integers(0, q - 1).map(lambda p: TorusPoint(Fraction(p, q)))
 )
-surds = st.builds(
-    lambda d, a, b, c: TorusPoint(Surd.make(Fraction(a, c), Fraction(b, c), d)),
-    st.sampled_from(FIELDS),
-    st.integers(-6, 6),
-    st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
-    st.integers(1, 6),
-)
+
+
+def surds_of(fields):
+    return st.builds(
+        lambda d, a, b, c: TorusPoint(Surd.make(Fraction(a, c), Fraction(b, c), d)),
+        st.sampled_from(fields),
+        st.integers(-6, 6),
+        st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
+        st.integers(1, 6),
+    )
+
+
+surds = surds_of(FIELDS)
 alphas = st.one_of(rationals, surds)
 small_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 windows = st.integers(-80, 80).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo - 5, lo + 160)))
@@ -72,14 +80,28 @@ def offset_in_field(draw, alpha: TorusPoint):
     return real_add(real_mul_int(alpha.value, draw(st.integers(-30, 30))), r)
 
 
-def boundary_or_free(draw, value, lo, hi):
+def boundary_or_free(draw, value, lo, hi, top=60):
     """A radius: the exact distance dist(value(n)) at some n of the window when
-    that is a positive rational, so that the open ball's edge is hit, else free."""
+    that is a positive rational, so that the open ball's edge is hit, else
+    free up to top/120."""
     if lo <= hi and draw(st.booleans()):
         edge = torus_norm1(value(draw(st.integers(lo, hi))))
         if isinstance(edge, Fraction) and 0 < edge <= Fraction(1, 2):
             return edge
-    return Fraction(draw(st.integers(1, 60)), 120)
+    return Fraction(draw(st.integers(1, top)), 120)
+
+
+def torus_alphas(draw, k):
+    """k frequencies, each rational or a surd; the surds come from distinct fields."""
+    fields = draw(st.permutations(FIELDS))[:k]
+    return tuple(draw(st.one_of(rationals, surds_of((d,)))) for d in fields)
+
+
+def coordinate_edge_or_free(draw, alphas, offsets, lo, hi, top):
+    """A torus radius: the exact distance of one coordinate at some n of the
+    window when that is a positive rational, else free up to top/120."""
+    i = draw(st.integers(0, len(alphas) - 1))
+    return boundary_or_free(draw, lambda n: real_add(offsets[i], alphas[i].multiple(n)), lo, hi, top)
 
 
 # -- gaps, density constants, rigidity records ------------------------------
@@ -186,10 +208,10 @@ def test_return_times_set(alpha, horizon, k):
 
 @given(st.data(), surds, surds, st.integers(0, 30))
 @settings(max_examples=40, deadline=None)
-def test_two_fields_keep_the_scan(data, alpha, other, horizon):
-    # two fields on two coordinates of a torus keep the exact per-n scan; a
-    # point or center from another field than its own frequency is refused,
-    # on the circle and on a torus
+def test_one_field_per_coordinate(data, alpha, other, horizon):
+    # two fields on two coordinates of a torus are walked one per coordinate;
+    # a point or center from another field than its own frequency is
+    # refused, on the circle and on a torus
     assume(isinstance(other.value, Surd) and other.value.d != alpha.value.d)
     ball = BallSpec((Fraction(0),), Fraction(data.draw(st.integers(1, 60)), 120))
     circle = RotationSystem((alpha,))
@@ -206,3 +228,109 @@ def test_two_fields_keep_the_scan(data, alpha, other, horizon):
         torus, point, torus_ball, horizon
     )
     assert return_times_set(torus, ball, horizon) == scan_return_times_set(torus, ball, horizon)
+
+
+def test_rational_alpha_with_a_surd_offset():
+    # int steps and surd positions: every close call comes from the offset
+    alpha, offset = TorusPoint(Fraction(5, 13)), Surd.make(Fraction(1, 7), Fraction(1, 3), 2)
+    for radius in (Fraction(1, 26), Fraction(1, 13), Fraction(3, 10), Fraction(1, 2)):
+        assert orbit_hits([alpha.value], [offset], radius, Window(-200, 200)) == scan_hits(
+            (alpha,), (offset,), radius, -200, 200
+        )
+
+
+@pytest.mark.parametrize("bits", [0, 3])
+@given(st.data(), alphas, windows)
+@settings(max_examples=60, deadline=None)
+def test_close_calls_are_decided_exactly(bits, data, alpha, window):
+    # with few fractional bits most comparisons of a surd walk are close
+    # calls, and each is decided by the exact sign test
+    lo, hi = window
+    offset = offset_in_field(data.draw, alpha)
+    radius = boundary_or_free(data.draw, lambda n: real_add(offset, alpha.multiple(n)), lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bohr, "_WALK_BITS", bits)
+        got = orbit_hits([alpha.value], [offset], radius, Window(lo, hi))
+    assert got == scan_hits((alpha,), (offset,), radius, lo, hi)
+
+
+# -- tori: the coordinates' walks intersected -------------------------------
+
+
+@given(st.data(), st.integers(2, 3), windows)
+@settings(max_examples=100, deadline=None)
+def test_torus_bohr_enumerate(data, k, window):
+    lo, hi = window
+    alphas = torus_alphas(data.draw, k)
+    zeros = (Fraction(0),) * k
+    eps = coordinate_edge_or_free(data.draw, alphas, zeros, lo, hi, 60)
+    hits = bohr_enumerate(BohrSpec(alphas, eps), Window(lo, hi))
+    assert hits == scan_hits(alphas, zeros, eps, lo, hi, skip_zero=True)
+
+
+@given(st.data(), st.integers(2, 3), st.integers(0, 70))
+@settings(max_examples=100, deadline=None)
+def test_torus_return_times_point(data, k, horizon):
+    alphas = torus_alphas(data.draw, k)
+    point = tuple(offset_in_field(data.draw, a) for a in alphas)
+    center = tuple(data.draw(st.one_of(small_fractions, st.just(real_mul_int(x, 2)))) for x in point)
+    system = RotationSystem(alphas)
+    offsets = [real_sub(x, c) for x, c in zip(system.point(point), system.point(center))]
+    # up to 110/120: past 1/2 every n is a candidate of every coordinate
+    radius = coordinate_edge_or_free(data.draw, alphas, offsets, -horizon, horizon, 110)
+    ball = BallSpec(center, radius)
+    got = return_times_point(system, point, ball, horizon)
+    assert got == scan_return_times_point(system, point, ball, horizon)
+
+
+@given(st.data(), st.integers(2, 3), st.integers(0, 70), st.integers(1, 60))
+@settings(max_examples=100, deadline=None)
+def test_torus_return_times_set(data, k, horizon, j):
+    # 2*rho runs up to 1, past 1/2 for j > 30
+    system = RotationSystem(torus_alphas(data.draw, k))
+    ball = BallSpec((Fraction(1, 3),) * k, Fraction(j, 120))
+    assert return_times_set(system, ball, horizon) == scan_return_times_set(system, ball, horizon)
+
+
+# -- the hit cap --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "alphas, radius",
+    [
+        ((golden_rotation(),), Fraction(1, 3)),
+        ((TorusPoint(Fraction(2, 7)),), Fraction(1, 5)),
+        ((golden_rotation(), TorusPoint(Surd.make(0, 1, 2))), Fraction(1, 5)),
+        ((golden_rotation(), TorusPoint(Fraction(1, 3))), Fraction(3, 5)),  # every n a candidate
+    ],
+)
+def test_a_listing_raises_on_the_hit_past_the_cap(monkeypatch, alphas, radius):
+    window = Window(-60, 60)
+    hits = frequency_hits(alphas, radius, window)
+    walks = [frequency_hits(alphas[i : i + 1], radius, window) for i in range(len(alphas))]
+    fullest = max(len(w) for w in walks)
+    monkeypatch.setattr(bohr, "HIT_CAP", fullest)
+    assert frequency_hits(alphas, radius, window) == hits
+    monkeypatch.setattr(bohr, "HIT_CAP", fullest - 1)
+    with pytest.raises(ListingBudgetExceeded):
+        frequency_hits(alphas, radius, window)
+
+
+CAPPED_CALLS = [
+    ["bohr", "enumerate", "--eps", "1/5", "--lo", "-200", "--hi", "200"],
+    ["dyn", "returns", "--point", "1/3", "--center", "0", "--radius", "1/10", "--horizon", "200"],
+    ["dyn", "nuu", "--point", "1/3", "--center", "0", "--radius", "1/10", "--horizon", "200"],
+]
+
+
+@pytest.mark.parametrize("frequencies", [["golden"], ["golden", "sqrt2"]], ids=["circle", "torus"])
+@pytest.mark.parametrize("argv", CAPPED_CALLS, ids=lambda argv: " ".join(argv[:2]))
+def test_cli_exits_4_past_the_hit_cap(monkeypatch, capsys, frequencies, argv):
+    alpha_flags = [flag for f in frequencies for flag in ("--alpha", f)]
+    assert cli.main(argv[:2] + alpha_flags + argv[2:]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(bohr, "HIT_CAP", 10)
+    assert cli.main(argv[:2] + alpha_flags + argv[2:]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hit cap 10" in captured.err
