@@ -9,19 +9,24 @@ exact: ``TorusPoint`` refuses a float or an Approx.
 
 On the circle, one exact alpha is served by ``CircleKernel``: one walk of
 the continued fraction that keeps each convergent denominator q_k with
-delta_k = ||q_k alpha|| exactly.  The three-gap theorem (Sos 1958), in the
-explicit form of Alessandri and Berthe (1998), reads the gaps of an orbit
-segment, and so its largest gap and the rigidity records, off that walk in
-O(log N) exact steps.  The hits of an arc come from Slater's three-step
-theorem (1967): consecutive hits differ by a, b or a + b, so a Bohr set or a
-return-time set costs O(hits + log H) steps in integers instead of one test
-per n.  An offset from a second quadratic field is refused (``field_unit``).
+delta_k = ||q_k alpha|| exactly, as an integer pair A + B*sqrt(d) in units
+in which the circle's length is the common denominator of the inputs; a
+Surd or Fraction is built only for a length the kernel returns.  The
+three-gap theorem (Sos 1958), in the explicit form of Alessandri and Berthe
+(1998), reads the gaps of an orbit segment, and so its largest gap and the
+rigidity records, off that walk in O(log N) exact steps.  The hits of an
+arc come from Slater's three-step theorem (1967): consecutive hits differ
+by a, b or a + b, so a Bohr set or a return-time set costs O(hits + log H)
+steps in integers instead of one test per n.  An offset from a second quadratic field is refused (``field_unit``).
 
 On a torus of dimension >= 2, a Euclidean ball of radius eps lies inside the
 product of the coordinate arcs of radius eps, so every hit is a circle hit
 of every coordinate: the coordinates' walks are intersected, and the exact
-torus test runs on the common candidates only.  A listing of more than
-HIT_CAP hits raises ListingBudgetExceeded.
+torus test runs on the common candidates only, in integers.  Each
+coordinate's position is an integer pair over one denominator, so the
+squared norm is one int plus one sqrt(d) coefficient per field, whose sign
+the bracket loop of ``exactreal.real_sum_sign`` decides.  A listing of more
+than HIT_CAP hits raises ListingBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -42,15 +47,15 @@ from .exactreal import (
     Real,
     Surd,
     TorusPoint,
+    _floor_ratio,
+    _floor_surd,
+    _int_sum_sign,
+    _norm,
     _sign2,
     as_real,
-    floor_div,
     real_abs,
-    real_add,
-    real_cmp,
     real_floor,
     real_frac,
-    real_mul_int,
     real_sub,
     torus_norm,
     torus_norm1,
@@ -123,16 +128,18 @@ def orbit_hits(
 
     Each coordinate is listed by circle_hits.  On a torus, a hit is a hit
     of every coordinate, so the listings are intersected and the exact
-    torus norm is tested on the common candidates; candidates whose
-    cross-field sum does not separate are collected and raised together.
+    torus norm is tested on the common candidates (_torus_test); candidates
+    whose cross-field sum does not separate are collected and raised
+    together.
     """
     walks = [circle_hits(a, o, radius, window) for a, o in zip(alphas, offsets)]
     if len(walks) == 1:
         return walks[0]
+    inside = _torus_test(alphas, offsets, radius)
     hits, ambiguous = [], []
     for n in sorted(set(walks[0]).intersection(*walks[1:])):
         try:
-            if torus_norm_lt([real_add(o, real_mul_int(a, n)) for a, o in zip(alphas, offsets)], radius):
+            if inside(n):
                 hits.append(n)
         except UncertainAtPrecision:
             ambiguous.append(n)
@@ -142,6 +149,41 @@ def orbit_hits(
             ambiguous=ambiguous,
         )
     return tuple(hits)
+
+
+def _torus_test(alphas: Sequence[Real], offsets: Sequence[Real], radius: Fraction):
+    """The test dist(offsets + n*alphas, Z^k) < radius as a function of n,
+    in integers.
+
+    Over one denominator D, coordinate i sits at (A_i + B_i*sqrt(d_i))/D with
+    A_i and B_i linear in n; its nearest integer m_i is one _floor_surd.
+    With A'_i = A_i - m_i*D, the squared norm is
+    sum(A'_i**2 + B_i**2*d_i + 2*A'_i*B_i*sqrt(d_i))/D**2, so its numerator
+    is one int plus one sqrt(d) coefficient per field, and _int_sum_sign
+    compares it with radius**2.  The denominator of radius is folded into D,
+    so the bound is an int.  Raises UncertainAtPrecision where that sum does
+    not separate.
+    """
+    rn, rd = radius.numerator, radius.denominator
+    den = lcm(*(field_unit(a, o) for a, o in zip(alphas, offsets)))
+    bound, den = (rn * den) ** 2, den * rd
+    coords = []
+    for a, o in zip(alphas, offsets):
+        (aa, ab, da), (oa, ob, do) = _int_parts(a, den), _int_parts(o, den)
+        coords.append((aa, ab, oa, ob, da or do))
+    two_den = 2 * den
+
+    def inside(n: int) -> bool:
+        num, fields = -bound, {}
+        for aa, ab, oa, ob, d in coords:
+            a, b = oa + n * aa, ob + n * ab
+            a -= _floor_surd(2 * a + den, 2 * b, two_den, d) * den
+            num += a * a + b * b * d
+            if b:
+                fields[d] = fields.get(d, 0) + 2 * a * b
+        return _int_sum_sign(num, [(s, d) for d, s in fields.items() if s]) < 0
+
+    return inside
 
 
 def circle_hits(alpha: Real, offset: Real, radius: Fraction, window: Window) -> tuple[int, ...]:
@@ -163,10 +205,10 @@ def circle_hits(alpha: Real, offset: Real, radius: Fraction, window: Window) -> 
 
 
 def field_unit(*values: Real) -> int:
-    """The lcm of the denominators of the rationals among values: the unit
-    in which every value is an int or a Surd.  Raises ValueError when the
-    surds among them come from two quadratic fields, and TypeError for a
-    value that is not exact."""
+    """The lcm of the denominators of values, rationals and surds alike: the
+    unit in which every value is A + B*sqrt(d) with ints A and B.  Raises
+    ValueError when the surds among them come from two quadratic fields,
+    and TypeError for a value that is not exact."""
     den, field = 1, None
     for v in values:
         if isinstance(v, Surd):
@@ -176,6 +218,7 @@ def field_unit(*values: Real) -> int:
                     "point and center must use one quadratic field"
                 )
             field = v.d
+            den = lcm(den, v.c)
         elif isinstance(v, (int, Fraction)):
             den = lcm(den, v.denominator)
         else:
@@ -183,14 +226,90 @@ def field_unit(*values: Real) -> int:
     return den
 
 
+def _int_parts(x: Real, unit: int) -> tuple[int, int, int]:
+    """(A, B, d) with x*unit = A + B*sqrt(d), for a unit that field_unit
+    allows; B = d = 0 for a rational x."""
+    if isinstance(x, Surd):
+        k = unit // x.c
+        return x.a * k, x.b * k, x.d
+    return x.numerator * (unit // x.denominator), 0, 0
+
+
+class _Pair:
+    """A + B*sqrt(d) for ints A and B and a non-square d: a length of a surd
+    kernel, in the kernel's units.  It mixes with ints (B = 0) under +, -,
+    * by an int, //, % by a positive int, and comparisons.  A comparison is
+    one _sign2 and the floor of a ratio one _floor_ratio: no Surd or
+    Fraction is built."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int, d: int):
+        self.a, self.b, self.d = a, b, d
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return _Pair(self.a + other, self.b, self.d)
+        return _Pair(self.a + other.a, self.b + other.b, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, int):
+            return _Pair(self.a - other, self.b, self.d)
+        return _Pair(self.a - other.a, self.b - other.b, self.d)
+
+    def __rsub__(self, other: int):
+        return _Pair(other - self.a, -self.b, self.d)
+
+    def __mul__(self, n: int):
+        return _Pair(self.a * n, self.b * n, self.d)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other) -> int:
+        if isinstance(other, int):
+            return _floor_ratio(self.a, self.b, other, 0, self.d)
+        return _floor_ratio(self.a, self.b, other.a, other.b, self.d)
+
+    def __rfloordiv__(self, other: int) -> int:
+        return _floor_ratio(other, 0, self.a, self.b, self.d)
+
+    def __mod__(self, n: int):
+        return _Pair(self.a - _floor_surd(self.a, self.b, n, self.d) * n, self.b, self.d)
+
+    def _cmp(self, other) -> int:
+        if isinstance(other, int):
+            return _sign2(self.a - other, self.b, self.d)
+        return _sign2(self.a - other.a, self.b - other.b, self.d)
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.a == other and not self.b
+        return self.a == other.a and self.b == other.b
+
+
 class CircleKernel:
     """The continued-fraction walk of one exact rotation number alpha in [0, 1).
 
     Lengths are kept in units in which the circle has length ``unit``, the
-    common denominator of the rationals handed to ``of``: ints, and Surds of
-    alpha's one quadratic field.  ``q[i]`` and ``delta[i]`` hold the
-    convergent denominator q_k and delta_k = |q_k*alpha - p_k| for
-    k = i - 1, starting from (q_-1, delta_-1) = (0, 1) and
+    common denominator of the values handed to ``of`` (see field_unit): ints,
+    and integer pairs A + B*sqrt(d) of alpha's one quadratic field
+    (``_Pair``).  Only ``real`` turns a length back into a Fraction or a
+    Surd.  ``q[i]`` and ``delta[i]`` hold the convergent denominator q_k and
+    delta_k = |q_k*alpha - p_k| for k = i - 1, starting from (q_-1, delta_-1) = (0, 1) and
     (q_0, delta_0) = (1, alpha); the Euclidean step is
     delta_{k+1} = delta_{k-1} - a_{k+1}*delta_k with
     a_{k+1} = floor(delta_{k-1}/delta_k).  Both lists grow on demand, and a
@@ -208,18 +327,17 @@ class CircleKernel:
     @classmethod
     def of(cls, alpha: Real, *others: Real) -> "CircleKernel":
         """The kernel of alpha, in units that make alpha and others ints or
-        Surds; see field_unit for what it refuses."""
+        integer pairs; see field_unit for what it refuses."""
         return cls(alpha, field_unit(alpha, *others))
 
     def scaled(self, x: Real):
-        if isinstance(x, Surd):
-            return x * self.unit
-        return x.numerator * (self.unit // x.denominator)
+        a, b, d = _int_parts(x, self.unit)
+        return _Pair(a, b, d) if b else a
 
     def real(self, v) -> Real:
         if isinstance(v, int):
             return Fraction(v, self.unit)
-        return v / self.unit if self.unit != 1 else v
+        return _norm(v.a, v.b, self.unit, v.d)
 
     def _reach(self, i: int) -> bool:
         """Extend the walk to index i; False when it ends (delta = 0) first."""
@@ -227,7 +345,7 @@ class CircleKernel:
         while len(q) <= i:
             if delta[-1] == 0:
                 return False
-            a = floor_div(delta[-2], delta[-1])
+            a = delta[-2] // delta[-1]
             q.append(a * q[-1] + q[-2])
             delta.append(delta[-2] - a * delta[-1])
         return True
@@ -282,7 +400,7 @@ class CircleKernel:
             qk, qn, qp = self.q[i], self.q[i + 1], self.q[i - 1]
             dk, dp = self.delta[i], self.delta[i - 1]
             if qn > qk and dp - ((qn - qp) // qk - 1) * dk <= b:
-                j = max((qk + 1 - qp) // qk, 1 - floor_div(b - dp, dk))
+                j = max((qk + 1 - qp) // qk, 1 - (b - dp) // dk)
                 n = max(qk, j * qk + qp - 1)
                 return n, self.real(dp - ((n + 1 - qp) // qk - 1) * dk)
             i += 1
@@ -326,11 +444,11 @@ class CircleKernel:
             width = hi - lo
             if width > step:
                 break
-            start, lo, hi = z - floor_div(z, step) * step, step - width, step
+            start, lo, hi = z - z // step * step, step - width, step
             i += 1
         x = 0
         for z, circ, step in reversed(frames):
-            x = floor_div(z + x * circ, step) + 1
+            x = (z + x * circ) // step + 1
         return x
 
     def hits(self, offset: Real, radius: Fraction, lo: int, hi: int) -> list[int]:
@@ -349,7 +467,7 @@ class CircleKernel:
         unit, alpha = self.unit, self.delta[1]
         rad = self.scaled(radius)
         ell = 2 * rad
-        start = self._mod(self.scaled(offset) + rad + lo * alpha)
+        start = (self.scaled(offset) + rad + lo * alpha) % unit
         x = self.first_entry(start, 0, ell)
         if x is None or lo + x > hi:
             return []
@@ -360,29 +478,26 @@ class CircleKernel:
         if isinstance(alpha, int):
             period = unit // gcd(unit, alpha)
             a = period if a is None else min(a, period)
-        u = self._mod(a * alpha)
+        u = a * alpha % unit
         b = self.first_entry(alpha, unit - ell, unit)
         if b is None:  # then u = 0, so p < l - u at every hit: b is never taken
             b, v = 0, unit
         else:
             b += 1
-            v = unit - self._mod(b * alpha)
-        return _slater_walk(lo + x, hi, a, b, self._mod(start + x * alpha), u, v, ell - u)
-
-    def _mod(self, x):
-        return x % self.unit if isinstance(x, int) else x - floor_div(x, self.unit) * self.unit
+            v = unit - b * alpha % unit
+        return _slater_walk(lo + x, hi, a, b, (start + x * alpha) % unit, u, v, ell - u)
 
 
 def _slater_walk(n: int, hi: int, a: int, b: int, p, u, v, below) -> list[int]:
     """The hits n, ... <= hi of Slater's steps from the hit n at position p:
     a steps on when p < below (and p moves by u), b steps on when p > v (by
-    -v), a + b steps on otherwise.  p, u, v and below are ints, or
-    rationals and Surds of one field, and u = a*alpha mod unit.
+    -v), a + b steps on otherwise.  p, u, v and below are kernel lengths,
+    ints or _Pairs of one field, and u = a*alpha mod unit.
 
-    The steps build no Surd.  Over one common denominator a surd walk's
-    values are (A + B*sqrt(d))/C, and each position is the int
-    X = A*2**K + B*s with s = isqrt(d*4**K), so a step is one integer
-    addition.  X is off 2**K*(A + B*sqrt(d)) by less than |B|, and exact
+    The steps build no Surd.  A surd walk's values are A + B*sqrt(d), and
+    each position is the int X = A*2**K + B*s with s = isqrt(d*4**K), so a
+    step is one integer addition.  X is off 2**K*(A + B*sqrt(d)) by less
+    than |B|, and exact
     when B = 0.  The B part of p moves by that of alpha at each n, so a
     comparison of X values decides unless the two are within the walk's
     bound on the difference of B parts; such a close call goes to _sign2,
@@ -404,16 +519,15 @@ def _slater_walk(n: int, hi: int, a: int, b: int, p, u, v, below) -> list[int]:
                 n, p = n + a + b, p + u - v
     else:
         values = (p, u, v, below)
-        parts = [(w.a, w.b, w.c) if isinstance(w, Surd) else (w.numerator, 0, w.denominator) for w in values]
-        d = next(w.d for w in values if isinstance(w, Surd))
-        c, k = lcm(*(tc for _, _, tc in parts)), _WALK_BITS
+        (pa, pb), (ua, ub), (va, vb), (wa, wb) = [(w.a, w.b) if isinstance(w, _Pair) else (w, 0) for w in values]
+        d = next(w.d for w in values if isinstance(w, _Pair))
+        k = _WALK_BITS
         s = isqrt(d << 2 * k)
-        (pa, pb), (ua, ub), (va, vb), (wa, wb) = [(ta * (c // tc), tb * (c // tc)) for ta, tb, tc in parts]
         x, xu, xv, xw = [(ta << k) + tb * s for ta, tb in ((pa, pb), (ua, ub), (va, vb), (wa, wb))]
         n0, slack = n, max(abs(wb - pb), abs(vb - pb)) + (hi - n) * abs(ub)
 
         def sign_from(m: int, xm: int, ta: int, tb: int) -> int:
-            """The sign of (ta + tb*sqrt(d))/C - p for the hit m at position xm."""
+            """The sign of ta + tb*sqrt(d) - p for the hit m at position xm."""
             pm = pb + (m - n0) * ub // a  # ub/a is the B part of alpha
             return _sign2(ta - ((xm - pm * s) >> k), tb - pm, d)
 
@@ -455,7 +569,8 @@ def continued_fraction(alpha, depth: int = 30) -> ContinuedFraction:
     Exact for rational and quadratic-surd inputs: the partial quotients past
     the integer part are the circle kernel's walk of the fractional part.
     The approximation quality invariant dist(q_j * alpha) < 1/q_{j+1} is
-    asserted on the convergents produced.
+    asserted on the convergents produced, recomputed from q_j and the
+    kernel's alpha (never from its delta_j).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -475,14 +590,20 @@ def continued_fraction(alpha, depth: int = 30) -> ContinuedFraction:
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         convergents.append(Fraction(p_cur, q_cur))
 
-    # quality invariant, checked exactly wherever the next denominator exists;
-    # a terminated (rational) expansion ends with equality: the determinant
-    # identity gives dist(q_{n-1} alpha) = 1/q_n exactly
+    # quality invariant, checked exactly wherever the next denominator exists,
+    # in kernel units on the kernel's alpha = A + B*sqrt(d):
+    # ||q_j alpha||*q_{j+1} < unit; a terminated (rational) expansion ends
+    # with equality: the determinant identity gives dist(q_{n-1} alpha) = 1/q_n
+    unit, alpha = kernel.unit, kernel.delta[1]
+    fa, fb, d = (alpha.a, alpha.b, alpha.d) if isinstance(alpha, _Pair) else (alpha, 0, 0)
     for j in range(len(convergents) - 1):
-        qj = convergents[j].denominator
-        qnext = convergents[j + 1].denominator
-        norm = torus_norm1(real_mul_int(x, qj))
-        cmp = real_cmp(norm, Fraction(1, qnext))
+        qj, qnext = convergents[j].denominator, convergents[j + 1].denominator
+        # q_j*alpha less its nearest multiple of unit, then its absolute value
+        a, b = qj * fa, qj * fb
+        a -= _floor_surd(2 * a + unit, 2 * b, 2 * unit, d) * unit
+        if _sign2(a, b, d) < 0:
+            a, b = -a, -b
+        cmp = _sign2(a * qnext - unit, b * qnext, d)
         final_pair = terminated and j + 1 == len(convergents) - 1
         assert cmp < 0 or (final_pair and cmp == 0), "convergent quality violated"
 

@@ -37,7 +37,6 @@ from .errors import NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
     Real,
     TorusPoint,
-    real_add,
     real_cmp,
     real_frac,
     real_min,
@@ -94,15 +93,6 @@ class RotationSystem:
 
     def zero(self) -> RotPoint:
         return tuple(Fraction(0) for _ in self.alphas)
-
-    def step(self, x: RotPoint, n: int) -> RotPoint:
-        return tuple(
-            real_frac(real_add(xi, real_mul_int(a.value, n)))
-            for xi, a in zip(x, self.alphas)
-        )
-
-    def dist_lt(self, x: RotPoint, y: RotPoint, t: Fraction) -> bool:
-        return torus_norm_lt([real_sub(xi, yi) for xi, yi in zip(x, y)], t)
 
     def displacement_norm(self, n: int) -> Real:
         """Exact displacement of the n-th iterate: dist(x, T^n x), any x."""

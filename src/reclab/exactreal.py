@@ -22,7 +22,8 @@ fields are compared with a rational by :func:`real_sum_sign`, in integers:
 square roots of distinct square-free integers are linearly independent over
 Q, so such a sum never equals a rational and integer brackets of each
 ``b*sqrt(d)`` separate it.  Multi-frequency torus norms are compared through
-that kernel (:func:`torus_norm_lt`).
+that kernel (:func:`torus_norm_lt`), and its integer core
+(``_int_sum_sign``) also signs the torus test of ``bohr.orbit_hits``.
 
 The exact kinds are the only inputs: ints, Fractions, Surds and strings
 parsed to them.  A float is refused with TypeError.  ``Approx`` is an
@@ -101,11 +102,22 @@ def _sign2(a: int, b: int, d: int) -> int:
 
 
 def _floor_surd(a: int, b: int, c: int, d: int) -> int:
-    """floor((a + b*sqrt(d))/c) for b != 0, c > 0 and a non-square d."""
+    """floor((a + b*sqrt(d))/c) for c > 0 and a non-square d (any d when b == 0)."""
     # b*b*d is no square, so floor(b*sqrt(d)) is isqrt for b > 0 and
     # -(isqrt + 1) for b < 0; floor(y/c) == floor(y) // c for an integer c > 0
     r = isqrt(b * b * d)
-    return (a + (r if b > 0 else -r - 1)) // c
+    return (a + (r if b >= 0 else -r - 1)) // c
+
+
+def _floor_ratio(a1: int, b1: int, a2: int, b2: int, d: int) -> int:
+    """floor((a1 + b1*sqrt(d))/(a2 + b2*sqrt(d))) for a nonzero divisor and a
+    non-square d: multiplied out by the divisor's conjugate, the quotient is
+    ((a1*a2 - b1*b2*d) + (b1*a2 - a1*b2)*sqrt(d))/(a2*a2 - b2*b2*d), floored
+    by one _floor_surd."""
+    p, q, r = a1 * a2 - b1 * b2 * d, b1 * a2 - a1 * b2, a2 * a2 - b2 * b2 * d
+    if r < 0:
+        p, q, r = -p, -q, -r
+    return _floor_surd(p, q, r, d)
 
 
 def _new(a: int, b: int, c: int, d: int) -> "Surd":
@@ -481,9 +493,9 @@ def real_floor(x: Real) -> int:
 
 def floor_div(x, y) -> int:
     """floor(x/y) for y != 0: ints and Fractions, or Surds of one field
-    with rationals.  A surd quotient is multiplied out by the divisor's
-    conjugate, (a1 + b1 r)(a2 - b2 r) c2 / (c1 (a2^2 - b2^2 d)) with
-    r = sqrt(d), and floored in integers; no Surd is built."""
+    with rationals.  A surd quotient is (c2*(a1 + b1 r))/(c1*(a2 + b2 r))
+    with r = sqrt(d), floored in integers by _floor_ratio; no Surd is
+    built."""
     if not isinstance(x, Surd) and not isinstance(y, Surd):
         return x // y
     d = x.d if isinstance(x, Surd) else y.d
@@ -491,10 +503,7 @@ def floor_div(x, y) -> int:
     a2, b2, c2 = (y.a, y.b, y.c) if isinstance(y, Surd) else (y.numerator, 0, y.denominator)
     if isinstance(x, Surd) and isinstance(y, Surd) and x.d != y.d:
         raise TypeError("floor_div needs one quadratic field")
-    p, q, r = (a1 * a2 - b1 * b2 * d) * c2, (b1 * a2 - a1 * b2) * c2, c1 * (a2 * a2 - b2 * b2 * d)
-    if r < 0:
-        p, q, r = -p, -q, -r
-    return _floor_surd(p, q, r, d) if q else p // r
+    return _floor_ratio(a1 * c2, b1 * c2, a2 * c1, b2 * c1, d)
 
 
 def real_frac(x: Real) -> Real:
@@ -549,14 +558,13 @@ def real_sum_sign(terms: Sequence, bound=0) -> int:
 
     Terms are ints, Fractions or Surds of any quadratic fields; bound is an
     int or Fraction.  The rational parts fold into one numerator and
-    denominator and each field's sqrt(d) coefficients into one b/c.  With
-    one field left the sign is one ``_sign2``.  With more, every b*sqrt(d)
-    over a common denominator is bracketed at scale 2**k by one
-    ``isqrt(b*b*d << 2k)``, doubling k from 64 until the bracket of the sum
-    excludes 0: square roots of distinct square-free integers are linearly
-    independent over Q, so such a sum is never 0.  Past _MAX_BRACKET_BITS it
-    raises UncertainAtPrecision.  No Fraction is built.  Any other term,
-    an Approx included, raises TypeError.
+    denominator and each field's sqrt(d) coefficients into one b/c; over
+    a common denominator, _int_sum_sign decides the sign.  Square roots of
+    distinct square-free integers are linearly independent over Q, so a sum
+    over two or more fields is never 0, and its brackets separate it unless
+    it is closer to 0 than _MAX_BRACKET_BITS resolve (UncertainAtPrecision).
+    No Fraction is built.  Any other term, an Approx included, raises
+    TypeError.
     """
     num, den = -bound.numerator, bound.denominator
     fields: dict[int, tuple[int, int]] = {}
@@ -571,22 +579,30 @@ def real_sum_sign(terms: Sequence, bound=0) -> int:
             raise TypeError(f"{t!r} is not an exact real")
         num, den = num * c + a * den, den * c
     surds = [(b, c, d) for d, (b, c) in fields.items() if b]
-    if not surds:
-        return (num > 0) - (num < 0)
-    if len(surds) == 1:
-        b, c, d = surds[0]
-        return _sign2(num * c, b * den, d)
     # clear denominators: num/den + sum b/c sqrt(d) = (n0 + sum b' sqrt(d))/m
     m = lcm(den, *(c for _, c, _ in surds))
-    n0 = num * (m // den)
-    squares = []
-    for b, c, d in surds:
-        b *= m // c
-        squares.append((b > 0, b * b * d))
+    return _int_sum_sign(num * (m // den), [(b * (m // c), d) for b, c, d in surds])
+
+
+def _int_sum_sign(n0: int, surds: Sequence[tuple[int, int]]) -> int:
+    """Sign of n0 + sum(b*sqrt(d) for b, d in surds), for nonzero ints b and
+    distinct square-free d >= 2: the integer core of real_sum_sign.
+
+    No field is the sign of n0 and one field one ``_sign2``.  With more,
+    every b*sqrt(d) is bracketed at scale 2**k by one
+    ``isqrt(b*b*d << 2k)``, doubling k from 64 until the bracket of the sum
+    excludes 0; past _MAX_BRACKET_BITS it raises UncertainAtPrecision.
+    """
+    if not surds:
+        return (n0 > 0) - (n0 < 0)
+    if len(surds) == 1:
+        (b, d), = surds
+        return _sign2(n0, b, d)
+    squares = [(b > 0, b * b * d) for b, d in surds]
     k = 64
     while k <= _MAX_BRACKET_BITS:
-        # b' sqrt(d) 2**k lies strictly between r and r + 1 (b' > 0) or
-        # -r - 1 and -r (b' < 0), r = isqrt(b'^2 d 4**k), being irrational
+        # b sqrt(d) 2**k lies strictly between r and r + 1 (b > 0) or
+        # -r - 1 and -r (b < 0), r = isqrt(b^2 d 4**k), being irrational
         lo = n0 << k
         for positive, sq in squares:
             r = isqrt(sq << 2 * k)

@@ -12,6 +12,7 @@ terms per term.
 import functools
 from fractions import Fraction
 from itertools import count
+from math import isqrt
 
 from reclab.birkhoff import _primitive_rotation
 from reclab.dynamics import _norm_records
@@ -21,11 +22,22 @@ from reclab.exactreal import (
     real_add,
     real_cmp,
     real_frac,
+    real_mul_int,
     real_sub,
     real_to_float,
     torus_norm,
     torus_norm_lt,
 )
+
+
+def step(sys_, x, n: int):
+    """T^n x for a rotation: each coordinate moved by n times its frequency, reduced into [0, 1)."""
+    return tuple(real_frac(real_add(xi, real_mul_int(a.value, n))) for xi, a in zip(x, sys_.alphas))
+
+
+def dist_lt(x, y, t) -> bool:
+    """Is the torus distance of the points x and y below t?  Decided on squared norms."""
+    return torus_norm_lt([real_sub(xi, yi) for xi, yi in zip(x, y)], t)
 
 
 def real_eq(x, y) -> bool:
@@ -53,6 +65,24 @@ def sorting_three_distance(alpha, count: int):
         if not distinct or not real_eq(distinct[-1], g):
             distinct.append(g)
     return tuple(gaps), tuple(distinct)
+
+
+def pqa_quotients(d: int, a: int, b: int, c: int, count: int) -> list[int]:
+    """The first count partial quotients of (a + b*sqrt(d))/c, for a
+    non-square d >= 2, b != 0 and c != 0, by the PQa recurrence on
+    (P + sqrt(D))/Q: a_k = floor((P + sqrt(D))/Q), then P <- a_k*Q - P and
+    Q <- (D - P*P)/Q, which stays an integer once Q divides D - P*P."""
+    sign = 1 if b > 0 else -1
+    p, q, big_d = a * sign, c * sign, b * b * d  # (p + sqrt(big_d))/q
+    p, q, big_d = p * abs(q), q * abs(q), big_d * q * q  # now q divides big_d - p*p
+    root = isqrt(big_d)  # sqrt(big_d) is irrational: floor(p + sqrt(big_d)) = p + root
+    out = []
+    for _ in range(count):
+        a_k = (p + root) // q if q > 0 else -((p + root) // -q) - 1
+        out.append(a_k)
+        p = a_k * q - p
+        q = (big_d - p * p) // q
+    return out
 
 
 def scan_eta_dense(alpha: TorusPoint, eta: Fraction, cap: int):
@@ -94,7 +124,7 @@ def scan_return_times_point(sys_, x, target, horizon: int):
     x, center = sys_.point(x), sys_.point(target.center)
     radius = Fraction(target.radius)
     return tuple(
-        n for n in range(-horizon, horizon + 1) if sys_.dist_lt(sys_.step(x, n), center, radius)
+        n for n in range(-horizon, horizon + 1) if dist_lt(step(sys_, x, n), center, radius)
     )
 
 
@@ -116,14 +146,14 @@ def stepping_phi(sys_, x, times, horizon: int):
     """min of dist(T^n x, x) over the nonzero times within the horizon, from stepped points."""
     x = sys_.point(x)
     times = [n for n in times if abs(n) <= horizon and n != 0]
-    return torus_norm(closest([(sys_.step(x, n), x) for n in times]))
+    return torus_norm(closest([(step(sys_, x, n), x) for n in times]))
 
 
 def stepping_psi(sys_, x, query):
     """(psi, psi < eps) from the points T^(n_k + r_k) x and T^(n_k) x."""
     x = sys_.point(x)
     least = closest(
-        [(sys_.step(x, n + r), sys_.step(x, n)) for n, r in zip(query.n_terms, query.r_terms)]
+        [(step(sys_, x, n + r), step(sys_, x, n)) for n, r in zip(query.n_terms, query.r_terms)]
     )
     return torus_norm(least), torus_norm_lt(least, query.eps)
 

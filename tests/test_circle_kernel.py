@@ -5,17 +5,30 @@ and the same hits in the same order, on the circle and on tori whose
 coordinates' walks are intersected.  A coordinate whose frequency, point and
 center come from two quadratic fields is refused, on the circle and on a
 torus.  A listing past ``bohr.HIT_CAP`` hits raises, and the CLI exits 4.
-The oracles live in ``tests/oracles.py`` and never call the kernel.
+The continued-fraction quotients are checked against the integer PQa
+recurrence, deep enough that the kernel's integer pairs grow large.  A torus
+ball whose radius is the exact norm of one n leaves that n out, and a
+two-field sum that does not separate is raised with every candidate.  The
+oracles live in ``tests/oracles.py`` and never call the kernel.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from reclab import bohr, cli
-from reclab.bohr import BohrSpec, bohr_enumerate, frequency_hits, orbit_hits, three_distance, three_distance_parts
+from reclab import bohr, cli, exactreal
+from reclab.bohr import (
+    BohrSpec,
+    bohr_enumerate,
+    continued_fraction,
+    frequency_hits,
+    orbit_hits,
+    three_distance,
+    three_distance_parts,
+)
 from reclab.dynamics import (
     BallSpec,
     RotationSystem,
@@ -24,11 +37,21 @@ from reclab.dynamics import (
     return_times_set,
     uniform_rigidity_scan,
 )
-from reclab.errors import ListingBudgetExceeded, NoSuchM
-from reclab.exactreal import Surd, TorusPoint, golden_rotation, real_add, real_mul_int, real_sub, torus_norm1
+from reclab.errors import ListingBudgetExceeded, NoSuchM, UncertainAtPrecision
+from reclab.exactreal import (
+    Surd,
+    TorusPoint,
+    golden_rotation,
+    real_add,
+    real_mul_int,
+    real_sub,
+    sqrt2_rotation,
+    torus_norm1,
+)
 from reclab.intsets import Window
 
 from oracles import (
+    pqa_quotients,
     scan_eta_dense,
     scan_hits,
     scan_records,
@@ -102,6 +125,25 @@ def coordinate_edge_or_free(draw, alphas, offsets, lo, hi, top):
     window when that is a positive rational, else free up to top/120."""
     i = draw(st.integers(0, len(alphas) - 1))
     return boundary_or_free(draw, lambda n: real_add(offsets[i], alphas[i].multiple(n)), lo, hi, top)
+
+
+# -- continued fractions ------------------------------------------------------
+
+
+@given(
+    st.one_of(st.integers(2, 10**4), st.integers(2**40, 2**56 - 1)),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([b for b in range(-50, 51) if b]),
+    st.integers(1, 10**4),
+    st.integers(0, 200),
+)
+@example(2**56 - 5, 0, 1, 1, 200)
+@settings(max_examples=25, deadline=None)
+def test_continued_fraction_quotients(d, a, b, c, depth):
+    # d square-free up to 56 bits: Surd.make keeps it as it is
+    x = Surd.make(Fraction(a, c), Fraction(b, c), d)
+    assume(isinstance(x, Surd) and x.d == d)
+    assert list(continued_fraction(x, depth).quotients) == pqa_quotients(d, a, b, c, depth + 1)
 
 
 # -- gaps, density constants, rigidity records ------------------------------
@@ -290,6 +332,54 @@ def test_torus_return_times_set(data, k, horizon, j):
     system = RotationSystem(torus_alphas(data.draw, k))
     ball = BallSpec((Fraction(1, 3),) * k, Fraction(j, 120))
     assert return_times_set(system, ball, horizon) == scan_return_times_set(system, ball, horizon)
+
+
+# Pythagorean tuples: the squares of all but the last entry sum to the last's
+PYTHAGOREAN = {2: ((3, 4, 5), (5, 12, 13), (8, 15, 17)), 3: ((1, 2, 2, 3), (2, 3, 6, 7), (1, 4, 8, 9))}
+
+
+@given(st.data(), st.integers(2, 3), st.booleans(), st.integers(-60, 60))
+@settings(max_examples=100, deadline=None)
+def test_torus_radius_at_an_exact_norm(data, k, same_field, n0):
+    # offsets put the orbit at the rational point t at n0, |t| = radius:
+    # n0 is a candidate of every coordinate and lies on the ball's edge
+    fields = [data.draw(st.sampled_from(FIELDS))] * k if same_field else data.draw(st.permutations(FIELDS))[:k]
+    alphas = tuple(data.draw(st.one_of(rationals, surds_of((d,)))) for d in fields)
+    *legs, hyp = data.draw(st.sampled_from(PYTHAGOREAN[k]))
+    m = data.draw(st.integers(2 * hyp, 6 * hyp))
+    t = [Fraction(data.draw(st.sampled_from((-1, 1))) * leg, m) for leg in legs]
+    offsets = tuple(real_sub(ti, a.multiple(n0)) for ti, a in zip(t, alphas))
+    radius = Fraction(hyp, m)
+    lo, hi = n0 - data.draw(st.integers(0, 80)), n0 + data.draw(st.integers(0, 80))
+    got = orbit_hits([a.value for a in alphas], offsets, radius, Window(lo, hi))
+    assert n0 not in got
+    assert got == scan_hits(alphas, offsets, radius, lo, hi)
+
+
+def test_torus_sums_that_do_not_separate_are_raised_together(monkeypatch, capsys):
+    # with no bracket precision every candidate whose squared norm has two
+    # fields is ambiguous: at the offsets (1/3, 1/7) every candidate
+    alphas = [golden_rotation().value, sqrt2_rotation().value]
+    window = Window(-2000, 2000)
+
+    def common(offsets, radius):
+        walks = [set(orbit_hits([a], [o], radius, window)) for a, o in zip(alphas, offsets)]
+        return sorted(walks[0] & walks[1])
+
+    point_candidates = common([Fraction(1, 3), Fraction(1, 7)], Fraction(1, 20))
+    # dyn returns lists the set returns first: the origin's orbit at 2*rho,
+    # whose candidate n = 0 is rational on both coordinates and decided
+    set_candidates = [n for n in common([0, 0], Fraction(1, 10)) if n]
+    assert point_candidates and set_candidates
+    monkeypatch.setattr(exactreal, "_MAX_BRACKET_BITS", 32)
+    with pytest.raises(UncertainAtPrecision) as raised:
+        orbit_hits(alphas, [Fraction(1, 3), Fraction(1, 7)], Fraction(1, 20), window)
+    assert raised.value.ambiguous == point_candidates
+    argv = ["dyn", "returns", "--alpha", "golden", "--alpha", "sqrt2", "--point", "1/3;1/7",
+            "--center", "0", "--radius", "1/20", "--horizon", "2000"]
+    assert cli.main(argv) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["kind"], error["ambiguous"]) == ("precision", set_candidates)
 
 
 # -- the hit cap --------------------------------------------------------------
