@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import InvalidArity, EmptyInput, MalformedCertificate, VerificationBudgetExceeded
+from .bohr import HIT_CAP
+from .errors import InvalidArity, EmptyInput, ListingBudgetExceeded, MalformedCertificate, VerificationBudgetExceeded
 from .intsets import IntSet, ZSetLike, as_int_list
 
 # Default cap of the independent verifier: reference-search nodes for a
@@ -837,10 +838,13 @@ class GreedyRun:
 
 def greedy_coloring(m: ZSetLike, n_terms: int) -> GreedyRun:
     """First n_terms of the greedy avoiding sequence over |M|+1 colors (see
-    _greedy_terms), with its cycle when that closes within them."""
+    _greedy_terms), with its cycle when that closes within them.  Raises
+    ListingBudgetExceeded, before any term, when n_terms exceeds HIT_CAP."""
     dists = _normalize_distances(m)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
+    if n_terms > HIT_CAP:
+        raise ListingBudgetExceeded(f"{n_terms} terms exceed the listing cap {HIT_CAP}")
     terms = list(islice(_greedy_terms(dists), n_terms))
     cycle = terms[-1][1]
     return GreedyRun(

@@ -7,7 +7,7 @@ UNDECIDED, lives inside the JSON), 2 usage error (a zero denominator, or a
 coordinate whose frequency, point and center use two quadratic fields,
 among them), 3 a cross-field sum that did not separate within 4096 bits, 4
 a budget ran out: certificate verification, interval pruning, or a listing
-of more than bohr.HIT_CAP hits.
+of more than bohr.HIT_CAP hits or greedy terms.
 
 Every input and every decision is exact, so no flag sets a precision:
 displayed cross-field values are Approx at exactreal.DEFAULT_PRECISION_BITS
@@ -65,6 +65,7 @@ from .dynamics import (
 )
 from .errors import (
     ListingBudgetExceeded,
+    MalformedCertificate,
     NoSuchM,
     PruningBudgetExceeded,
     RecLabError,
@@ -206,7 +207,11 @@ def cmd_birkhoff_check(args) -> dict:
 def cmd_birkhoff_verify(args) -> dict:
     elems = gather_set(args)
     with open(args.cert) as fh:
-        cert = certificate_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise MalformedCertificate("certificate JSON is nested too deeply") from exc
+    cert = certificate_from_json(doc)
     ok = verify_certificate(elems, args.arity, cert)
     return {
         "valid": ok,

@@ -69,4 +69,5 @@ class VerificationBudgetExceeded(RecLabError):
 
 
 class ListingBudgetExceeded(RecLabError):
-    """A listing of hits would hold more than ``bohr.HIT_CAP`` members."""
+    """A listing of hits, or of greedy terms, would hold more than
+    ``bohr.HIT_CAP`` members."""

@@ -204,7 +204,10 @@ def parse_set_text(text: str) -> list[int]:
     if not stripped:
         raise EmptyInput("empty set file")
     if stripped.startswith("["):
-        data = json.loads(stripped)
+        try:
+            data = json.loads(stripped)
+        except RecursionError:
+            data = None  # nested past the interpreter's limit: no array of integers
         if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
             raise ValueError("JSON set file must be an array of integers")
         return [int(v) for v in data]

@@ -9,14 +9,16 @@ Grammar (EBNF):
     atom   = INT | "k" | "(" expr ")" ;
     INT    = digit { digit } ;
 
-"^" is exponentiation (right-associative via unary), "mod" the nonnegative
-remainder.  Parsed once into an AST; evaluation never touches eval().
+"^" is exponentiation (right-associative), "mod" the nonnegative remainder.
+One left-to-right operator-precedence pass (Dijkstra's shunting yard) turns
+the tokens into a postfix program, and one loop evaluates that program on a
+stack.  Neither recurses, so only a formula's length limits its nesting.
+Evaluation never touches eval().
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Union
 
 EBNF = """expr   = term { ("+" | "-") term } ;
@@ -26,12 +28,18 @@ power  = atom [ "^" unary ] ;
 atom   = INT | "k" | "(" expr ")" ;
 INT    = digit { digit } ;"""
 
+# products and powers stay within about a million bits, so a typo cannot eat all memory
+MAX_BITS = 1_000_000
+
 
 class SeqExprError(ValueError):
     pass
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(mod)|(k)|([+\-*^()]))")
+
+# binding strengths; "neg" is unary minus, and "^" alone is right-associative
+_BIND = {"+": 1, "-": 1, "*": 2, "mod": 2, "neg": 3, "^": 4}
 
 
 def _tokenize(text: str) -> list[str]:
@@ -47,134 +55,82 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-Node = Union[Num, Var, BinOp, Neg]
-
-
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise SeqExprError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str):
-        got = self.take()
-        if got != tok:
-            raise SeqExprError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self) -> Node:
-        node = self.expr()
-        if self.peek() is not None:
-            raise SeqExprError(f"trailing input from token {self.peek()!r}")
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek() in ("*", "mod"):
-            op = self.take()
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        if self.peek() == "-":
-            self.take()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        if self.peek() == "^":
-            self.take()
-            node = BinOp("^", node, self.unary())
-        return node
-
-    def atom(self) -> Node:
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if tok == "k":
-            return Var()
-        if tok.isdigit():
-            return Num(int(tok))
-        raise SeqExprError(f"unexpected token {tok!r}")
-
-
-def parse_expr(text: str) -> Node:
+def parse_expr(text: str) -> list[Union[int, str]]:
+    """The formula as a postfix program of ints, "k" and operator names."""
     tokens = _tokenize(text)
     if not tokens:
         raise SeqExprError("empty expression")
-    return _Parser(tokens).parse()
+    program: list[Union[int, str]] = []
+    pending: list[str] = []  # operators not yet emitted, and each open "("
+    depth = 0  # open "(" in pending
+    want_operand = True
+    for tok in tokens:
+        if want_operand:
+            if tok == "-":
+                pending.append("neg")
+            elif tok == "(":
+                pending.append(tok)
+                depth += 1
+            elif tok == "k" or tok.isdigit():
+                program.append(tok if tok == "k" else int(tok))
+                want_operand = False
+            else:
+                raise SeqExprError(f"unexpected token {tok!r}")
+        elif tok in _BIND:
+            # emit what binds at least as tightly; "^" leaves an earlier "^" pending
+            bind = _BIND[tok] + (tok == "^")
+            while pending and _BIND.get(pending[-1], 0) >= bind:
+                program.append(pending.pop())
+            pending.append(tok)
+            want_operand = True
+        elif tok == ")" and depth:
+            while (op := pending.pop()) != "(":
+                program.append(op)
+            depth -= 1
+        elif depth:
+            raise SeqExprError(f"expected ')', got {tok!r}")
+        else:
+            raise SeqExprError(f"trailing input from token {tok!r}")
+    if want_operand or depth:
+        raise SeqExprError("unexpected end of expression")
+    program.extend(reversed(pending))
+    return program
 
 
-def eval_node(node: Node, k: int) -> int:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return k
-    if isinstance(node, Neg):
-        return -eval_node(node.operand, k)
-    left = eval_node(node.left, k)
-    right = eval_node(node.right, k)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "mod":
-        if right == 0:
-            raise SeqExprError("mod by zero")
-        return left % right
-    if node.op == "^":
-        if right < 0:
-            raise SeqExprError("negative exponent")
-        # keep results to ~1M bits so a typo cannot eat all memory
-        if abs(left) > 1 and right * max(1, abs(left).bit_length()) > 1_000_000:
-            raise SeqExprError("exponent too large")
-        return left**right
-    raise SeqExprError(f"unknown operator {node.op!r}")
+def _run(program: list[Union[int, str]], k: int) -> int:
+    stack: list[int] = []
+    for item in program:
+        if type(item) is int:
+            stack.append(item)
+        elif item == "k":
+            stack.append(k)
+        elif item == "neg":
+            stack[-1] = -stack[-1]
+        else:
+            right = stack.pop()
+            left = stack[-1]
+            if item == "+":
+                stack[-1] = left + right
+            elif item == "-":
+                stack[-1] = left - right
+            elif item == "*":
+                if left.bit_length() + right.bit_length() > MAX_BITS:
+                    raise SeqExprError("product too large")
+                stack[-1] = left * right
+            elif item == "mod":
+                if right == 0:
+                    raise SeqExprError("mod by zero")
+                stack[-1] = left % right
+            else:
+                if right < 0:
+                    raise SeqExprError("negative exponent")
+                if abs(left) > 1 and right * abs(left).bit_length() > MAX_BITS:
+                    raise SeqExprError("exponent too large")
+                stack[-1] = left**right
+    return stack[0]
 
 
 def compile_sequence(text: str) -> Callable[[int], int]:
     """Parse once; return k -> value."""
-    node = parse_expr(text)
-    return lambda k: eval_node(node, k)
+    program = parse_expr(text)
+    return lambda k: _run(program, k)

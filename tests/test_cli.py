@@ -501,6 +501,38 @@ class TestExitCodes:
         assert out == ""
         assert "window 100000000 exceeds the node cap" in err
 
+    def test_greedy_terms_past_hit_cap_exit(self, capsys):
+        # refused before the first term is generated
+        rc, out, err = run(capsys, ["birkhoff", "greedy", "--elements", "3,7", "--terms", "1000001"])
+        assert rc == 4
+        assert out == ""
+        assert "exceed the listing cap 1000000" in err
+
+    def test_deep_json_set_file_is_an_input_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        rc, out, err = run(capsys, ["birkhoff", "check", "--set", str(deep), "--arity", "2"])
+        assert rc == 2
+        assert out == ""
+        assert "JSON set file must be an array of integers" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200_000 + "]" * 200_000,
+            '{"type": "window_unsat", "window": 3, "arity": 2, "proof": {"distances": [], "vertices": '
+            + "[" * 200_000 + "]" * 200_000 + "}}",
+        ],
+        ids=["document", "proof-vertices"],
+    )
+    def test_deep_json_certificate_is_malformed(self, capsys, tmp_path, text):
+        cert = tmp_path / "cert.json"
+        cert.write_text(text)
+        rc, out, err = run(capsys, ["birkhoff", "verify", "--elements", "1", "--arity", "2", "--cert", str(cert)])
+        assert rc == 2
+        assert out == ""
+        assert "nested too deeply" in err
+
 
 # every option string of every command; help text itself is not pinned,
 # argparse formats it differently across Python 3.10-3.13

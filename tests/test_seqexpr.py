@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from reclab import cli
 from reclab.seqexpr import EBNF, SeqExprError, compile_sequence, parse_expr
+
+THREE_FACTORS = "(2^499999)*(2^499999)*(2^499999)"
 
 
 class TestEval:
@@ -88,6 +91,38 @@ class TestErrors:
     def test_stacked_power_guard(self):
         with pytest.raises(SeqExprError):
             compile_sequence("9^9^9")(0)
+
+    def test_product_guard(self):
+        # two factors reach 999,999 bits; the third would pass a million
+        assert compile_sequence("(2^499999)*(2^499999)")(0) == 2**999998
+        with pytest.raises(SeqExprError):
+            compile_sequence(THREE_FACTORS)(0)
+
+    def test_product_guard_exits_2(self, capsys):
+        rc = cli.main(["dyn", "psi", "--alpha", "golden", "--nk", THREE_FACTORS, "--horizon", "3"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestDepth:
+    """Only a formula's length limits its nesting: neither pass recurses."""
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("(" * 100_000 + "k" + ")" * 100_000, 3),
+            ("+".join(["k"] * 100_000), 300_000),
+            ("-" * 100_001 + "k", -3),
+        ],
+        ids=["nested-parentheses", "long-sum", "minus-signs"],
+    )
+    def test_deep_formula(self, text, expected):
+        assert compile_sequence(text)(3) == expected
+
+    def test_deep_formula_through_cli(self):
+        # the --nk= form, since a formula may start with "-"
+        deep = "(" * 10_000 + "k" + ")" * 10_000
+        assert cli.main(["dyn", "psi", "--alpha", "golden", "--nk=" + deep, "--horizon", "3"]) == 0
 
 
 class TestEbnf:
