@@ -26,9 +26,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
 
-from .bohr import HIT_CAP
 from .errors import InvalidArity, EmptyInput, ListingBudgetExceeded, MalformedCertificate, VerificationBudgetExceeded
-from .intsets import IntSet, ZSetLike, as_int_list
+from .intsets import HIT_CAP, IntSet, ZSetLike, as_int_list
 
 # Default cap of the independent verifier: reference-search nodes for a
 # certificate without a proof, proof entries for one read from a file.

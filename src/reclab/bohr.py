@@ -19,14 +19,19 @@ arc come from Slater's three-step theorem (1967): consecutive hits differ
 by a, b or a + b, so a Bohr set or a return-time set costs O(hits + log H)
 steps in integers instead of one test per n.  An offset from a second quadratic field is refused (``field_unit``).
 
+Every comparison of torus norms ||x + n*alpha|| is decided here, in
+integers: over one denominator each coordinate's position is an integer
+pair, so the scaled squared norm is one int plus one sqrt(d) coefficient per
+field (``_sq_norm``), and ``exactreal._int_sum_sign`` signs it against a
+radius (``_torus_test``) or against the best norm so far (``record_times``).
+A Surd, Fraction or Approx norm is built only to be printed.
+
 On a torus of dimension >= 2, a Euclidean ball of radius eps lies inside the
 product of the coordinate arcs of radius eps, so every hit is a circle hit
-of every coordinate: the coordinates' walks are intersected, and the exact
-torus test runs on the common candidates only, in integers.  Each
-coordinate's position is an integer pair over one denominator, so the
-squared norm is one int plus one sqrt(d) coefficient per field, whose sign
-the bracket loop of ``exactreal.real_sum_sign`` decides.  A listing of more
-than HIT_CAP hits raises ListingBudgetExceeded.
+of every coordinate: the coordinates' walks are intersected, and the torus
+test runs on the common candidates only.  A walk of more than HIT_CAP hits
+raises ListingBudgetExceeded; on a torus the cap counts each coordinate's
+walk, not the torus hits.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     EmptyInput,
@@ -59,13 +64,9 @@ from .exactreal import (
     real_sub,
     torus_norm,
     torus_norm1,
-    torus_norm_lt,
 )
-from .intsets import Window, ZSetLike, as_int_list
+from .intsets import HIT_CAP, Window, ZSetLike, as_int_list, poly_eval_int
 
-# Most hits a listing may hold: a circle walk, a coordinate walk of a torus,
-# or the whole window of a radius above 1/2.
-HIT_CAP = 1_000_000
 # Fractional bits of the integer positions of a surd walk (_slater_walk).
 _WALK_BITS = 64
 
@@ -96,10 +97,10 @@ class Membership:
 
 
 def bohr_membership(n: int, spec: BohrSpec) -> Membership:
-    """Is n in the set described by `spec`?  Decided exactly (or raises)."""
-    xs = [a.multiple(n) for a in spec.alphas]
-    member = torus_norm_lt(xs, spec.eps)
-    norm = torus_norm(xs)
+    """Is n in the set described by `spec`?  Decided exactly in integers
+    (or raises); the norm and margin are built for display."""
+    member = _torus_test([a.value for a in spec.alphas], (0,) * spec.dim, spec.eps)(n)
+    norm = torus_norm([a.multiple(n) for a in spec.alphas])
     return Membership(member, norm, real_abs(real_sub(norm, spec.eps)))
 
 
@@ -151,39 +152,71 @@ def orbit_hits(
     return tuple(hits)
 
 
-def _torus_test(alphas: Sequence[Real], offsets: Sequence[Real], radius: Fraction):
-    """The test dist(offsets + n*alphas, Z^k) < radius as a function of n,
-    in integers.
+def _sq_norm(alphas: Sequence[Real], offsets: Sequence[Real]):
+    """The squared torus norm of offsets + n*alphas as a function of n, in
+    integers: (den, fields, sq), where sq(n) is the list [N, S_1, ...] with
+    den**2 * dist(offsets + n*alphas, Z^k)**2 = N + sum(S_j*sqrt(fields[j])).
 
-    Over one denominator D, coordinate i sits at (A_i + B_i*sqrt(d_i))/D with
-    A_i and B_i linear in n; its nearest integer m_i is one _floor_surd.
-    With A'_i = A_i - m_i*D, the squared norm is
-    sum(A'_i**2 + B_i**2*d_i + 2*A'_i*B_i*sqrt(d_i))/D**2, so its numerator
-    is one int plus one sqrt(d) coefficient per field, and _int_sum_sign
-    compares it with radius**2.  The denominator of radius is folded into D,
-    so the bound is an int.  Raises UncertainAtPrecision where that sum does
-    not separate.
+    Over the denominator den, coordinate i sits at (A_i + B_i*sqrt(d_i))/den
+    with A_i and B_i linear in n; its nearest integer m_i is one _floor_surd.
+    With A'_i = A_i - m_i*den, the squared norm is
+    sum(A'_i**2 + B_i**2*d_i + 2*A'_i*B_i*sqrt(d_i))/den**2.
     """
-    rn, rd = radius.numerator, radius.denominator
     den = lcm(*(field_unit(a, o) for a, o in zip(alphas, offsets)))
-    bound, den = (rn * den) ** 2, den * rd
-    coords = []
+    coords, slots = [], {}  # slots: each field's index j in sq(n)
     for a, o in zip(alphas, offsets):
         (aa, ab, da), (oa, ob, do) = _int_parts(a, den), _int_parts(o, den)
-        coords.append((aa, ab, oa, ob, da or do))
+        d = da or do
+        coords.append((aa, ab, oa, ob, d, slots.setdefault(d, len(slots) + 1) if d else 0))
+    fields = list(slots)
     two_den = 2 * den
 
-    def inside(n: int) -> bool:
-        num, fields = -bound, {}
-        for aa, ab, oa, ob, d in coords:
+    def sq(n: int) -> list[int]:
+        v = [0] * (len(fields) + 1)
+        for aa, ab, oa, ob, d, j in coords:
             a, b = oa + n * aa, ob + n * ab
             a -= _floor_surd(2 * a + den, 2 * b, two_den, d) * den
-            num += a * a + b * b * d
-            if b:
-                fields[d] = fields.get(d, 0) + 2 * a * b
-        return _int_sum_sign(num, [(s, d) for d, s in fields.items() if s]) < 0
+            v[0] += a * a + b * b * d
+            if j:
+                v[j] += 2 * a * b
+        return v
+
+    return den, fields, sq
+
+
+def _torus_test(alphas: Sequence[Real], offsets: Sequence[Real], radius: Fraction):
+    """The test dist(offsets + n*alphas, Z^k) < radius as a function of n,
+    in integers: the sign of the _sq_norm value times rd**2 less (rn*den)**2
+    for radius = rn/rd, so the floors work on den-sized ints.  A radius <= 0
+    holds no n.  Raises UncertainAtPrecision where the sum does not separate.
+    """
+    den, fields, sq = _sq_norm(alphas, offsets)
+    rn, rd = radius.numerator, radius.denominator
+    bound, scale = rn * abs(rn) * den * den, rd * rd
+
+    def inside(n: int) -> bool:
+        v = sq(n)
+        return _int_sum_sign(v[0] * scale - bound, [(s * scale, d) for s, d in zip(v[1:], fields) if s]) < 0
 
     return inside
+
+
+def record_times(alphas: Sequence[Real], times: Iterable[int]) -> list[int]:
+    """The n of times, in order, at which ||n*alphas|| is below its value at
+    every earlier n of times; a tie is no record.  Each comparison is one
+    _int_sum_sign of the difference of two _sq_norm values.
+    """
+    _, fields, sq = _sq_norm(alphas, (0,) * len(alphas))
+    out: list[int] = []
+    best = None
+    for n in times:
+        v = sq(n)
+        if best is None or _int_sum_sign(
+            v[0] - best[0], [(s - t, d) for s, t, d in zip(v[1:], best[1:], fields) if s != t]
+        ) < 0:
+            best = v
+            out.append(n)
+    return out
 
 
 def circle_hits(alpha: Real, offset: Real, radius: Fraction, window: Window) -> tuple[int, ...]:
@@ -840,11 +873,14 @@ def cyclic_obstruction(
 
 
 def _full_period_avoids_zero(coeffs: Sequence, m: int) -> tuple[bool, int]:
-    from .intsets import poly_eval_int
-
+    """(p(n) mod m avoids 0 over the period m*lcm(denominators) of n, n
+    evaluated); ListingBudgetExceeded, before any evaluation, for a period
+    above HIT_CAP."""
     cs = [Fraction(c) for c in coeffs]
     scale = lcm(*[c.denominator for c in cs]) if cs else 1
     period = m * scale
+    if period > HIT_CAP:
+        raise ListingBudgetExceeded(f"polynomial period {period} modulo {m} exceeds the listing cap {HIT_CAP}")
     for n in range(period):
         if poly_eval_int(cs, n) % m == 0:
             return False, n + 1

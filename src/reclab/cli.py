@@ -7,7 +7,8 @@ UNDECIDED, lives inside the JSON), 2 usage error (a zero denominator, or a
 coordinate whose frequency, point and center use two quadratic fields,
 among them), 3 a cross-field sum that did not separate within 4096 bits, 4
 a budget ran out: certificate verification, interval pruning, or a listing
-of more than bohr.HIT_CAP hits or greedy terms.
+past intsets.HIT_CAP: walk hits, greedy terms, set differences, generated
+elements or a polynomial period.
 
 Every input and every decision is exact, so no flag sets a precision:
 displayed cross-field values are Approx at exactreal.DEFAULT_PRECISION_BITS

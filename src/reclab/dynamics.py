@@ -1,11 +1,11 @@
 """Finite-horizon dynamics: torus rotations and indicator subshifts.
 
-Rotations use the exact arithmetic kinds throughout, so return-time sets,
-rigidity records, the phi and psi minimisers and psi's comparison with eps
-are decided exactly; the displayed distances of a multi-frequency rotation
-are tracked-error approximations, built for the winners only.  A rotation
-is an isometry, so phi and psi are minima of ||n*alpha|| over exact
-multiples and read no point.
+On rotations, every comparison of torus norms (return times, rigidity
+records, the phi and psi minimisers, psi's comparison with eps,
+l-recurrence) is decided exactly, in integers, by ``bohr``; the displayed
+distances are built for the winners only, as tracked-error approximations
+on a multi-frequency rotation.  A rotation is an isometry, so phi and psi
+are minima of ||n*alpha|| over target times and read no point.
 
 A circle rotation goes through ``bohr.CircleKernel``: return times are
 walked from hit to hit (Slater's three-step theorem), rigidity records are
@@ -13,8 +13,9 @@ the convergents, and density constants come from the three-gap theorem (Sos;
 Alessandri and Berthe).  On a torus of dimension >= 2, return times
 intersect the coordinates' circle walks and test the exact torus norm on
 the common candidates only (``bohr.orbit_hits``); torus rigidity records
-test every m.  A coordinate whose frequency, point and center use two
-quadratic fields is refused with ValueError (``bohr.field_unit``).
+test every m (``bohr.record_times``).  A coordinate whose frequency, point
+and center use two quadratic fields is refused with ValueError
+(``bohr.field_unit``).
 
 Subshift points are shifts of a single base word declared on a finite
 window, and only two operations take them: cylinder return times, which
@@ -30,24 +31,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .bohr import CircleKernel, field_unit, frequency_hits, orbit_hits
+from .bohr import CircleKernel, _torus_test, field_unit, frequency_hits, orbit_hits, record_times
 from .errors import NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
     Real,
     TorusPoint,
-    real_cmp,
     real_frac,
     real_min,
-    real_mul_int,
     real_sub,
-    real_sum_sign,
     real_to_float,
     torus_norm,
-    torus_norm1,
-    torus_norm_lt,
-    torus_sq_terms,
 )
 from .intsets import Window, ZSetLike, as_int_list
 
@@ -94,10 +89,6 @@ class RotationSystem:
     def displacement_norm(self, n: int) -> Real:
         """Exact displacement of the n-th iterate: dist(x, T^n x), any x."""
         return torus_norm([a.multiple(n) for a in self.alphas])
-
-    def displacement_lt(self, n: int, t: Fraction) -> bool:
-        """displacement_norm(n) < t, decided exactly for exact alphas."""
-        return torus_norm_lt([a.multiple(n) for a in self.alphas], t)
 
 
 @dataclass(frozen=True)
@@ -310,37 +301,12 @@ def verify_nuu(
 # ---------------------------------------------------------------------------
 
 
-def _norm_records(vectors: Iterable[Sequence[Real]]):
-    """(i, xs) for each torus vector xs whose norm is below every earlier one's.
-
-    Decided exactly: on the circle real_cmp of the torus_norm1 values, on a
-    torus real_sum_sign of the squared norms, over any number of quadratic
-    fields, so no Approx norm is compared; a tie is no record.
-    """
-    best = None  # the record's circle norm, or its negated squared norm terms
-    for i, xs in enumerate(vectors):
-        if len(xs) == 1:
-            norm = torus_norm1(xs[0])
-            if best is None or real_cmp(norm, best) < 0:
-                best = norm
-                yield i, xs
-            continue
-        sq = torus_sq_terms(xs)
-        if best is None or real_sum_sign(sq + best) < 0:
-            best = [real_mul_int(t, -1) for t in sq]
-            yield i, xs
-
-
-def _least_move(sys_: RotationSystem, times: Sequence[int]) -> list[Real]:
-    """The exact move [n*alpha, ...] of the first n in times at least norm.
-
-    A rotation is an isometry: dist(T^(m+n) x, T^m x) is the torus norm of
-    this move for every x and m.
-    """
+def _least_time(sys_: RotationSystem, times: Sequence[int]) -> int:
+    """The first n in times at least ||n*alpha||.  A rotation is an
+    isometry: dist(T^(m+n) x, T^m x) is this norm for every x and m."""
     if not times:
         raise ValueError("minimum over no times")
-    *_, (_, least) = _norm_records([a.multiple(n) for a in sys_.alphas] for n in times)
-    return least
+    return record_times([a.value for a in sys_.alphas], times)[-1]
 
 
 def phi_l(sys_: System, x, targets: ZSetLike, horizon: int) -> Real:
@@ -353,7 +319,7 @@ def phi_l(sys_: System, x, targets: ZSetLike, horizon: int) -> Real:
     if not times:
         raise NoElementsInWindow("no target times inside the horizon")
     if isinstance(sys_, RotationSystem):
-        return torus_norm(_least_move(sys_, times))
+        return sys_.displacement_norm(_least_time(sys_, times))
     sys_.require_horizon(max(abs(n) for n in times))
     base = int(x)
     scan = min(sys_.window.hi // 2, 4 * horizon)
@@ -396,8 +362,9 @@ def psi_moving(sys_: RotationSystem, query: MovingQuery) -> tuple[Real, bool]:
     point x, from the horizon's exact multiples alone: the n_k are not read.
     """
     _rotation_only(sys_, "psi")
-    least = _least_move(sys_, query.r_terms)
-    return torus_norm(least), torus_norm_lt(least, query.eps)
+    n = _least_time(sys_, query.r_terms)
+    below = _torus_test([a.value for a in sys_.alphas], (0,) * sys_.dim, query.eps)(n)
+    return sys_.displacement_norm(n), below
 
 
 @dataclass(frozen=True)
@@ -416,8 +383,9 @@ def find_l_recurrent(sys_: RotationSystem, targets: ZSetLike, eps: Fraction) -> 
     if not times:
         raise NoElementsInWindow("no target times")
     # displacement is point-independent: scan target times only
+    inside = _torus_test([a.value for a in sys_.alphas], (0,) * sys_.dim, eps)
     for n in times[:RECURRENT_SAMPLE_BUDGET]:
-        if sys_.displacement_lt(n, eps):
+        if inside(n):
             return RecurrentWitness(point=sys_.zero(), time=n, value=sys_.displacement_norm(n))
     return None
 
@@ -469,8 +437,8 @@ def uniform_rigidity_scan(sys_: RotationSystem, horizon: int) -> tuple[RigidityR
         kernel = CircleKernel.of(sys_.alphas[0].value)
         return tuple(RigidityRecord(m, value) for m, value in kernel.records(horizon))
     # the displayed norm is an Approx on a torus: build it for records only
-    moves = ([a.multiple(m) for a in sys_.alphas] for m in range(1, horizon + 1))
-    return tuple(RigidityRecord(i + 1, torus_norm(xs)) for i, xs in _norm_records(moves))
+    times = record_times([a.value for a in sys_.alphas], range(1, horizon + 1))
+    return tuple(RigidityRecord(m, sys_.displacement_norm(m)) for m in times)
 
 
 @dataclass(frozen=True)

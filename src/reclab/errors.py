@@ -33,7 +33,7 @@ class MalformedCertificate(RecLabError):
 
 class UncertainAtPrecision(RecLabError):
     """A sum of surds from several quadratic fields did not separate from
-    its bound within 4096 bits (``exactreal.real_sum_sign``).
+    its bound within 4096 bits (``exactreal._int_sum_sign``).
 
     Carries ``ambiguous``: the n values an enumeration could not place.
     """
@@ -69,5 +69,5 @@ class VerificationBudgetExceeded(RecLabError):
 
 
 class ListingBudgetExceeded(RecLabError):
-    """A listing of hits, or of greedy terms, would hold more than
-    ``bohr.HIT_CAP`` members."""
+    """A listing of hits, greedy terms, set differences, generated elements
+    or polynomial residues would hold more than ``intsets.HIT_CAP`` members."""

@@ -21,9 +21,8 @@ Fraction straight from integers.  Sums of surds from several quadratic
 fields are compared with a rational by :func:`real_sum_sign`, in integers:
 square roots of distinct square-free integers are linearly independent over
 Q, so such a sum never equals a rational and integer brackets of each
-``b*sqrt(d)`` separate it.  Multi-frequency torus norms are compared through
-that kernel (:func:`torus_norm_lt`), and its integer core
-(``_int_sum_sign``) also signs the torus test of ``bohr.orbit_hits``.
+``b*sqrt(d)`` separate it.  Its integer core (``_int_sum_sign``) signs the
+squared torus norms of ``bohr``, which decides every comparison of them.
 
 The exact kinds are the only inputs: ints, Fractions, Surds and strings
 parsed to them.  A float is refused with TypeError.  ``Approx`` is an
@@ -699,12 +698,6 @@ class TorusPoint:
         return f"TorusPoint({self.value!r})"
 
 
-def torus_sq_terms(xs: Iterable) -> list[Real]:
-    """Squared circle norms of the coordinates of a torus vector: the terms
-    of its squared Euclidean distance to the nearest lattice point."""
-    return [real_mul(n, n) for n in map(torus_norm1, xs)]
-
-
 def torus_norm(xs: Sequence) -> Real:
     """Euclidean distance from a torus vector to the nearest lattice point,
     for display: exact on the circle, else real_sqrt of the real_add fold of
@@ -712,15 +705,7 @@ def torus_norm(xs: Sequence) -> Real:
     coordinate)."""
     if len(xs) == 1:
         return torus_norm1(xs[0])
-    return real_sqrt(real_sum(torus_sq_terms(xs)))
-
-
-def torus_norm_lt(xs: Sequence, eps) -> bool:
-    """Is torus_norm(xs) below the rational eps?  Exact for the exact kinds,
-    over any number of quadratic fields (squared norms via real_sum_sign)."""
-    if len(xs) == 1:
-        return real_cmp(torus_norm1(xs[0]), eps) < 0
-    return real_sum_sign(torus_sq_terms(xs), eps * eps) < 0
+    return real_sqrt(real_sum(real_mul(n, n) for n in map(torus_norm1, xs)))
 
 
 def golden_rotation() -> TorusPoint:

@@ -4,6 +4,10 @@ Convention: an :class:`IntSet` holds nonzero integers only (0 is silently
 dropped by every constructor).  Operations whose natural inputs live in all
 of the integers -- difference sets, syndetic samples, subshift indicators --
 accept plain iterables instead, where 0 is legitimate.
+
+A listing is bounded before any element is built: a difference set of more
+than HIT_CAP pairs, or a generated family of more than HIT_CAP elements or
+more than 64*HIT_CAP bits in all, raises ListingBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -14,7 +18,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import EmptyInput, NoElementsInWindow, NonIntegerPolynomial, TooFewElements
+from .errors import EmptyInput, ListingBudgetExceeded, NoElementsInWindow, NonIntegerPolynomial, TooFewElements
+
+# Most members a listing may hold: set-file differences, a generated family,
+# hits of a circle walk or of one coordinate of a torus, greedy terms.
+HIT_CAP = 1_000_000
+
+
+def _check_listing(count: int, bits: int, what: str) -> None:
+    """ListingBudgetExceeded when a listing of count integers of bits bits in
+    all would pass HIT_CAP members or 64*HIT_CAP bits."""
+    if count > HIT_CAP:
+        raise ListingBudgetExceeded(f"{what} of {count} elements exceeds the listing cap {HIT_CAP}")
+    if bits > 64 * HIT_CAP:
+        raise ListingBudgetExceeded(f"{what} of {bits} bits exceeds the listing cap {64 * HIT_CAP} bits")
 
 
 @dataclass(frozen=True)
@@ -86,6 +103,9 @@ def difference_set(s: ZSetLike, window: Window | None = None) -> IntSet:
         elems = [e for e in elems if e in window]
     if not elems:
         raise EmptyInput("difference set of an empty listing")
+    pairs = len(elems) * (len(elems) - 1)
+    if pairs > HIT_CAP:
+        raise ListingBudgetExceeded(f"{pairs} differences exceed the listing cap {HIT_CAP}")
     diffs = {a - b for a in elems for b in elems if a != b}
     return IntSet(tuple(diffs))
 
@@ -149,6 +169,7 @@ def gen_k_times_nr(k: int, r: int) -> IntSet:
     """{k, 2k, ..., rk}."""
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
+    _check_listing(r, r * (k * r).bit_length(), "kxnr family")
     return IntSet(tuple(k * i for i in range(1, r + 1)))
 
 
@@ -156,6 +177,10 @@ def gen_l_r(r: int, k_max: int) -> IntSet:
     """Layered geometric family: n*(r+2)**k for 1 <= n <= r, 0 <= k <= k_max."""
     if r < 1 or k_max < 0:
         raise ValueError("need r >= 1 and k_max >= 0")
+    # n*(r+2)**k has at most bl(r) + k*bl(r+2) bits
+    layers = k_max + 1
+    bits = r * (layers * r.bit_length() + (r + 2).bit_length() * k_max * layers // 2)
+    _check_listing(r * layers, bits, "layered family")
     out = []
     base = 1
     for _ in range(k_max + 1):
@@ -180,6 +205,10 @@ def gen_polynomial(coeffs: Sequence[Union[int, Fraction]], n_max: int) -> IntSet
         raise ValueError("n_max must be >= 1")
     if not coeffs:
         raise EmptyInput("no coefficients")
+    # |p(n)| <= sum|c_i| * n_max**deg for 1 <= n <= n_max
+    size = sum(abs(Fraction(c)) for c in coeffs)
+    bits = n_max * (int(size).bit_length() + 1 + (len(coeffs) - 1) * n_max.bit_length())
+    _check_listing(n_max, bits, "polynomial family")
     return IntSet(tuple(poly_eval_int(coeffs, n) for n in range(1, n_max + 1)))
 
 

@@ -34,16 +34,17 @@ from .birkhoff import (
     verify_certificate,
 )
 from .bohr import (
+    _torus_test,
     continued_fraction,
     cyclic_obstruction,
     lacunary_witness,
+    record_times,
     revalidate_witness,
 )
 from .dynamics import (
     BallSpec,
     MovingQuery,
     RotationSystem,
-    _norm_records,
     moving_recurrence_experiment,
     return_times_set,
     uniform_rigidity_scan,
@@ -263,7 +264,8 @@ def _claim_return_set_identity(limits: SearchLimits, rng, corrupt: bool):
         rho = Fraction(rng.randint(2, 25), 100)
         sys_ = RotationSystem((alpha,))
         observed = return_times_set(sys_, BallSpec((Fraction(0),), rho), horizon)
-        expected = tuple(n for n in range(-horizon, horizon + 1) if sys_.displacement_lt(n, 2 * rho))
+        inside = _torus_test([alpha.value], (0,), 2 * rho)
+        expected = tuple(n for n in range(-horizon, horizon + 1) if inside(n))
         if observed != expected:
             return FAIL, {"trial": trial, "rho": str(rho)}, []
     return PASS, {"trials": 20, "horizon": horizon}, []
@@ -275,8 +277,8 @@ def _claim_rigidity_records(limits: SearchLimits, rng, corrupt: bool):
     reciprocal, and the rigidity scan reports the same records."""
     alpha = golden_rotation()
     horizon = 10_000
-    moves = ([alpha.multiple(m)] for m in range(1, horizon + 1))
-    records = [(i + 1, torus_norm1(xs[0])) for i, xs in _norm_records(moves)]
+    times = record_times([alpha.value], range(1, horizon + 1))
+    records = [(m, torus_norm1(alpha.multiple(m))) for m in times]
     cf = continued_fraction(alpha, depth=25)
     denoms = []
     for q in cf.denominators:

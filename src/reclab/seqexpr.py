@@ -28,7 +28,8 @@ power  = atom [ "^" unary ] ;
 atom   = INT | "k" | "(" expr ")" ;
 INT    = digit { digit } ;"""
 
-# products and powers stay within about a million bits, so a typo cannot eat all memory
+# a product or power of more bits is refused, so a typo cannot eat all memory;
+# no intermediate value has more than twice as many
 MAX_BITS = 1_000_000
 
 
@@ -114,9 +115,10 @@ def _run(program: list[Union[int, str]], k: int) -> int:
             elif item == "-":
                 stack[-1] = left - right
             elif item == "*":
-                if left.bit_length() + right.bit_length() > MAX_BITS:
+                # the product has bl(left) + bl(right) - 1 bits or one more
+                if left.bit_length() + right.bit_length() - 1 > MAX_BITS:
                     raise SeqExprError("product too large")
-                stack[-1] = left * right
+                stack[-1] = _capped(left * right, "product too large")
             elif item == "mod":
                 if right == 0:
                     raise SeqExprError("mod by zero")
@@ -124,10 +126,19 @@ def _run(program: list[Union[int, str]], k: int) -> int:
             else:
                 if right < 0:
                     raise SeqExprError("negative exponent")
-                if abs(left) > 1 and right * abs(left).bit_length() > MAX_BITS:
+                # |left| >= 2**(bl - 1), so the power has more than (bl - 1)*right
+                # bits, and at most bl*right <= 2*MAX_BITS when that is below MAX_BITS
+                if abs(left) > 1 and (left.bit_length() - 1) * right >= MAX_BITS:
                     raise SeqExprError("exponent too large")
-                stack[-1] = left**right
+                stack[-1] = _capped(left**right, "exponent too large")
     return stack[0]
+
+
+def _capped(value: int, message: str) -> int:
+    """value, or SeqExprError(message) when it has more than MAX_BITS bits."""
+    if value.bit_length() > MAX_BITS:
+        raise SeqExprError(message)
+    return value
 
 
 def compile_sequence(text: str) -> Callable[[int], int]:

@@ -2,7 +2,10 @@
 
 The circle kernel in ``reclab.bohr`` replaced the sorting three-gap
 computation and scans that test every n or m; they use only the package's
-exact comparisons, never the kernel.  The point-free moving-recurrence
+exact comparisons, never the kernel.  The integer torus-norm decisions of
+``reclab.bohr`` (its torus test and record scan) replaced the Surd-level
+ones kept here: squared circle norms built as Surds and Fractions and
+signed by ``real_sum_sign`` (``torus_norm_lt``, ``norm_records``).  The point-free moving-recurrence
 functionals in ``reclab.dynamics`` replaced stepping orbit points and
 minimising their differences.  The rolling-state greedy generator in
 ``reclab.birkhoff`` replaced one that hashes a tuple of the last max(M)
@@ -15,19 +18,57 @@ from itertools import count
 from math import isqrt
 
 from reclab.birkhoff import _primitive_rotation
-from reclab.dynamics import _norm_records
 from reclab.errors import NoSuchM, UncertainAtPrecision
 from reclab.exactreal import (
     TorusPoint,
     real_add,
     real_cmp,
     real_frac,
+    real_mul,
     real_mul_int,
     real_sub,
+    real_sum_sign,
     real_to_float,
     torus_norm,
-    torus_norm_lt,
+    torus_norm1,
 )
+
+
+def torus_sq_terms(xs):
+    """Squared circle norms of the coordinates of a torus vector: the terms
+    of its squared Euclidean distance to the nearest lattice point."""
+    return [real_mul(n, n) for n in map(torus_norm1, xs)]
+
+
+def torus_norm_lt(xs, eps) -> bool:
+    """Is the torus norm of xs below the rational eps?  On the circle real_cmp
+    of the circle norm, on a torus real_sum_sign of the squared norms."""
+    if len(xs) == 1:
+        return real_cmp(torus_norm1(xs[0]), eps) < 0
+    return real_sum_sign(torus_sq_terms(xs), eps * eps) < 0
+
+
+def displacement_lt(sys_, n: int, t) -> bool:
+    """Is the displacement norm of the n-th iterate below t?"""
+    return torus_norm_lt([a.multiple(n) for a in sys_.alphas], t)
+
+
+def norm_records(vectors):
+    """(i, xs) for each torus vector xs whose norm is below every earlier one's;
+    a tie is no record.  On the circle real_cmp of the circle norms, on a
+    torus real_sum_sign of the squared norms."""
+    best = None  # the record's circle norm, or its negated squared norm terms
+    for i, xs in enumerate(vectors):
+        if len(xs) == 1:
+            norm = torus_norm1(xs[0])
+            if best is None or real_cmp(norm, best) < 0:
+                best = norm
+                yield i, xs
+            continue
+        sq = torus_sq_terms(xs)
+        if best is None or real_sum_sign(sq + best) < 0:
+            best = [real_mul_int(t, -1) for t in sq]
+            yield i, xs
 
 
 def step(sys_, x, n: int):
@@ -98,7 +139,7 @@ def scan_eta_dense(alpha: TorusPoint, eta: Fraction, cap: int):
 def scan_records(alphas, horizon: int):
     """(m, displacement) records of the displacement over m = 1..horizon, testing every m."""
     moves = ([a.multiple(m) for a in alphas] for m in range(1, horizon + 1))
-    return [(i + 1, torus_norm(xs)) for i, xs in _norm_records(moves)]
+    return [(i + 1, torus_norm(xs)) for i, xs in norm_records(moves)]
 
 
 def scan_hits(alphas, offsets, radius, lo: int, hi: int, skip_zero: bool = False):
@@ -131,14 +172,14 @@ def scan_return_times_point(sys_, x, target, horizon: int):
 def scan_return_times_set(sys_, target, horizon: int):
     """{n in [-H, H] : the displacement of T^n is below 2*rho}, testing every n."""
     two_rho = 2 * Fraction(target.radius)
-    return tuple(n for n in range(-horizon, horizon + 1) if sys_.displacement_lt(n, two_rho))
+    return tuple(n for n in range(-horizon, horizon + 1) if displacement_lt(sys_, n, two_rho))
 
 
 def closest(pairs):
     """Coordinate differences y - z of the first (y, z) pair at least distance."""
     if not pairs:
         raise ValueError("minimum over no times")
-    *_, (_, least) = _norm_records([real_sub(a, b) for a, b in zip(y, z)] for y, z in pairs)
+    *_, (_, least) = norm_records([real_sub(a, b) for a, b in zip(y, z)] for y, z in pairs)
     return least
 
 

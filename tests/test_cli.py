@@ -221,9 +221,9 @@ class TestBohr:
                 "--elements", "2,5,10,17,26",
             ],
         )
-        res = doc["result"]
-        assert res["found"] is True and res["modulus"] == 3
-        assert res["absolute"] is True
+        assert doc["result"] == {
+            "found": True, "modulus": 3, "absolute": True, "residues_checked": 3, "m_max": 10,
+        }
 
     def test_separate_small_interval(self, capsys, tmp_path):
         f = tmp_path / "interval.txt"
@@ -507,6 +507,46 @@ class TestExitCodes:
         assert rc == 4
         assert out == ""
         assert "exceed the listing cap 1000000" in err
+
+    def test_sets_diff_past_hit_cap_exit(self, capsys, tmp_path):
+        # 4,000 squares make 15,996,000 ordered pairs: refused before any is formed
+        listing = tmp_path / "set.txt"
+        listing.write_text("\n".join(str(n * n) for n in range(1, 4001)))
+        rc, out, err = run(capsys, ["sets", "diff", "--set", str(listing)])
+        assert rc == 4
+        assert out == ""
+        assert "15996000 differences exceed the listing cap 1000000" in err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--family", "kxnr", "--k", "1", "--r", "100000000"], "100000000 elements"),
+            (["--family", "lr", "--r", "2", "--k-max", "200000"], "bits exceeds the listing cap 64000000 bits"),
+            (["--family", "poly", "--coeffs", "0,1", "--n-max", "100000000"], "100000000 elements"),
+        ],
+        ids=["kxnr", "lr", "poly"],
+    )
+    def test_sets_gen_past_hit_cap_exit(self, capsys, flags, message):
+        rc, out, err = run(capsys, ["sets", "gen", *flags])
+        assert rc == 4
+        assert out == ""
+        assert message in err
+
+    def test_stable_family_past_hit_cap_exit(self, capsys):
+        rc, out, err = run(capsys, ["birkhoff", "stable", "--family-r", "2", "--k-max", "200000", "--removed", "4"])
+        assert rc == 4
+        assert out == ""
+
+    def test_obstruct_polynomial_period_past_hit_cap_exit(self, capsys):
+        # 2*C(n, 13) + 1: m*lcm(denominators) = 6,227,020,800 values of n
+        poly = (
+            "1,2/13,-6617/13860,128977/207900,-412009/907200,1148963/5443200,-9607/145152,"
+            "314617/21772800,-299/134400,1747/7257600,-13/725760,19/21772800,-1/39916800,1/3113510400"
+        )
+        rc, out, err = run(capsys, ["bohr", "obstruct", "--m-max", "2", "--elements", "1", "--poly", poly])
+        assert rc == 4
+        assert out == ""
+        assert "polynomial period 6227020800 modulo 2 exceeds the listing cap 1000000" in err
 
     def test_deep_json_set_file_is_an_input_error(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from reclab.errors import EmptyInput, NonIntegerPolynomial, TooFewElements
+from reclab import intsets
+from reclab.errors import EmptyInput, ListingBudgetExceeded, NonIntegerPolynomial, TooFewElements
 from reclab.intsets import (
     IntSet,
     Window,
@@ -133,6 +134,46 @@ class TestGenerators:
 
     def test_poly_eval(self):
         assert poly_eval_int([Fraction(1), Fraction(0), Fraction(1)], 7) == 50
+
+
+class TestListingCap:
+    """Each listing is refused before its first element past HIT_CAP members
+    or 64*HIT_CAP bits, and built in full at the cap."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(intsets, "HIT_CAP", 12)
+
+    def test_difference_pairs(self):
+        assert len(difference_set([1, 2, 4, 8])) == 12
+        with pytest.raises(ListingBudgetExceeded):
+            difference_set([1, 2, 4, 8, 16])
+        # the window applies first
+        assert len(difference_set([1, 2, 4, 8, 16], Window(1, 8))) == 12
+
+    def test_k_times_nr(self):
+        assert len(gen_k_times_nr(3, 12)) == 12
+        with pytest.raises(ListingBudgetExceeded):
+            gen_k_times_nr(3, 13)
+        with pytest.raises(ListingBudgetExceeded):
+            gen_k_times_nr(2**200, 4)  # 4 elements, over 768 bits
+
+    def test_l_r(self, monkeypatch):
+        assert len(gen_l_r(2, 5)) == 12
+        with pytest.raises(ListingBudgetExceeded):
+            gen_l_r(2, 6)
+        # 3**k is bounded by 1 + 2*k bits: 70 elements, 4,900 bits > 64*70
+        monkeypatch.setattr(intsets, "HIT_CAP", 70)
+        assert len(gen_l_r(1, 60)) == 61
+        with pytest.raises(ListingBudgetExceeded):
+            gen_l_r(1, 69)
+
+    def test_polynomial(self):
+        assert len(gen_polynomial([0, 1], 12)) == 12
+        with pytest.raises(ListingBudgetExceeded):
+            gen_polynomial([0, 1], 13)
+        with pytest.raises(ListingBudgetExceeded):
+            gen_polynomial([2**100], 8)
 
 
 class TestLacunarity:

@@ -98,6 +98,26 @@ class TestErrors:
         with pytest.raises(SeqExprError):
             compile_sequence(THREE_FACTORS)(0)
 
+    @pytest.mark.parametrize(
+        "text,bits",
+        [("2^999999", 1_000_000), ("3^630000", 998_527), ("(2^499999)*(2^500000)", 1_000_000)],
+    )
+    def test_guards_admit_up_to_max_bits(self, text, bits):
+        # MAX_BITS = 10**6 bits exactly is admitted
+        assert compile_sequence(text)(0).bit_length() == bits
+
+    @pytest.mark.parametrize("text", ["2^1000000", "3^630930", "(2^499999)*(2^500001)", "(-2)^1000000"])
+    def test_guards_refuse_past_max_bits(self, text):
+        with pytest.raises(SeqExprError):
+            compile_sequence(text)(0)
+
+    def test_power_past_max_bits_exits_2(self, capsys):
+        argv = ["dyn", "psi", "--alpha", "golden", "--horizon", "3", "--nk"]
+        assert cli.main([*argv, "2^999999"]) == 0
+        capsys.readouterr()
+        assert cli.main([*argv, "2^1000000"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_product_guard_exits_2(self, capsys):
         rc = cli.main(["dyn", "psi", "--alpha", "golden", "--nk", THREE_FACTORS, "--horizon", "3"])
         assert rc == 2

@@ -1,0 +1,153 @@
+"""The integer torus-norm decisions of ``reclab.bohr`` against the Surd-level
+references in ``oracles``.
+
+``bohr`` decides every comparison of ||n*alpha|| in integers: the torus test
+(Bohr-set membership, l-recurrence, psi below eps) and the record scan
+(rigidity records, the phi and psi minimisers).  The references build each
+coordinate's circle norm as a Fraction or Surd and sign the squared sums with
+``real_sum_sign``.  Frequencies are rationals, surds of one field, or surds
+of distinct fields, on 1 to 3 coordinates; time lists hold negatives, zero and
+repeats.  The bracket limit of the cross-field sign is pinned on three
+two-field CLI calls: at 64 bits they decide, with the digests the Surd-level
+path printed, and at 32 bits they exit 3.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from reclab import cli, exactreal
+from reclab.bohr import BohrSpec, bohr_membership, record_times
+from reclab.dynamics import RECURRENT_SAMPLE_BUDGET, MovingQuery, RotationSystem, find_l_recurrent, psi_moving
+from reclab.errors import UncertainAtPrecision
+from reclab.exactreal import Surd, TorusPoint
+
+from oracles import displacement_lt, norm_records, torus_norm_lt
+
+FIELDS = (2, 3, 5, 6, 7, 13)
+
+rationals = st.integers(1, 60).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: TorusPoint(Fraction(p, q))))
+
+
+def surd_in(d):
+    return st.builds(
+        lambda a, b, c: TorusPoint(Surd.make(Fraction(a, c), Fraction(b, c), d)),
+        st.integers(-6, 6),
+        st.sampled_from((-3, -2, -1, 1, 2, 3)),
+        st.integers(1, 6),
+    )
+
+
+@st.composite
+def systems(draw):
+    """1 to 3 coordinates: rationals, surds of one field, or surds of distinct
+    fields, any of them mixed with rationals."""
+    size = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("rational", "one field", "distinct fields")))
+    if kind == "rational":
+        alphas = [draw(rationals) for _ in range(size)]
+    elif kind == "one field":
+        d = draw(st.sampled_from(FIELDS))
+        alphas = [draw(st.one_of(rationals, surd_in(d))) for _ in range(size)]
+    else:
+        ds = draw(st.permutations(FIELDS))
+        alphas = [draw(st.one_of(rationals, surd_in(d))) for d in ds[:size]]
+    return RotationSystem(tuple(alphas))
+
+
+# negatives, 0 and repeats; n and -n tie in norm
+times = st.lists(st.integers(-60, 60), min_size=1, max_size=20)
+
+
+@st.composite
+def cases(draw):
+    """A system, a time list and a radius in (0, 1/2], sometimes a rational
+    norm of the system itself, so that strict < is tested at equality."""
+    sys_, times_ = draw(systems()), draw(times)
+    eps = Fraction(draw(st.integers(1, 60)), 120)
+    edge = sys_.displacement_norm(draw(st.sampled_from(times_)))
+    if isinstance(edge, Fraction) and 0 < edge <= Fraction(1, 2) and draw(st.booleans()):
+        eps = edge
+    return sys_, times_, eps
+
+
+def outcome(f, *args):
+    """f(*args), or the exception type it raised."""
+    try:
+        return f(*args)
+    except UncertainAtPrecision:
+        return UncertainAtPrecision
+
+
+def reference_records(alphas, times_):
+    return [times_[i] for i, _ in norm_records([a.multiple(n) for a in alphas] for n in times_)]
+
+
+GOLDEN = exactreal.golden_rotation()
+SQRT2 = exactreal.sqrt2_rotation()
+
+
+@given(systems(), times)
+@example(RotationSystem((GOLDEN, SQRT2)), [0, 5, -5, 12, 12, -29, 0])
+@example(RotationSystem((TorusPoint(Fraction(1, 5)), TorusPoint(Fraction(2, 5)))), [3, -3, 5, 10, 0])
+@settings(max_examples=200, deadline=None)
+def test_record_scan_matches_surd_records(sys_, times_):
+    alphas = [a.value for a in sys_.alphas]
+    assert outcome(record_times, alphas, times_) == outcome(reference_records, sys_.alphas, times_)
+
+
+@given(cases())
+@settings(max_examples=200, deadline=None)
+def test_membership_matches_surd_norm_test(case):
+    sys_, times_, eps = case
+    spec = BohrSpec(sys_.alphas, eps)
+    for n in times_:
+        got = outcome(lambda: bohr_membership(n, spec).member)
+        assert got == outcome(torus_norm_lt, [a.multiple(n) for a in sys_.alphas], eps), n
+
+
+def first_reference_hit(sys_, times_, eps):
+    for n in sorted(set(times_) - {0})[:RECURRENT_SAMPLE_BUDGET]:
+        if displacement_lt(sys_, n, eps):
+            return n
+    return None
+
+
+@given(cases())
+@settings(max_examples=200, deadline=None)
+def test_l_recurrent_is_the_first_reference_hit(case):
+    sys_, times_, eps = case
+    if not set(times_) - {0}:
+        return
+    witness = outcome(find_l_recurrent, sys_, times_, eps)
+    got = witness if witness in (None, UncertainAtPrecision) else witness.time
+    assert got == outcome(first_reference_hit, sys_, times_, eps)
+
+
+def test_no_norm_is_below_a_radius_at_or_under_zero():
+    sys_ = RotationSystem((GOLDEN, SQRT2))
+    for eps in (Fraction(0), Fraction(-1, 2)):
+        assert find_l_recurrent(sys_, [1, 2, 3], eps) is None
+        assert psi_moving(sys_, MovingQuery((1, 2), (1, 2), 2, eps))[1] is False
+
+
+TWO_FIELD_CALLS = {
+    ("dyn", "rigidity", "--alpha", "golden", "--alpha", "sqrt2", "--horizon", "3000"):
+        "703db9385e7f52d633a0d0aeb7cba874fdf099fae2137ba1f404e010b6b7dc51",
+    ("dyn", "psi", "--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:5:-1:1:2", "--nk", "k^2", "--horizon", "300"):
+        "1a631dbe2903c354c680510841c9c1f5540d4110ed23c872631001c4983cc603",
+    ("bohr", "member", "--n", "19", "--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:3:0:1:1", "--eps", "1/5"):
+        "9694f8a83b7f8ed8ad6b610600cc1c530f562feade81a6f28dd52746f30877fd",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TWO_FIELD_CALLS), ids=" ".join)
+def test_bracket_limit(argv, capsys, monkeypatch):
+    monkeypatch.setattr(exactreal, "_MAX_BRACKET_BITS", 64)
+    assert cli.main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == TWO_FIELD_CALLS[argv]
+    monkeypatch.setattr(exactreal, "_MAX_BRACKET_BITS", 32)
+    assert cli.main(list(argv)) == 3
+    assert '"kind": "precision"' in capsys.readouterr().out
