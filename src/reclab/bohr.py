@@ -3,9 +3,8 @@
 A frequency spec (alphas; eps) describes the integer set
 {n : dist(n*alpha, Z^k) < eps} with the Euclidean distance on the k-torus.
 Membership is decided exactly for rational and quadratic-surd alphas, over
-any number of quadratic fields; only the displayed norm and margin of a
-multi-frequency member query are tracked-error approximations.  Alphas are
-exact: ``TorusPoint`` refuses a float or an Approx.
+any number of quadratic fields.  Alphas are exact: ``TorusPoint`` refuses a
+float or an Approx.
 
 On the circle, one exact alpha is served by ``CircleKernel``: one walk of
 the continued fraction that keeps each convergent denominator q_k with
@@ -24,7 +23,10 @@ integers: over one denominator each coordinate's position is an integer
 pair, so the scaled squared norm is one int plus one sqrt(d) coefficient per
 field (``_sq_norm``), and ``exactreal._int_sum_sign`` signs it against a
 radius (``_torus_test``) or against the best norm so far (``record_times``).
-A Surd, Fraction or Approx norm is built only to be printed.
+A norm is built only to be printed (``torus_norm``), from the same integer
+square: exact where that square is rational, and otherwise the one
+approximation in reclab, an ``Approx`` from one ``isqrt`` bracket of the
+square at ``_DISPLAY_BITS``.
 
 On a torus of dimension >= 2, a Euclidean ball of radius eps lies inside the
 product of the coordinate arcs of radius eps, so every hit is a circle hit
@@ -46,9 +48,11 @@ from .errors import (
     EmptyInput,
     ListingBudgetExceeded,
     PruningBudgetExceeded,
+    RadicandTooLarge,
     UncertainAtPrecision,
 )
 from .exactreal import (
+    Approx,
     Real,
     Surd,
     TorusPoint,
@@ -61,14 +65,18 @@ from .exactreal import (
     real_abs,
     real_floor,
     real_frac,
+    real_sqrt,
     real_sub,
-    torus_norm,
     torus_norm1,
 )
 from .intsets import HIT_CAP, Window, ZSetLike, as_int_list, poly_eval_int
 
 # Fractional bits of the integer positions of a surd walk (_slater_walk).
 _WALK_BITS = 64
+
+# Fractional bits of a displayed torus norm that is not exact (torus_norm).
+# No decision reads it.
+_DISPLAY_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,8 @@ def bohr_membership(n: int, spec: BohrSpec) -> Membership:
     (or raises); the norm and margin are built for display."""
     member = _torus_test([a.value for a in spec.alphas], (0,) * spec.dim, spec.eps)(n)
     norm = torus_norm([a.multiple(n) for a in spec.alphas])
+    if isinstance(norm, Approx):
+        return Membership(member, norm, Approx(abs(norm.value - spec.eps), norm.err))
     return Membership(member, norm, real_abs(real_sub(norm, spec.eps)))
 
 
@@ -182,6 +192,38 @@ def _sq_norm(alphas: Sequence[Real], offsets: Sequence[Real]):
         return v
 
     return den, fields, sq
+
+
+def torus_norm(xs: Sequence[Real]) -> Real:
+    """Euclidean distance from a torus vector to the nearest lattice point,
+    for display, from its _sq_norm square (N + sum(S_j*sqrt(d_j)))/den**2.
+
+    Exact on the circle (torus_norm1) and wherever every S_j is 0: the
+    real_sqrt of the rational square.  Any other norm, and a rational root
+    past MAX_RADICAND_BITS, is an Approx: each S_j*sqrt(d_j) is bracketed
+    by one isqrt at scale 4**_DISPLAY_BITS, as in _int_sum_sign, and the
+    root by one isqrt of each end of the square's bracket.
+    """
+    if len(xs) == 1:
+        return torus_norm1(xs[0])
+    den, fields, sq = _sq_norm(xs, (0,) * len(xs))
+    v = sq(1)
+    if not any(v[1:]):
+        try:
+            return real_sqrt(Fraction(v[0], den * den))
+        except RadicandTooLarge:
+            pass
+    k = _DISPLAY_BITS
+    # den**2 * 4**k times the square lies in [lo, lo + width]
+    lo, width = v[0] << 2 * k, 0
+    for s, d in zip(v[1:], fields):
+        if s:
+            r = isqrt(s * s * d << 4 * k)
+            lo += r if s > 0 else -r - 1
+            width += 1
+    # sl <= 2**k * norm < sh
+    sl, sh = isqrt(max(lo, 0) // (den * den)), isqrt((lo + width) // (den * den)) + 1
+    return Approx(Fraction(sl + sh, 2 << k), Fraction(sh - sl, 2 << k))
 
 
 def _torus_test(alphas: Sequence[Real], offsets: Sequence[Real], radius: Fraction):
@@ -730,11 +772,12 @@ def _prune_stage(intervals: list[Span], n: int, delta: Fraction, cap: int) -> li
     return out
 
 
-def _prune(values: Sequence[int], delta: Fraction, cap: int) -> list[Span]:
+def _prune(values: Sequence[int], delta: Fraction, cap: int, name: str = "delta") -> list[Span]:
     """The intervals of [0, 1] left after one _prune_stage per value, in
-    order; [] when one stage empties them."""
+    order; [] when one stage empties them.  A delta outside (0, 1/2) is a
+    ValueError that calls it by the caller's parameter name."""
     if not 0 < 2 * delta.numerator < delta.denominator:
-        raise ValueError("delta must satisfy 0 < delta < 1/2")
+        raise ValueError(f"{name} must satisfy 0 < {name} < 1/2")
     intervals = [(0, 1, 1, 1)]
     for n in values:
         intervals = _prune_stage(intervals, n, delta, cap)
@@ -816,7 +859,7 @@ def bohr_separation_search(
     values = [abs(v) for v in as_int_list(l_set) if v != 0]
     if not values:
         raise EmptyInput("empty target set")
-    intervals = _prune(sorted(set(values)), eps, grid_depth)
+    intervals = _prune(sorted(set(values)), eps, grid_depth, "eps")
     if not intervals:
         return None
     an, ad, bn, bd = _longest(intervals)

@@ -10,9 +10,11 @@ a budget ran out: certificate verification, interval pruning, or a listing
 past intsets.HIT_CAP: walk hits, greedy terms, set differences, generated
 elements or a polynomial period.
 
-Every input and every decision is exact, so no flag sets a precision:
-displayed cross-field values are Approx at exactreal.DEFAULT_PRECISION_BITS
-(128).  No solver verdict is printed without re-verifying its certificate
+Every input and every decision is exact, so no flag sets a precision.  The
+one approximation is a displayed torus norm whose square is irrational (or
+whose rational root is past the radicand cap): ``bohr.torus_norm`` builds it
+as an Approx from one isqrt bracket of the exact integer square, at 128
+fractional bits (``bohr._DISPLAY_BITS``).  No solver verdict is printed without re-verifying its certificate
 first.
 """
 

@@ -3,8 +3,9 @@
 On rotations, every comparison of torus norms (return times, rigidity
 records, the phi and psi minimisers, psi's comparison with eps,
 l-recurrence) is decided exactly, in integers, by ``bohr``; the displayed
-distances are built for the winners only, as tracked-error approximations
-on a multi-frequency rotation.  A rotation is an isometry, so phi and psi
+distances are built for the winners only, by ``bohr.torus_norm`` from the
+exact integer square: on a multi-frequency rotation whose squared norm is
+irrational, that is an ``Approx``.  A rotation is an isometry, so phi and psi
 are minima of ||n*alpha|| over target times and read no point.
 
 A circle rotation goes through ``bohr.CircleKernel``: return times are
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .bohr import CircleKernel, _torus_test, field_unit, frequency_hits, orbit_hits, record_times
+from .bohr import CircleKernel, _torus_test, field_unit, frequency_hits, orbit_hits, record_times, torus_norm
 from .errors import NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
     Real,
@@ -42,7 +43,6 @@ from .exactreal import (
     real_min,
     real_sub,
     real_to_float,
-    torus_norm,
 )
 from .intsets import Window, ZSetLike, as_int_list
 

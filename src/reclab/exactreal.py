@@ -1,14 +1,12 @@
 """Exact real arithmetic for circle computations.
 
-A ``Real`` is one of three kinds:
+A ``Real`` is one of two exact kinds:
 
 * ``fractions.Fraction`` -- exact rational;
 * ``Surd`` -- exact quadratic irrational ``(a + b*sqrt(d))/c`` held as four
   integers, normalised so that b != 0, c > 0, gcd(a, b, c) == 1 and d >= 2 is
   square-free; its rational and surd parts ``p = a/c`` and ``q = b/c`` are
-  read-only ``Fraction`` views;
-* ``Approx`` -- a rational midpoint with a tracked absolute error bound,
-  for display only.
+  read-only ``Fraction`` views.
 
 Arithmetic, order and rounding of surds run in integers: the sign of
 ``a + b*sqrt(d)`` compares a*a with b*b*d, and ``floor`` is one
@@ -24,21 +22,20 @@ Q, so such a sum never equals a rational and integer brackets of each
 ``b*sqrt(d)`` separate it.  Its integer core (``_int_sum_sign``) signs the
 squared torus norms of ``bohr``, which decides every comparison of them.
 
-The exact kinds are the only inputs: ints, Fractions, Surds and strings
-parsed to them.  A float is refused with TypeError.  ``Approx`` is an
-output: a sum across quadratic fields (``real_add``, ``real_sub``), its
-``real_abs`` and ``real_sqrt``, and so a displayed torus norm
-(:func:`torus_norm`), and ``real_to_json`` prints it.  No comparison,
-rounding or product reads one: ``real_cmp``, ``real_sum_sign``,
-``real_floor``, ``nearest_int``, ``real_frac``, ``torus_norm1``,
-``real_mul`` and ``real_mul_int`` raise TypeError on it, and so does
-``TorusPoint``.
+The exact kinds are the only inputs and the only results: ints, Fractions,
+Surds and strings parsed to them.  A float is refused with TypeError, and
+so is a sum or product across two quadratic fields (``real_add``,
+``real_sub``, ``real_mul``), which no exact kind holds.  ``Approx``, a
+rational midpoint with an error bound, is a display type only:
+``bohr.torus_norm`` builds one for a torus norm whose square is irrational,
+and ``real_to_json``, ``real_to_float`` and ``float()`` read it.  Every other
+function here raises TypeError on one, and so does ``TorusPoint``.
 
 Radicands are reduced to square-free form by trial division up to a cube
 root, so they are capped at ``MAX_RADICAND_BITS``: a larger one raises
 :class:`RadicandTooLarge` in ``Surd.make`` (and so in ``parse_real``), and
-``real_sqrt`` of a non-square rational whose numerator or denominator is
-larger returns a tracked ``Approx`` instead of a ``Surd``.
+in ``real_sqrt`` of a non-square rational whose numerator or denominator is
+larger, before any factoring.
 """
 
 from __future__ import annotations
@@ -49,11 +46,6 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import RadicandTooLarge, UncertainAtPrecision
-
-# Working precision (bits) of values that leave the exact kinds: square roots
-# and sums across different quadratic fields, built by real_add for display.
-# No decision reads it; it sets only how many bits a displayed Approx carries.
-DEFAULT_PRECISION_BITS = 128
 
 # Largest radicand (bits) reduced to square-free form.  _squarefree_split
 # trial-divides up to a cube root: about 0.1 s for a prime just below 2**56,
@@ -332,7 +324,8 @@ class Surd:
 
 @dataclass(frozen=True)
 class Approx:
-    """Rational midpoint with a tracked absolute error bound."""
+    """Rational midpoint with an absolute error bound: a displayed value
+    only, never an input to arithmetic."""
 
     value: Fraction
     err: Fraction
@@ -341,44 +334,30 @@ class Approx:
         if self.err < 0:
             raise ValueError("error bound must be nonnegative")
 
-    def bounds(self, bits: int = 0) -> tuple[Fraction, Fraction]:
-        return self.value - self.err, self.value + self.err
-
     def __float__(self):
         return float(self.value)
 
-    def __repr__(self):
-        return f"Approx({float(self.value)!r} +- {float(self.err):.3g})"
 
-
-Real = Union[Fraction, Surd, Approx]
+Real = Union[Fraction, Surd]
 
 
 # The rational kind below: ints and Fractions, read through .numerator and
 # .denominator.  Functions test Surd before it, because isinstance against
 # Fraction goes through the numbers ABCs for any other type.  What is left
-# (surds of two fields, a str, an Approx) takes the generic path.
+# (surds of two fields, a str) takes the generic path.
 _RATIONAL = (int, Fraction)
 
 
 def as_real(x) -> Real:
-    """Coerce ints, Fractions, surds and decimal strings to Real; an Approx
-    passes through for display.  A float is refused: it is inexact."""
-    if isinstance(x, (Surd, Approx, Fraction)):
+    """Coerce ints, Fractions, surds and decimal strings to Real.  A float
+    or an Approx is refused: neither is exact."""
+    if isinstance(x, (Surd, Fraction)):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
         return parse_real(x)
     raise TypeError(f"cannot interpret {x!r} as an exact real; pass an int, Fraction, Surd or string")
-
-
-def _exact(x) -> Real:
-    """as_real for an input that is compared or rounded: an Approx raises."""
-    x = as_real(x)
-    if isinstance(x, Approx):
-        raise TypeError(f"{x!r} is display-only; decisions take exact reals")
-    return x
 
 
 def parse_real(text: str) -> Real:
@@ -404,22 +383,6 @@ def parse_real(text: str) -> Real:
 # ---------------------------------------------------------------------------
 
 
-def real_bounds(x: Real, bits: int) -> tuple[Fraction, Fraction]:
-    if isinstance(x, (Surd, Approx)):
-        return x.bounds(bits)
-    return x, x
-
-
-def _to_approx(x: Real, bits: int) -> Approx:
-    lo, hi = real_bounds(x, bits)
-    mid = (lo + hi) / 2
-    return Approx(mid, (hi - lo) / 2)
-
-
-def _as_approx(x: Real) -> Approx:
-    return x if isinstance(x, Approx) else _to_approx(x, DEFAULT_PRECISION_BITS)
-
-
 def real_add(x: Real, y: Real) -> Real:
     if isinstance(x, Surd):
         if isinstance(y, Surd) and y.d == x.d or isinstance(y, _RATIONAL):
@@ -432,9 +395,7 @@ def real_add(x: Real, y: Real) -> Real:
             return Fraction(x.numerator * yd + y.numerator * xd, xd * yd)
     if isinstance(x, str) or isinstance(y, str):
         return real_add(as_real(x), as_real(y))
-    # an Approx, or different quadratic fields: a tracked approximation
-    a, b = _as_approx(as_real(x)), _as_approx(as_real(y))
-    return Approx(a.value + b.value, a.err + b.err)
+    raise TypeError("real_add takes exact reals of at most one quadratic field")
 
 
 def real_sub(x: Real, y: Real) -> Real:
@@ -449,8 +410,7 @@ def real_sub(x: Real, y: Real) -> Real:
             return Fraction(x.numerator * yd - y.numerator * xd, xd * yd)
     if isinstance(x, str) or isinstance(y, str):
         return real_sub(as_real(x), as_real(y))
-    a, b = _as_approx(as_real(x)), _as_approx(as_real(y))
-    return Approx(a.value - b.value, a.err + b.err)
+    raise TypeError("real_sub takes exact reals of at most one quadratic field")
 
 
 def real_mul(x: Real, y: Real) -> Real:
@@ -463,7 +423,7 @@ def real_mul(x: Real, y: Real) -> Real:
         if isinstance(y, _RATIONAL):
             return Fraction(x.numerator * y.numerator, x.denominator * y.denominator)
     if isinstance(x, str) or isinstance(y, str):
-        return real_mul(_exact(x), _exact(y))
+        return real_mul(as_real(x), as_real(y))
     raise TypeError("real_mul takes exact reals of at most one quadratic field")
 
 
@@ -472,14 +432,11 @@ def real_mul_int(x: Real, n: int) -> Real:
         return x * n
     if isinstance(x, _RATIONAL):
         return Fraction(x.numerator * n, x.denominator)
-    return real_mul_int(_exact(x), n)
+    return real_mul_int(as_real(x), n)
 
 
 def real_abs(x: Real) -> Real:
-    x = as_real(x)
-    if isinstance(x, Approx):
-        return Approx(abs(x.value), x.err)
-    return abs(x)
+    return abs(as_real(x))
 
 
 def real_floor(x: Real) -> int:
@@ -487,7 +444,7 @@ def real_floor(x: Real) -> int:
         return x.floor()
     if isinstance(x, _RATIONAL):
         return x.numerator // x.denominator
-    return real_floor(_exact(x))
+    return real_floor(as_real(x))
 
 
 def real_frac(x: Real) -> Real:
@@ -497,7 +454,7 @@ def real_frac(x: Real) -> Real:
     if isinstance(x, _RATIONAL):
         d = x.denominator
         return Fraction(x.numerator % d, d)
-    return real_frac(_exact(x))
+    return real_frac(as_real(x))
 
 
 def nearest_int(x: Real) -> int:
@@ -507,7 +464,7 @@ def nearest_int(x: Real) -> int:
     if isinstance(x, _RATIONAL):
         d = x.denominator
         return (2 * x.numerator + d) // (2 * d)
-    return nearest_int(_exact(x))
+    return nearest_int(as_real(x))
 
 
 def torus_norm1(x) -> Real:
@@ -519,7 +476,7 @@ def torus_norm1(x) -> Real:
     if isinstance(x, _RATIONAL):
         n, d = x.numerator, x.denominator
         return Fraction(abs(n - (2 * n + d) // (2 * d) * d), d)
-    return torus_norm1(_exact(x))
+    return torus_norm1(as_real(x))
 
 
 def real_cmp(x, y) -> int:
@@ -534,7 +491,7 @@ def real_cmp(x, y) -> int:
         if isinstance(y, _RATIONAL):
             s = x.numerator * y.denominator - y.numerator * x.denominator
             return (s > 0) - (s < 0)
-    return real_sum_sign((_exact(x), -_exact(y)))
+    return real_sum_sign((as_real(x), -as_real(y)))
 
 
 def real_sum_sign(terms: Sequence, bound=0) -> int:
@@ -547,8 +504,7 @@ def real_sum_sign(terms: Sequence, bound=0) -> int:
     distinct square-free integers are linearly independent over Q, so a sum
     over two or more fields is never 0, and its brackets separate it unless
     it is closer to 0 than _MAX_BRACKET_BITS resolve (UncertainAtPrecision).
-    No Fraction is built.  Any other term, an Approx included, raises
-    TypeError.
+    No Fraction is built.  Any other term raises TypeError.
     """
     num, den = -bound.numerator, bound.denominator
     fields: dict[int, tuple[int, int]] = {}
@@ -599,14 +555,6 @@ def _int_sum_sign(n0: int, surds: Sequence[tuple[int, int]]) -> int:
     raise UncertainAtPrecision("cross-field sum did not separate")
 
 
-def real_sum(terms: Iterable[Real]) -> Real:
-    """Left-to-right real_add fold from 0: the displayed value of a sum."""
-    total: Real = _ZERO
-    for t in terms:
-        total = real_add(total, t)
-    return total
-
-
 def real_min(values: Iterable[Real]) -> Real:
     best = None
     for v in values:
@@ -618,51 +566,44 @@ def real_min(values: Iterable[Real]) -> Real:
 
 
 def real_sqrt(x: Real) -> Real:
-    """Square root; exact when x is the square of a rational, or a rational
-    whose numerator and denominator fit MAX_RADICAND_BITS.  Otherwise a
-    tracked approximation at DEFAULT_PRECISION_BITS."""
+    """Square root of a rational: a Fraction for the square of a rational,
+    else a Surd when its numerator and denominator fit MAX_RADICAND_BITS.
+    Past that it raises RadicandTooLarge, before any factoring."""
     x = as_real(x)
-    if isinstance(x, Fraction):
-        if x < 0:
-            raise ValueError("sqrt of negative value")
-        num, den = x.numerator, x.denominator
-        rn, rd = isqrt(num), isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return Fraction(rn, rd)
-        if max(num, den).bit_length() <= MAX_RADICAND_BITS:
-            # sqrt(num/den) = sqrt(num*den)/den, and num, den are coprime, so
-            # the square-free core of num*den is the product of their cores
-            sn, cn = _squarefree_split(num)
-            sd, cd = _squarefree_split(den)
-            return _norm(0, sn * sd, den, cn * cd)
-    bits = DEFAULT_PRECISION_BITS
-    lo, hi = real_bounds(x, bits)
-    if hi < 0:
+    if not isinstance(x, Fraction):
+        raise TypeError(f"real_sqrt takes a rational, not {x!r}")
+    if x < 0:
         raise ValueError("sqrt of negative value")
-    # sl / 2**bits <= sqrt(max(lo, 0)) and sqrt(hi) <= sh / 2**bits
-    sl = isqrt((lo.numerator << 2 * bits) // lo.denominator) if lo > 0 else 0
-    sh = isqrt((hi.numerator << 2 * bits) // hi.denominator) + 1 if hi > 0 else 0
-    return Approx(Fraction(sl + sh, 2 << bits), Fraction(sh - sl, 2 << bits))
+    num, den = x.numerator, x.denominator
+    rn, rd = isqrt(num), isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    if max(num, den).bit_length() > MAX_RADICAND_BITS:
+        raise RadicandTooLarge(
+            f"sqrt of a rational with {max(num, den).bit_length()} bits; the limit is "
+            f"{MAX_RADICAND_BITS} bits"
+        )
+    # sqrt(num/den) = sqrt(num*den)/den, and num, den are coprime, so the
+    # square-free core of num*den is the product of their cores
+    sn, cn = _squarefree_split(num)
+    sd, cd = _squarefree_split(den)
+    return _norm(0, sn * sd, den, cn * cd)
 
 
 def real_to_float(x) -> float:
-    return float(as_real(x))
+    """A float view of an exact real or a displayed Approx."""
+    return float(x if isinstance(x, Approx) else as_real(x))
 
 
-def real_to_json(x: Real) -> dict:
-    """Serializable description: float view plus exactness metadata."""
+def real_to_json(x) -> dict:
+    """Serializable description of an exact real or a displayed Approx:
+    float view plus exactness metadata."""
+    if isinstance(x, Approx):
+        return {"float": float(x), "kind": "approx", "max_error": float(x.err)}
     x = as_real(x)
-    out = {"float": float(x)}
     if isinstance(x, Fraction):
-        out["kind"] = "rational"
-        out["exact"] = f"{x.numerator}/{x.denominator}"
-    elif isinstance(x, Surd):
-        out["kind"] = "surd"
-        out["exact"] = f"({x.p}) + ({x.q})*sqrt({x.d})"
-    else:
-        out["kind"] = "approx"
-        out["max_error"] = float(x.err)
-    return out
+        return {"float": float(x), "kind": "rational", "exact": f"{x.numerator}/{x.denominator}"}
+    return {"float": float(x), "kind": "surd", "exact": f"({x.p}) + ({x.q})*sqrt({x.d})"}
 
 
 # ---------------------------------------------------------------------------
@@ -696,16 +637,6 @@ class TorusPoint:
 
     def __repr__(self):
         return f"TorusPoint({self.value!r})"
-
-
-def torus_norm(xs: Sequence) -> Real:
-    """Euclidean distance from a torus vector to the nearest lattice point,
-    for display: exact on the circle, else real_sqrt of the real_add fold of
-    the squared norms (an Approx once the vector has an irrational
-    coordinate)."""
-    if len(xs) == 1:
-        return torus_norm1(xs[0])
-    return real_sqrt(real_sum(real_mul(n, n) for n in map(torus_norm1, xs)))
 
 
 def golden_rotation() -> TorusPoint:

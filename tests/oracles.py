@@ -7,19 +7,25 @@ exact comparisons, never the kernel.  The integer torus-norm decisions of
 ones kept here: squared circle norms built as Surds and Fractions and
 signed by ``real_sum_sign`` (``torus_norm_lt``, ``norm_records``).  The point-free moving-recurrence
 functionals in ``reclab.dynamics`` replaced stepping orbit points and
-minimising their differences.  The rolling-state greedy generator in
+minimising their differences.  The torus norm that ``reclab.bohr.torus_norm``
+displays from its integer square is checked against ``decimal_norm``, which
+evaluates each coordinate in 60-digit decimal arithmetic.  The rolling-state
+greedy generator in
 ``reclab.birkhoff`` replaced one that hashes a tuple of the last max(M)
 terms per term.
 """
 
 import functools
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from itertools import count
 from math import isqrt
 
 from reclab.birkhoff import _primitive_rotation
+from reclab.bohr import torus_norm
 from reclab.errors import NoSuchM, UncertainAtPrecision
 from reclab.exactreal import (
+    Surd,
     TorusPoint,
     real_add,
     real_cmp,
@@ -29,7 +35,6 @@ from reclab.exactreal import (
     real_sub,
     real_sum_sign,
     real_to_float,
-    torus_norm,
     torus_norm1,
 )
 
@@ -69,6 +74,29 @@ def norm_records(vectors):
         if best is None or real_sum_sign(sq + best) < 0:
             best = [real_mul_int(t, -1) for t in sq]
             yield i, xs
+
+
+def decimal_norm(xs):
+    """(norm, square) for a torus vector xs of Fractions and Surds: its
+    Euclidean distance to the nearest lattice point in 60-digit decimal
+    arithmetic, and its exact square as a Fraction when that is rational,
+    else None.  Each coordinate (a + b*sqrt(d))/c is evaluated from its
+    integers and its nearest integer m read off that value; the exact
+    square of (a - m*c + b*sqrt(d))/c has the sqrt(d) coefficient
+    2*(a - m*c)*b/c**2, and coefficients of one field are summed."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total, rational, surd = Decimal(0), Fraction(0), {}
+        for x in xs:
+            a, b, c, d = (x.a, x.b, x.c, x.d) if isinstance(x, Surd) else (x.numerator, 0, x.denominator, 0)
+            v = (a + b * Decimal(d).sqrt()) / c
+            m = (v + Decimal(1) / 2).to_integral_value(rounding=ROUND_FLOOR)
+            total += (v - m) ** 2
+            a -= int(m) * c
+            rational += Fraction(a * a + b * b * d, c * c)
+            if b:
+                surd[d] = surd.get(d, 0) + Fraction(2 * a * b, c * c)
+        return total.sqrt(), rational if not any(surd.values()) else None
 
 
 def step(sys_, x, n: int):

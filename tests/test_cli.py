@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import reclab
-from reclab import cli, exactreal
+from reclab import bohr, cli
 from reclab.errors import UncertainAtPrecision
 
 SRC = str(Path(reclab.__file__).resolve().parent.parent)
@@ -249,12 +249,12 @@ TWO_FIELDS = {
         "point_returns", [-60, -55, -26, 34],
     ),
 }
-# displayed values: Approx at DEFAULT_PRECISION_BITS, the only output it sets
+# displayed values: Approx at bohr._DISPLAY_BITS, the only output it sets
 SHOWN = {"psi", "psi_min", "psi_max"}
 
 
 def at_bits(capsys, monkeypatch, bits, argv):
-    monkeypatch.setattr(exactreal, "DEFAULT_PRECISION_BITS", bits)
+    monkeypatch.setattr(bohr, "_DISPLAY_BITS", bits)
     return run_json(capsys, argv)["result"]
 
 
@@ -276,7 +276,7 @@ def test_two_field_rigidity_records_need_no_precision(capsys, monkeypatch):
 
 def test_two_field_minima_need_no_precision(capsys, monkeypatch):
     # the minimiser is picked on squared norms exactly; only its displayed
-    # distance is an Approx at DEFAULT_PRECISION_BITS
+    # distance is an Approx at bohr._DISPLAY_BITS
     phi = ["dyn", "phi", *SQRT2_SQRT3, "--elements", "1,3,7,19,22,34,41", "--horizon", "60"]
     low, high = (at_bits(capsys, monkeypatch, bits, phi)["phi"] for bits in (8, 128))
     assert abs(low["float"] - high["float"]) <= low["max_error"]
@@ -486,6 +486,16 @@ class TestExitCodes:
         assert rc == 4
         assert out == ""
         assert "exceeds 4 * max distance" in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["bohr", "separate", "--elements", "1", "--eps", "1/2"], "eps"),
+        (["bohr", "witness", "--elements", "1", "--delta", "1/2"], "delta"),
+    ])
+    def test_prune_radius_error_names_the_flag(self, capsys, argv, name):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert f"{name} must satisfy 0 < {name} < 1/2" in err
 
     def test_pruning_budget_exit(self, capsys):
         # --grid-depth caps the pruning interval count, a work budget

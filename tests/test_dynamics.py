@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reclab import exactreal
+from reclab import bohr
+from reclab.bohr import torus_norm
 from reclab.dynamics import (
     HORIZON_NOTE,
     BallSpec,
@@ -32,7 +33,6 @@ from reclab.exactreal import (
     real_sub,
     real_to_float,
     sqrt2_rotation,
-    torus_norm,
     torus_norm1,
 )
 from reclab.intsets import Window
@@ -299,7 +299,7 @@ class TestMovingExperiment:
         sys2 = RotationSystem((TorusPoint(parse_real("sqrt:2:0:1:1")), TorusPoint(parse_real("sqrt:3:0:1:1"))))
         q = MovingQuery.from_callables(lambda k: k * k, None, 30, eps)
         for bits in (128, 8):
-            monkeypatch.setattr(exactreal, "DEFAULT_PRECISION_BITS", bits)
+            monkeypatch.setattr(bohr, "_DISPLAY_BITS", bits)
             assert moving_recurrence_experiment(sys2, q, samples=5).fraction_below == fraction
 
 

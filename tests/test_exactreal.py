@@ -1,4 +1,4 @@
-"""Exact arithmetic kinds: rationals, quadratic surds, tracked approximations."""
+"""Exact arithmetic kinds: rationals and quadratic surds; a display-only Approx is refused."""
 
 import math
 import time
@@ -18,6 +18,7 @@ from reclab.exactreal import (
     golden_rotation,
     nearest_int,
     parse_real,
+    real_abs,
     real_add,
     real_cmp,
     real_floor,
@@ -167,6 +168,14 @@ REFUSED = {
     "real_mul_int approx": (real_mul_int, APPROX, 3),
     "real_mul approx": (real_mul, APPROX, 2),
     "real_mul two fields": (real_mul, Surd(0, 1, 2), Surd(0, 1, 3)),
+    "real_add approx": (real_add, APPROX, Fraction(1, 3)),
+    "real_add approx second": (real_add, Fraction(1, 3), APPROX),
+    "real_sub approx": (real_sub, APPROX, Fraction(1, 3)),
+    "real_sub approx second": (real_sub, Surd(0, 1, 2), APPROX),
+    "real_abs approx": (real_abs, APPROX),
+    "real_sqrt approx": (real_sqrt, APPROX),
+    "real_add two fields": (real_add, Surd(0, 1, 2), Surd(0, 1, 3)),
+    "real_sub two fields": (real_sub, Surd(0, 1, 2), Surd(0, 1, 3)),
     "real_sum_sign approx": (real_sum_sign, [Fraction(1, 2), APPROX]),
     "TorusPoint approx": (TorusPoint, APPROX),
     "as_real float": (as_real, 0.5),
@@ -222,13 +231,12 @@ class TestArithmetic:
         v = real_sqrt(Fraction(1, 2))  # sqrt(1/2) = sqrt2 / 2
         assert isinstance(v, Surd) and real_eq(real_mul(v, v), Fraction(1, 2))
 
-    def test_sqrt_past_the_radicand_limit_is_tracked_not_factored(self):
-        start = time.perf_counter()
-        v = real_sqrt(Fraction(2**89 - 1))  # a Mersenne prime
-        assert time.perf_counter() - start < 1
-        lo, hi = v.bounds()
-        assert isinstance(v, Approx) and lo * lo <= 2**89 - 1 <= hi * hi
-        assert isinstance(real_sqrt(Fraction(1, 2**89 - 1)), Approx)
+    def test_sqrt_past_the_radicand_limit_is_refused_not_factored(self):
+        for x in (Fraction(2**89 - 1), Fraction(1, 2**89 - 1)):  # a Mersenne prime
+            start = time.perf_counter()
+            with pytest.raises(RadicandTooLarge):
+                real_sqrt(x)
+            assert time.perf_counter() - start < 1
         assert real_sqrt(Fraction(2**100, 9)) == Fraction(2**50, 3)  # squares stay exact
 
 

@@ -32,7 +32,7 @@ GOLDEN = {
     # two frequencies from different quadratic fields: exact decisions,
     # Approx norms, margins and rigidity values
     ("bohr", "member", "--n", "19", "--alpha", SQRT2, "--alpha", SQRT3, "--eps", "1/5"):
-        "9694f8a83b7f8ed8ad6b610600cc1c530f562feade81a6f28dd52746f30877fd",
+        "29bd6cec073e881a6ddd0f305fbbaf91547f2f8f09342dc62fa47669318de328",
     ("bohr", "enumerate", "--alpha", SQRT2, "--alpha", SQRT3, "--eps", "1/5", "--lo", "-40", "--hi", "40"):
         "cf5fc31e3bfdd340c755f75f579b1b6a5f9f46d333cee57bfbeb6a36f51fb508",
     ("dyn", "returns", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--horizon", "60", *BALL):
@@ -40,7 +40,7 @@ GOLDEN = {
     ("dyn", "nuu", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--horizon", "30", *BALL):
         "444beafe86772f8e7a9e74c130e0ebdaa83ec5d49b14e767fa74284d67591014",
     ("dyn", "rigidity", "--alpha", SQRT2, "--alpha", SQRT3, "--horizon", "300"):
-        "3f6085207f29c00f376bb90d21badbae114fc816ded23349d4347eea468f1ca3",
+        "7eef9a4716856f6921d60492aa73d234c80e6aa5c0d4b5415d2c70c4b6df5598",
 }
 
 
@@ -104,7 +104,7 @@ LEAVES = {
      "--elements", "4,7,10", "--horizon", "20", "--offset", "2"):
         "3e050c6dbcfc93d3ff58caf7795b9e872d256d075f4ff04d4f5e6c373adad496",
     ("dyn", "psi", "--alpha", SQRT2, "--alpha", GOLDEN_RATIO, "--nk", "k^2", "--horizon", "30"):
-        "49572932f7dc7bb3c3f75a174c45a7a943a6a0b0fa9611c100a02c447258cac3",
+        "5f7ed804f768639c98d48571aee7f8f2e664377c963ed4ff6e5c2b9f34ebed9c",
     ("dyn", "recurrent", "--alpha", "golden", "--elements", "1,3,8,21,55,144", "--eps", "1/20"):
         "cd455a8716246746684513a31690fb0c11b17617333bc6e8b4ad0b98b0ef2306",
     ("dyn", "etadense", "--alpha", "golden", "--eta", "1/20"):

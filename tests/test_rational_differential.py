@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reclab.exactreal import (
-    Approx,
     Surd,
     _squarefree_split,
     nearest_int,
@@ -74,22 +73,6 @@ def test_rational_with_surd_matches_fraction_operators(x, s):
     assert same(real_add(x, s), fx + s) and same(real_add(s, x), s + fx)
     assert same(real_sub(x, s), fx - s) and same(real_sub(s, x), s - fx)
     assert same(real_mul(x, s), fx * s) and same(real_mul(s, x), s * fx)
-
-
-approxes = st.builds(Approx, small_fractions, st.just(Fraction(1, 10**9)))
-
-
-def negated(y):
-    return Approx(-y.value, y.err) if isinstance(y, Approx) else -y
-
-
-@given(st.one_of(small_fractions, surds, approxes))
-def test_approx_and_cross_field_subtraction_is_negated_addition(y):
-    x = Approx(Fraction(1, 3), Fraction(1, 10**12))
-    assert real_sub(x, y) == real_add(x, negated(y))
-    if isinstance(y, Surd):
-        z = Surd(1, 1, 3 if y.d == 2 else 2)
-        assert real_sub(z, y) == real_add(z, negated(y))
 
 
 def test_strings_and_floats_are_coerced():

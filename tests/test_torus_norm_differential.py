@@ -8,23 +8,30 @@ coordinate's circle norm as a Fraction or Surd and sign the squared sums with
 ``real_sum_sign``.  Frequencies are rationals, surds of one field, or surds
 of distinct fields, on 1 to 3 coordinates; time lists hold negatives, zero and
 repeats.  The bracket limit of the cross-field sign is pinned on three
-two-field CLI calls: at 64 bits they decide, with the digests the Surd-level
-path printed, and at 32 bits they exit 3.
+two-field CLI calls: at 64 bits they decide, with the digests they print at
+the default limit, and at 32 bits they exit 3.
+
+The displayed norm (``bohr.torus_norm``) is checked against
+``oracles.decimal_norm`` on 2 or 3 coordinates at |n| <= 10**4: its float is
+the correctly rounded 60-digit reference, an ``Approx`` holds the reference
+within its error bound, and a rational square gives the exact root that
+``real_sqrt`` allows.
 """
 
 import hashlib
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reclab import cli, exactreal
-from reclab.bohr import BohrSpec, bohr_membership, record_times
+from reclab.bohr import BohrSpec, bohr_membership, record_times, torus_norm
 from reclab.dynamics import RECURRENT_SAMPLE_BUDGET, MovingQuery, RotationSystem, find_l_recurrent, psi_moving
 from reclab.errors import UncertainAtPrecision
-from reclab.exactreal import Surd, TorusPoint
+from reclab.exactreal import MAX_RADICAND_BITS, Approx, Surd, TorusPoint, real_mul, real_to_json
 
-from oracles import displacement_lt, norm_records, torus_norm_lt
+from oracles import decimal_norm, displacement_lt, norm_records, torus_norm_lt
 
 FIELDS = (2, 3, 5, 6, 7, 13)
 
@@ -133,13 +140,69 @@ def test_no_norm_is_below_a_radius_at_or_under_zero():
         assert psi_moving(sys_, MovingQuery((1, 2), (1, 2), 2, eps))[1] is False
 
 
+# denominators above 2**28, so that a torus square of them passes MAX_RADICAND_BITS
+large_rationals = st.integers(2**29, 2**40).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: TorusPoint(Fraction(p, q)))
+)
+
+
+@st.composite
+def displayed_vectors(draw):
+    """n*alpha for 2 or 3 coordinates and |n| <= 10**4: rationals, surds of
+    one field, surds of distinct fields, or rationals of large denominators."""
+    size = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(("rational", "large rational", "one field", "distinct fields")))
+    if kind == "rational":
+        alphas = [draw(rationals) for _ in range(size)]
+    elif kind == "large rational":
+        alphas = [draw(large_rationals) for _ in range(size)]
+    elif kind == "one field":
+        d = draw(st.sampled_from(FIELDS))
+        alphas = [draw(st.one_of(rationals, surd_in(d))) for _ in range(size)]
+    else:
+        ds = draw(st.permutations(FIELDS))
+        alphas = [draw(surd_in(d)) for d in ds[:size]]
+    n = draw(st.integers(-(10**4), 10**4))
+    return [a.multiple(n) for a in alphas]
+
+
+def expected_kind(square):
+    """The kind of the displayed root of an exact square: None for an
+    irrational square."""
+    if square is None:
+        return "approx"
+    num, den = square.numerator, square.denominator
+    if isqrt(num) ** 2 == num and isqrt(den) ** 2 == den:
+        return "rational"
+    return "surd" if max(num, den).bit_length() <= MAX_RADICAND_BITS else "approx"
+
+
+@given(displayed_vectors())
+# n = 19 on (sqrt2 - 1, sqrt3 - 1), and a surd coordinate with a rational square
+@example([Surd.make(-19, 19, 2), Surd.make(-19, 19, 3)])
+@example([Surd.make(0, Fraction(1, 4), 2), Fraction(1, 3)])
+@settings(max_examples=300, deadline=None)
+def test_displayed_norm_matches_decimal_reference(xs):
+    norm = torus_norm(xs)
+    shown = real_to_json(norm)
+    reference, square = decimal_norm(xs)
+    assert shown["float"] == float(reference)
+    assert shown["kind"] == expected_kind(square)
+    if isinstance(norm, Approx):
+        # the reference is good to about 1e-59, far inside the bound
+        assert abs(Fraction(reference) - norm.value) <= norm.err + Fraction(1, 10**55)
+        assert norm.err <= Fraction(1, 2**128)
+    else:
+        assert real_mul(norm, norm) == square
+
+
 TWO_FIELD_CALLS = {
     ("dyn", "rigidity", "--alpha", "golden", "--alpha", "sqrt2", "--horizon", "3000"):
-        "703db9385e7f52d633a0d0aeb7cba874fdf099fae2137ba1f404e010b6b7dc51",
+        "605e0ad7e953f42196c49a3060ebed72cf2425bc7ab455b0d6fe3dbf9b4ac56e",
     ("dyn", "psi", "--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:5:-1:1:2", "--nk", "k^2", "--horizon", "300"):
-        "1a631dbe2903c354c680510841c9c1f5540d4110ed23c872631001c4983cc603",
+        "76768568fa17dd26a35b5b4d2bf7f2d103edb62825a24e1bd9ec13364e1da81a",
     ("bohr", "member", "--n", "19", "--alpha", "sqrt:2:0:1:1", "--alpha", "sqrt:3:0:1:1", "--eps", "1/5"):
-        "9694f8a83b7f8ed8ad6b610600cc1c530f562feade81a6f28dd52746f30877fd",
+        "29bd6cec073e881a6ddd0f305fbbaf91547f2f8f09342dc62fa47669318de328",
 }
 
 
