@@ -69,7 +69,7 @@ from .exactreal import (
     real_sub,
     torus_norm1,
 )
-from .intsets import HIT_CAP, Window, ZSetLike, as_int_list, poly_eval_int
+from .intsets import HIT_CAP, Window, ZSetLike, _check_listing, as_int_list, poly_eval_int
 
 # Fractional bits of the integer positions of a surd walk (_slater_walk).
 _WALK_BITS = 64
@@ -645,25 +645,29 @@ def continued_fraction(alpha, depth: int = 30) -> ContinuedFraction:
     the integer part are the circle kernel's walk of the fractional part.
     The approximation quality invariant dist(q_j * alpha) < 1/q_{j+1} is
     asserted on the convergents produced, recomputed from q_j and the
-    kernel's alpha (never from its delta_j).
+    kernel's alpha (never from its delta_j).  The walk is extended one term
+    at a time, and ListingBudgetExceeded is raised, before any Fraction is
+    built, once the kept p_j and q_j pass 64*HIT_CAP bits in all.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     x = alpha.value if isinstance(alpha, TorusPoint) else as_real(alpha)
     kernel = CircleKernel.of(real_frac(x))
-    kernel._reach(depth + 1)
-    q = kernel.q
-    quotients = [real_floor(x)] + [(q[j + 1] - q[j - 1]) // q[j] for j in range(1, len(q) - 1)]
+    q = kernel.q  # q[j + 1] is the convergent denominator q_j
+    p_prev, p = 1, real_floor(x)
+    quotients, numerators = [p], [p]
+    bits = p.bit_length() + 1
+    for j in range(1, depth + 1):
+        if not kernel._reach(j + 1):
+            break
+        a = (q[j + 1] - q[j - 1]) // q[j]
+        p_prev, p = p, a * p + p_prev
+        quotients.append(a)
+        numerators.append(p)
+        bits += p.bit_length() + q[j + 1].bit_length()
+        _check_listing(j + 1, bits, "continued fraction")
     terminated = kernel.delta[-1] == 0
-
-    convergents: list[Fraction] = []
-    p_prev, p_cur = 1, quotients[0]
-    q_prev, q_cur = 0, 1
-    convergents.append(Fraction(p_cur, q_cur))
-    for a in quotients[1:]:
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        convergents.append(Fraction(p_cur, q_cur))
+    convergents = [Fraction(p, qj) for p, qj in zip(numerators, q[1:])]
 
     # quality invariant, checked exactly wherever the next denominator exists,
     # in kernel units on the kernel's alpha = A + B*sqrt(d):

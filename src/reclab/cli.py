@@ -7,8 +7,12 @@ UNDECIDED, lives inside the JSON), 2 usage error (a zero denominator, or a
 coordinate whose frequency, point and center use two quadratic fields,
 among them), 3 a cross-field sum that did not separate within 4096 bits, 4
 a budget ran out: certificate verification, interval pruning, or a listing
-past intsets.HIT_CAP: walk hits, greedy terms, set differences, generated
-elements or a polynomial period.
+past intsets.HIT_CAP: walk hits, greedy terms, formula terms, set
+differences, generated elements, a polynomial period, or continued-fraction
+convergents past 64*HIT_CAP bits.
+
+main can be called repeatedly in one process: the parsers are built on
+first use and reused, and each call parses into a fresh namespace.
 
 Every input and every decision is exact, so no flag sets a precision.  The
 one approximation is a displayed torus norm whose square is irrational (or
@@ -21,6 +25,7 @@ first.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -723,9 +728,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The global flags and GROUP COMMAND; main parses the command's own
-    flags from the rest of the argv, so one call builds one command."""
+    flags from the rest of the argv with command_parser.  Built on the first
+    call and shared by every later one."""
     listing = ["commands (reclab GROUP COMMAND --help lists a command's flags):"]
     for group, text in GROUPS.items():
         listing.append(f"  {group}: {text}")
@@ -744,6 +751,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def command_parser(group: str, command: str) -> argparse.ArgumentParser:
+    """The parser of one command's own flags, built on its first call."""
+    _, text, flags = COMMANDS[(group, command)]
+    parser = argparse.ArgumentParser(prog=f"reclab {group} {command}", description=text)
+    for option, kwargs in flags.items():
+        parser.add_argument(option, **kwargs)
+    return parser
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -751,12 +768,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if entry is None:
         choices = ", ".join(c for g, c in COMMANDS if g == args.group)
         parser.error(f"argument COMMAND: invalid choice: {args.command!r} (choose from {choices})")
-    handler, text, flags = entry
-    # only the called command's parser is built; it fills the same namespace
-    command_parser = argparse.ArgumentParser(prog=f"reclab {args.group} {args.command}", description=text)
-    for option, kwargs in flags.items():
-        command_parser.add_argument(option, **kwargs)
-    command_parser.parse_args(args.rest, namespace=args)
+    handler = entry[0]
+    # the command's own flags fill the same namespace
+    command_parser(args.group, args.command).parse_args(args.rest, namespace=args)
 
     command = f"{args.group}.{args.command}"
     config = build_config(args, command)

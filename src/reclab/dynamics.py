@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .bohr import CircleKernel, _torus_test, field_unit, frequency_hits, orbit_hits, record_times, torus_norm
-from .errors import NoElementsInWindow, NoSuchM, WindowInadequate
+from .errors import ListingBudgetExceeded, NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
     Real,
     TorusPoint,
@@ -44,7 +44,7 @@ from .exactreal import (
     real_sub,
     real_to_float,
 )
-from .intsets import Window, ZSetLike, as_int_list
+from .intsets import HIT_CAP, Window, ZSetLike, as_int_list
 
 HORIZON_NOTE = (
     "horizon-limited observation: quantities are minima over the stated "
@@ -345,6 +345,10 @@ class MovingQuery:
         horizon: int,
         eps: Fraction,
     ) -> "MovingQuery":
+        """The terms at k = 1..horizon; ListingBudgetExceeded, before any
+        term is evaluated, for a horizon above HIT_CAP."""
+        if horizon > HIT_CAP:
+            raise ListingBudgetExceeded(f"formula horizon {horizon} exceeds the listing cap {HIT_CAP} terms")
         r_of_k = r_of_k or (lambda k: k)
         return cls(
             n_terms=tuple(int(n_of_k(k)) for k in range(1, horizon + 1)),

@@ -6,7 +6,9 @@ of the integers -- difference sets, syndetic samples, subshift indicators --
 accept plain iterables instead, where 0 is legitimate.
 
 A listing is bounded before any element is built: a difference set of more
-than HIT_CAP pairs, or a generated family of more than HIT_CAP elements or
+than HIT_CAP ordered pairs (unless there are more pairs than the span and
+the count times the span is at most 64*HIT_CAP: a bitset then lists the
+distinct differences), or a generated family of more than HIT_CAP elements or
 more than 64*HIT_CAP bits in all, raises ListingBudgetExceeded.
 """
 
@@ -103,7 +105,20 @@ def difference_set(s: ZSetLike, window: Window | None = None) -> IntSet:
         elems = [e for e in elems if e in window]
     if not elems:
         raise EmptyInput("difference set of an empty listing")
+    lo, span = elems[0], elems[-1] - elems[0]
     pairs = len(elems) * (len(elems) - 1)
+    if pairs > span and len(elems) * span <= 64 * HIT_CAP:
+        # more ordered pairs than the span repeat differences: list the
+        # distinct ones from a bitset of the elements, one shift per element,
+        # so that bit i of ahead is set when some a - b = i >= 0
+        mask = ahead = 0
+        for e in elems:
+            mask |= 1 << (e - lo)
+        for e in elems:
+            ahead |= mask >> (e - lo)
+        digits = bin(ahead)[:1:-1]  # digits[i] is bit i
+        positive = [i for i in range(1, len(digits)) if digits[i] == "1"]
+        return IntSet(tuple(positive) + tuple(-d for d in positive))
     if pairs > HIT_CAP:
         raise ListingBudgetExceeded(f"{pairs} differences exceed the listing cap {HIT_CAP}")
     diffs = {a - b for a in elems for b in elems if a != b}

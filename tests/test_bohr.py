@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reclab import intsets
 from reclab.bohr import (
     BohrSpec,
     bohr_enumerate,
@@ -16,11 +17,12 @@ from reclab.bohr import (
     revalidate_witness,
     three_distance,
 )
-from reclab.errors import EmptyInput
+from reclab.errors import EmptyInput, ListingBudgetExceeded
 from reclab.exactreal import (
     Surd,
     TorusPoint,
     golden_rotation,
+    parse_real,
     real_cmp,
     real_to_float,
     sqrt2_rotation,
@@ -123,6 +125,15 @@ class TestContinuedFraction:
         assert continued_fraction(golden_rotation(), depth=0).quotients == (0,)
         with pytest.raises(ValueError):
             continued_fraction(golden_rotation(), depth=-1)
+
+    def test_bits_past_the_listing_cap_are_refused(self, monkeypatch):
+        # sqrt(2^54 + 1) has every quotient 2^28: its kept p_j and q_j hold
+        # 711 bits at depth 5 and 1,021 at depth 6, against 64 * 12 = 768
+        monkeypatch.setattr(intsets, "HIT_CAP", 12)
+        alpha = TorusPoint(parse_real(f"sqrt:{2**54 + 1}:0:1:1"))
+        assert continued_fraction(alpha, depth=5).quotients == (0,) + (2**28,) * 5
+        with pytest.raises(ListingBudgetExceeded, match="1021 bits exceeds the listing cap 768 bits"):
+            continued_fraction(alpha, depth=6)
 
     def test_quality_holds_for_surd_input(self):
         # the constructor asserts dist(q_j alpha) < 1/q_{j+1} internally;

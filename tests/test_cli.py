@@ -71,6 +71,55 @@ class TestEnvelope:
         assert "R_BIRKHOFF" in err
 
 
+class TestRepeatedCalls:
+    """main builds its parsers once per process; each call parses into a
+    fresh namespace, so no flag of one call reaches the next."""
+
+    def test_parsers_are_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.command_parser("dyn", "rigidity") is cli.command_parser("dyn", "rigidity")
+
+    @pytest.mark.parametrize(
+        "first, second, flags",
+        [
+            (
+                ["dyn", "rigidity", "--alpha", "golden", "--alpha", "sqrt2", "--horizon", "50"],
+                ["dyn", "rigidity", "--alpha", "1/3", "--horizon", "20"],
+                {"alpha": ["1/3"], "horizon": 20, "seed": cli.DEFAULT_SEED},
+            ),
+            (
+                ["report", "paper-claims", "--inject-corruption", "--only", "certificate-audit"],
+                ["report", "paper-claims", "--only", "certificate-audit"],
+                {"inject_corruption": False, "json_out": None, "max_period": None, "max_window": None,
+                 "md_out": None, "node_budget": None, "only": "certificate-audit", "seed": cli.DEFAULT_SEED},
+            ),
+        ],
+        ids=["append", "store_true"],
+    )
+    def test_no_flag_carries_over(self, capsys, first, second, flags):
+        before = run(capsys, first)
+        other = run_json(capsys, second)
+        again = run(capsys, first)
+        assert before[0] == 0 and before[:2] == again[:2]
+        assert other["config"]["flags"] == flags
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["birkhoff", "nosuch"], ["birkhoff", "check", "--bogus"], ["birkhoff", "check", "--help"], ["--help"]],
+        ids=["unknown command", "unknown flag", "command help", "top help"],
+    )
+    def test_first_and_second_call_print_the_same(self, capsys, argv):
+        cli.build_parser.cache_clear()
+        cli.command_parser.cache_clear()
+        printed = []
+        for _ in range(2):
+            code = exit_code(argv)
+            captured = capsys.readouterr()
+            printed.append((code, captured.out, captured.err))
+        assert printed[0] == printed[1]
+        assert printed[0][0] == (0 if "--help" in argv else 2)
+
+
 class TestBirkhoff:
     def test_check_unsat(self, capsys):
         doc = run_json(
@@ -396,6 +445,15 @@ class TestSets:
         )
         assert doc["result"]["difference_set"] == [-8, -5, -3, 3, 5, 8]
 
+    def test_diff_lists_distinct_differences(self, capsys, tmp_path):
+        # 15,996,000 ordered pairs, but a bitset of the span lists the 7,998
+        # distinct differences
+        listing = tmp_path / "set.txt"
+        listing.write_text("\n".join(str(n) for n in range(1, 4001)))
+        res = run_json(capsys, ["sets", "diff", "--set", str(listing)])["result"]
+        assert res["count"] == 7998
+        assert res["difference_set"] == list(range(-3999, 0)) + list(range(1, 4000))
+
     def test_gaps(self, capsys):
         doc = run_json(
             capsys,
@@ -526,6 +584,27 @@ class TestExitCodes:
         assert rc == 4
         assert out == ""
         assert "15996000 differences exceed the listing cap 1000000" in err
+
+    def test_cf_past_bit_cap_exit(self, capsys):
+        # golden's kept convergents pass 64 * HIT_CAP bits near term 9,600;
+        # printing all 30,001 used to run for about a minute
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["bohr", "cf", "--alpha", "golden", "--depth", "30000"])
+        assert (rc, out) == (4, "")
+        assert "exceeds the listing cap 64000000 bits" in err
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("command", ["psi", "moving"])
+    def test_formula_horizon_past_hit_cap_exit(self, capsys, command):
+        # refused before the first term is evaluated
+        rc, out, err = run(capsys, ["dyn", command, "--alpha", "golden", "--nk", "k^2", "--horizon", "100000000"])
+        assert (rc, out) == (4, "")
+        assert "formula horizon 100000000 exceeds the listing cap 1000000 terms" in err
+
+    def test_formula_is_compiled_before_the_horizon_cap(self, capsys):
+        rc, out, err = run(capsys, ["dyn", "psi", "--alpha", "golden", "--nk", "k^", "--horizon", "100000000"])
+        assert (rc, out) == (2, "")
+        assert "listing cap" not in err
 
     @pytest.mark.parametrize(
         "flags,message",

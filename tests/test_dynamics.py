@@ -24,7 +24,7 @@ from reclab.dynamics import (
     uniform_rigidity_scan,
     verify_nuu,
 )
-from reclab.errors import NoElementsInWindow, NoSuchM, WindowInadequate
+from reclab.errors import ListingBudgetExceeded, NoElementsInWindow, NoSuchM, WindowInadequate
 from reclab.exactreal import (
     TorusPoint,
     golden_rotation,
@@ -213,6 +213,13 @@ class TestPhi:
 
 
 class TestPsiMoving:
+    def test_horizon_past_the_listing_cap_evaluates_no_term(self):
+        def never(k):
+            raise AssertionError("a term was evaluated")
+
+        with pytest.raises(ListingBudgetExceeded, match="formula horizon 1000001 exceeds"):
+            MovingQuery.from_callables(never, never, bohr.HIT_CAP + 1, Fraction(1, 100))
+
     def test_point_independence_on_rotations(self):
         # psi takes no point: its one value is the functional at every point
         q = MovingQuery.from_callables(lambda k: k * k, None, 40, Fraction(1, 100))

@@ -76,6 +76,17 @@ class TestDifferenceSet:
         assert all(-v in d for v in d)
         assert 0 not in d
 
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=12), st.sampled_from([1, 1000, 10**6]))
+    def test_bitset_and_pairs_agree(self, xs, scale):
+        # more ordered pairs than the span take the bitset, fewer the pairs
+        xs = [x * scale for x in xs]
+        assert tuple(difference_set(xs)) == tuple(sorted({a - b for a in xs for b in xs if a != b}))
+
+    def test_distinct_differences_of_a_long_run(self):
+        # 4,000 consecutive integers: 15,996,000 ordered pairs, 7,998 differences
+        d = difference_set(range(1, 4001))
+        assert tuple(d) == tuple(range(-3999, 0)) + tuple(range(1, 4000))
+
 
 class TestSyndeticGap:
     def test_consecutive_diffs(self):
@@ -145,11 +156,15 @@ class TestListingCap:
         monkeypatch.setattr(intsets, "HIT_CAP", 12)
 
     def test_difference_pairs(self):
-        assert len(difference_set([1, 2, 4, 8])) == 12
+        # 20 ordered pairs over a span of 15, and count * span = 75 within
+        # 64*HIT_CAP: the bitset lists the 14 distinct differences
+        assert len(difference_set([1, 2, 3, 4, 16])) == 14
+        # a span of 1599, above the pairs: the ordered pairs, capped at HIT_CAP
+        assert len(difference_set([1, 200, 400, 800])) == 12
         with pytest.raises(ListingBudgetExceeded):
-            difference_set([1, 2, 4, 8, 16])
+            difference_set([1, 200, 400, 800, 1600])
         # the window applies first
-        assert len(difference_set([1, 2, 4, 8, 16], Window(1, 8))) == 12
+        assert len(difference_set([1, 200, 400, 800, 1600], Window(1, 800))) == 12
 
     def test_k_times_nr(self):
         assert len(gen_k_times_nr(3, 12)) == 12
