@@ -835,16 +835,16 @@ class GreedyRun:
         return _cycle_witness(self.cycle, _normalize_distances(m), arity)
 
 
-def greedy_coloring(m: ZSetLike, n_terms: int) -> GreedyRun:
-    """First n_terms of the greedy avoiding sequence over |M|+1 colors (see
-    _greedy_terms), with its cycle when that closes within them.  Raises
-    ListingBudgetExceeded, before any term, when n_terms exceeds HIT_CAP."""
+def greedy_coloring(m: ZSetLike, count: int) -> GreedyRun:
+    """First count terms of the greedy avoiding sequence over |M|+1 colors
+    (see _greedy_terms), with its cycle when that closes within them.  Raises
+    ListingBudgetExceeded, before any term, when count exceeds HIT_CAP."""
     dists = _normalize_distances(m)
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    if n_terms > HIT_CAP:
-        raise ListingBudgetExceeded(f"{n_terms} terms exceed the listing cap {HIT_CAP}")
-    terms = list(islice(_greedy_terms(dists), n_terms))
+    if count < 1:
+        raise ValueError("term count must be >= 1")
+    if count > HIT_CAP:
+        raise ListingBudgetExceeded(f"{count} terms exceed the listing cap {HIT_CAP}")
+    terms = list(islice(_greedy_terms(dists), count))
     cycle = terms[-1][1]
     return GreedyRun(
         sequence=tuple(c for c, _ in terms),

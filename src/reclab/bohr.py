@@ -898,14 +898,27 @@ def cyclic_obstruction(
     With a polynomial generator supplied (ascending coefficients), the
     verdict upgrades to absolute when the residues p(n) mod m avoid 0 over a
     full period of n; the listing-level check alone is truncation-relative.
+
+    A bytearray marks the elements when every |e| is at most 64*HIT_CAP;
+    past that, tests of every element at each modulus are capped there.
     """
     elems = [e for e in as_int_list(l_set) if e != 0]
     if not elems:
         raise EmptyInput("empty set")
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
+    top = max(abs(e) for e in elems)
+    sieve = top <= 64 * HIT_CAP
+    if sieve:
+        present = bytearray(top + 1)
+        for e in elems:
+            present[abs(e)] = 1
     for m in range(2, m_max + 1):
-        if any(e % m == 0 for e in elems):
+        if not sieve and (m - 1) * len(elems) > 64 * HIT_CAP:
+            raise ListingBudgetExceeded(
+                f"{(m - 1) * len(elems)} divisibility tests exceed the listing cap {64 * HIT_CAP}"
+            )
+        if (1 in present[m::m]) if sieve else any(e % m == 0 for e in elems):
             continue
         absolute = False
         checked = len(elems)

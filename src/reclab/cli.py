@@ -7,9 +7,9 @@ UNDECIDED, lives inside the JSON), 2 usage error (a zero denominator, or a
 coordinate whose frequency, point and center use two quadratic fields,
 among them), 3 a cross-field sum that did not separate within 4096 bits, 4
 a budget ran out: certificate verification, interval pruning, or a listing
-past intsets.HIT_CAP: walk hits, greedy terms, formula terms, set
-differences, generated elements, a polynomial period, or continued-fraction
-convergents past 64*HIT_CAP bits.
+past intsets.HIT_CAP: walk hits, greedy terms, --rk terms (--nk is parsed,
+never evaluated), torus record times, set differences, generated elements,
+a polynomial period, or 64*HIT_CAP convergent bits or divisibility tests.
 
 main can be called repeatedly in one process: the parsers are built on
 first use and reused, and each call parses into a fresh namespace.
@@ -451,9 +451,9 @@ def cmd_dyn_phi(args) -> dict:
 
 
 def build_query(args) -> MovingQuery:
-    n_of_k = compile_sequence(args.nk)
+    compile_sequence(args.nk)  # a syntax error exits 2; psi never reads n_k
     r_of_k = compile_sequence(args.rk) if args.rk else None
-    return MovingQuery.from_callables(n_of_k, r_of_k, args.horizon, Fraction(args.eps))
+    return MovingQuery(args.horizon, Fraction(args.eps), r_of_k)
 
 
 def cmd_dyn_psi(args) -> dict:

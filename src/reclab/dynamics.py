@@ -14,9 +14,9 @@ the convergents, and density constants come from the three-gap theorem (Sos;
 Alessandri and Berthe).  On a torus of dimension >= 2, return times
 intersect the coordinates' circle walks and test the exact torus norm on
 the common candidates only (``bohr.orbit_hits``); torus rigidity records
-test every m (``bohr.record_times``).  A coordinate whose frequency, point
-and center use two quadratic fields is refused with ValueError
-(``bohr.field_unit``).
+test every m (``bohr.record_times``); psi at r_k = k reads the last record.
+A coordinate whose frequency, point and center use two quadratic fields is
+refused with ValueError (``bohr.field_unit``).
 
 Subshift points are shifts of a single base word declared on a finite
 window, and only two operations take them: cylinder return times, which
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bohr import CircleKernel, _torus_test, field_unit, frequency_hits, orbit_hits, record_times, torus_norm
 from .errors import ListingBudgetExceeded, NoElementsInWindow, NoSuchM, WindowInadequate
@@ -301,12 +301,13 @@ def verify_nuu(
 # ---------------------------------------------------------------------------
 
 
-def _least_time(sys_: RotationSystem, times: Sequence[int]) -> int:
+def _least_time(sys_: RotationSystem, times: Iterable[int]) -> int:
     """The first n in times at least ||n*alpha||.  A rotation is an
     isometry: dist(T^(m+n) x, T^m x) is this norm for every x and m."""
-    if not times:
+    records = record_times([a.value for a in sys_.alphas], times)
+    if not records:
         raise ValueError("minimum over no times")
-    return record_times([a.value for a in sys_.alphas], times)[-1]
+    return records[-1]
 
 
 def phi_l(sys_: System, x, targets: ZSetLike, horizon: int) -> Real:
@@ -328,34 +329,13 @@ def phi_l(sys_: System, x, targets: ZSetLike, horizon: int) -> Real:
 
 @dataclass(frozen=True)
 class MovingQuery:
-    n_terms: tuple[int, ...]
-    r_terms: tuple[int, ...]
     horizon: int
     eps: Fraction
+    r_of_k: Optional[Callable[[int], int]] = None  # r_k at k = 1..horizon; None is r_k = k
 
     def __post_init__(self):
-        if len(self.n_terms) != len(self.r_terms) or len(self.n_terms) != self.horizon:
-            raise ValueError("term lists must have length = horizon")
-
-    @classmethod
-    def from_callables(
-        cls,
-        n_of_k: Callable[[int], int],
-        r_of_k: Optional[Callable[[int], int]],
-        horizon: int,
-        eps: Fraction,
-    ) -> "MovingQuery":
-        """The terms at k = 1..horizon; ListingBudgetExceeded, before any
-        term is evaluated, for a horizon above HIT_CAP."""
-        if horizon > HIT_CAP:
-            raise ListingBudgetExceeded(f"formula horizon {horizon} exceeds the listing cap {HIT_CAP} terms")
-        r_of_k = r_of_k or (lambda k: k)
-        return cls(
-            n_terms=tuple(int(n_of_k(k)) for k in range(1, horizon + 1)),
-            r_terms=tuple(int(r_of_k(k)) for k in range(1, horizon + 1)),
-            horizon=horizon,
-            eps=Fraction(eps),
-        )
+        if self.horizon < 1:
+            raise ValueError("minimum over no times")
 
 
 def psi_moving(sys_: RotationSystem, query: MovingQuery) -> tuple[Real, bool]:
@@ -363,10 +343,17 @@ def psi_moving(sys_: RotationSystem, query: MovingQuery) -> tuple[Real, bool]:
     and whether it is below query.eps, decided exactly.
 
     A rotation is an isometry, so this is min_k ||r_k*alpha|| for every
-    point x, from the horizon's exact multiples alone: the n_k are not read.
+    point x and every n_k.  For r_k = k it is the last rigidity record at
+    the horizon; other offsets are streamed into one record scan, and a
+    horizon above HIT_CAP raises ListingBudgetExceeded before any r_k.
     """
     _rotation_only(sys_, "psi")
-    n = _least_time(sys_, query.r_terms)
+    if query.r_of_k is None:
+        n = uniform_rigidity_scan(sys_, query.horizon)[-1].time
+    elif query.horizon > HIT_CAP:
+        raise ListingBudgetExceeded(f"formula horizon {query.horizon} exceeds the listing cap {HIT_CAP} terms")
+    else:
+        n = _least_time(sys_, map(query.r_of_k, range(1, query.horizon + 1)))
     below = _torus_test([a.value for a in sys_.alphas], (0,) * sys_.dim, query.eps)(n)
     return sys_.displacement_norm(n), below
 
@@ -434,12 +421,15 @@ def uniform_rigidity_scan(sys_: RotationSystem, horizon: int) -> tuple[RigidityR
     """Record minima of the sup displacement sup_x dist(x, T^m x), m = 1..H.
 
     Exact: a rotation's sup is its displacement norm.  On the circle the
-    records are the convergents; on a torus every m is tested.
+    records are the convergents, at any horizon; on a torus every m is
+    tested, and a horizon above HIT_CAP raises ListingBudgetExceeded first.
     """
     _rotation_only(sys_, "uniform rigidity")
     if sys_.dim == 1:
         kernel = CircleKernel.of(sys_.alphas[0].value)
         return tuple(RigidityRecord(m, value) for m, value in kernel.records(horizon))
+    if horizon > HIT_CAP:
+        raise ListingBudgetExceeded(f"torus record scan of {horizon} times exceeds the listing cap {HIT_CAP}")
     # the displayed norm is an Approx on a torus: build it for records only
     times = record_times([a.value for a in sys_.alphas], range(1, horizon + 1))
     return tuple(RigidityRecord(m, sys_.displacement_norm(m)) for m in times)

@@ -300,18 +300,12 @@ class Surd:
 
     # -- rounding / conversion -------------------------------------------
 
-    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Rational bracket p + q*[n, n+1]/2**bits with n = floor(sqrt(d)*2**bits)."""
-        n = isqrt(self.d << (2 * bits))
-        a, b, c = self.a << bits, self.b, self.c << bits
-        lo, hi = Fraction(a + b * n, c), Fraction(a + b * (n + 1), c)
-        return (lo, hi) if b > 0 else (hi, lo)
-
     def floor(self) -> int:
         return _floor_surd(self.a, self.b, self.c, self.d)
 
     def __float__(self):
-        # midpoint of bounds(80); int / int rounds correctly, as float(Fraction)
+        # p + q*(n + 1/2)/2**80, n = floor(sqrt(d)*2**80): the midpoint of an
+        # 80-bit bracket; int / int rounds correctly, as float(Fraction)
         n = isqrt(self.d << 160)
         return ((self.a << 81) + self.b * (2 * n + 1)) / (self.c << 81)
 

@@ -140,11 +140,11 @@ def _claim_cardinality(limits: SearchLimits, rng, corrupt: bool):
             return FAIL, {"trial": trial, "set": sorted(elems), "stage": "verify"}, []
         certs.append(certificate_to_json(verdict.certificate))
         # independent greedy check over 10x the largest distance
-        n_terms = 10 * max(elems)
-        run = greedy_coloring(elems, n_terms)
+        count = 10 * max(elems)
+        run = greedy_coloring(elems, count)
         seq = run.sequence
         dists = sorted(set(abs(e) for e in elems))
-        for i in range(1, n_terms + 1):
+        for i in range(1, count + 1):
             for m in dists:
                 earlier = seq[i - m - 1] if i - m >= 1 else 1
                 if seq[i - 1] == earlier:
@@ -311,8 +311,8 @@ def _claim_moving_recurrence(limits: SearchLimits, rng, corrupt: bool):
         sys_.displacement_norm(k) for k in range(1, horizon + 1)
     )
     for formula in ("k^2", "k^3 - k", "2^k"):
-        n_of_k = compile_sequence(formula)
-        query = MovingQuery.from_callables(n_of_k, None, horizon, eps)
+        compile_sequence(formula)  # psi reads no n_k: the formula is only parsed
+        query = MovingQuery(horizon, eps)
         outcome = moving_recurrence_experiment(sys_, query, samples=10)
         if outcome.fraction_below != 1:
             return FAIL, {"formula": formula, "fraction": str(outcome.fraction_below)}, []

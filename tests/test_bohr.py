@@ -30,6 +30,8 @@ from reclab.exactreal import (
 )
 from reclab.intsets import Window, gen_polynomial
 
+from oracles import looping_obstruction
+
 
 class TestSpec:
     def test_eps_bounds(self):
@@ -254,3 +256,26 @@ class TestCyclicObstruction:
         tri = gen_polynomial([Fraction(1), Fraction(1, 2), Fraction(1, 2)], 60)
         res = cyclic_obstruction(tri, 8, polynomial=[Fraction(1), Fraction(1, 2), Fraction(1, 2)])
         assert res is not None and res.absolute
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-120, 120), min_size=1, max_size=20).filter(any),
+        st.integers(2, 80),
+        st.sampled_from([None, [1, 0, 1], [0, 1], [Fraction(1), Fraction(1, 2), Fraction(1, 2)]]),
+        st.booleans(),
+    )
+    def test_matches_the_looping_reference(self, elems, m_max, polynomial, huge):
+        # an element past 64 * HIT_CAP takes the per-element loop instead of the sieve
+        if huge:
+            elems = [*elems, 64 * intsets.HIT_CAP * 6 + 6]
+        assert cyclic_obstruction(elems, m_max, polynomial) == looping_obstruction(elems, m_max, polynomial)
+
+    def test_sieve_answers_a_dense_span_fast(self):
+        # every m up to 10**5 divides an element: 10**10 modulus tests by the loop
+        assert cyclic_obstruction(range(1, 100_001), 100_000) is None
+
+    def test_loop_past_the_budget_raises(self):
+        # one element past 64 * HIT_CAP: each modulus tests all 100,001 elements
+        elems = [*range(1, 100_001), 10**12]
+        with pytest.raises(ListingBudgetExceeded, match="64000640 divisibility tests exceed the listing cap 64000000"):
+            cyclic_obstruction(elems, 100_000)

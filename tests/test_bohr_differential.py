@@ -95,6 +95,7 @@ def interval_lists(draw):
     return out
 
 
+@settings(deadline=None)
 @given(interval_lists(), st.integers(1, 200), deltas, st.integers(1, 6))
 def test_stage_matches_fraction_reference(intervals, n, delta, scale):
     out = bohr._prune_stage(as_spans(intervals, scale), n, delta, 10**6)

@@ -596,10 +596,35 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["psi", "moving"])
     def test_formula_horizon_past_hit_cap_exit(self, capsys, command):
-        # refused before the first term is evaluated
-        rc, out, err = run(capsys, ["dyn", command, "--alpha", "golden", "--nk", "k^2", "--horizon", "100000000"])
+        # refused before the first r_k is evaluated
+        argv = ["dyn", command, "--alpha", "golden", "--nk", "k^2", "--rk", "k^2", "--horizon", "100000000"]
+        rc, out, err = run(capsys, argv)
         assert (rc, out) == (4, "")
         assert "formula horizon 100000000 exceeds the listing cap 1000000 terms" in err
+
+    @pytest.mark.parametrize("command", ["psi", "moving"])
+    def test_default_offsets_on_the_circle_have_no_cap(self, capsys, command):
+        # r_k = k reads the circle kernel's last record; n_k is never evaluated
+        for horizon in ("100000000", str(10**30)):
+            doc = run_json(capsys, ["dyn", command, "--alpha", "golden", "--nk", "k^2", "--horizon", horizon])
+            assert doc["result"]["horizon"] == int(horizon)
+
+    def test_torus_rigidity_past_hit_cap_exit(self, capsys):
+        # refused before the per-m scan, which ran past 20 s at this horizon
+        argv = ["dyn", "rigidity", "--alpha", "golden", "--alpha", "sqrt2", "--horizon", "100000000"]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (4, "")
+        assert "torus record scan of 100000000 times exceeds the listing cap 1000000" in err
+
+    def test_nk_is_parsed_but_never_evaluated(self, capsys):
+        # "k mod 0" would raise on evaluation; only a syntax error exits 2
+        base = ["dyn", "psi", "--alpha", "golden", "--horizon", "50", "--nk"]
+        doc = run_json(capsys, [*base, "k mod 0"])
+        assert doc["config"]["flags"]["nk"] == "k mod 0"
+        doc["config"]["flags"]["nk"] = "k"
+        assert doc == run_json(capsys, [*base, "k"])
+        rc, out, _ = run(capsys, [*base, "k^"])
+        assert (rc, out) == (2, "")
 
     def test_formula_is_compiled_before_the_horizon_cap(self, capsys):
         rc, out, err = run(capsys, ["dyn", "psi", "--alpha", "golden", "--nk", "k^", "--horizon", "100000000"])

@@ -218,18 +218,19 @@ class TestPsiMoving:
             raise AssertionError("a term was evaluated")
 
         with pytest.raises(ListingBudgetExceeded, match="formula horizon 1000001 exceeds"):
-            MovingQuery.from_callables(never, never, bohr.HIT_CAP + 1, Fraction(1, 100))
+            psi_moving(GOLDEN, MovingQuery(bohr.HIT_CAP + 1, Fraction(1, 100), never))
 
     def test_point_independence_on_rotations(self):
         # psi takes no point: its one value is the functional at every point
-        q = MovingQuery.from_callables(lambda k: k * k, None, 40, Fraction(1, 100))
+        q = MovingQuery(40, Fraction(1, 100))
         value, below_eps = psi_moving(GOLDEN, q)
+        n_terms, r_terms = [k * k for k in range(1, 41)], range(1, 41)
         for x in (Fraction(0), Fraction(1, 3), Fraction(7, 9)):
-            stepped, stepped_below = stepping_psi(GOLDEN, (x,), q)
+            stepped, stepped_below = stepping_psi(GOLDEN, (x,), n_terms, r_terms, q.eps)
             assert real_eq(value, stepped) and below_eps == stepped_below
 
     def test_equals_displacement_minimum(self):
-        q = MovingQuery.from_callables(lambda k: 2**k, None, 50, Fraction(1, 100))
+        q = MovingQuery(50, Fraction(1, 100))
         v, below_eps = psi_moving(GOLDEN, q)
         expected = min(
             (GOLDEN.displacement_norm(k) for k in range(1, 51)),
@@ -238,9 +239,27 @@ class TestPsiMoving:
         assert real_eq(v, expected)
         assert below_eps == (real_cmp(expected, Fraction(1, 100)) < 0)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MovingQuery(n_terms=(1, 2), r_terms=(1,), horizon=2, eps=Fraction(1, 10))
+    def test_horizon_below_one_rejected(self):
+        with pytest.raises(ValueError, match="minimum over no times"):
+            MovingQuery(0, Fraction(1, 10))
+
+    def test_circle_reads_the_last_record_at_any_horizon(self):
+        horizon = 10**30
+        value, below_eps = psi_moving(GOLDEN, MovingQuery(horizon, Fraction(1, 100)))
+        last = uniform_rigidity_scan(GOLDEN, horizon)[-1]
+        assert real_eq(value, last.value) and below_eps
+
+    def test_torus_default_offsets_past_the_cap_raise_before_the_scan(self):
+        torus = RotationSystem((golden_rotation(), sqrt2_rotation()))
+        with pytest.raises(ListingBudgetExceeded, match="torus record scan of 1000001 times"):
+            psi_moving(torus, MovingQuery(bohr.HIT_CAP + 1, Fraction(1, 100)))
+
+    def test_each_offset_is_evaluated_once_in_order(self):
+        seen = []
+        q = MovingQuery(30, Fraction(1, 100), lambda k: seen.append(k) or 2 * k + 1)
+        value, _ = psi_moving(GOLDEN, q)
+        assert seen == list(range(1, 31))
+        assert real_eq(value, min((GOLDEN.displacement_norm(2 * k + 1) for k in range(1, 31)), key=real_to_float))
 
 
 class TestRecurrent:
@@ -294,7 +313,7 @@ class TestRigidity:
 
 class TestMovingExperiment:
     def test_golden_fraction_one(self):
-        q = MovingQuery.from_callables(lambda k: k * k, None, 100, Fraction(1, 50))
+        q = MovingQuery(100, Fraction(1, 50))
         rep = moving_recurrence_experiment(GOLDEN, q, samples=8)
         assert rep.fraction_below == 1
         assert rep.note == HORIZON_NOTE
@@ -304,14 +323,14 @@ class TestMovingExperiment:
     def test_two_field_fraction_needs_no_precision(self, monkeypatch, eps, fraction):
         # psi against eps is decided on squared norms; only psi_min and psi_max read the precision
         sys2 = RotationSystem((TorusPoint(parse_real("sqrt:2:0:1:1")), TorusPoint(parse_real("sqrt:3:0:1:1"))))
-        q = MovingQuery.from_callables(lambda k: k * k, None, 30, eps)
+        q = MovingQuery(30, eps)
         for bits in (128, 8):
             monkeypatch.setattr(bohr, "_DISPLAY_BITS", bits)
             assert moving_recurrence_experiment(sys2, q, samples=5).fraction_below == fraction
 
 
 SHIFT = subshift_from_indicator([n for n in range(-40, 41) if n % 3 == 0], Window(-40, 40))
-QUERY = MovingQuery.from_callables(lambda k: 3 * k, lambda k: 3, 4, Fraction(1, 2))
+QUERY = MovingQuery(4, Fraction(1, 2), lambda k: 3)
 
 
 @pytest.mark.parametrize("call", [

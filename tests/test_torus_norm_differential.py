@@ -137,7 +137,7 @@ def test_no_norm_is_below_a_radius_at_or_under_zero():
     sys_ = RotationSystem((GOLDEN, SQRT2))
     for eps in (Fraction(0), Fraction(-1, 2)):
         assert find_l_recurrent(sys_, [1, 2, 3], eps) is None
-        assert psi_moving(sys_, MovingQuery((1, 2), (1, 2), 2, eps))[1] is False
+        assert psi_moving(sys_, MovingQuery(2, eps))[1] is False
 
 
 # denominators above 2**28, so that a torus square of them passes MAX_RADICAND_BITS
