@@ -899,25 +899,28 @@ def cyclic_obstruction(
     verdict upgrades to absolute when the residues p(n) mod m avoid 0 over a
     full period of n; the listing-level check alone is truncation-relative.
 
-    A bytearray marks the elements when every |e| is at most 64*HIT_CAP;
-    past that, tests of every element at each modulus are capped there.
+    Modulus m reads the top//m multiples of m from a bytearray marking the
+    elements, or tests every element, whichever is fewer; the bytearray is
+    built when some modulus reads it and the largest |e| is at most
+    64*HIT_CAP.  Past 64*HIT_CAP reads and tests in all, ListingBudgetExceeded.
     """
     elems = [e for e in as_int_list(l_set) if e != 0]
     if not elems:
         raise EmptyInput("empty set")
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    top = max(abs(e) for e in elems)
-    sieve = top <= 64 * HIT_CAP
-    if sieve:
+    top, count, budget = max(abs(e) for e in elems), len(elems), 64 * HIT_CAP
+    present = None
+    if top // m_max < count and top <= budget:
         present = bytearray(top + 1)
         for e in elems:
             present[abs(e)] = 1
+    work = 0
     for m in range(2, m_max + 1):
-        if not sieve and (m - 1) * len(elems) > 64 * HIT_CAP:
-            raise ListingBudgetExceeded(
-                f"{(m - 1) * len(elems)} divisibility tests exceed the listing cap {64 * HIT_CAP}"
-            )
+        sieve = present is not None and top // m < count
+        work += top // m if sieve else count
+        if work > budget:
+            raise ListingBudgetExceeded(f"{work} divisibility tests exceed the listing cap {budget}")
         if (1 in present[m::m]) if sieve else any(e % m == 0 for e in elems):
             continue
         absolute = False

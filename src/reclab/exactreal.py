@@ -304,10 +304,24 @@ class Surd:
         return _floor_surd(self.a, self.b, self.c, self.d)
 
     def __float__(self):
-        # p + q*(n + 1/2)/2**80, n = floor(sqrt(d)*2**80): the midpoint of an
-        # 80-bit bracket; int / int rounds correctly, as float(Fraction)
-        n = isqrt(self.d << 160)
-        return ((self.a << 81) + self.b * (2 * n + 1)) / (self.c << 81)
+        # x lies strictly between the quotients at n and n + 1, n = floor(
+        # sqrt(d)*2**k), read from the conjugate (a*a - b*b*d)/(c*(a - b*sqrt(d)))
+        # where a + b*sqrt(d) cancels: 2**-k of |x| apart at any coefficient
+        # size.  int / int rounds correctly and an irrational x is no tie, so
+        # k doubles until both ends round to one float
+        a, b, c, d = self.a, self.b, self.c, self.d
+        k = 64
+        while True:
+            n = isqrt(d << 2 * k)
+            if a * b < 0:
+                num, den = (a * a - b * b * d) << k, c * ((a << k) - b * n)
+                lo, hi = num / den, num / (den - c * b)
+            else:
+                num, den = (a << k) + b * n, c << k
+                lo, hi = num / den, (num + b) / den
+            if lo == hi:
+                return lo
+            k *= 2
 
     def __abs__(self):
         return self if self.sign() > 0 else -self

@@ -307,18 +307,14 @@ def _claim_moving_recurrence(limits: SearchLimits, rng, corrupt: bool):
 
     sys_ = RotationSystem((golden_rotation(),))
     horizon, eps = 200, Fraction(1, 100)
-    expected_min = real_min(
-        sys_.displacement_norm(k) for k in range(1, horizon + 1)
-    )
+    want = real_to_float(real_min(sys_.displacement_norm(k) for k in range(1, horizon + 1)))
     for formula in ("k^2", "k^3 - k", "2^k"):
-        compile_sequence(formula)  # psi reads no n_k: the formula is only parsed
-        query = MovingQuery(horizon, eps)
-        outcome = moving_recurrence_experiment(sys_, query, samples=10)
-        if outcome.fraction_below != 1:
-            return FAIL, {"formula": formula, "fraction": str(outcome.fraction_below)}, []
-        want = real_to_float(expected_min)
-        if any(abs(v - want) > 1e-12 for v in (outcome.psi_min, outcome.psi_max)):
-            return FAIL, {"formula": formula, "psi_mismatch": True}, []
+        compile_sequence(formula)  # psi reads no n_k: one run holds for all three
+    outcome = moving_recurrence_experiment(sys_, MovingQuery(horizon, eps), samples=10)
+    if outcome.fraction_below != 1:
+        return FAIL, {"fraction": str(outcome.fraction_below)}, []
+    if any(abs(v - want) > 1e-12 for v in (outcome.psi_min, outcome.psi_max)):
+        return FAIL, {"psi_mismatch": True}, []
     return PASS, {"formulas": 3, "samples": 10, "horizon": horizon}, []
 
 

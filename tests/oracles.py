@@ -14,6 +14,8 @@ greedy generator in
 ``reclab.birkhoff`` replaced one that hashes a tuple of the last max(M)
 terms per term.  The bytearray sieve of ``reclab.bohr.cyclic_obstruction``
 replaced testing every element at every modulus (``looping_obstruction``).
+``bracket_float`` rounds a surd from Fraction brackets, for checking the
+float that ``Surd`` computes in integers.
 """
 
 import functools
@@ -39,6 +41,20 @@ from reclab.exactreal import (
     torus_norm1,
 )
 from reclab.intsets import as_int_list
+
+
+def bracket_float(p: Fraction, q: Fraction, d: int) -> float:
+    """float(p + q*sqrt(d)) for a non-square d, from Fraction brackets of
+    sqrt(d) widened until both ends round to one float: an irrational value
+    is never a tie, so that float is the correctly rounded one.  The first
+    bracket is under 2**-64 wide, so no end of it overflows a float."""
+    bits = 64 + q.numerator.bit_length()
+    while True:
+        n = isqrt(d << 2 * bits)
+        lo, hi = p + q * Fraction(n, 1 << bits), p + q * Fraction(n + 1, 1 << bits)
+        if float(lo) == float(hi):
+            return float(lo)
+        bits *= 2
 
 
 def torus_sq_terms(xs):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reclab import intsets
+from reclab import bohr, intsets
 from reclab.bohr import (
     BohrSpec,
     bohr_enumerate,
@@ -262,17 +262,34 @@ class TestCyclicObstruction:
         st.lists(st.integers(-120, 120), min_size=1, max_size=20).filter(any),
         st.integers(2, 80),
         st.sampled_from([None, [1, 0, 1], [0, 1], [Fraction(1), Fraction(1, 2), Fraction(1, 2)]]),
-        st.booleans(),
+        st.sampled_from([None, 5_000, 64 * intsets.HIT_CAP * 6 + 6]),
     )
-    def test_matches_the_looping_reference(self, elems, m_max, polynomial, huge):
-        # an element past 64 * HIT_CAP takes the per-element loop instead of the sieve
-        if huge:
-            elems = [*elems, 64 * intsets.HIT_CAP * 6 + 6]
+    def test_matches_the_looping_reference(self, elems, m_max, polynomial, large):
+        # small moduli test every element and large ones read the sieve; a
+        # large element makes every modulus test every element
+        if large:
+            elems = [*elems, large]
         assert cyclic_obstruction(elems, m_max, polynomial) == looping_obstruction(elems, m_max, polynomial)
 
     def test_sieve_answers_a_dense_span_fast(self):
         # every m up to 10**5 divides an element: 10**10 modulus tests by the loop
         assert cyclic_obstruction(range(1, 100_001), 100_000) is None
+
+    def test_small_set_with_a_large_element_builds_no_sieve(self, monkeypatch):
+        # nine moduli testing two elements each, where a sieve would take 64 MB
+        def refuse(size):
+            raise AssertionError(f"bytearray({size}) built")
+
+        monkeypatch.setattr(bohr, "bytearray", refuse, raising=False)
+        assert cyclic_obstruction([2520, 63_999_999], 10) is None
+
+    def test_sieve_past_the_budget_raises(self):
+        # every m up to 10**5 is blocked; moduli up to 1280 test the 50,002
+        # elements, later ones read the sieve's 64*10**6 // m bytes, and the
+        # first of those, m = 1281, takes the charge past 64*10**6
+        elems = [*range(50_000, 100_001), 64_000_000]
+        with pytest.raises(ListingBudgetExceeded, match="64002516 divisibility tests exceed the listing cap 64000000"):
+            cyclic_obstruction(elems, 100_000)
 
     def test_loop_past_the_budget_raises(self):
         # one element past 64 * HIT_CAP: each modulus tests all 100,001 elements

@@ -7,6 +7,8 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,8 @@ import pytest
 import reclab
 from reclab import bohr, cli
 from reclab.errors import UncertainAtPrecision
+
+from oracles import bracket_float
 
 SRC = str(Path(reclab.__file__).resolve().parent.parent)
 
@@ -604,10 +608,41 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["psi", "moving"])
     def test_default_offsets_on_the_circle_have_no_cap(self, capsys, command):
-        # r_k = k reads the circle kernel's last record; n_k is never evaluated
-        for horizon in ("100000000", str(10**30)):
-            doc = run_json(capsys, ["dyn", command, "--alpha", "golden", "--nk", "k^2", "--horizon", horizon])
-            assert doc["result"]["horizon"] == int(horizon)
+        # r_k = k reads the circle kernel's last record; n_k is never evaluated.
+        # Golden's records are at the Fibonacci numbers F: ||F*golden|| is
+        # |F*(1 + sqrt5)/2 - F'| for the next one F', rounded from a Fraction
+        # bracket; these norms are 10**-8 and 10**-30 beside 10**8 and 10**30
+        # coefficients
+        for horizon in (10**8, 10**30):
+            f, f_next = 1, 2
+            while f_next <= horizon:
+                f, f_next = f_next, f + f_next
+            p, q = Fraction(f - 2 * f_next, 2), Fraction(f, 2)
+            if bracket_float(p, q, 5) < 0:
+                p, q = -p, -q
+            want = bracket_float(p, q, 5)
+            doc = run_json(capsys, ["dyn", command, "--alpha", "golden", "--nk", "k^2", "--horizon", str(horizon)])
+            result = doc["result"]
+            assert result["horizon"] == horizon
+            if command == "psi":
+                assert result["psi"] == {"exact": f"({p}) + ({q})*sqrt(5)", "float": want, "kind": "surd"}
+            else:
+                assert result["psi_min"] == result["psi_max"] == want
+            assert 0 < want < 1 / horizon
+
+    @pytest.mark.parametrize("power", [200, 14000])
+    def test_large_offset_norm_float_is_correctly_rounded(self, capsys, power):
+        # ||2**power * golden|| beside coefficients of 2**power: its nearest
+        # integer from a bracket 64 bits finer than the coefficients
+        base = Fraction(2 ** (power - 1))
+        bits = 2 * power + 64
+        n = isqrt(5 << 2 * bits)
+        lo, hi = (base + base * Fraction(s, 1 << bits) for s in (n, n + 1))
+        assert round(lo) == round(hi)
+        want = abs(bracket_float(base - round(lo), base, 5))
+        doc = run_json(capsys, ["dyn", "psi", "--alpha", "golden", "--nk", "k", "--rk", f"2^{power}", "--horizon", "1"])
+        assert doc["result"]["psi"]["float"] == want
+        assert 0 < want <= 0.5
 
     def test_torus_rigidity_past_hit_cap_exit(self, capsys):
         # refused before the per-m scan, which ran past 20 s at this horizon

@@ -1,5 +1,7 @@
 """Grammar for user-supplied integer sequence formulas."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,12 +114,13 @@ class TestErrors:
             compile_sequence(text)(0)
 
     def test_power_past_max_bits_exits_2(self, capsys):
-        # --rk, since --nk is parsed but never evaluated; "mod 7" keeps the
-        # offset, and so the torus norm, small once the power is admitted
-        argv = ["dyn", "psi", "--alpha", "golden", "--horizon", "3", "--nk", "k", "--rk"]
-        assert cli.main([*argv, "2^999999 mod 7"]) == 0
-        capsys.readouterr()
-        assert cli.main([*argv, "2^1000000 mod 7"]) == 2
+        # --rk, since --nk is parsed but never evaluated; on a rational
+        # frequency the admitted offset's norm is shown exactly, where a
+        # surd's would carry coefficients of 301,030 digits
+        argv = ["dyn", "psi", "--alpha", "1/3", "--horizon", "3", "--nk", "k", "--rk"]
+        assert cli.main([*argv, "2^999999"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["psi"]["exact"] == "1/3"
+        assert cli.main([*argv, "2^1000000"]) == 2
         assert capsys.readouterr().out == ""
 
     def test_product_guard_exits_2(self, capsys):

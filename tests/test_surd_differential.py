@@ -25,6 +25,8 @@ from reclab.exactreal import (
     torus_norm1,
 )
 
+from oracles import bracket_float
+
 FIELDS = (2, 3, 5, 6, 7, 10, 11, 13)
 BIG = 2**200
 
@@ -161,11 +163,23 @@ def test_p_q_bounds_and_json_match_fraction_formulas(fields):
     p, q = Fraction(a, c), Fraction(b, c)
     x = build(a, b, c, d)
     assert (x.p, x.q) == (p, q)
-    # the float is the midpoint of the oracle's 80-bit bracket
-    lo, hi = oracle_bounds(p, q, d, 80)
-    expected = {"float": float((lo + hi) / 2), "kind": "surd", "exact": f"({p}) + ({q})*sqrt({d})"}
+    # the float is correctly rounded, however far a + b*sqrt(d) cancels
+    expected = {"float": bracket_float(p, q, d), "kind": "surd", "exact": f"({p}) + ({q})*sqrt({d})"}
     assert json.dumps(real_to_json(x)) == json.dumps(expected)
     assert repr(x) == f"Surd({p} + {q}*sqrt({d}))"
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("depth", [60, 400])
+def test_float_of_a_deep_convergent_gap_is_correctly_rounded(d, depth):
+    # q*sqrt(d) - p is below 1/q: a bracket of fixed width once gave such
+    # gaps floats of the wrong size and sign
+    p, q = sqrt_convergents(d, depth)[-1]
+    for sign in (1, -1):
+        x = build(-sign * p, sign * q, 1, d)
+        shown = float(x)
+        assert shown == bracket_float(Fraction(-sign * p), Fraction(sign * q), d)
+        assert 0 < abs(shown) < 1 / q
 
 
 def test_make_folds_degenerate_radicands():
