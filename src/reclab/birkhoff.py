@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from itertools import count, islice
+from itertools import islice
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
@@ -642,29 +642,30 @@ _FALLBACK_TERMS = 1_000_000
 
 def _greedy_cycle_witness(dists: Sequence[int], r: int, budget: _Budget) -> Optional[PeriodicColoring]:
     """Cycle of the greedy avoiding sequence, as a (possibly long) witness;
-    one budget charge per term."""
+    one budget charge per term generated, the closing term included."""
+    # the (left + 1)-th term overdraws the budget, so none after it is needed
+    terms, cycle = _greedy_cycle(dists, min(_FALLBACK_TERMS, budget.left + 1))
     try:
-        for _, cycle in islice(_greedy_terms(dists), _FALLBACK_TERMS):
-            budget.charge()
-            if cycle is not None:
-                return _cycle_witness(cycle, dists, r)
+        budget.charge(len(terms))
     except _OutOfBudget:
-        pass
-    return None
+        return None
+    return None if cycle is None else _cycle_witness(cycle, dists, r)
 
 
-def _greedy_terms(dists: Sequence[int]) -> Iterator[tuple[int, Optional[tuple[int, ...]]]]:
-    """The greedy avoiding sequence over |M|+1 colors, term by term, each
-    with the cycle closed so far (None until then).
+def _greedy_cycle(dists: Sequence[int], limit: int) -> tuple[list[int], Optional[tuple[int, ...]]]:
+    """The greedy avoiding sequence over |M|+1 colors, up to the term at
+    which its state first repeats or to `limit` terms, whichever comes
+    first: (terms, cycle), where cycle is the primitive, lex-least rotation
+    of the period that the terms repeat from then on, or None when the
+    state did not repeat within limit.
 
     Rule: positions <= 0 carry color 1; each later position takes the least
     color differing from every position one M-distance back.  A term depends
     only on the max(M) terms before it, so once such a state repeats the
-    sequence is periodic; the cycle is its primitive, lex-least rotation.
+    sequence is periodic.
 
     A term costs O(|M|): the forbidden colors are a bitmask, and the state
-    is an integer holding the last max(M) terms in `width` bits each.  Once
-    a state repeats, each later term is the one i - j0 terms back.
+    is an integer holding the last max(M) terms in `width` bits each.
     """
     top = max(dists)
     width = (len(dists) + 1).bit_length()
@@ -672,7 +673,7 @@ def _greedy_terms(dists: Sequence[int]) -> Iterator[tuple[int, Optional[tuple[in
     z = [1] * top  # positions 1 - top .. 0, then z[top - 1 + i] is term i
     state = 0  # the latest term in the low bits; whole once i >= top
     seen: dict[int, int] = {}
-    for i in count(1):
+    for i in range(1, limit + 1):
         used = 1  # bit c is set when color c is taken; there is no color 0
         for mm in dists:
             used |= 1 << z[-mm]
@@ -680,15 +681,8 @@ def _greedy_terms(dists: Sequence[int]) -> Iterator[tuple[int, Optional[tuple[in
         z.append(c)
         state = (state << width | c) & mask
         if i >= top and seen.setdefault(state, i) != i:
-            break
-        yield c, None
-    j0 = seen[state]
-    cycle = _primitive_rotation(tuple(z[j0 + top :]))
-    yield c, cycle
-    period = i - j0
-    while True:
-        z.append(z[-period])
-        yield z[-1], cycle
+            return z[top:], _primitive_rotation(tuple(z[seen[state] + top :]))
+    return z[top:], None
 
 
 def _cycle_witness(cycle: tuple[int, ...], dists: Sequence[int], r: int) -> Optional[PeriodicColoring]:
@@ -837,17 +831,21 @@ class GreedyRun:
 
 def greedy_coloring(m: ZSetLike, count: int) -> GreedyRun:
     """First count terms of the greedy avoiding sequence over |M|+1 colors
-    (see _greedy_terms), with its cycle when that closes within them.  Raises
+    (see _greedy_cycle), with its cycle when that closes within them; terms
+    past the closing one are copied as whole periods.  Raises
     ListingBudgetExceeded, before any term, when count exceeds HIT_CAP."""
     dists = _normalize_distances(m)
     if count < 1:
         raise ValueError("term count must be >= 1")
     if count > HIT_CAP:
         raise ListingBudgetExceeded(f"{count} terms exceed the listing cap {HIT_CAP}")
-    terms = list(islice(_greedy_terms(dists), count))
-    cycle = terms[-1][1]
+    terms, cycle = _greedy_cycle(dists, count)
+    if cycle is not None:
+        tail = terms[-len(cycle) :]
+        reps, extra = divmod(count - len(terms), len(cycle))
+        terms += tail * reps + tail[:extra]
     return GreedyRun(
-        sequence=tuple(c for c, _ in terms),
+        sequence=tuple(terms),
         period=None if cycle is None else len(cycle),
         cycle=cycle,
     )

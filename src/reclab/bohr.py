@@ -22,7 +22,9 @@ Every comparison of torus norms ||x + n*alpha|| is decided here, in
 integers: over one denominator each coordinate's position is an integer
 pair, so the scaled squared norm is one int plus one sqrt(d) coefficient per
 field (``_sq_norm``), and ``exactreal._int_sum_sign`` signs it against a
-radius (``_torus_test``) or against the best norm so far (``record_times``).
+radius (``_torus_test``) or against the best norm so far (``record_times``
+on a torus; on the circle it compares the reduced pair A + B*sqrt(d)
+itself, unsquared).
 A norm is built only to be printed (``torus_norm``), from the same integer
 square: exact where that square is rational, and otherwise the one
 approximation in reclab, an ``Approx`` from one ``isqrt`` bracket of the
@@ -245,9 +247,18 @@ def _torus_test(alphas: Sequence[Real], offsets: Sequence[Real], radius: Fractio
 
 def record_times(alphas: Sequence[Real], times: Iterable[int]) -> list[int]:
     """The n of times, in order, at which ||n*alphas|| is below its value at
-    every earlier n of times; a tie is no record.  Each comparison is one
-    _int_sum_sign of the difference of two _sq_norm values.
+    every earlier n of times; a tie is no record.
+
+    On the circle, n*alpha sits at (A + B*sqrt(d))/den over alpha's
+    denominator; one _floor_surd reduces it to [-1/2, 1/2), one sign test
+    gives |A + B*sqrt(d)|, and one _sign2 of its difference with the best
+    so far decides, with nothing squared first.  An n equal to the one
+    before it is a tie and is not reduced again.  On a torus each
+    comparison is one _int_sum_sign of the difference of two _sq_norm
+    values.
     """
+    if len(alphas) == 1:
+        return _circle_record_times(alphas[0], times)
     _, fields, sq = _sq_norm(alphas, (0,) * len(alphas))
     out: list[int] = []
     best = None
@@ -257,6 +268,29 @@ def record_times(alphas: Sequence[Real], times: Iterable[int]) -> list[int]:
             v[0] - best[0], [(s - t, d) for s, t, d in zip(v[1:], best[1:], fields) if s != t]
         ) < 0:
             best = v
+            out.append(n)
+    return out
+
+
+def _circle_record_times(alpha: Real, times: Iterable[int]) -> list[int]:
+    den = field_unit(alpha)
+    aa, ab, d = _int_parts(alpha, den)
+    out: list[int] = []
+    last = None  # a time equal to the one before it is a tie
+    # a rational alpha has B = d = 0: the floor and the signs below are then
+    # those of plain ints
+    two_den = 2 * den
+    best_a, best_b = den, 0
+    for n in times:
+        if n == last:
+            continue
+        last = n
+        a, b = n * aa, n * ab
+        a -= _floor_surd(2 * a + den, 2 * b, two_den, d) * den
+        if _sign2(a, b, d) < 0:
+            a, b = -a, -b
+        if _sign2(a - best_a, b - best_b, d) < 0:
+            best_a, best_b = a, b
             out.append(n)
     return out
 

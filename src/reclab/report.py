@@ -19,6 +19,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, compress, count, repeat
+from operator import eq
 from typing import Callable, Optional
 
 from .birkhoff import (
@@ -139,16 +141,13 @@ def _claim_cardinality(limits: SearchLimits, rng, corrupt: bool):
         if not verify_certificate(elems, r + 1, verdict.certificate):
             return FAIL, {"trial": trial, "set": sorted(elems), "stage": "verify"}, []
         certs.append(certificate_to_json(verdict.certificate))
-        # independent greedy check over 10x the largest distance
-        count = 10 * max(elems)
-        run = greedy_coloring(elems, count)
-        seq = run.sequence
-        dists = sorted(set(abs(e) for e in elems))
-        for i in range(1, count + 1):
-            for m in dists:
-                earlier = seq[i - m - 1] if i - m >= 1 else 1
-                if seq[i - 1] == earlier:
-                    return FAIL, {"trial": trial, "greedy_clash_at": i}, []
+        # independent greedy check over 10x the largest distance: term i
+        # clashes with term i - m, or with the color 1 of positions <= 0
+        seq = greedy_coloring(elems, 10 * max(elems)).sequence
+        first = (next(compress(count(1), map(eq, seq, chain(repeat(1, m), seq))), None) for m in set(elems))
+        clash = min(filter(None, first), default=None)
+        if clash is not None:
+            return FAIL, {"trial": trial, "greedy_clash_at": clash}, []
     return PASS, {"trials": 100, "cert_digest": _cert_digest(certs)}, certs[:3]
 
 

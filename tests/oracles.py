@@ -5,14 +5,19 @@ computation and scans that test every n or m; they use only the package's
 exact comparisons, never the kernel.  The integer torus-norm decisions of
 ``reclab.bohr`` (its torus test and record scan) replaced the Surd-level
 ones kept here: squared circle norms built as Surds and Fractions and
-signed by ``real_sum_sign`` (``torus_norm_lt``, ``norm_records``).  The point-free moving-recurrence
+signed by ``real_sum_sign`` (``torus_norm_lt``, ``norm_records``).  The
+circle branch of ``reclab.bohr.record_times``, which compares the reduced
+pair |A + B*sqrt(d)| unsquared, replaced running every n through the
+integer squared norm (``sq_norm_record_times``).  The point-free moving-recurrence
 functionals in ``reclab.dynamics`` replaced stepping orbit points and
 minimising their differences.  The torus norm that ``reclab.bohr.torus_norm``
 displays from its integer square is checked against ``decimal_norm``, which
 evaluates each coordinate in 60-digit decimal arithmetic.  The rolling-state
 greedy generator in
 ``reclab.birkhoff`` replaced one that hashes a tuple of the last max(M)
-terms per term.  The bytearray sieve of ``reclab.bohr.cyclic_obstruction``
+terms per term; the oracle keeps its own copy of the primitive rotation
+that tries every period and every rotation
+(``quadratic_primitive_rotation``).  The bytearray sieve of ``reclab.bohr.cyclic_obstruction``
 replaced testing every element at every modulus (``looping_obstruction``).
 ``bracket_float`` rounds a surd from Fraction brackets, for checking the
 float that ``Surd`` computes in integers.
@@ -24,12 +29,12 @@ from fractions import Fraction
 from itertools import count
 from math import isqrt
 
-from reclab.birkhoff import _primitive_rotation
-from reclab.bohr import CyclicObstruction, _full_period_avoids_zero, torus_norm
+from reclab.bohr import CyclicObstruction, _full_period_avoids_zero, _sq_norm, torus_norm
 from reclab.errors import NoSuchM, UncertainAtPrecision
 from reclab.exactreal import (
     Surd,
     TorusPoint,
+    _int_sum_sign,
     real_add,
     real_cmp,
     real_frac,
@@ -92,6 +97,23 @@ def norm_records(vectors):
         if best is None or real_sum_sign(sq + best) < 0:
             best = [real_mul_int(t, -1) for t in sq]
             yield i, xs
+
+
+def sq_norm_record_times(alphas, times):
+    """record_times with every n run through _sq_norm, on the circle too:
+    each comparison is one _int_sum_sign of the difference of two squared
+    norms."""
+    _, fields, sq = _sq_norm(alphas, (0,) * len(alphas))
+    out = []
+    best = None
+    for n in times:
+        v = sq(n)
+        if best is None or _int_sum_sign(
+            v[0] - best[0], [(s - t, d) for s, t, d in zip(v[1:], best[1:], fields) if s != t]
+        ) < 0:
+            best = v
+            out.append(n)
+    return out
 
 
 def decimal_norm(xs):
@@ -254,6 +276,17 @@ def stepping_moving(sys_, n_terms, r_terms, eps, samples: int):
     return tuple(values), Fraction(below, samples)
 
 
+def quadratic_primitive_rotation(cycle):
+    """Reduce to the primitive period, then pick the lex-least rotation,
+    trying every period and every rotation."""
+    n = len(cycle)
+    for t in range(1, n + 1):
+        if n % t == 0 and all(cycle[i] == cycle[i % t] for i in range(n)):
+            cycle = cycle[:t]
+            break
+    return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+
+
 def tuple_state_greedy_terms(dists):
     """The greedy avoiding sequence, each term with the cycle closed so far,
     keyed on a tuple of the last max(M) terms."""
@@ -269,7 +302,7 @@ def tuple_state_greedy_terms(dists):
             state = tuple(z[-top:])
             j0 = seen.setdefault(state, i)
             if j0 != i:
-                cycle = _primitive_rotation(tuple(z[j0 + top :]))
+                cycle = quadratic_primitive_rotation(tuple(z[j0 + top :]))
         yield z[-1], cycle
 
 

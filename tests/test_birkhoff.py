@@ -42,12 +42,24 @@ from reclab.birkhoff import (
     _refutation,
     _window_adjacency,
 )
-from reclab import birkhoff, cli
+from reclab import birkhoff, cli, report
 from reclab.errors import InvalidArity, MalformedCertificate, VerificationBudgetExceeded
 from reclab.intsets import gen_k_times_nr, gen_l_r
 from reclab.report import FAIL, PASS, run_claim_suite
 
-from oracles import tuple_state_greedy_terms
+from oracles import quadratic_primitive_rotation, tuple_state_greedy_terms
+
+
+def per_term_clash(elems, seq):
+    """The least i at which term i of seq repeats the term one distance
+    back (color 1 at positions <= 0), testing term by term."""
+    dists = sorted(set(abs(e) for e in elems))
+    for i in range(1, len(seq) + 1):
+        for m in dists:
+            earlier = seq[i - m - 1] if i - m >= 1 else 1
+            if seq[i - 1] == earlier:
+                return i
+    return None
 
 
 def window_r_colorable(dists, window, r):
@@ -210,6 +222,21 @@ class TestGreedy:
         want = None if cycle is None else _cycle_witness(cycle, dists, arity)
         assert run.witness(dists, arity) == want
 
+    @given(st.sets(st.integers(1, 80), min_size=1, max_size=7).map(sorted), st.integers(0, 10**5))
+    @example([5, 17, 23, 41, 50], 10**5)
+    @settings(max_examples=10, deadline=None)
+    def test_matches_the_tuple_state_generator_past_the_cycle(self, dists, extra):
+        # terms past the closing one are copied as whole periods
+        closes = next(
+            (i for i, (_, cycle) in enumerate(islice(tuple_state_greedy_terms(dists), 5000), 1) if cycle), None
+        )
+        if closes is None:
+            return
+        reference = list(islice(tuple_state_greedy_terms(dists), closes + extra))
+        run = greedy_coloring(dists, closes + extra)
+        assert run.sequence == tuple(c for c, _ in reference)
+        assert run.cycle == reference[-1][1] and run.period == len(run.cycle)
+
     def test_fallback_witness_matches_the_tuple_state_generator(self):
         dists = [10, 11, 14, 24, 29, 39]
         cycle = next(cycle for _, cycle in tuple_state_greedy_terms(dists) if cycle is not None)
@@ -303,6 +330,22 @@ class TestBudgets:
         assert v.stats.nodes > 1_000
         assert v.certificate.coloring.period == 49
         assert verify_certificate(dists, 7, v.certificate)
+
+    @pytest.mark.parametrize(
+        "limits, status, stats",
+        [
+            # the search runs out, and the fallback gets its own allowance
+            (SearchLimits(node_budget=1_000), Status.NOT_R_BIRKHOFF, (1089, 15, 2, True, True)),
+            # the search ends honestly, and the fallback needs 88 terms
+            (SearchLimits(max_window=4, max_period=1, node_budget=87), Status.UNDECIDED, (88, 4, 0, False, False)),
+            (SearchLimits(max_window=4, max_period=1, node_budget=88), Status.NOT_R_BIRKHOFF, (88, 4, 0, False, True)),
+        ],
+    )
+    def test_starved_fallback_keeps_its_verdict_and_stats(self, limits, status, stats):
+        v = check_r_birkhoff([10, 11, 14, 24, 29, 39], 7, limits)
+        assert v.status is status
+        s = v.stats
+        assert (s.nodes, s.windows_tried, s.periods_tried, s.budget_exhausted, s.fallback_used) == stats
 
     def test_cardinality_claim_passes_at_the_seed_that_exhausts_the_budget(self, capsys):
         # the claim draws {10, 11, 14, 24, 29, 39} at arity 7 at this seed
@@ -587,6 +630,30 @@ class TestRefutationReplay:
         proof_dists = set(proof_to_json(cert)["distances"])
         assert proof_dists < set(res.truncation)
         assert verify_certificate(list(res.truncation), 2, cert)
+
+    @given(st.lists(st.tuples(st.integers(1, 600), st.integers(0, 5)), min_size=1, max_size=4))
+    @example([(1, 0)])
+    @settings(max_examples=25, deadline=None)
+    def test_planted_greedy_clash_fails_the_cardinality_claim(self, plants):
+        # each plant copies term i - m into term i (color 1 where i - m <= 0)
+        seen = []
+
+        def planted(elems, count):
+            run = greedy_coloring(elems, count)
+            seq = list(run.sequence)
+            dists = sorted(elems)
+            for i, j in plants:
+                i, m = min(i, count), dists[j % len(dists)]
+                seq[i - 1] = seq[i - m - 1] if i > m else 1
+            seen.append((elems, seq))
+            return replace(run, sequence=tuple(seq))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(report, "greedy_coloring", planted)
+            result = run_claim_suite(only=["cardinality-ceiling"]).results[0]
+        elems, seq = seen[0]
+        assert result.status == FAIL
+        assert result.details == {"trial": 0, "greedy_clash_at": per_term_clash(elems, seq)}
 
     def test_corruption_control_still_fails(self):
         clean = run_claim_suite(only=["certificate-audit"])

@@ -79,6 +79,16 @@ class TestMembership:
         assert isinstance(m.member, bool)  # decided exactly, no raise
 
 
+class TestRecordTimes:
+    def test_a_time_repeating_the_one_before_is_reduced_once(self, monkeypatch):
+        floors = []
+        floor_surd = bohr._floor_surd
+        monkeypatch.setattr(bohr, "_floor_surd", lambda *args: floors.append(args) or floor_surd(*args))
+        times = [7, 7, 7, 3, 3, 7, 2**200, 2**200]
+        assert bohr.record_times([golden_rotation().value], times) == [7, 3]
+        assert len(floors) == 4
+
+
 class TestEnumerate:
     def test_thirds(self):
         spec = BohrSpec((TorusPoint(Fraction(1, 3)),), Fraction(1, 10))

@@ -7,7 +7,10 @@ references in ``oracles``.
 coordinate's circle norm as a Fraction or Surd and sign the squared sums with
 ``real_sum_sign``.  Frequencies are rationals, surds of one field, or surds
 of distinct fields, on 1 to 3 coordinates; time lists hold negatives, zero and
-repeats.  The bracket limit of the cross-field sign is pinned on three
+repeats.  The circle record scan, which compares reduced integer pairs
+unsquared, is also checked against ``oracles.sq_norm_record_times``, the
+squared-norm loop it replaced, on time lists where an n repeats the one
+before it.  The bracket limit of the cross-field sign is pinned on three
 two-field CLI calls: at 64 bits they decide, with the digests they print at
 the default limit, and at 32 bits they exit 3.
 
@@ -31,7 +34,7 @@ from reclab.dynamics import RECURRENT_SAMPLE_BUDGET, MovingQuery, RotationSystem
 from reclab.errors import UncertainAtPrecision
 from reclab.exactreal import MAX_RADICAND_BITS, Approx, Surd, TorusPoint, real_mul, real_to_json
 
-from oracles import decimal_norm, displacement_lt, norm_records, torus_norm_lt
+from oracles import decimal_norm, displacement_lt, norm_records, sq_norm_record_times, torus_norm_lt
 
 FIELDS = (2, 3, 5, 6, 7, 13)
 
@@ -103,6 +106,20 @@ SQRT2 = exactreal.sqrt2_rotation()
 def test_record_scan_matches_surd_records(sys_, times_):
     alphas = [a.value for a in sys_.alphas]
     assert outcome(record_times, alphas, times_) == outcome(reference_records, sys_.alphas, times_)
+
+
+# runs of one n, so that an n can repeat the one before it; |n| up to 10**6
+repeated_times = st.lists(
+    st.tuples(st.one_of(st.integers(-60, 60), st.integers(-10**6, 10**6)), st.integers(1, 3)), max_size=20
+).map(lambda runs: [n for n, k in runs for _ in range(k)])
+
+
+@given(st.one_of(rationals, *map(surd_in, FIELDS)), repeated_times)
+@example(GOLDEN, [0, 0, 3, -3, 3, 3, 1, 2, -1])
+@example(TorusPoint(Fraction(1, 2)), [2, 2, 1, -1, 0, 0])
+@settings(max_examples=300, deadline=None)
+def test_circle_record_scan_matches_the_squared_norm_loop(alpha, times_):
+    assert record_times([alpha.value], times_) == sq_norm_record_times([alpha.value], times_)
 
 
 @given(cases())
