@@ -691,13 +691,36 @@ def _cycle_witness(cycle: tuple[int, ...], dists: Sequence[int], r: int) -> Opti
 
 
 def _primitive_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """Reduce to the primitive period, then pick the lex-least rotation."""
+    """Reduce to the primitive period, then pick the lex-least rotation, both
+    in linear time: the period from the prefix function, the rotation by
+    Booth's algorithm ("Lexicographically least circular substrings", IPL
+    1980)."""
     n = len(cycle)
-    for t in range(1, n + 1):
-        if n % t == 0 and all(cycle[i] == cycle[i % t] for i in range(n)):
-            cycle = cycle[:t]
-            break
-    return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+    border = [0] * n  # border[i]: longest proper border of cycle[:i + 1]
+    for i in range(1, n):
+        k = border[i - 1]
+        while k and cycle[i] != cycle[k]:
+            k = border[k - 1]
+        border[i] = k + (cycle[i] == cycle[k])
+    if n % (n - border[-1]) == 0:
+        n -= border[-1]
+        cycle = cycle[:n]
+    s = cycle + cycle
+    fail = [-1] * (2 * n)  # Booth's failure function, relative to the candidate start k
+    k = 0
+    for j in range(1, 2 * n):
+        i = fail[j - k - 1]
+        while i != -1 and s[j] != s[k + i + 1]:
+            if s[j] < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if s[j] != s[k + i + 1]:  # here i == -1
+            if s[j] < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return s[k : k + n]
 
 
 def verify_certificate(m: ZSetLike, r: int, cert: Certificate, node_cap: int = VERIFY_NODE_CAP) -> bool:

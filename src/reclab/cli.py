@@ -1,15 +1,19 @@
 """Command-line front end.
 
 Machine output is a single JSON document on stdout: {"config": ..., "result":
-...} with sorted keys, so identical invocations are byte-identical.  Human
-summaries go to stderr.  Exit codes: 0 completed (the verdict, including
-UNDECIDED, lives inside the JSON), 2 usage error (a zero denominator, or a
-coordinate whose frequency, point and center use two quadratic fields,
-among them), 3 a cross-field sum that did not separate within 4096 bits, 4
-a budget ran out: certificate verification, interval pruning, or a listing
-past intsets.HIT_CAP: walk hits, greedy terms, --rk terms (--nk is parsed,
-never evaluated), torus record times, set differences, generated elements,
-a polynomial period, or 64*HIT_CAP convergent bits or divisibility tests.
+...}, so identical invocations are byte-identical.  One writer (``_json_text``)
+serves stdout, the exit-3 document and the --emit-cert and --json-out files,
+in one pass: indent 2, sorted keys, ASCII-escaped strings, and a rational
+as the string "p/q".  Human summaries go to stderr.  Exit codes: 0
+completed (the verdict, including UNDECIDED, lives inside the JSON), 2
+usage error (a zero denominator, or a coordinate whose frequency, point
+and center use two quadratic fields, among them), 3 a cross-field sum that
+did not separate within 4096 bits, 4 a budget ran out: certificate
+verification, interval pruning, a listing past intsets.HIT_CAP (walk hits,
+greedy terms, --rk terms (--nk is parsed, never evaluated), torus record
+times, set differences, generated elements, a polynomial period, or
+64*HIT_CAP convergent bits or divisibility tests), or an integer to print
+past the interpreter's sys.get_int_max_str_digits() (stdout stays empty).
 
 main can be called repeatedly in one process: the parsers are built on
 first use and reused, and each call parses into a fresh namespace.
@@ -27,8 +31,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .birkhoff import (
@@ -78,6 +84,7 @@ from .errors import (
     PruningBudgetExceeded,
     RecLabError,
     UncertainAtPrecision,
+    UnprintableInteger,
     VerificationBudgetExceeded,
 )
 from .exactreal import (
@@ -145,35 +152,103 @@ def int_list_json(values) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def json_safe(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): json_safe(v) for k, v in value.items()}
-    return value
+def _float_text(x: float) -> str:
+    """json's float rule: NaN and the infinities by name, else the repr."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of a scalar of exactly this type
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: repr,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    Fraction: lambda q: f'"{q.numerator}/{q.denominator}"',
+}
+
+
+def _put(value, out: list, nl: str) -> None:
+    """Append the JSON text of value to out.  nl is a newline and the indent
+    of value's own line; each nesting level indents by two more spaces."""
+    text = _SCALARS.get(type(value))
+    if text is not None:
+        out.append(text(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        items = {str(k): v for k, v in value.items()}  # a later duplicate wins
+        sep = "{" + inner
+        for key in sorted(items):
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _put(items[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, value)) == {int}:
+            out.append(f"[{inner}{(',' + inner).join(map(repr, value))}{nl}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _put(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    # a subclass, such as the str Enum Status, by isinstance in json's order
+    elif isinstance(value, Fraction):
+        out.append(_SCALARS[Fraction](value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) in one pass, with a Fraction
+    written "p/q", a tuple as a list and each dict key as its str().  Raises
+    UnprintableInteger for an int past sys.get_int_max_str_digits()."""
+    out: list[str] = []
+    try:
+        _put(doc, out, "\n")
+    except ValueError:  # only int-to-text conversion raises it here
+        raise UnprintableInteger() from None
+    return "".join(out)
+
+
+def _write_json(path: str, doc) -> None:
+    text = _json_text(doc)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def emit(config: dict, result: dict, human: str) -> None:
-    doc = {"config": json_safe(config), "result": json_safe(result)}
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text({"config": config, "result": result}))
+    sys.stdout.write("\n")
     if human:
         sys.stderr.write(human + "\n")
 
 
 def build_config(args, command: str) -> dict:
     skip = {"command", "group", "rest"}
-    flags = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or key.startswith("_"):
-            continue
-        flags[key] = json_safe(value)
     return {
         "command": command,
         "seed": args.seed,
         "budgets": {k: getattr(args, k, None) for k in BUDGETS},
-        "flags": flags,
+        "flags": {k: v for k, v in vars(args).items() if k not in skip and not k.startswith("_")},
     }
 
 
@@ -204,9 +279,7 @@ def cmd_birkhoff_check(args) -> dict:
         proof = proof_to_json(verdict.certificate)
         if proof is not None:
             doc["proof"] = proof
-        with open(args.emit_cert, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.emit_cert, doc)
     body["set"] = int_list_json(sorted(set(abs(e) for e in elems if e)))
     body["arity"] = args.arity
     return body
@@ -596,9 +669,7 @@ def cmd_report_claims(args) -> dict:
         with open(args.md_out, "w") as fh:
             fh.write(suite_to_markdown(suite))
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(suite_to_json(suite, include_runtimes=True), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, suite_to_json(suite, include_runtimes=True))
     for r in suite.results:
         sys.stderr.write(f"{r.claim:32s} {r.status:9s} {r.runtime_seconds:8.3f}s\n")
     return suite_to_json(suite, include_runtimes=False)
@@ -776,26 +847,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     config = build_config(args, command)
     try:
         result = handler(args)
+        emit(config, result, summarize(command, result))
     except UncertainAtPrecision as exc:
-        doc = {
-            "config": json_safe(config),
-            "error": {
-                "kind": "precision",
-                "message": str(exc),
-                "ambiguous": getattr(exc, "ambiguous", None),
-            },
-        }
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        error = {"kind": "precision", "message": str(exc), "ambiguous": getattr(exc, "ambiguous", None)}
+        sys.stdout.write(_json_text({"config": config, "error": error}))
+        sys.stdout.write("\n")
         return 3
-    except (VerificationBudgetExceeded, PruningBudgetExceeded, ListingBudgetExceeded) as exc:
+    except (VerificationBudgetExceeded, PruningBudgetExceeded, ListingBudgetExceeded, UnprintableInteger) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
     except (RecLabError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-
-    human = summarize(command, result)
-    emit(config, result, human)
     return 0
 
 

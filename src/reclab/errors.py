@@ -6,6 +6,8 @@ CLI can map them onto exit codes (precision failures get their own code).
 
 from __future__ import annotations
 
+import sys
+
 
 class RecLabError(Exception):
     """Base class for all deliberate library errors."""
@@ -71,3 +73,12 @@ class VerificationBudgetExceeded(RecLabError):
 class ListingBudgetExceeded(RecLabError):
     """A listing of hits, greedy terms, set differences, generated elements
     or polynomial residues would hold more than ``intsets.HIT_CAP`` members."""
+
+
+class UnprintableInteger(RecLabError):
+    """An integer to print has more decimal digits than the interpreter
+    converts to text (``sys.get_int_max_str_digits()``)."""
+
+    def __init__(self):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(f"an integer to print has more than {limit} digits, the limit of sys.get_int_max_str_digits()")

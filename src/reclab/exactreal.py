@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import RadicandTooLarge, UncertainAtPrecision
+from .errors import RadicandTooLarge, UncertainAtPrecision, UnprintableInteger
 
 # Largest radicand (bits) reduced to square-free form.  _squarefree_split
 # trial-divides up to a cube root: about 0.1 s for a prime just below 2**56,
@@ -605,13 +605,19 @@ def real_to_float(x) -> float:
 
 def real_to_json(x) -> dict:
     """Serializable description of an exact real or a displayed Approx:
-    float view plus exactness metadata."""
+    float view plus exactness metadata.  Raises UnprintableInteger when an
+    exact part has more digits than the interpreter converts to text."""
     if isinstance(x, Approx):
         return {"float": float(x), "kind": "approx", "max_error": float(x.err)}
     x = as_real(x)
-    if isinstance(x, Fraction):
-        return {"float": float(x), "kind": "rational", "exact": f"{x.numerator}/{x.denominator}"}
-    return {"float": float(x), "kind": "surd", "exact": f"({x.p}) + ({x.q})*sqrt({x.d})"}
+    try:
+        if isinstance(x, Fraction):
+            kind, exact = "rational", f"{x.numerator}/{x.denominator}"
+        else:
+            kind, exact = "surd", f"({x.p}) + ({x.q})*sqrt({x.d})"
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        raise UnprintableInteger() from None
+    return {"float": float(x), "kind": kind, "exact": exact}
 
 
 # ---------------------------------------------------------------------------

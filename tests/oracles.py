@@ -20,7 +20,9 @@ that tries every period and every rotation
 (``quadratic_primitive_rotation``).  The bytearray sieve of ``reclab.bohr.cyclic_obstruction``
 replaced testing every element at every modulus (``looping_obstruction``).
 ``bracket_float`` rounds a surd from Fraction brackets, for checking the
-float that ``Surd`` computes in integers.
+float that ``Surd`` computes in integers.  The one-pass JSON writer of
+``reclab.cli`` replaced copying a document through ``json_safe`` and
+dumping the copy with ``json.dumps(..., indent=2, sort_keys=True)``.
 """
 
 import functools
@@ -320,3 +322,15 @@ def looping_obstruction(elems, m_max: int, polynomial=None):
                 continue
         return CyclicObstruction(modulus=m, absolute=absolute, residues_checked=checked)
     return None
+
+
+def json_safe(value):
+    """A copy of value that json can dump: a Fraction as "p/q", a tuple as a
+    list, each dict key as its str()."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): json_safe(v) for k, v in value.items()}
+    return value

@@ -38,6 +38,7 @@ from reclab.birkhoff import (
     _greedy_cycle_witness,
     _greedy_cliques,
     _normalize_distances,
+    _primitive_rotation,
     _reference_window_colorable,
     _refutation,
     _window_adjacency,
@@ -204,6 +205,19 @@ class TestGreedy:
                 assert seq[i - 1] != earlier
         # palette bound: at most len+1 colors ever needed
         assert max(seq) <= len(dists) + 1
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=12),
+        st.integers(1, 5),
+        st.lists(st.integers(1, 4), max_size=3),
+    )
+    @example([1, 2, 1, 2, 2], 3, [])
+    @example([2, 1], 1, [2, 2, 1])
+    @settings(max_examples=300, deadline=None)
+    def test_primitive_rotation_matches_the_quadratic_search(self, base, repeats, tail):
+        # base * repeats has a period dividing len(base); the tail may break it
+        cycle = tuple(base * repeats + tail)
+        assert _primitive_rotation(cycle) == quadratic_primitive_rotation(cycle)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

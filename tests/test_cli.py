@@ -644,6 +644,22 @@ class TestExitCodes:
         assert doc["result"]["psi"]["float"] == want
         assert 0 < want <= 0.5
 
+    def test_unprintable_exact_part_exit(self, capsys):
+        # the surd's exact parts have about 4,800 digits, past the interpreter's
+        # int-to-text limit; 2^14000 (about 4,200) prints, as above
+        argv = ["dyn", "psi", "--alpha", "golden", "--nk", "k", "--rk", "2^16000", "--horizon", "1"]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (4, "")
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+    def test_unprintable_result_int_exit(self, capsys, monkeypatch):
+        # an int anywhere in the document, not only inside real_to_json
+        _, text, flags = cli.COMMANDS[("sets", "gaps")]
+        monkeypatch.setitem(cli.COMMANDS, ("sets", "gaps"), (lambda args: {"max_gap": 10**5000}, text, flags))
+        rc, out, err = run(capsys, ["sets", "gaps", "--elements", "1", "--lo", "0", "--hi", "5"])
+        assert (rc, out) == (4, "")
+        assert "sys.get_int_max_str_digits()" in err
+
     def test_torus_rigidity_past_hit_cap_exit(self, capsys):
         # refused before the per-m scan, which ran past 20 s at this horizon
         argv = ["dyn", "rigidity", "--alpha", "golden", "--alpha", "sqrt2", "--horizon", "100000000"]
