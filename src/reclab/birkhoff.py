@@ -12,9 +12,9 @@ does not.  At desk scale we decide the question with two certificate forms:
   p-periodic extension is an r-coloring avoiding every distance in M.
 
 The search interleaves growing windows and growing periods, so the first
-verdict found is canonical: least UNSAT window, or smallest witness period
-with the lexicographically least color vector.  Exhausted limits yield
-UNDECIDED, never a wrong answer.
+verdict found is canonical: the least UNSAT window, or the solver's coloring
+at the least colorable period, colors renamed in order of first use along
+residues 0..p-1.  Exhausted limits yield UNDECIDED, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -493,29 +493,6 @@ def _dsatur_decide(
         descend = True
 
 
-def _static_lex_coloring(adj: list[list[int]], n: int, r: int, budget: _Budget) -> Optional[list[int]]:
-    """First solution of lowest-vertex / lowest-color backtracking over the
-    whole graph, iterative: the lexicographically least proper
-    r-coloring."""
-    colors = [0] * n
-    back = [[u for u in adj[v] if u < v] for v in range(n)]
-    v, entering = 0, True
-    while 0 <= v < n:
-        if entering:
-            budget.charge()
-        used = {colors[u] for u in back[v]}
-        c = colors[v] + 1
-        while c in used:
-            c += 1
-        if c <= r:
-            colors[v] = c
-            v, entering = v + 1, True
-        else:
-            colors[v] = 0
-            v, entering = v - 1, False
-    return colors if v == n else None
-
-
 def _refutation(
     adj: list[list[int]], r: int, budget: _Budget, colors: Optional[list[int]] = None
 ) -> Optional[list[int]]:
@@ -624,13 +601,11 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
 def _circulant_witness(dists: Sequence[int], p: int, r: int, budget: _Budget) -> Optional[PeriodicColoring]:
     if p > r and _circulant_clique_exceeds(p, dists, r):
         return None
-    adj = _circulant_adjacency(p, dists)
-    if _refutation(adj, r, budget) is not None:
+    colors: list[int] = []
+    if _refutation(_circulant_adjacency(p, dists), r, budget, colors) is not None:
         return None
-    lex = _static_lex_coloring(adj, p, r, budget)
-    if lex is None:  # cannot happen: decided colorable above
-        return None
-    coloring = PeriodicColoring(p, tuple(lex))
+    first_use: dict[int, int] = {}  # each color's new name, in order of first use along 0..p-1
+    coloring = PeriodicColoring(p, tuple(first_use.setdefault(c, len(first_use) + 1) for c in colors))
     assert coloring.is_valid_for(dists, r)
     return coloring
 

@@ -143,10 +143,6 @@ def make_system(args) -> RotationSystem:
     return RotationSystem(alphas)
 
 
-def int_list_json(values) -> list[int]:
-    return [int(v) for v in values]
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
@@ -280,7 +276,7 @@ def cmd_birkhoff_check(args) -> dict:
         if proof is not None:
             doc["proof"] = proof
         _write_json(args.emit_cert, doc)
-    body["set"] = int_list_json(sorted(set(abs(e) for e in elems if e)))
+    body["set"] = sorted(set(abs(e) for e in elems if e))
     body["arity"] = args.arity
     return body
 
@@ -298,7 +294,7 @@ def cmd_birkhoff_verify(args) -> dict:
         "valid": ok,
         "certificate": certificate_to_json(cert),
         "arity": args.arity,
-        "set": int_list_json(sorted(set(abs(e) for e in elems if e))),
+        "set": sorted(set(abs(e) for e in elems if e)),
     }
 
 
@@ -307,8 +303,8 @@ def cmd_birkhoff_minimal(args) -> dict:
     res = minimal_r_birkhoff_subset(elems, args.arity, gather_limits(args))
     out = {
         "status": res.status.value,
-        "subset": int_list_json(res.subset),
-        "removed": int_list_json(res.removed),
+        "subset": list(res.subset),
+        "removed": res.removed,
     }
     if res.verdict is not None:
         out["last_verdict"] = verdict_result(list(res.subset), args.arity, res.verdict)
@@ -320,9 +316,9 @@ def cmd_birkhoff_greedy(args) -> dict:
     run = greedy_coloring(elems, args.terms)
     witness = run.witness(elems, len(set(abs(e) for e in elems if e)) + 1)
     return {
-        "sequence": int_list_json(run.sequence),
+        "sequence": run.sequence,
         "period": run.period,
-        "cycle": None if run.cycle is None else int_list_json(run.cycle),
+        "cycle": run.cycle,
         "cycle_is_witness": witness is not None,
     }
 
@@ -343,7 +339,7 @@ def cmd_birkhoff_stable(args) -> dict:
         "verdict": verdict_result(list(res.truncation), arity, res.verdict),
         "strategy": res.strategy,
         "layer_used": res.layer_used,
-        "truncation": int_list_json(res.truncation),
+        "truncation": list(res.truncation),
     }
 
 
@@ -383,7 +379,7 @@ def cmd_bohr_enumerate(args) -> dict:
     spec = make_spec(args)
     hits = bohr_enumerate(spec, Window(args.lo, args.hi))
     return {
-        "members": int_list_json(hits),
+        "members": hits,
         "count": len(hits),
         "window": [args.lo, args.hi],
         "spec": bohr_spec_to_json(spec),
@@ -436,9 +432,9 @@ def cmd_bohr_cf(args) -> dict:
     alpha = parse_alpha(args.alpha)
     cf = continued_fraction(alpha, depth=args.depth)
     return {
-        "quotients": int_list_json(cf.quotients),
+        "quotients": cf.quotients,
         "convergents": [str(c) for c in cf.convergents],
-        "denominators": int_list_json(cf.denominators),
+        "denominators": cf.denominators,
         "terminated": cf.terminated,
     }
 
@@ -478,21 +474,19 @@ def cmd_dyn_returns(args) -> dict:
         times = return_times_point(indicator_shift(args), args.offset, one_cylinder(), args.horizon)
         return {
             "system": "subshift",
-            "point_returns": int_list_json(times),
+            "point_returns": times,
             "horizon": args.horizon,
         }
     sys_ = make_system(args)
     ball = BallSpec(parse_point(args.center, sys_), Fraction(args.radius))
     out = {
         "system": "rotation",
-        "set_returns": int_list_json(return_times_set(sys_, ball, args.horizon)),
+        "set_returns": return_times_set(sys_, ball, args.horizon),
         "horizon": args.horizon,
     }
     if args.point is not None:
         x = parse_point(args.point, sys_)
-        out["point_returns"] = int_list_json(
-            return_times_point(sys_, x, ball, args.horizon)
-        )
+        out["point_returns"] = return_times_point(sys_, x, ball, args.horizon)
     return out
 
 
@@ -503,8 +497,8 @@ def cmd_dyn_nuu(args) -> dict:
     report = verify_nuu(sys_, ball, x, args.horizon, margin=Fraction(args.margin))
     return {
         "clean": report.clean,
-        "forward_exceptions": int_list_json(report.forward_exceptions),
-        "reverse_exceptions": int_list_json(report.reverse_exceptions),
+        "forward_exceptions": report.forward_exceptions,
+        "reverse_exceptions": report.reverse_exceptions,
         "set_return_count": len(report.set_returns),
         "point_return_count": len(report.point_returns),
         "margin": str(report.margin),
@@ -605,7 +599,7 @@ def cmd_sets_diff(args) -> dict:
             raise RecLabError("--lo and --hi must be given together")
         window = Window(args.lo, args.hi)
     diff = difference_set(elems, window=window)
-    return {"difference_set": int_list_json(diff), "count": len(diff)}
+    return {"difference_set": list(diff), "count": len(diff)}
 
 
 def cmd_sets_gaps(args) -> dict:
@@ -613,7 +607,7 @@ def cmd_sets_gaps(args) -> dict:
     profile = syndetic_gap(elems, Window(args.lo, args.hi), side=args.side)
     return {
         "max_gap": profile.max_gap,
-        "gaps": int_list_json(profile.gaps),
+        "gaps": profile.gaps,
         "side": args.side,
         "window": [args.lo, args.hi],
     }
@@ -634,7 +628,7 @@ def cmd_sets_gen(args) -> dict:
             "coeffs": [str(c) for c in coeffs],
             "n_max": args.n_max,
         }
-    listing = int_list_json(out)
+    listing = list(out)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(listing, fh)

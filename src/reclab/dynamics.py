@@ -177,13 +177,6 @@ def _rotation_only(sys_: System, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def in_target(sys_: SubshiftSystem, point: int, target: CylinderSpec) -> bool:
-    """Does shift `point` of the base word lie in the cylinder?"""
-    if not isinstance(target, CylinderSpec):
-        raise TypeError("subshift targets are cylinders")
-    return all(sys_.symbol(pos + point) == sym for pos, sym in target.fixed)
-
-
 def return_times_point(sys_: System, x, target, horizon: int) -> TimeSet:
     """{n in [-H, H] : T^n x in target}; 0 belongs when x itself does.
 
@@ -201,8 +194,14 @@ def return_times_point(sys_: System, x, target, horizon: int) -> TimeSet:
         offsets = [real_sub(xi, ci) for xi, ci in zip(x, center)]
         alphas = [a.value for a in sys_.alphas]
         return orbit_hits(alphas, offsets, Fraction(target.radius), Window(-horizon, horizon))
+    if not isinstance(target, CylinderSpec):
+        raise TypeError("subshift targets are cylinders")
     base = int(x)
-    return tuple(n for n in range(-horizon, horizon + 1) if in_target(sys_, base + n, target))
+    return tuple(
+        n
+        for n in range(-horizon, horizon + 1)
+        if all(sys_.symbol(base + n + pos) == sym for pos, sym in target.fixed)
+    )
 
 
 def return_times_set(sys_: RotationSystem, target: BallSpec, horizon: int) -> TimeSet:

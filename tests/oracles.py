@@ -23,6 +23,9 @@ replaced testing every element at every modulus (``looping_obstruction``).
 float that ``Surd`` computes in integers.  The one-pass JSON writer of
 ``reclab.cli`` replaced copying a document through ``json_safe`` and
 dumping the copy with ``json.dumps(..., indent=2, sort_keys=True)``.
+A periodic witness of ``reclab.birkhoff`` is the solver's own coloring with
+its colors renamed in order of first use, where it was the lex-least
+vector; ``in_first_use_order`` checks that naming.
 """
 
 import functools
@@ -287,6 +290,12 @@ def quadratic_primitive_rotation(cycle):
             cycle = cycle[:t]
             break
     return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+
+
+def in_first_use_order(colors) -> bool:
+    """Whether the colors, read in order, first appear as 1, 2, 3, ..."""
+    firsts = list(dict.fromkeys(colors))
+    return firsts == list(range(1, len(firsts) + 1))
 
 
 def tuple_state_greedy_terms(dists):

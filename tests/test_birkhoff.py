@@ -6,6 +6,7 @@ solver's DSATUR machinery.
 """
 
 import json
+import random
 import sys
 from dataclasses import replace
 from itertools import islice, product
@@ -48,7 +49,7 @@ from reclab.errors import InvalidArity, MalformedCertificate, VerificationBudget
 from reclab.intsets import gen_k_times_nr, gen_l_r
 from reclab.report import FAIL, PASS, run_claim_suite
 
-from oracles import quadratic_primitive_rotation, tuple_state_greedy_terms
+from oracles import in_first_use_order, quadratic_primitive_rotation, tuple_state_greedy_terms
 
 
 def per_term_clash(elems, seq):
@@ -158,8 +159,9 @@ class TestCertificates:
 
 
 class TestCanonicality:
-    def test_smallest_period_then_lex_least(self):
-        # {3}: smallest valid period is 2 (3 % 2 != 0), lex-least is (1,2)
+    def test_smallest_period_then_first_use_colors(self):
+        # {3}: smallest valid period is 2 (3 % 2 != 0), its colors named
+        # in order of first use are (1,2)
         v = check_r_birkhoff([3], 2)
         assert v.certificate == PeriodicWitness(PeriodicColoring(2, (1, 2)))
 
@@ -174,6 +176,44 @@ class TestCanonicality:
             assert v.certificate == PeriodicWitness(
                 PeriodicColoring(r + 1, tuple(range(1, r + 2)))
             )
+
+
+def random_draw():
+    """600 (distances, arity) pairs: 3 to 6 distances from 1..60, arity 2 to 4."""
+    rng = random.Random(7)
+    return [(sorted(rng.sample(range(1, 61), rng.randint(3, 6))), rng.randint(2, 4)) for _ in range(600)]
+
+
+class TestRandomDraw:
+    def test_every_pair_decided_within_the_node_total(self):
+        nodes = 0
+        for dists, r in random_draw():
+            v = check_r_birkhoff(dists, r)
+            assert v.status is not Status.UNDECIDED
+            assert verify_certificate(dists, r, v.certificate)
+            if isinstance(v.certificate, PeriodicWitness):
+                assert in_first_use_order(v.certificate.coloring.colors)
+            nodes += v.stats.nodes
+        assert nodes <= 150_000
+
+    @pytest.mark.parametrize(
+        "dists, period, nodes",
+        [
+            # a lex-least witness search spent the default budget of 2,000,000
+            # nodes on each of these and left it UNDECIDED
+            ([23, 32, 38, 39, 45], 62, 965),
+            ([23, 27, 44, 46, 57], 69, 1096),
+            ([8, 15, 31, 41, 53], 68, 2208),
+            ([10, 29, 36, 56, 57, 58], 87, 1052),
+            ([16, 22, 26, 46, 54], 69, 892),
+            ([6, 16, 18, 35, 48], 83, 2936),
+        ],
+    )
+    def test_the_witness_is_the_colorability_search_coloring(self, dists, period, nodes):
+        v = check_r_birkhoff(dists, 3)
+        assert v.status is Status.NOT_R_BIRKHOFF
+        assert (v.certificate.coloring.period, v.stats.nodes) == (period, nodes)
+        assert in_first_use_order(v.certificate.coloring.colors)
 
 
 class TestGreedy:
@@ -320,8 +360,10 @@ class TestMonotonicity:
 
 class TestBudgets:
     def test_starved_budget_goes_undecided(self):
+        # the DSATUR greedy fails on window 7, and the exact search that
+        # refutes it needs 4 nodes; r <= |M| leaves no fallback
         limits = SearchLimits(node_budget=1)
-        v = check_r_birkhoff([3, 7, 11, 13], 3, limits)
+        v = check_r_birkhoff([1, 2, 4, 6], 3, limits)
         assert v.status is Status.UNDECIDED
         assert v.certificate is None
         assert v.stats.budget_exhausted
@@ -335,7 +377,7 @@ class TestBudgets:
         assert v.certificate.coloring.is_valid_for((1,), 2)
 
     def test_exhausted_budget_falls_back_when_arity_exceeds_cardinality(self):
-        # this set needs 2,199 nodes, mostly in small circulants; r > |M|
+        # this set needs 2,182 nodes, mostly in small circulants; r > |M|
         # guarantees a witness and the greedy cycle has period 49
         dists = [10, 11, 14, 24, 29, 39]
         v = check_r_birkhoff(dists, 7, SearchLimits(node_budget=1_000))

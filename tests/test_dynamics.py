@@ -342,3 +342,8 @@ QUERY = MovingQuery(4, Fraction(1, 2), lambda k: 3)
 def test_rotation_only_functions_refuse_a_subshift(call):
     with pytest.raises(TypeError, match="rotations only"):
         call()
+
+
+def test_a_subshift_target_must_be_a_cylinder():
+    with pytest.raises(TypeError, match="subshift targets are cylinders"):
+        return_times_point(SHIFT, 0, BallSpec((Fraction(0),), Fraction(1, 10)), 3)

@@ -28,7 +28,7 @@ SQRT2, SQRT3, GOLDEN_RATIO = "sqrt:2:0:1:1", "sqrt:3:0:1:1", "sqrt:5:-1:1:2"
 BALL = ("--radius", "1/8", "--center", "1/3;1/4", "--point", "1/5;2/7")
 
 GOLDEN = {
-    ("report", "paper-claims"): "6f4e8818e25bb9f07569b03298dbec005504e62199720352b1b43fe32ed0d196",
+    ("report", "paper-claims"): "17fee8462589a0c443f2c7730787d2e7f268fa6d209e0f98f37f89c8ab5f990f",
     # two frequencies from different quadratic fields: exact decisions,
     # Approx norms, margins and rigidity values
     ("bohr", "member", "--n", "19", "--alpha", SQRT2, "--alpha", SQRT3, "--eps", "1/5"):
@@ -58,7 +58,7 @@ LEAVES = {
     ("birkhoff", "check", "--elements", "3,6,9", "--arity", "3"):
         "e075ac6c446c38972f0693944dcab3873f54758c0a3966d085cb6477352d0002",
     ("birkhoff", "check", "--elements", "1,2,4,8", "--arity", "3", "--emit-cert", "emitted.json"):
-        "638e131dc1ae42fcb5d170d7bcf1f4ac2c894e142992f20704532300601d670c",
+        "ba348dd0657f25acce7cc0307a3e650f0f3352475130a35e3ae1ece0e6eb6f06",
     # a DSATUR search (stats.nodes > 0) and an (r+1)-clique proof at r = 11
     ("birkhoff", "check", "--elements", "1,3,4", "--arity", "3"):
         "5d7b23b079d8b5de3aa64e6f99cd0cdca4761deafebdb7cd744b288d67e09988",
