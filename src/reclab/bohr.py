@@ -15,8 +15,10 @@ three-gap theorem (Sos 1958), in the explicit form of Alessandri and Berthe
 (1998), reads the gaps of an orbit segment, and so its largest gap and the
 rigidity records, off that walk in O(log N) exact steps.  The hits of an
 arc come from Slater's three-step theorem (1967): consecutive hits differ
-by a, b or a + b, so a Bohr set or a return-time set costs O(hits + log H)
-steps in integers instead of one test per n.  An offset from a second quadratic field is refused (``field_unit``).
+by a, b or a + b, intermediate fractions of the same walk, so a Bohr set
+or a return-time set costs O(hits + log H) steps in integers instead of
+one test per n.  An offset from a second quadratic field is refused
+(``field_unit``).
 
 Every comparison of torus norms ||x + n*alpha|| is decided here, in
 integers: over one denominator each coordinate's position is an integer
@@ -344,6 +346,18 @@ def _int_parts(x: Real, unit: int) -> tuple[int, int, int]:
     return x.numerator * (unit // x.denominator), 0, 0
 
 
+def _pqa_state(alpha: Surd) -> list[int]:
+    """[P, Q, D, isqrt(D)] with 1/alpha = (P + sqrt(D))/Q and Q dividing
+    D - P*P: the PQa state of the complete quotient 1/alpha, from alpha's
+    own lowest terms (a + b*sqrt(d))/c, whatever the kernel's unit."""
+    sign = 1 if alpha.b > 0 else -1
+    # alpha = (P0 + sqrt(D))/Q0, scaled by |Q0| = c so that Q0 divides D - P0**2
+    c = alpha.c
+    p, s, big_d = alpha.a * sign * c, sign * c * c, alpha.b * alpha.b * alpha.d * c * c
+    # 1/alpha is the PQa step from alpha with quotient 0
+    return [-p, (big_d - p * p) // s, big_d, isqrt(big_d)]
+
+
 class _Pair:
     """A + B*sqrt(d) for ints A and B and a non-square d: a length of a surd
     kernel, in the kernel's units.  It mixes with ints (B = 0) under +, -,
@@ -409,6 +423,10 @@ class _Pair:
             return self.a == other and not self.b
         return self.a == other.a and self.b == other.b
 
+    def bit_length(self) -> int:
+        """The bits of A and B together."""
+        return self.a.bit_length() + self.b.bit_length()
+
 
 class CircleKernel:
     """The continued-fraction walk of one exact rotation number alpha in [0, 1).
@@ -418,20 +436,24 @@ class CircleKernel:
     and integer pairs A + B*sqrt(d) of alpha's one quadratic field
     (``_Pair``).  Only ``real`` turns a length back into a Fraction or a
     Surd.  ``q[i]`` and ``delta[i]`` hold the convergent denominator q_k and
-    delta_k = |q_k*alpha - p_k| for k = i - 1, starting from (q_-1, delta_-1) = (0, 1) and
-    (q_0, delta_0) = (1, alpha); the Euclidean step is
+    delta_k = |q_k*alpha - p_k| for k = i - 1, starting from
+    (q_-1, delta_-1) = (0, 1) and (q_0, delta_0) = (1, alpha); the step is
+    q_{k+1} = a_{k+1}*q_k + q_{k-1} and
     delta_{k+1} = delta_{k-1} - a_{k+1}*delta_k with
-    a_{k+1} = floor(delta_{k-1}/delta_k).  Both lists grow on demand, and a
-    rational alpha's walk ends at delta = 0.  delta_k = ||q_k*alpha|| for
-    k >= 1, and for k = 0 when alpha <= 1/2.
+    a_{k+1} = floor(delta_{k-1}/delta_k): for a rational alpha the floor of
+    two ints (Euclid), and its walk ends at delta = 0; for a surd alpha the
+    PQa recurrence on alpha's own lowest terms, whatever the unit (see
+    _reach), so no length is floored.  Both lists grow on demand.
+    delta_k = ||q_k*alpha|| for k >= 1, and for k = 0 when alpha <= 1/2.
     """
 
-    __slots__ = ("unit", "q", "delta")
+    __slots__ = ("unit", "q", "delta", "_pqa")
 
     def __init__(self, alpha: Real, unit: int):
         self.unit = unit
         self.q = [0, 1]
         self.delta = [unit, self.scaled(alpha)]
+        self._pqa = _pqa_state(alpha) if isinstance(alpha, Surd) else None
 
     @classmethod
     def of(cls, alpha: Real, *others: Real) -> "CircleKernel":
@@ -449,12 +471,25 @@ class CircleKernel:
         return _norm(v.a, v.b, self.unit, v.d)
 
     def _reach(self, i: int) -> bool:
-        """Extend the walk to index i; False when it ends (delta = 0) first."""
-        q, delta = self.q, self.delta
+        """Extend the walk to index i; False when it ends (delta = 0) first.
+
+        A surd alpha's next quotient is the floor of its complete quotient
+        delta_{k-1}/delta_k = (P + sqrt(D))/Q, and the PQa step is
+        P <- a*Q - P, Q <- (D - P*P)/Q: for alpha = (a + b*sqrt(d))/c in
+        lowest terms D = b*b*d*c*c, and P and Q stay below 2*sqrt(D) from
+        the first reduced complete quotient on (_pqa_state)."""
+        q, delta, pqa = self.q, self.delta, self._pqa
         while len(q) <= i:
-            if delta[-1] == 0:
+            if pqa:
+                p, s, big_d, root = pqa
+                # sqrt(D) is irrational: floor(P + sqrt(D)) = P + root
+                a = (p + root + (s < 0)) // s
+                p = a * s - p
+                pqa[0], pqa[1] = p, (big_d - p * p) // s
+            elif delta[-1] == 0:
                 return False
-            a = delta[-2] // delta[-1]
+            else:
+                a = delta[-2] // delta[-1]
             q.append(a * q[-1] + q[-2])
             delta.append(delta[-2] - a * delta[-1])
         return True
@@ -514,16 +549,17 @@ class CircleKernel:
                 return n, self.real(dp - ((n + 1 - qp) // qk - 1) * dk)
             i += 1
 
-    def records(self, horizon: int) -> list[tuple[int, Real]]:
-        """(q_k, ||q_k*alpha||) for the distinct q_k <= horizon: the m at
-        which ||m*alpha|| is below its value at every earlier m >= 1
-        (Lagrange: the best approximations are the convergents)."""
-        out: list[tuple[int, Real]] = []
+    def records(self, horizon: int) -> list[tuple[int, object]]:
+        """(q_k, delta_k) for the distinct q_k <= horizon, delta_k as a
+        kernel length (``real`` builds its value): the m at which
+        ||m*alpha|| is below its value at every earlier m >= 1 (Lagrange:
+        the best approximations are the convergents)."""
+        out: list[tuple[int, object]] = []
         i = 1
         while self._reach(i) and self.q[i] <= horizon:
             if out and out[-1][0] == self.q[i]:  # q_0 = q_1 = 1 when alpha > 1/2
                 out.pop()
-            out.append((self.q[i], self.real(self.delta[i])))
+            out.append((self.q[i], self.delta[i]))
             i += 1
         return out
 
@@ -560,6 +596,29 @@ class CircleKernel:
             x = (z + x * circ) // step + 1
         return x
 
+    def first_return(self, side: int, ell) -> Optional[int]:
+        """Least n >= 1 with n*alpha modulo unit in the open arc (0, ell)
+        for side 0, or in (unit - ell, unit) for side 1, for a kernel length
+        0 < ell <= unit; None when no n lands there (rational alpha).
+
+        q_{k-1} + j*q_k, 0 <= j <= a_{k+1}, sits at distance
+        delta_{k-1} - j*delta_k from 0, above it for even k - 1 and below for
+        odd: these one-sided intermediate fractions are the n closer to 0
+        on their side than every smaller n (Slater 1967).  So the first
+        block of the side whose last value delta_{k+1} is below ell holds
+        the answer, at the least j there: one floor.  A rational alpha's
+        value 0 is its period, no return.
+        """
+        q, delta = self.q, self.delta
+        i = 1 - side  # the index of q_{k-1}
+        while self._reach(i + 2):
+            if delta[i + 2] < ell:
+                n = q[i] + max(0, (delta[i] - ell) // delta[i + 1] + 1) * q[i + 1]
+                return None if n == q[i + 2] and delta[i + 2] == 0 else n
+            i += 2
+        # the walk ended at delta[i + 1] = 0: only q[i] is left on this side
+        return q[i] if 0 < delta[i] < ell else None
+
     def hits(self, offset: Real, radius: Fraction, lo: int, hi: int) -> list[int]:
         """All n in [lo, hi] with dist(offset + n*alpha, Z) < radius <= 1/2,
         ascending, in O(hits + log) exact steps.
@@ -569,8 +628,9 @@ class CircleKernel:
         b*alpha in (1 - l, 1), at u = a*alpha and 1 - v = b*alpha (mod 1).
         From a hit at p, the next hit is a steps on when p + u < l, b steps
         on when p - v > 0, and a + b steps on otherwise (Slater's three-step
-        theorem).  The first hit from lo comes from first_entry, and the
-        steps run in integers (see _slater_walk).  Raises
+        theorem).  a and b are read off the walk (first_return), the first
+        hit from lo comes from first_entry, and the steps run in integers
+        (see _slater_walk).  Raises
         ListingBudgetExceeded on the (HIT_CAP + 1)-th hit.
         """
         unit, alpha = self.unit, self.delta[1]
@@ -582,17 +642,14 @@ class CircleKernel:
             return []
         # a: the first position in (0, l), or the period of a rational alpha
         # at position 0; b: 0 when no position lies in (1 - l, 1)
-        a = self.first_entry(alpha, 0, ell)
-        a = None if a is None else a + 1
-        if isinstance(alpha, int):
-            period = unit // gcd(unit, alpha)
-            a = period if a is None else min(a, period)
+        a = self.first_return(0, ell)
+        if a is None:
+            a = unit // gcd(unit, alpha)
         u = a * alpha % unit
-        b = self.first_entry(alpha, unit - ell, unit)
+        b = self.first_return(1, ell)
         if b is None:  # then u = 0, so p < l - u at every hit: b is never taken
             b, v = 0, unit
         else:
-            b += 1
             v = unit - b * alpha % unit
         return _slater_walk(lo + x, hi, a, b, (start + x * alpha) % unit, u, v, ell - u)
 

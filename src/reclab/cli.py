@@ -12,7 +12,8 @@ did not separate within 4096 bits, 4 a budget ran out: certificate
 verification, interval pruning, a listing past intsets.HIT_CAP (walk hits,
 greedy terms, --rk terms (--nk is parsed, never evaluated), torus record
 times, set differences, generated elements, a polynomial period, or
-64*HIT_CAP convergent bits or divisibility tests), or an integer to print
+64*HIT_CAP convergent bits, circle rigidity record bits or divisibility
+tests), or an integer to print
 past the interpreter's sys.get_int_max_str_digits() (stdout stays empty).
 
 main can be called repeatedly in one process: the parsers are built on

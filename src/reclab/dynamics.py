@@ -44,7 +44,7 @@ from .exactreal import (
     real_sub,
     real_to_float,
 )
-from .intsets import HIT_CAP, Window, ZSetLike, as_int_list
+from .intsets import HIT_CAP, Window, ZSetLike, _check_listing, as_int_list
 
 HORIZON_NOTE = (
     "horizon-limited observation: quantities are minima over the stated "
@@ -343,11 +343,15 @@ def psi_moving(sys_: RotationSystem, query: MovingQuery) -> tuple[Real, bool]:
 
     A rotation is an isometry, so this is min_k ||r_k*alpha|| for every
     point x and every n_k.  For r_k = k it is the last rigidity record at
-    the horizon; other offsets are streamed into one record scan, and a
-    horizon above HIT_CAP raises ListingBudgetExceeded before any r_k.
+    the horizon: on the circle the circle kernel's last convergent
+    denominator, at any horizon, and the one value built is its norm;
+    other offsets are streamed into one record scan, and a horizon above
+    HIT_CAP raises ListingBudgetExceeded before any r_k.
     """
     _rotation_only(sys_, "psi")
-    if query.r_of_k is None:
+    if query.r_of_k is None and sys_.dim == 1:
+        n = CircleKernel.of(sys_.alphas[0].value).records(query.horizon)[-1][0]
+    elif query.r_of_k is None:
         n = uniform_rigidity_scan(sys_, query.horizon)[-1].time
     elif query.horizon > HIT_CAP:
         raise ListingBudgetExceeded(f"formula horizon {query.horizon} exceeds the listing cap {HIT_CAP} terms")
@@ -420,13 +424,21 @@ def uniform_rigidity_scan(sys_: RotationSystem, horizon: int) -> tuple[RigidityR
     """Record minima of the sup displacement sup_x dist(x, T^m x), m = 1..H.
 
     Exact: a rotation's sup is its displacement norm.  On the circle the
-    records are the convergents, at any horizon; on a torus every m is
-    tested, and a horizon above HIT_CAP raises ListingBudgetExceeded first.
+    records are the convergents, at any horizon, and their bits are charged
+    to the listing cap (intsets._check_listing) before any value is built;
+    on a torus every m is tested, and a horizon above HIT_CAP raises
+    ListingBudgetExceeded first.
     """
     _rotation_only(sys_, "uniform rigidity")
     if sys_.dim == 1:
         kernel = CircleKernel.of(sys_.alphas[0].value)
-        return tuple(RigidityRecord(m, value) for m, value in kernel.records(horizon))
+        records = kernel.records(horizon)
+        bits, unit_bits = 0, kernel.unit.bit_length()
+        for count, (m, length) in enumerate(records, 1):
+            # the printed time and exact parts: at most those of m, length and unit
+            bits += m.bit_length() + length.bit_length() + unit_bits
+            _check_listing(count, bits, "rigidity records")
+        return tuple(RigidityRecord(m, kernel.real(length)) for m, length in records)
     if horizon > HIT_CAP:
         raise ListingBudgetExceeded(f"torus record scan of {horizon} times exceeds the listing cap {HIT_CAP}")
     # the displayed norm is an Approx on a torus: build it for records only

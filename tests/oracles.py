@@ -23,6 +23,9 @@ replaced testing every element at every modulus (``looping_obstruction``).
 float that ``Surd`` computes in integers.  The one-pass JSON writer of
 ``reclab.cli`` replaced copying a document through ``json_safe`` and
 dumping the copy with ``json.dumps(..., indent=2, sort_keys=True)``.
+The circle kernel of ``reclab.bohr`` takes a surd's partial quotients
+from the PQa recurrence, where it floored two lengths per quotient; that
+Euclidean walk is kept here (``floor_walk``).
 A periodic witness of ``reclab.birkhoff`` is the solver's own coloring with
 its colors renamed in order of first use, where it was the lex-least
 vector; ``in_first_use_order`` checks that naming.
@@ -34,7 +37,7 @@ from fractions import Fraction
 from itertools import count
 from math import isqrt
 
-from reclab.bohr import CyclicObstruction, _full_period_avoids_zero, _sq_norm, torus_norm
+from reclab.bohr import CyclicObstruction, _full_period_avoids_zero, _int_parts, _Pair, _sq_norm, torus_norm
 from reclab.errors import NoSuchM, UncertainAtPrecision
 from reclab.exactreal import (
     Surd,
@@ -181,22 +184,20 @@ def sorting_three_distance(alpha, count: int):
     return tuple(gaps), tuple(distinct)
 
 
-def pqa_quotients(d: int, a: int, b: int, c: int, count: int) -> list[int]:
-    """The first count partial quotients of (a + b*sqrt(d))/c, for a
-    non-square d >= 2, b != 0 and c != 0, by the PQa recurrence on
-    (P + sqrt(D))/Q: a_k = floor((P + sqrt(D))/Q), then P <- a_k*Q - P and
-    Q <- (D - P*P)/Q, which stays an integer once Q divides D - P*P."""
-    sign = 1 if b > 0 else -1
-    p, q, big_d = a * sign, c * sign, b * b * d  # (p + sqrt(big_d))/q
-    p, q, big_d = p * abs(q), q * abs(q), big_d * q * q  # now q divides big_d - p*p
-    root = isqrt(big_d)  # sqrt(big_d) is irrational: floor(p + sqrt(big_d)) = p + root
-    out = []
-    for _ in range(count):
-        a_k = (p + root) // q if q > 0 else -((p + root) // -q) - 1
-        out.append(a_k)
-        p = a_k * q - p
-        q = (big_d - p * p) // q
-    return out
+def floor_walk(alpha, unit: int, count: int):
+    """(quotients, q, delta) of the continued-fraction walk of alpha in
+    [0, 1) up to index count, or until delta = 0: a_{k+1} is the floor
+    delta_{k-1} // delta_k of two lengths, integer pairs A + B*sqrt(d) in
+    units in which the circle has length unit (ints for a rational alpha),
+    q_{k+1} = a_{k+1}*q_k + q_{k-1} and delta_{k+1} = delta_{k-1} -
+    a_{k+1}*delta_k, from (q, delta) = (0, unit) and (1, alpha*unit)."""
+    a, b, d = _int_parts(alpha, unit)
+    q, delta, quotients = [0, 1], [unit, _Pair(a, b, d) if b else a], []
+    while len(q) <= count and delta[-1] != 0:
+        quotients.append(delta[-2] // delta[-1])
+        q.append(quotients[-1] * q[-1] + q[-2])
+        delta.append(delta[-2] - quotients[-1] * delta[-1])
+    return quotients, q, delta
 
 
 def scan_eta_dense(alpha: TorusPoint, eta: Fraction, cap: int):

@@ -5,8 +5,12 @@ and the same hits in the same order, on the circle and on tori whose
 coordinates' walks are intersected.  A coordinate whose frequency, point and
 center come from two quadratic fields is refused, on the circle and on a
 torus.  A listing past ``bohr.HIT_CAP`` hits raises, and the CLI exits 4.
-The continued-fraction quotients are checked against the integer PQa
-recurrence, deep enough that the kernel's integer pairs grow large.  A torus
+The kernel takes a surd's quotients from the PQa recurrence; its q_k and
+delta_k, and the continued-fraction quotients, are checked against the
+Euclidean walk that floors two lengths per quotient, deep enough that the
+integer pairs grow large, also in units that carry a large extra
+denominator.  Each step of an arc's walk is checked against the descent of
+``first_entry``.  A torus
 ball whose radius is the exact norm of one n leaves that n out, and a
 two-field sum that does not separate is raised with every candidate.  The
 oracles live in ``tests/oracles.py`` and never call the kernel.
@@ -22,6 +26,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from reclab import bohr, cli, exactreal
 from reclab.bohr import (
     BohrSpec,
+    CircleKernel,
     bohr_enumerate,
     continued_fraction,
     frequency_hits,
@@ -43,6 +48,8 @@ from reclab.exactreal import (
     TorusPoint,
     golden_rotation,
     real_add,
+    real_floor,
+    real_frac,
     real_mul_int,
     real_sub,
     sqrt2_rotation,
@@ -51,7 +58,7 @@ from reclab.exactreal import (
 from reclab.intsets import Window
 
 from oracles import (
-    pqa_quotients,
+    floor_walk,
     scan_eta_dense,
     scan_hits,
     scan_records,
@@ -130,20 +137,66 @@ def coordinate_edge_or_free(draw, alphas, offsets, lo, hi, top):
 # -- continued fractions ------------------------------------------------------
 
 
-@given(
-    st.one_of(st.integers(2, 10**4), st.integers(2**40, 2**56 - 1)),
+radicands = st.one_of(st.integers(2, 10**4), st.integers(2**40, 2**56 - 1))
+
+
+def wide_surd(d, a, b, c):
+    """(a + b*sqrt(d))/c, or None where d is not square-free: Surd.make
+    keeps a square-free d up to 56 bits as it is."""
+    x = Surd.make(Fraction(a, c), Fraction(b, c), d)
+    return x if isinstance(x, Surd) and x.d == d else None
+
+
+wide_surds = st.builds(
+    wide_surd,
+    radicands,
     st.integers(-10**6, 10**6),
     st.sampled_from([b for b in range(-50, 51) if b]),
     st.integers(1, 10**4),
-    st.integers(0, 200),
 )
-@example(2**56 - 5, 0, 1, 1, 200)
+
+
+@given(wide_surds, st.integers(0, 200))
+@example(Surd.make(0, 1, 2**56 - 5), 200)
 @settings(max_examples=25, deadline=None)
-def test_continued_fraction_quotients(d, a, b, c, depth):
-    # d square-free up to 56 bits: Surd.make keeps it as it is
-    x = Surd.make(Fraction(a, c), Fraction(b, c), d)
-    assume(isinstance(x, Surd) and x.d == d)
-    assert list(continued_fraction(x, depth).quotients) == pqa_quotients(d, a, b, c, depth + 1)
+def test_continued_fraction_quotients(x, depth):
+    assume(x is not None)
+    f = real_frac(x)
+    quotients, _, _ = floor_walk(f, f.c, depth + 1)
+    assert list(continued_fraction(x, depth).quotients) == [real_floor(x)] + quotients
+
+
+@given(st.one_of(rationals.map(lambda p: p.value), wide_surds), st.integers(0, 300), st.integers(1, 150))
+@example(golden_rotation().value, 300, 150)
+@settings(max_examples=60, deadline=None)
+def test_kernel_walk_matches_the_floor_walk(alpha, k, depth):
+    # the unit carries eta's 10**k, which the PQa state never sees
+    assume(alpha is not None)
+    alpha = real_frac(alpha)
+    kernel = CircleKernel.of(alpha, Fraction(1, 10**k))
+    kernel._reach(depth)
+    _, q, delta = floor_walk(alpha, kernel.unit, depth)
+    assert kernel.q == q
+    assert kernel.delta == delta
+
+
+@given(
+    st.one_of(alphas, st.just(TorusPoint(0))),
+    st.one_of(
+        st.just(Fraction(1, 2)),
+        st.just(Fraction(1, 10**6)),
+        st.integers(2, 10**6).flatmap(lambda den: st.integers(1, den // 2).map(lambda num: Fraction(num, den))),
+    ),
+    st.sampled_from((0, 1)),
+)
+@settings(max_examples=300, deadline=None)
+def test_first_return_is_the_first_entry_from_alpha(alpha, radius, side):
+    # first_entry descends to the least x >= 0 with alpha + x*alpha in the arc
+    kernel = CircleKernel.of(alpha.value, radius)
+    unit, ell = kernel.unit, kernel.scaled(2 * radius)
+    lo, hi = (0, ell) if side == 0 else (unit - ell, unit)
+    x = kernel.first_entry(kernel.delta[1], lo, hi)
+    assert kernel.first_return(side, ell) == (None if x is None else x + 1)
 
 
 # -- gaps, density constants, rigidity records ------------------------------

@@ -598,6 +598,23 @@ class TestExitCodes:
         assert "exceeds the listing cap 64000000 bits" in err
         assert time.perf_counter() - start < 10
 
+    def test_circle_rigidity_past_bit_cap_exit(self, capsys):
+        # golden's records to 10**4299 would print about 136 MB; their bits
+        # are charged before any value is built
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["dyn", "rigidity", "--alpha", "golden", "--horizon", str(10**4299)])
+        assert (rc, out) == (4, "")
+        assert "rigidity records of" in err and "exceeds the listing cap 64000000 bits" in err
+        assert time.perf_counter() - start < 10
+
+    def test_psi_at_the_widest_printable_horizon(self, capsys):
+        # the walk to 10**4299 takes its quotients from PQa, and one value
+        # is built: the last record's, whose parts still print
+        start = time.perf_counter()
+        doc = run_json(capsys, ["dyn", "psi", "--alpha", "golden", "--nk", "k", "--horizon", str(10**4299)])
+        assert doc["result"]["psi"]["kind"] == "surd"
+        assert time.perf_counter() - start < 10
+
     @pytest.mark.parametrize("command", ["psi", "moving"])
     def test_formula_horizon_past_hit_cap_exit(self, capsys, command):
         # refused before the first r_k is evaluated
