@@ -11,10 +11,16 @@ does not.  At desk scale we decide the question with two certificate forms:
   colors[j] != colors[(j+m) % p] for every residue j and every m in M.  Its
   p-periodic extension is an r-coloring avoiding every distance in M.
 
-The search interleaves growing windows and growing periods, so the first
-verdict found is canonical: the least UNSAT window, or the solver's coloring
-at the least colorable period, colors renamed in order of first use along
-residues 0..p-1.  Exhausted limits yield UNDECIDED, never a wrong answer.
+The two forms exclude each other: an UNSAT window forbids every periodic
+coloring, and a periodic coloring colors every window.  So the order in
+which windows and periods are tried decides only the cost, and the first
+verdict found is canonical: the least UNSAT window, or the solver's
+coloring at the least colorable period, colors renamed in order of first
+use along residues 0..p-1.  The search tries period p right after window
+2p, since most queries end on a window and every period tried before that
+window is wasted.  At an arity above |M| it builds no window: a new vertex
+has at most |M| neighbours behind it, so no window can be refuted.
+Exhausted limits yield UNDECIDED, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ Certificate = Union[WindowUnsat, PeriodicWitness]
 @dataclass(slots=True)
 class SearchStats:
     nodes: int = 0
-    windows_tried: int = 0
+    windows_tried: int = 0  # 0 when r > |M|: no window can then be refuted
     periods_tried: int = 0
     budget_exhausted: bool = False
     fallback_used: bool = False
@@ -537,7 +543,8 @@ def _refutation(
 
 
 def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) -> Verdict:
-    """Round-robin certificate search; see the module docstring."""
+    """Windows and periods in turn, period p right after window 2p, and
+    periods alone at r > |M|; see the module docstring."""
     if r < 1:
         raise InvalidArity(f"arity must be >= 1, got {r}")
     dists = _normalize_distances(m)
@@ -554,11 +561,14 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
         return Verdict(status, cert, stats)
 
     colors: list[int] = []  # an r-coloring of the last window, which was colorable
+    # past |M| colors a new vertex, with at most |M| neighbours behind it,
+    # always extends in place, so no window can be refuted
+    max_window = limits.max_window if r <= len(dists) else 0
+    lag = 2 if max_window else 1  # period p is tried right after window lag * p
     try:
-        top = max(limits.max_window, limits.max_period)
         windows = islice(_windows(dists), 1, None)
-        for t in range(1, top + 1):
-            if t <= limits.max_window:
+        for t in range(1, max(max_window, lag * limits.max_period) + 1):
+            if t <= max_window:
                 stats.windows_tried = t
                 adj = next(windows)
                 # the new vertex t - 1 has neighbours only behind it: if
@@ -576,9 +586,10 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
                         # keeps every packed entry below t
                         packed = _pack_proof(t, [mm for mm in dists if mm < t], proof)
                         return finish(Status.R_BIRKHOFF, WindowUnsat(window=t, arity=r, proof=packed))
-            if t <= limits.max_period and all(mm % t != 0 for mm in dists):
+            p, off = divmod(t, lag)
+            if not off and p <= limits.max_period and all(mm % p != 0 for mm in dists):
                 stats.periods_tried += 1
-                witness = _circulant_witness(dists, t, r, budget)
+                witness = _circulant_witness(dists, p, r, budget)
                 if witness is not None:
                     return finish(Status.NOT_R_BIRKHOFF, PeriodicWitness(witness))
     except _OutOfBudget:

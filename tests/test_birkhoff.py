@@ -202,8 +202,8 @@ class TestRandomDraw:
             # a lex-least witness search spent the default budget of 2,000,000
             # nodes on each of these and left it UNDECIDED
             ([23, 32, 38, 39, 45], 62, 965),
-            ([23, 27, 44, 46, 57], 69, 1096),
-            ([8, 15, 31, 41, 53], 68, 2208),
+            ([23, 27, 44, 46, 57], 69, 1375),
+            ([8, 15, 31, 41, 53], 68, 2817),
             ([10, 29, 36, 56, 57, 58], 87, 1052),
             ([16, 22, 26, 46, 54], 69, 892),
             ([6, 16, 18, 35, 48], 83, 2936),
@@ -391,10 +391,10 @@ class TestBudgets:
         "limits, status, stats",
         [
             # the search runs out, and the fallback gets its own allowance
-            (SearchLimits(node_budget=1_000), Status.NOT_R_BIRKHOFF, (1089, 15, 2, True, True)),
+            (SearchLimits(node_budget=1_000), Status.NOT_R_BIRKHOFF, (1089, 0, 2, True, True)),
             # the search ends honestly, and the fallback needs 88 terms
-            (SearchLimits(max_window=4, max_period=1, node_budget=87), Status.UNDECIDED, (88, 4, 0, False, False)),
-            (SearchLimits(max_window=4, max_period=1, node_budget=88), Status.NOT_R_BIRKHOFF, (88, 4, 0, False, True)),
+            (SearchLimits(max_window=4, max_period=1, node_budget=87), Status.UNDECIDED, (88, 0, 0, False, False)),
+            (SearchLimits(max_window=4, max_period=1, node_budget=88), Status.NOT_R_BIRKHOFF, (88, 0, 0, False, True)),
         ],
     )
     def test_starved_fallback_keeps_its_verdict_and_stats(self, limits, status, stats):
@@ -409,6 +409,57 @@ class TestBudgets:
         assert cli.main(args) == 0
         claim = json.loads(capsys.readouterr().out)["result"]["claims"][0]
         assert claim["claim"] == "cardinality-ceiling" and claim["status"] == PASS
+
+
+class TestSchedule:
+    def test_no_window_is_built_past_the_cardinality(self, monkeypatch):
+        # at r > |M| every new vertex extends a window's coloring in place
+        def no_windows(dists):
+            raise AssertionError("window built")
+            yield
+
+        monkeypatch.setattr(birkhoff, "_windows", no_windows)
+        v = check_r_birkhoff([10, 11, 14, 24, 29, 39], 7)
+        assert v.certificate.coloring.period == 17
+        assert (v.stats.nodes, v.stats.windows_tried, v.stats.periods_tried) == (2182, 0, 4)
+
+    @given(
+        st.sets(st.integers(1, 30), min_size=1, max_size=5).map(sorted),
+        st.integers(1, 5),
+        st.sampled_from([None, 0, 9, 40]),
+        st.sampled_from([None, 0, 3, 25]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_period_p_is_tried_right_after_window_2p(self, dists, r, max_window, max_period):
+        built, tried = [], []  # window sizes as built; (period, window size then)
+        windows, witness = birkhoff._windows, birkhoff._circulant_witness
+
+        def counted_windows(dists):
+            for adj in windows(dists):
+                built.append(len(adj))
+                yield adj
+
+        def recorded_witness(dists, p, r, budget):
+            tried.append((p, built[-1] if built else 0))
+            return witness(dists, p, r, budget)
+
+        limits = SearchLimits(max_window=max_window, max_period=max_period, node_budget=20_000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(birkhoff, "_windows", counted_windows)
+            mp.setattr(birkhoff, "_circulant_witness", recorded_witness)
+            v = check_r_birkhoff(dists, r, limits)
+        top = v.stats.limits["max_window"] if r <= len(dists) else 0
+        assert v.stats.windows_tried == (built[-1] if built else 0) <= top
+        assert [p for p, _ in tried] == sorted({p for p, _ in tried})
+        for p, window in tried:
+            assert window == (min(2 * p, top) if top else 0)
+
+    def test_the_slowest_trade_off_case_stays_decided(self):
+        # its witness has period 78, so windows 79..156 are searched first;
+        # they are hard to color, and the search still decides in budget
+        v = check_r_birkhoff([1, 2, 24, 34, 39, 47], 4)
+        assert v.status is Status.NOT_R_BIRKHOFF
+        assert verify_certificate([1, 2, 24, 34, 39, 47], 4, v.certificate)
 
 
 class TestMinimalSubset:

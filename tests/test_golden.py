@@ -56,18 +56,18 @@ def test_stdout_digest(argv):
 # one call per CLI leaf; --help is not pinned, its text differs across Python versions
 LEAVES = {
     ("birkhoff", "check", "--elements", "3,6,9", "--arity", "3"):
-        "e075ac6c446c38972f0693944dcab3873f54758c0a3966d085cb6477352d0002",
+        "8ee32aab58e7d066825dacf299985bb5a9df111aad9608041ae33e421694c5b6",
     ("birkhoff", "check", "--elements", "1,2,4,8", "--arity", "3", "--emit-cert", "emitted.json"):
-        "ba348dd0657f25acce7cc0307a3e650f0f3352475130a35e3ae1ece0e6eb6f06",
+        "d97dcf97bf65fc9724652ca3daf6b83ca6cef68aae4616f35046355b585fed7d",
     # a DSATUR search (stats.nodes > 0) and an (r+1)-clique proof at r = 11
     ("birkhoff", "check", "--elements", "1,3,4", "--arity", "3"):
-        "5d7b23b079d8b5de3aa64e6f99cd0cdca4761deafebdb7cd744b288d67e09988",
+        "a443b245417017bb51fd8961f567cc399701612bf31d2fc71c02cb1dd4f67fca",
     ("birkhoff", "check", "--elements", "1,2,3,4,5,6,7,8,9,10,11", "--arity", "11"):
         "efce5d9ca7cb666c184d68565659136b69f784c7d9cd5842eca35028f4d7ba97",
     ("birkhoff", "verify", "--elements", "3,6,9", "--arity", "3", "--cert", "window.json"):
         "047539949734e44784e070af770ff76f1f6b71913df445b1edf49d2ce67a7833",
     ("birkhoff", "minimal", "--elements", "2,4,6,7", "--arity", "3"):
-        "70aa10718b2a7bb98295cdd4cb7ac6ed8336b97aabb9e856087b929e219bda77",
+        "14db061b5195bc3cd67d72e1bb566c5170b68b4df486048e913c6a7f222fcd74",
     ("birkhoff", "greedy", "--elements", "3,5", "--terms", "64"):
         "863927341268707484966c3ef8f77d14741c28eea01d72340879819a4973be5c",
     ("birkhoff", "greedy", "--elements", "1,9,10", "--terms", "15"):
