@@ -36,8 +36,9 @@ On a torus of dimension >= 2, a Euclidean ball of radius eps lies inside the
 product of the coordinate arcs of radius eps, so every hit is a circle hit
 of every coordinate: the coordinates' walks are intersected, and the torus
 test runs on the common candidates only.  A walk of more than HIT_CAP hits
-raises ListingBudgetExceeded; on a torus the cap counts each coordinate's
-walk, not the torus hits.
+raises ListingBudgetExceeded, before its first step when its window must
+hold that many; on a torus the cap counts each coordinate's walk, not the
+torus hits.
 """
 
 from __future__ import annotations
@@ -139,17 +140,32 @@ def orbit_hits(
 ) -> tuple[int, ...]:
     """All n in the window with dist(offsets + n*alphas, Z^k) < radius,
     ascending, for each coordinate's alpha and offset of at most one
-    quadratic field.
+    quadratic field: kernel_hits on one new CircleKernel per coordinate.
+    """
+    kernels = [CircleKernel.of(a, o, radius) for a, o in zip(alphas, offsets)]
+    return kernel_hits(kernels, alphas, offsets, radius, window)
 
-    Each coordinate is listed by circle_hits.  On a torus, a hit is a hit
-    of every coordinate, so the listings are intersected and the exact
+
+def kernel_hits(
+    kernels: Sequence["CircleKernel"],
+    alphas: Sequence[Real],
+    offsets: Sequence[Real],
+    radius: Fraction,
+    window: Window,
+) -> tuple[int, ...]:
+    """orbit_hits on the caller's kernels, kernels[i] the kernel of
+    alphas[i] in a unit that makes offsets[i] and radius ints or integer
+    pairs, so that one kernel serves every offset and radius of a call.
+
+    Each coordinate is listed by CircleKernel.hits.  On a torus, a hit is a
+    hit of every coordinate, so the listings are intersected and the exact
     torus norm is tested on the common candidates (_torus_test); candidates
     whose cross-field sum does not separate are collected and raised
     together.
     """
-    walks = [circle_hits(a, o, radius, window) for a, o in zip(alphas, offsets)]
+    walks = [k.hits(o, radius, window.lo, window.hi) for k, o in zip(kernels, offsets)]
     if len(walks) == 1:
-        return walks[0]
+        return tuple(walks[0])
     inside = _torus_test(alphas, offsets, radius)
     hits, ambiguous = [], []
     for n in sorted(set(walks[0]).intersection(*walks[1:])):
@@ -295,19 +311,6 @@ def _circle_record_times(alpha: Real, times: Iterable[int]) -> list[int]:
             best_a, best_b = a, b
             out.append(n)
     return out
-
-
-def circle_hits(alpha: Real, offset: Real, radius: Fraction, window: Window) -> tuple[int, ...]:
-    """All n in the window with dist(offset + n*alpha, Z) < radius, ascending,
-    for alpha and offset of at most one quadratic field.  Raises
-    ListingBudgetExceeded past HIT_CAP hits, or for a radius above 1/2 (every
-    n a hit) on a window of more than HIT_CAP n."""
-    kernel = CircleKernel.of(alpha, offset, radius)
-    if radius > Fraction(1, 2):
-        if len(window) > HIT_CAP:
-            raise ListingBudgetExceeded(f"window of {len(window)} n exceeds the hit cap {HIT_CAP}")
-        return tuple(window)
-    return tuple(kernel.hits(offset, radius, window.lo, window.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +623,10 @@ class CircleKernel:
         return q[i] if 0 < delta[i] < ell else None
 
     def hits(self, offset: Real, radius: Fraction, lo: int, hi: int) -> list[int]:
-        """All n in [lo, hi] with dist(offset + n*alpha, Z) < radius <= 1/2,
-        ascending, in O(hits + log) exact steps.
+        """All n in [lo, hi] with dist(offset + n*alpha, Z) < radius,
+        ascending, in O(hits + log) exact steps, for an offset and radius
+        that the kernel's unit makes ints or integer pairs.  A radius above
+        1/2 holds every n.
 
         Shifted so that the target is the open arc (0, l), l = 2*radius:
         let a >= 1 be least with a*alpha in [0, l) and b >= 1 least with
@@ -630,9 +635,17 @@ class CircleKernel:
         on when p - v > 0, and a + b steps on otherwise (Slater's three-step
         theorem).  a and b are read off the walk (first_return), the first
         hit from lo comes from first_entry, and the steps run in integers
-        (see _slater_walk).  Raises
-        ListingBudgetExceeded on the (HIT_CAP + 1)-th hit.
+        (see _slater_walk).  Hits are at most a + b apart, so a window whose
+        hits from the first one must number more than HIT_CAP raises
+        ListingBudgetExceeded before any step, and a walk raises it on the
+        (HIT_CAP + 1)-th hit; so does a radius above 1/2 on a window of more
+        than HIT_CAP n.
         """
+        if 2 * radius.numerator > radius.denominator:
+            count = max(0, hi - lo + 1)
+            if count > HIT_CAP:
+                raise ListingBudgetExceeded(f"window of {count} n exceeds the hit cap {HIT_CAP}")
+            return list(range(lo, hi + 1))
         unit, alpha = self.unit, self.delta[1]
         rad = self.scaled(radius)
         ell = 2 * rad
@@ -651,6 +664,8 @@ class CircleKernel:
             b, v = 0, unit
         else:
             v = unit - b * alpha % unit
+        if (hi - lo - x) // (a + b) >= HIT_CAP:
+            raise ListingBudgetExceeded(f"hit listing exceeds the hit cap {HIT_CAP}")
         return _slater_walk(lo + x, hi, a, b, (start + x * alpha) % unit, u, v, ell - u)
 
 

@@ -13,7 +13,8 @@ walked from hit to hit (Slater's three-step theorem), rigidity records are
 the convergents, and density constants come from the three-gap theorem (Sos;
 Alessandri and Berthe).  On a torus of dimension >= 2, return times
 intersect the coordinates' circle walks and test the exact torus norm on
-the common candidates only (``bohr.orbit_hits``); torus rigidity records
+the common candidates only (``bohr.kernel_hits``); ``verify_nuu`` walks
+one kernel per coordinate for all its listings.  Torus rigidity records
 test every m (``bohr.record_times``); psi at r_k = k reads the last record.
 A coordinate whose frequency, point and center use two quadratic fields is
 refused with ValueError (``bohr.field_unit``).
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .bohr import CircleKernel, _torus_test, field_unit, frequency_hits, orbit_hits, record_times, torus_norm
+from .bohr import CircleKernel, _torus_test, frequency_hits, kernel_hits, record_times, torus_norm
 from .errors import ListingBudgetExceeded, NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
     Real,
@@ -101,9 +102,6 @@ class BallSpec:
     def __post_init__(self):
         if Fraction(self.radius) <= 0:
             raise ValueError("radius must be positive")
-
-    def enlarged(self, margin: Fraction) -> "BallSpec":
-        return BallSpec(self.center, Fraction(self.radius) + Fraction(margin))
 
 
 @dataclass(frozen=True)
@@ -177,6 +175,17 @@ def _rotation_only(sys_: System, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _orbit_kernels(sys_: RotationSystem, x, target: BallSpec, *lengths: Fraction):
+    """(alphas, offsets x - center, kernels): one CircleKernel per coordinate,
+    in a unit that covers its alpha, x, the center and the lengths, so that
+    every return-time listing of x and the ball at those radii reads it.
+    ValueError for a coordinate of two quadratic fields (field_unit)."""
+    x, center = sys_.point(x), sys_.point(target.center)
+    alphas = [a.value for a in sys_.alphas]
+    kernels = [CircleKernel.of(a, xi, ci, Fraction(target.radius), *lengths) for a, xi, ci in zip(alphas, x, center)]
+    return alphas, [real_sub(xi, ci) for xi, ci in zip(x, center)], kernels
+
+
 def return_times_point(sys_: System, x, target, horizon: int) -> TimeSet:
     """{n in [-H, H] : T^n x in target}; 0 belongs when x itself does.
 
@@ -188,12 +197,8 @@ def return_times_point(sys_: System, x, target, horizon: int) -> TimeSet:
     if isinstance(sys_, RotationSystem):
         if not isinstance(target, BallSpec):
             raise TypeError("rotation targets are balls")
-        x, center = sys_.point(x), sys_.point(target.center)
-        for a, xi, ci in zip(sys_.alphas, x, center):
-            field_unit(a.value, xi, ci)
-        offsets = [real_sub(xi, ci) for xi, ci in zip(x, center)]
-        alphas = [a.value for a in sys_.alphas]
-        return orbit_hits(alphas, offsets, Fraction(target.radius), Window(-horizon, horizon))
+        alphas, offsets, kernels = _orbit_kernels(sys_, x, target)
+        return kernel_hits(kernels, alphas, offsets, Fraction(target.radius), Window(-horizon, horizon))
     if not isinstance(target, CylinderSpec):
         raise TypeError("subshift targets are cylinders")
     base = int(x)
@@ -249,6 +254,23 @@ class NuuReport:
         return not self.forward_exceptions and not self.reverse_exceptions
 
 
+def _reverse_by_density(sys_: RotationSystem, rho: Fraction, margin: Fraction, horizon: int, kernels) -> bool:
+    """Whether verify_nuu's reverse inclusion holds with no exceptions by
+    the density constant: on a circle with alpha irrational, margin > 0,
+    4*(rho + margin) <= 1 and eta_dense_constant(alpha, margin) <= 7*H.
+
+    The M + 1 gaps of M + 1 orbit points sum to 1, so gaps of at most
+    2*margin need M >= 1/(2*margin) - 1: a 7H below that bound is refused
+    with no walk.  Otherwise the circle's kernel, in a unit that covers
+    2*margin, walks alpha's convergents to M."""
+    if sys_.dim != 1 or sys_.alphas[0].is_rational or margin <= 0:
+        return False
+    (rn, rd), (mn, md) = (rho.numerator, rho.denominator), (margin.numerator, margin.denominator)
+    if 4 * (rn * md + mn * rd) > rd * md or 2 * mn * (7 * horizon + 1) < md:
+        return False
+    return kernels[0].density_constant(2 * margin)[0] <= 7 * horizon
+
+
 def verify_nuu(
     sys_: RotationSystem,
     target: BallSpec,
@@ -259,14 +281,53 @@ def verify_nuu(
     """Check both inclusions between N(U,U) and N(x,U) - N(x,U).
 
     Forward: every difference of point return times lies in the set return
-    times (exact, same horizon).  Reverse: every set return time in [-H, H]
-    is a difference of point return times of the margin-enlarged ball, with
-    the point returns drawn from the 4H window.
+    times (exact, same horizon).  Reverse: every set return time n in
+    [-H, H] is a difference of point return times of the margin-enlarged
+    ball, with the point returns drawn from the 4H window.  The set returns
+    and every point return list are walked on one CircleKernel per
+    coordinate (_orbit_kernels).
+
+    The forward inclusion is always decided on a bitmask of the point
+    returns.  The reverse inclusion is decided by the density constant
+    where _reverse_by_density allows it, and otherwise on a bitmask of the
+    enlarged ball's returns, n by n.  The density argument, with
+    rho' = rho + margin and J the arc of the m whose m*alpha puts T^m x in
+    the enlarged ball: T^m x and T^(m+n) x both lie in it exactly when
+    m*alpha lies in J and in J - n*alpha.  With 4*rho' <= 1 these two arcs
+    of length 2*rho' overlap in one arc of length 2*rho' - ||n*alpha||,
+    above 2*margin since ||n*alpha|| < 2*rho.  The m with m and m + n in
+    [-4H, 4H] are at least 7H + 1 consecutive integers, whose m*alpha are a
+    turn of {j*alpha : 0 <= j <= 7H}; when M = eta_dense_constant(alpha,
+    margin) <= 7H, those points leave no gap above 2*margin, so an open arc
+    longer than that holds one of them: every n has its m, and the
+    enlarged ball's returns are never listed.
+
+    The point returns are listed first, then the set returns, then, on the
+    bitmask path, the enlarged ball's returns: on a torus, the first of
+    these listings whose candidates do not separate is the one raised.
+
+    Raises ValueError for a negative margin.
     """
     margin = Fraction(margin)
-    x = sys_.point(x)
-    point_returns = return_times_point(sys_, x, target, horizon)
-    set_returns = return_times_set(sys_, target, horizon)
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    rho = Fraction(target.radius)
+    alphas, offsets, kernels = _orbit_kernels(sys_, x, target, margin)
+    window = Window(-horizon, horizon)
+    point_returns = kernel_hits(kernels, alphas, offsets, rho, window)
+    set_returns = kernel_hits(kernels, alphas, (0,) * sys_.dim, 2 * rho, window)
+    if _reverse_by_density(sys_, rho, margin, horizon, kernels):
+        reverse = []
+    else:
+        big_h = 4 * horizon
+        big_returns = kernel_hits(kernels, alphas, offsets, rho + margin, Window(-big_h, big_h))
+        # need m with both m and n+m hitting the enlarged ball inside
+        # [-4H, 4H]: n in B - B, tested as bit |n| of the mask shifted
+        # against itself
+        big = _bitmask(big_returns, -big_h, 2 * big_h + 1)
+        reverse = [n for n in set_returns if not big & (big >> abs(n))]
 
     # bit d of the point mask shifted down by each return p is set when
     # p + d returns too: the differences d >= 0, and P - P is symmetric
@@ -276,13 +337,6 @@ def verify_nuu(
         diffs |= points >> (p + horizon)
     nonnegative = _members(diffs & ((2 << horizon) - 1))
     forward = sorted({s * d for d in nonnegative for s in (1, -1)} - set(set_returns))
-
-    # need m with both m and n+m hitting the enlarged ball inside [-4H, 4H]:
-    # n in B - B, tested as bit |n| of the mask shifted against itself
-    big_h = 4 * horizon
-    big_returns = return_times_point(sys_, x, target.enlarged(margin), big_h)
-    big = _bitmask(big_returns, -big_h, 2 * big_h + 1)
-    reverse = [n for n in set_returns if not big & (big >> abs(n))]
 
     return NuuReport(
         set_returns=set_returns,

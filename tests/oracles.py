@@ -29,6 +29,11 @@ Euclidean walk is kept here (``floor_walk``).
 A periodic witness of ``reclab.birkhoff`` is the solver's own coloring with
 its colors renamed in order of first use, where it was the lex-least
 vector; ``in_first_use_order`` checks that naming.
+``reclab.dynamics.verify_nuu`` decides the reverse inclusion by the density
+constant where that applies and walks one kernel per coordinate for all its
+listings; ``bitmask_verify_nuu`` lists the point returns, the set returns
+and the enlarged ball's returns by the public listing functions and decides
+every set return on the enlarged ball's bitmask.
 """
 
 import functools
@@ -38,6 +43,7 @@ from itertools import count
 from math import isqrt
 
 from reclab.bohr import CyclicObstruction, _full_period_avoids_zero, _int_parts, _Pair, _sq_norm, torus_norm
+from reclab.dynamics import BallSpec, NuuReport, _bitmask, _members, return_times_point, return_times_set
 from reclab.errors import NoSuchM, UncertainAtPrecision
 from reclab.exactreal import (
     Surd,
@@ -247,6 +253,36 @@ def scan_return_times_set(sys_, target, horizon: int):
     """{n in [-H, H] : the displacement of T^n is below 2*rho}, testing every n."""
     two_rho = 2 * Fraction(target.radius)
     return tuple(n for n in range(-horizon, horizon + 1) if displacement_lt(sys_, n, two_rho))
+
+
+def bitmask_verify_nuu(sys_, target, x, horizon: int, margin: Fraction = Fraction(1, 100)):
+    """The NuuReport of verify_nuu with every inclusion decided on a
+    bitmask: the differences of point returns for the forward one, and
+    bit |n| of the enlarged ball's return mask over [-4H, 4H] shifted
+    against itself for each set return n for the reverse one."""
+    margin = Fraction(margin)
+    x = sys_.point(x)
+    point_returns = return_times_point(sys_, x, target, horizon)
+    set_returns = return_times_set(sys_, target, horizon)
+    points = _bitmask(point_returns, -horizon, 2 * horizon + 1)
+    diffs = 0
+    for p in point_returns:
+        diffs |= points >> (p + horizon)
+    nonnegative = _members(diffs & ((2 << horizon) - 1))
+    forward = sorted({s * d for d in nonnegative for s in (1, -1)} - set(set_returns))
+    big_h = 4 * horizon
+    big_returns = return_times_point(sys_, x, BallSpec(target.center, target.radius + margin), big_h)
+    big = _bitmask(big_returns, -big_h, 2 * big_h + 1)
+    reverse = [n for n in set_returns if not big & (big >> abs(n))]
+    return NuuReport(
+        set_returns=set_returns,
+        point_returns=point_returns,
+        forward_exceptions=tuple(forward),
+        reverse_exceptions=tuple(reverse),
+        margin=margin,
+        horizon=horizon,
+        window_ratio=4,
+    )
 
 
 def closest(pairs):

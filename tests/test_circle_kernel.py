@@ -4,7 +4,8 @@ Every comparison is exact: the kernel must give the same Fractions and Surds
 and the same hits in the same order, on the circle and on tori whose
 coordinates' walks are intersected.  A coordinate whose frequency, point and
 center come from two quadratic fields is refused, on the circle and on a
-torus.  A listing past ``bohr.HIT_CAP`` hits raises, and the CLI exits 4.
+torus.  A listing past ``bohr.HIT_CAP`` hits raises, before the walk when
+its window must hold that many, and the CLI exits 4.
 The kernel takes a surd's quotients from the PQa recurrence; its q_k and
 delta_k, and the continued-fraction quotients, are checked against the
 Euclidean walk that floors two lengths per quotient, deep enough that the
@@ -16,6 +17,7 @@ two-field sum that does not separate is raised with every candidate.  The
 oracles live in ``tests/oracles.py`` and never call the kernel.
 """
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -433,6 +435,17 @@ def test_torus_sums_that_do_not_separate_are_raised_together(monkeypatch, capsys
     assert cli.main(argv) == 3
     error = json.loads(capsys.readouterr().out)["error"]
     assert (error["kind"], error["ambiguous"]) == ("precision", set_candidates)
+    # dyn nuu lists the point returns first, then the set returns, then the
+    # enlarged ball's: the point candidates are the ones raised
+    argv[:2] = ["dyn", "nuu"]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr().out
+    error = json.loads(out)["error"]
+    assert (error["kind"], error["ambiguous"]) == ("precision", point_candidates)
+    assert hashlib.sha256(out.encode()).hexdigest() == NUU_PRECISION_DIGEST
+
+
+NUU_PRECISION_DIGEST = "47913bf1ee3c633c2f0eaa1e780ac24127bd2e4b2d3af1c658f675f6ce04f150"
 
 
 # -- the hit cap --------------------------------------------------------------
@@ -457,6 +470,37 @@ def test_a_listing_raises_on_the_hit_past_the_cap(monkeypatch, alphas, radius):
     monkeypatch.setattr(bohr, "HIT_CAP", fullest - 1)
     with pytest.raises(ListingBudgetExceeded):
         frequency_hits(alphas, radius, window)
+
+
+@pytest.mark.parametrize("alpha, radius", [(Fraction(1, 2), Fraction(1, 4)), (Fraction(2, 5), Fraction(1, 20))])
+def test_a_walk_of_exactly_the_cap_lists_and_one_more_is_refused_before_walking(monkeypatch, alpha, radius):
+    # the hits are the multiples of the period a, with b = 0: the bound
+    # 1 + (hi - n) // (a + b) on the count is exact
+    period = alpha.denominator
+    monkeypatch.setattr(bohr, "HIT_CAP", 1000)
+    hits = frequency_hits((TorusPoint(alpha),), radius, Window(0, 999 * period))
+    assert hits == tuple(range(0, 1000 * period, period))
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(bohr, "_slater_walk", no_walk)
+    with pytest.raises(ListingBudgetExceeded, match="hit cap 1000"):
+        frequency_hits((TorusPoint(alpha),), radius, Window(0, 1000 * period))
+
+
+def test_a_walk_that_must_pass_the_cap_exits_4_before_walking(monkeypatch, capsys):
+    # at eps = 10**-12 the golden walk's hits are at most about 10**12 apart,
+    # so [0, 10**30] holds far more than HIT_CAP; it listed a million first
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(bohr, "_slater_walk", no_walk)
+    argv = ["bohr", "enumerate", "--alpha", "golden", "--eps", f"1/{10**12}", "--lo", "0", "--hi", str(10**30)]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hit cap" in captured.err
 
 
 CAPPED_CALLS = [

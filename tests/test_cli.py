@@ -889,6 +889,13 @@ SECOND_FIELD = {
 }
 
 
+def test_negative_nuu_margin_exits_2(capsys):
+    rc, out, err = run(capsys, ["dyn", "nuu", "--alpha", "golden", "--point", "1/3", "--center", "0",
+                                "--radius", "1/20", "--horizon", "10", "--margin=-1/100"])
+    assert (rc, out) == (2, "")
+    assert "margin must be >= 0" in err
+
+
 @pytest.mark.parametrize("argv", SECOND_FIELD.values(), ids=SECOND_FIELD)
 def test_second_field_point_exits_2(capsys, argv):
     rc, out, err = run(capsys, argv)

@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from reclab import bohr
+from reclab import bohr, dynamics
 from reclab.bohr import torus_norm
 from reclab.dynamics import (
     HORIZON_NOTE,
@@ -24,11 +24,15 @@ from reclab.dynamics import (
     uniform_rigidity_scan,
     verify_nuu,
 )
+from reclab.dynamics import _orbit_kernels, _reverse_by_density
 from reclab.errors import ListingBudgetExceeded, NoElementsInWindow, NoSuchM, WindowInadequate
 from reclab.exactreal import (
+    Surd,
     TorusPoint,
     golden_rotation,
+    real_add,
     real_cmp,
+    real_mul_int,
     parse_real,
     real_sub,
     real_to_float,
@@ -37,7 +41,7 @@ from reclab.exactreal import (
 )
 from reclab.intsets import Window
 
-from oracles import dist_lt, real_eq, scan_return_times_set, step, stepping_psi
+from oracles import bitmask_verify_nuu, dist_lt, real_eq, scan_return_times_set, step, stepping_psi
 
 
 GOLDEN = RotationSystem((golden_rotation(),))
@@ -142,7 +146,7 @@ def pairwise_nuu(sys_, ball, x, horizon, margin):
     points = return_times_point(sys_, x, ball, horizon)
     set_returns = return_times_set(sys_, ball, horizon)
     forward = sorted({a - b for a in points for b in points if abs(a - b) <= horizon} - set(set_returns))
-    big = set(return_times_point(sys_, x, ball.enlarged(margin), 4 * horizon))
+    big = set(return_times_point(sys_, x, BallSpec(ball.center, ball.radius + margin), 4 * horizon))
     reverse = [n for n in set_returns if not any((m + n) in big for m in big if abs(m + n) <= 4 * horizon)]
     return tuple(forward), tuple(reverse)
 
@@ -169,6 +173,115 @@ def test_nuu_on_a_torus_matches_the_pairwise_definition():
     rep = verify_nuu(sys_, ball, x, 15, margin=Fraction(0))
     assert rep.reverse_exceptions
     assert (rep.forward_exceptions, rep.reverse_exceptions) == pairwise_nuu(sys_, ball, x, 15, Fraction(0))
+
+
+# -- verify_nuu against the bitmask oracle, on both reverse paths ------------
+
+
+surd_alphas = st.builds(
+    lambda d, a, b, c: TorusPoint(Surd.make(Fraction(a, c), Fraction(b, c), d)),
+    st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13)),
+    st.integers(-6, 6),
+    st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
+    st.integers(1, 6),
+)
+oracle_alphas = st.one_of(nuu_alphas, surd_alphas)
+
+
+def density_path(sys_, rho, margin, horizon) -> bool:
+    """The density path's conditions, its constant from eta_dense_constant."""
+    return (
+        sys_.dim == 1
+        and not sys_.alphas[0].is_rational
+        and margin > 0
+        and 4 * (rho + margin) <= 1
+        and eta_dense_constant(sys_, margin).constant <= 7 * horizon
+    )
+
+
+def check_against_oracle(sys_, ball, x, horizon, margin) -> bool:
+    """verify_nuu equals bitmask_verify_nuu field by field; returns whether
+    the density path was taken, after checking _reverse_by_density."""
+    rep = verify_nuu(sys_, ball, x, horizon, margin=margin)
+    assert rep == bitmask_verify_nuu(sys_, ball, x, horizon, margin=margin)
+    _, _, kernels = _orbit_kernels(sys_, x, ball, margin)
+    dense = _reverse_by_density(sys_, Fraction(ball.radius), margin, horizon, kernels)
+    assert dense == density_path(sys_, Fraction(ball.radius), margin, horizon)
+    return dense
+
+
+@given(st.data(), oracle_alphas, st.integers(0, 99), st.integers(1, 25), st.integers(0, 10), st.integers(0, 300))
+@settings(max_examples=120, deadline=None)
+def test_nuu_matches_the_bitmask_oracle_on_the_circle(data, alpha, c, k, m, horizon):
+    # rho up to 1/4, margins 0 to 1/10; a point on the orbit of a rational
+    # one puts it in alpha's field
+    x = Fraction(data.draw(st.integers(0, 99)), 100)
+    if data.draw(st.booleans()):
+        x = real_add(real_mul_int(alpha.value, data.draw(st.integers(-20, 20))), x)
+    sys_, ball = RotationSystem((alpha,)), BallSpec((Fraction(c, 100),), Fraction(k, 100))
+    dense = check_against_oracle(sys_, ball, (x,), horizon, Fraction(m, 100))
+    event(f"density path: {dense}")
+
+
+@given(st.lists(oracle_alphas, min_size=2, max_size=2), st.lists(st.integers(0, 99), min_size=4, max_size=4),
+       st.integers(1, 25), st.integers(0, 10), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_nuu_matches_the_bitmask_oracle_on_a_torus(alphas, coords, k, m, horizon):
+    sys_ = RotationSystem(tuple(alphas))
+    ball = BallSpec((Fraction(coords[0], 100), Fraction(coords[1], 100)), Fraction(k, 100))
+    x = (Fraction(coords[2], 100), Fraction(coords[3], 100))
+    assert not check_against_oracle(sys_, ball, x, horizon, Fraction(m, 100))
+
+
+class TestNuuPaths:
+    """golden, x = 1/3, the ball of radius 1/20 around 0: M(1/100) = 88."""
+
+    BALL, X = BallSpec((Fraction(0),), Fraction(1, 20)), (Fraction(1, 3),)
+
+    @pytest.mark.parametrize(
+        "system, radius, margin, horizon, dense",
+        [
+            (GOLDEN, Fraction(1, 20), Fraction(1, 100), 13, True),    # 7H = 91 >= 88
+            (GOLDEN, Fraction(1, 20), Fraction(1, 100), 12, False),   # 7H = 84 < 88
+            (GOLDEN, Fraction(1, 20), Fraction(0), 200, False),       # no margin, no constant
+            (GOLDEN, Fraction(1, 5), Fraction(1, 20), 200, True),     # 4*(rho + margin) = 1
+            (GOLDEN, Fraction(1, 5), Fraction(1, 10), 200, False),    # the arcs may wrap
+            (FIFTH, Fraction(1, 20), Fraction(1, 10), 200, False),    # rational alpha
+        ],
+    )
+    def test_the_path_taken(self, system, radius, margin, horizon, dense):
+        ball = BallSpec((Fraction(0),), radius)
+        assert check_against_oracle(system, ball, self.X, horizon, margin) is dense
+
+    def test_no_walk_below_the_counting_bound(self, monkeypatch):
+        # 7H < 1/(2*margin) - 1 = 49 refuses the density path with no walk for M
+        def no_walk(self, bound):
+            raise AssertionError("density_constant walked")
+
+        monkeypatch.setattr(bohr.CircleKernel, "density_constant", no_walk)
+        rep = verify_nuu(GOLDEN, self.BALL, self.X, 6)
+        assert rep == bitmask_verify_nuu(GOLDEN, self.BALL, self.X, 6)
+        with pytest.raises(AssertionError, match="walked"):
+            verify_nuu(GOLDEN, self.BALL, self.X, 7)  # 7H = 49: the bound does not refuse
+
+    def test_no_8h_bit_mask_on_the_density_path(self, monkeypatch):
+        sizes = []
+
+        def recording(times, low, size):
+            sizes.append(size)
+            return bitmask(times, low, size)
+
+        bitmask = dynamics._bitmask
+        monkeypatch.setattr(dynamics, "_bitmask", recording)
+        rep = verify_nuu(GOLDEN, self.BALL, self.X, 2000)
+        assert rep.clean and sizes == [4001]
+        sizes.clear()
+        verify_nuu(GOLDEN, self.BALL, self.X, 12)
+        assert sorted(sizes) == [25, 97]
+
+    def test_a_negative_margin_is_refused(self):
+        with pytest.raises(ValueError, match="margin must be >= 0"):
+            verify_nuu(GOLDEN, self.BALL, self.X, 10, margin=Fraction(-1, 100))
 
 
 class TestSubshift:
