@@ -32,8 +32,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import InvalidArity, EmptyInput, ListingBudgetExceeded, MalformedCertificate, VerificationBudgetExceeded
-from .intsets import HIT_CAP, IntSet, ZSetLike, as_int_list
+from .errors import InvalidArity, EmptyInput, MalformedCertificate, VerificationBudgetExceeded
+from .intsets import IntSet, ZSetLike, _check_listing, as_int_list
 
 # Default cap of the independent verifier: reference-search nodes for a
 # certificate without a proof, proof entries for one read from a file.
@@ -846,8 +846,7 @@ def greedy_coloring(m: ZSetLike, count: int) -> GreedyRun:
     dists = _normalize_distances(m)
     if count < 1:
         raise ValueError("term count must be >= 1")
-    if count > HIT_CAP:
-        raise ListingBudgetExceeded(f"{count} terms exceed the listing cap {HIT_CAP}")
+    _check_listing(count, 0, "greedy coloring")
     terms, cycle = _greedy_cycle(dists, count)
     if cycle is not None:
         tail = terms[-len(cycle) :]

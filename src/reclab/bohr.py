@@ -52,9 +52,9 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     EmptyInput,
     ListingBudgetExceeded,
+    NoSuchM,
     PruningBudgetExceeded,
     RadicandTooLarge,
-    UncertainAtPrecision,
 )
 from .exactreal import (
     Approx,
@@ -66,6 +66,7 @@ from .exactreal import (
     _int_sum_sign,
     _norm,
     _sign2,
+    _sum_bracket,
     as_real,
     real_abs,
     real_floor,
@@ -159,27 +160,13 @@ def kernel_hits(
 
     Each coordinate is listed by CircleKernel.hits.  On a torus, a hit is a
     hit of every coordinate, so the listings are intersected and the exact
-    torus norm is tested on the common candidates (_torus_test); candidates
-    whose cross-field sum does not separate are collected and raised
-    together.
+    torus norm is tested on the common candidates (_torus_test).
     """
     walks = [k.hits(o, radius, window.lo, window.hi) for k, o in zip(kernels, offsets)]
     if len(walks) == 1:
         return tuple(walks[0])
     inside = _torus_test(alphas, offsets, radius)
-    hits, ambiguous = [], []
-    for n in sorted(set(walks[0]).intersection(*walks[1:])):
-        try:
-            if inside(n):
-                hits.append(n)
-        except UncertainAtPrecision:
-            ambiguous.append(n)
-    if ambiguous:
-        raise UncertainAtPrecision(
-            f"{len(ambiguous)} values undecidable at current precision",
-            ambiguous=ambiguous,
-        )
-    return tuple(hits)
+    return tuple(n for n in sorted(set(walks[0]).intersection(*walks[1:])) if inside(n))
 
 
 def _sq_norm(alphas: Sequence[Real], offsets: Sequence[Real]):
@@ -220,9 +207,10 @@ def torus_norm(xs: Sequence[Real]) -> Real:
 
     Exact on the circle (torus_norm1) and wherever every S_j is 0: the
     real_sqrt of the rational square.  Any other norm, and a rational root
-    past MAX_RADICAND_BITS, is an Approx: each S_j*sqrt(d_j) is bracketed
-    by one isqrt at scale 4**_DISPLAY_BITS, as in _int_sum_sign, and the
-    root by one isqrt of each end of the square's bracket.
+    past MAX_RADICAND_BITS, is an Approx: the sum of the S_j*sqrt(d_j) is
+    bracketed at scale 4**_DISPLAY_BITS by _sum_bracket, as in
+    _int_sum_sign, and the root by one isqrt of each end of the square's
+    bracket.
     """
     if len(xs) == 1:
         return torus_norm1(xs[0])
@@ -234,13 +222,9 @@ def torus_norm(xs: Sequence[Real]) -> Real:
         except RadicandTooLarge:
             pass
     k = _DISPLAY_BITS
+    surds = [(s, d) for s, d in zip(v[1:], fields) if s]
     # den**2 * 4**k times the square lies in [lo, lo + width]
-    lo, width = v[0] << 2 * k, 0
-    for s, d in zip(v[1:], fields):
-        if s:
-            r = isqrt(s * s * d << 4 * k)
-            lo += r if s > 0 else -r - 1
-            width += 1
+    lo, width = (v[0] << 2 * k) + _sum_bracket(surds, 2 * k), len(surds)
     # sl <= 2**k * norm < sh
     sl, sh = isqrt(max(lo, 0) // (den * den)), isqrt((lo + width) // (den * den)) + 1
     return Approx(Fraction(sl + sh, 2 << k), Fraction(sh - sl, 2 << k))
@@ -250,7 +234,9 @@ def _torus_test(alphas: Sequence[Real], offsets: Sequence[Real], radius: Fractio
     """The test dist(offsets + n*alphas, Z^k) < radius as a function of n,
     in integers: the sign of the _sq_norm value times rd**2 less (rn*den)**2
     for radius = rn/rd, so the floors work on den-sized ints.  A radius <= 0
-    holds no n.  Raises UncertainAtPrecision where the sum does not separate.
+    holds no n.  Every n is decided: _int_sum_sign refines up to the bound
+    of real_sum_sign, and raises UncertainAtPrecision only where that bound
+    passes HIT_CAP bits.
     """
     den, fields, sq = _sq_norm(alphas, offsets)
     rn, rd = radius.numerator, radius.denominator
@@ -530,20 +516,20 @@ class CircleKernel:
 
     def density_constant(self, bound: Fraction) -> tuple[int, Real]:
         """Least N >= 1 with no gap of {j*alpha : 0 <= j <= N} above bound,
-        and its largest gap.  A rational alpha's closed-orbit gap 1/q must
-        not exceed bound.
+        and its largest gap; bound is 2*eta for an eta-dense orbit segment.
+        A rational alpha whose orbit closes at q points with gap 1/q above
+        bound has none: NoSuchM.
 
         For q_k <= N < q_{k+1} the largest gap is
         delta_{k-1} - (j - 1)*delta_k with j = floor((N + 1 - q_{k-1})/q_k),
         so the walk takes the first block whose last N is dense enough and
         solves for the least j there.
         """
-        if self.delta[1] == 0:  # alpha = 0: one point, one gap
+        if self.delta[1] == 0 and bound >= 1:  # alpha = 0: one point, one gap
             return 1, self.real(self.unit)
         b = self.scaled(bound)
         i = 1
-        while True:
-            self._reach(i + 1)
+        while self._reach(i + 1):
             qk, qn, qp = self.q[i], self.q[i + 1], self.q[i - 1]
             dk, dp = self.delta[i], self.delta[i - 1]
             if qn > qk and dp - ((qn - qp) // qk - 1) * dk <= b:
@@ -551,6 +537,9 @@ class CircleKernel:
                 n = max(qk, j * qk + qp - 1)
                 return n, self.real(dp - ((n + 1 - qp) // qk - 1) * dk)
             i += 1
+        # the walk ended at delta = 0: the orbit closed at q[i] points
+        q = self.q[i]
+        raise NoSuchM(f"orbit closes after {q} points with gap 1/{q} > 2*eta; no density constant exists")
 
     def records(self, horizon: int) -> list[tuple[int, object]]:
         """(q_k, delta_k) for the distinct q_k <= horizon, delta_k as a
@@ -642,9 +631,7 @@ class CircleKernel:
         than HIT_CAP n.
         """
         if 2 * radius.numerator > radius.denominator:
-            count = max(0, hi - lo + 1)
-            if count > HIT_CAP:
-                raise ListingBudgetExceeded(f"window of {count} n exceeds the hit cap {HIT_CAP}")
+            _check_listing(max(0, hi - lo + 1), 0, "hit window")
             return list(range(lo, hi + 1))
         unit, alpha = self.unit, self.delta[1]
         rad = self.scaled(radius)
@@ -664,8 +651,7 @@ class CircleKernel:
             b, v = 0, unit
         else:
             v = unit - b * alpha % unit
-        if (hi - lo - x) // (a + b) >= HIT_CAP:
-            raise ListingBudgetExceeded(f"hit listing exceeds the hit cap {HIT_CAP}")
+        _check_listing((hi - lo - x) // (a + b) + 1, 0, "hit listing")
         return _slater_walk(lo + x, hi, a, b, (start + x * alpha) % unit, u, v, ell - u)
 
 
@@ -725,7 +711,7 @@ def _slater_walk(n: int, hi: int, a: int, b: int, p, u, v, below) -> list[int]:
                 n, x = n + ab, x + xuv
     if n > hi:
         return out
-    raise ListingBudgetExceeded(f"hit listing exceeds the hit cap {HIT_CAP}")
+    raise ListingBudgetExceeded(f"hit listing exceeds the listing cap {HIT_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -1048,8 +1034,7 @@ def _full_period_avoids_zero(coeffs: Sequence, m: int) -> tuple[bool, int]:
     cs = [Fraction(c) for c in coeffs]
     scale = lcm(*[c.denominator for c in cs]) if cs else 1
     period = m * scale
-    if period > HIT_CAP:
-        raise ListingBudgetExceeded(f"polynomial period {period} modulo {m} exceeds the listing cap {HIT_CAP}")
+    _check_listing(period, 0, f"polynomial period modulo {m}")
     for n in range(period):
         if poly_eval_int(cs, n) % m == 0:
             return False, n + 1

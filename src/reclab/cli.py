@@ -2,18 +2,17 @@
 
 Machine output is a single JSON document on stdout: {"config": ..., "result":
 ...}, so identical invocations are byte-identical.  One writer (``_json_text``)
-serves stdout, the exit-3 document and the --emit-cert and --json-out files,
-in one pass: indent 2, sorted keys, ASCII-escaped strings, and a rational
-as the string "p/q".  Human summaries go to stderr.  Exit codes: 0
-completed (the verdict, including UNDECIDED, lives inside the JSON), 2
-usage error (a zero denominator, or a coordinate whose frequency, point
-and center use two quadratic fields, among them), 3 a cross-field sum that
-did not separate within 4096 bits, 4 a budget ran out: certificate
+serves stdout and the --emit-cert and --json-out files, in one pass:
+indent 2, sorted keys, ASCII-escaped strings, and a rational as the string
+"p/q".  Human summaries go to stderr.  Exit codes: 0 completed (the
+verdict, including UNDECIDED, lives inside the JSON), 2 usage error (a
+zero denominator, or a coordinate whose frequency, point and center use
+two quadratic fields, among them), 4 a budget ran out: certificate
 verification, interval pruning, a listing past intsets.HIT_CAP (walk hits,
 greedy terms, --rk terms (--nk is parsed, never evaluated), torus record
 times, set differences, generated elements, a polynomial period, or
-64*HIT_CAP convergent bits, circle rigidity record bits or divisibility
-tests), or an integer to print
+64*HIT_CAP convergent bits, circle rigidity record bits, divisibility
+tests or the bracket bits of a cross-field sign), or an integer to print
 past the interpreter's sys.get_int_max_str_digits() (stdout stays empty).
 
 main can be called repeatedly in one process: the parsers are built on
@@ -84,7 +83,6 @@ from .errors import (
     NoSuchM,
     PruningBudgetExceeded,
     RecLabError,
-    UncertainAtPrecision,
     UnprintableInteger,
     VerificationBudgetExceeded,
 )
@@ -843,11 +841,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         result = handler(args)
         emit(config, result, summarize(command, result))
-    except UncertainAtPrecision as exc:
-        error = {"kind": "precision", "message": str(exc), "ambiguous": getattr(exc, "ambiguous", None)}
-        sys.stdout.write(_json_text({"config": config, "error": error}))
-        sys.stdout.write("\n")
-        return 3
     except (VerificationBudgetExceeded, PruningBudgetExceeded, ListingBudgetExceeded, UnprintableInteger) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bohr import CircleKernel, _torus_test, frequency_hits, kernel_hits, record_times, torus_norm
-from .errors import ListingBudgetExceeded, NoElementsInWindow, NoSuchM, WindowInadequate
+from .errors import NoElementsInWindow, WindowInadequate
 from .exactreal import (
     Real,
     TorusPoint,
@@ -45,7 +45,7 @@ from .exactreal import (
     real_sub,
     real_to_float,
 )
-from .intsets import HIT_CAP, Window, ZSetLike, _check_listing, as_int_list
+from .intsets import Window, ZSetLike, _check_listing, as_int_list
 
 HORIZON_NOTE = (
     "horizon-limited observation: quantities are minima over the stated "
@@ -302,10 +302,6 @@ def verify_nuu(
     longer than that holds one of them: every n has its m, and the
     enlarged ball's returns are never listed.
 
-    The point returns are listed first, then the set returns, then, on the
-    bitmask path, the enlarged ball's returns: on a torus, the first of
-    these listings whose candidates do not separate is the one raised.
-
     Raises ValueError for a negative margin.
     """
     margin = Fraction(margin)
@@ -407,9 +403,8 @@ def psi_moving(sys_: RotationSystem, query: MovingQuery) -> tuple[Real, bool]:
         n = CircleKernel.of(sys_.alphas[0].value).records(query.horizon)[-1][0]
     elif query.r_of_k is None:
         n = uniform_rigidity_scan(sys_, query.horizon)[-1].time
-    elif query.horizon > HIT_CAP:
-        raise ListingBudgetExceeded(f"formula horizon {query.horizon} exceeds the listing cap {HIT_CAP} terms")
     else:
+        _check_listing(query.horizon, 0, "formula horizon")
         n = _least_time(sys_, map(query.r_of_k, range(1, query.horizon + 1)))
     below = _torus_test([a.value for a in sys_.alphas], (0,) * sys_.dim, query.eps)(n)
     return sys_.displacement_norm(n), below
@@ -449,23 +444,16 @@ def eta_dense_constant(sys_: RotationSystem, eta: Fraction) -> EtaDenseResult:
 
     Eta-density of the orbit segment is max circular gap <= 2*eta; rotations
     make the segment's gap structure independent of x.  The circle kernel
-    walks alpha's convergents.
+    walks alpha's convergents, and raises NoSuchM for a rational alpha whose
+    closed orbit's gap 1/q is above 2*eta.
     """
     if sys_.dim != 1:
         raise NotImplementedError("density constants are computed on the circle")
     eta = Fraction(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
-    alpha = sys_.alphas[0]
-    bound = 2 * eta
-    if alpha.is_rational:
-        q = alpha.value.denominator
-        if Fraction(1, q) > bound:
-            raise NoSuchM(
-                f"orbit closes after {q} points with gap 1/{q} > 2*eta; "
-                "no density constant exists"
-            )
-    return EtaDenseResult(*CircleKernel.of(alpha.value, bound).density_constant(bound))
+    alpha, bound = sys_.alphas[0].value, 2 * eta
+    return EtaDenseResult(*CircleKernel.of(alpha, bound).density_constant(bound))
 
 
 @dataclass(frozen=True)
@@ -493,8 +481,7 @@ def uniform_rigidity_scan(sys_: RotationSystem, horizon: int) -> tuple[RigidityR
             bits += m.bit_length() + length.bit_length() + unit_bits
             _check_listing(count, bits, "rigidity records")
         return tuple(RigidityRecord(m, kernel.real(length)) for m, length in records)
-    if horizon > HIT_CAP:
-        raise ListingBudgetExceeded(f"torus record scan of {horizon} times exceeds the listing cap {HIT_CAP}")
+    _check_listing(horizon, 0, "torus record scan")
     # the displayed norm is an Approx on a torus: build it for records only
     times = record_times([a.value for a in sys_.alphas], range(1, horizon + 1))
     return tuple(RigidityRecord(m, sys_.displacement_norm(m)) for m in times)

@@ -1,7 +1,8 @@
 """Shared exception types.
 
 Every error the library raises deliberately derives from RecLabError so the
-CLI can map them onto exit codes (precision failures get their own code).
+CLI can map them onto exit codes: a budget that ran out, or an integer too
+long to print, exits 4, and any other error 2.
 """
 
 from __future__ import annotations
@@ -33,18 +34,6 @@ class MalformedCertificate(RecLabError):
     """A certificate object fails structural validation."""
 
 
-class UncertainAtPrecision(RecLabError):
-    """A sum of surds from several quadratic fields did not separate from
-    its bound within 4096 bits (``exactreal._int_sum_sign``).
-
-    Carries ``ambiguous``: the n values an enumeration could not place.
-    """
-
-    def __init__(self, message: str = "", ambiguous=None):
-        super().__init__(message or "comparison undecidable at current precision")
-        self.ambiguous = ambiguous or []
-
-
 class RadicandTooLarge(RecLabError):
     """A surd radicand exceeds the size that is reduced without factoring
     risk (``exactreal.MAX_RADICAND_BITS``)."""
@@ -73,6 +62,12 @@ class VerificationBudgetExceeded(RecLabError):
 class ListingBudgetExceeded(RecLabError):
     """A listing of hits, greedy terms, set differences, generated elements
     or polynomial residues would hold more than ``intsets.HIT_CAP`` members."""
+
+
+class UncertainAtPrecision(ListingBudgetExceeded):
+    """A sum of surds from several quadratic fields is not separated by any
+    bracket of at most ``intsets.HIT_CAP`` bits, short of the scale that its
+    inputs guarantee (``exactreal._int_sum_sign``)."""
 
 
 class UnprintableInteger(RecLabError):

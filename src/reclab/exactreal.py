@@ -18,9 +18,12 @@ and a sum, product, fractional part or circle norm builds its one result
 Fraction straight from integers.  Sums of surds from several quadratic
 fields are compared with a rational by :func:`real_sum_sign`, in integers:
 square roots of distinct square-free integers are linearly independent over
-Q, so such a sum never equals a rational and integer brackets of each
-``b*sqrt(d)`` separate it.  Its integer core (``_int_sum_sign``) signs the
-squared torus norms of ``bohr``, which decides every comparison of them.
+Q, so such a sum never equals a rational, and the product of its
+conjugates, a nonzero rational, bounds how close to 0 it can lie: integer
+brackets of each ``b*sqrt(d)`` separate it at a scale read off its inputs
+(see :func:`real_sum_sign`).  Its integer core (``_int_sum_sign``) signs
+the squared torus norms of ``bohr``, which decides every comparison of
+them.
 
 The exact kinds are the only inputs and the only results: ints, Fractions,
 Surds and strings parsed to them.  A float is refused with TypeError, and
@@ -46,14 +49,12 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import RadicandTooLarge, UncertainAtPrecision, UnprintableInteger
+from .intsets import HIT_CAP
 
 # Largest radicand (bits) reduced to square-free form.  _squarefree_split
 # trial-divides up to a cube root: about 0.1 s for a prime just below 2**56,
 # 0.5 s at 2**64, growing by 2**(1/3) per bit.
 MAX_RADICAND_BITS = 56
-
-# real_sum_sign brackets at scale 2**k for k = 64, 128, ... up to this.
-_MAX_BRACKET_BITS = 4096
 
 _ZERO = Fraction(0)
 
@@ -510,9 +511,15 @@ def real_sum_sign(terms: Sequence, bound=0) -> int:
     denominator and each field's sqrt(d) coefficients into one b/c; over
     a common denominator, _int_sum_sign decides the sign.  Square roots of
     distinct square-free integers are linearly independent over Q, so a sum
-    over two or more fields is never 0, and its brackets separate it unless
-    it is closer to 0 than _MAX_BRACKET_BITS resolve (UncertainAtPrecision).
-    No Fraction is built.  Any other term raises TypeError.
+    over two or more fields is never 0.  Nor can it be much closer to 0:
+    for x = n0 + sum(b*sqrt(d)) over f fields, with integers n0 and b, the
+    product of the 2**f sums with every sign of each sqrt(d) is a nonzero
+    integer, and each of the other 2**f - 1 factors is at most
+    B = |n0| + sum(|b|*sqrt(d)), so |x| >= B**-(2**f - 1).  A bracket of x
+    at scale 2**L with L = (2**f - 1)*bits(B) + bits(f) therefore separates
+    it.  Brackets are refined up to that L, and a refinement past HIT_CAP
+    bits raises UncertainAtPrecision, a listing budget, first.  No Fraction
+    is built.  Any other term raises TypeError.
     """
     num, den = -bound.numerator, bound.denominator
     fields: dict[int, tuple[int, int]] = {}
@@ -532,35 +539,50 @@ def real_sum_sign(terms: Sequence, bound=0) -> int:
     return _int_sum_sign(num * (m // den), [(b * (m // c), d) for b, c, d in surds])
 
 
+def _sum_bracket(surds: Sequence[tuple[int, int]], k: int) -> int:
+    """lo with lo < 2**k * sum(b*sqrt(d) for b, d in surds) < lo + len(surds),
+    for nonzero ints b and non-square d: b*sqrt(d)*2**k lies strictly
+    between r and r + 1 (b > 0) or -r - 1 and -r (b < 0) for
+    r = isqrt(b*b*d*4**k), being irrational."""
+    lo = 0
+    for b, d in surds:
+        r = isqrt(b * b * d << 2 * k)
+        lo += r if b > 0 else -r - 1
+    return lo
+
+
 def _int_sum_sign(n0: int, surds: Sequence[tuple[int, int]]) -> int:
     """Sign of n0 + sum(b*sqrt(d) for b, d in surds), for nonzero ints b and
     distinct square-free d >= 2: the integer core of real_sum_sign.
 
-    No field is the sign of n0 and one field one ``_sign2``.  With more,
-    every b*sqrt(d) is bracketed at scale 2**k by one
-    ``isqrt(b*b*d << 2k)``, doubling k from 64 until the bracket of the sum
-    excludes 0; past _MAX_BRACKET_BITS it raises UncertainAtPrecision.
+    No field is the sign of n0 and one field one ``_sign2``.  With f >= 2
+    fields the sum is bracketed at scale 2**k (_sum_bracket), first at
+    k = 64, then doubling k up to the bound L of real_sum_sign, read from
+    bit lengths: bits(B) is that of |n0| + sum(|b|*2**ceil(bits(d)/2)),
+    above B.  A k past HIT_CAP raises UncertainAtPrecision before its
+    bracket is built.
     """
     if not surds:
         return (n0 > 0) - (n0 < 0)
     if len(surds) == 1:
         (b, d), = surds
         return _sign2(n0, b, d)
-    squares = [(b > 0, b * b * d) for b, d in surds]
-    k = 64
-    while k <= _MAX_BRACKET_BITS:
-        # b sqrt(d) 2**k lies strictly between r and r + 1 (b > 0) or
-        # -r - 1 and -r (b < 0), r = isqrt(b^2 d 4**k), being irrational
-        lo = n0 << k
-        for positive, sq in squares:
-            r = isqrt(sq << 2 * k)
-            lo += r if positive else -r - 1
+    k, limit = 64, None
+    while True:
+        lo = (n0 << k) + _sum_bracket(surds, k)
         if lo >= 0:
             return 1
-        if lo + len(squares) <= 0:
+        if lo + len(surds) <= 0:
             return -1
-        k *= 2
-    raise UncertainAtPrecision("cross-field sum did not separate")
+        if limit is None:
+            top = abs(n0) + sum(abs(b) << (d.bit_length() + 1) // 2 for b, d in surds)
+            limit = ((1 << len(surds)) - 1) * top.bit_length() + len(surds).bit_length()
+        assert k < limit, "a bracket at the norm bound separates"
+        k = min(2 * k, limit)
+        if k > HIT_CAP:
+            raise UncertainAtPrecision(
+                f"cross-field sum needs up to {limit} bracket bits to separate, past the cap {HIT_CAP} bits"
+            )
 
 
 def real_min(values: Iterable[Real]) -> Real:

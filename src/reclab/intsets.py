@@ -29,7 +29,8 @@ HIT_CAP = 1_000_000
 
 def _check_listing(count: int, bits: int, what: str) -> None:
     """ListingBudgetExceeded when a listing of count integers of bits bits in
-    all would pass HIT_CAP members or 64*HIT_CAP bits."""
+    all would pass HIT_CAP members or 64*HIT_CAP bits; bits is 0 where only
+    the count is capped."""
     if count > HIT_CAP:
         raise ListingBudgetExceeded(f"{what} of {count} elements exceeds the listing cap {HIT_CAP}")
     if bits > 64 * HIT_CAP:
@@ -119,8 +120,7 @@ def difference_set(s: ZSetLike, window: Window | None = None) -> IntSet:
         digits = bin(ahead)[:1:-1]  # digits[i] is bit i
         positive = [i for i in range(1, len(digits)) if digits[i] == "1"]
         return IntSet(tuple(positive) + tuple(-d for d in positive))
-    if pairs > HIT_CAP:
-        raise ListingBudgetExceeded(f"{pairs} differences exceed the listing cap {HIT_CAP}")
+    _check_listing(pairs, 0, "difference set")
     diffs = {a - b for a in elems for b in elems if a != b}
     return IntSet(tuple(diffs))
 

@@ -20,7 +20,8 @@ that tries every period and every rotation
 (``quadratic_primitive_rotation``).  The bytearray sieve of ``reclab.bohr.cyclic_obstruction``
 replaced testing every element at every modulus (``looping_obstruction``).
 ``bracket_float`` rounds a surd from Fraction brackets, for checking the
-float that ``Surd`` computes in integers.  The one-pass JSON writer of
+float that ``Surd`` computes in integers; ``sqrt_convergents`` lists the
+convergents p/q of sqrt(d), whose q*sqrt(d) - p are tiny.  The one-pass JSON writer of
 ``reclab.cli`` replaced copying a document through ``json_safe`` and
 dumping the copy with ``json.dumps(..., indent=2, sort_keys=True)``.
 The circle kernel of ``reclab.bohr`` takes a surd's partial quotients
@@ -44,7 +45,7 @@ from math import isqrt
 
 from reclab.bohr import CyclicObstruction, _full_period_avoids_zero, _int_parts, _Pair, _sq_norm, torus_norm
 from reclab.dynamics import BallSpec, NuuReport, _bitmask, _members, return_times_point, return_times_set
-from reclab.errors import NoSuchM, UncertainAtPrecision
+from reclab.errors import NoSuchM
 from reclab.exactreal import (
     Surd,
     TorusPoint,
@@ -74,6 +75,31 @@ def bracket_float(p: Fraction, q: Fraction, d: int) -> float:
         if float(lo) == float(hi):
             return float(lo)
         bits *= 2
+
+
+def sqrt_convergents(d: int, count: int) -> list[tuple[int, int]]:
+    """Convergents p/q of sqrt(d), so that q*sqrt(d) - p is tiny, of either sign."""
+    a0 = isqrt(d)
+    m, den, a = 0, 1, a0
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    out = [(p, q)]
+    for _ in range(count):
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        out.append((p, q))
+    return out
+
+
+def signed_convergent(d: int, bits: int, sign: int) -> tuple[int, int]:
+    """The first convergent p/q of sqrt(d) with q above 2**bits and
+    q*sqrt(d) - p of the given sign."""
+    return next(
+        (p, q) for p, q in sqrt_convergents(d, 6000)
+        if q.bit_length() > bits and (q * q * d > p * p) == (sign > 0)
+    )
 
 
 def torus_sq_terms(xs):
@@ -223,20 +249,14 @@ def scan_records(alphas, horizon: int):
 
 
 def scan_hits(alphas, offsets, radius, lo: int, hi: int, skip_zero: bool = False):
-    """n in [lo, hi] with |offsets + n*alphas| < radius on the torus, testing every n;
-    undecidable n are raised together, as bohr_enumerate does."""
-    hits, ambiguous = [], []
+    """n in [lo, hi] with |offsets + n*alphas| < radius on the torus, testing every n."""
+    hits = []
     for n in range(lo, hi + 1):
         if skip_zero and n == 0:
             continue
-        try:
-            xs = [real_add(o, a.multiple(n)) for o, a in zip(offsets, alphas)]
-            if torus_norm_lt(xs, radius):
-                hits.append(n)
-        except UncertainAtPrecision:
-            ambiguous.append(n)
-    if ambiguous:
-        raise UncertainAtPrecision("undecidable", ambiguous=ambiguous)
+        xs = [real_add(o, a.multiple(n)) for o, a in zip(offsets, alphas)]
+        if torus_norm_lt(xs, radius):
+            hits.append(n)
     return tuple(hits)
 
 

@@ -4,7 +4,7 @@ Every comparison is exact: the kernel must give the same Fractions and Surds
 and the same hits in the same order, on the circle and on tori whose
 coordinates' walks are intersected.  A coordinate whose frequency, point and
 center come from two quadratic fields is refused, on the circle and on a
-torus.  A listing past ``bohr.HIT_CAP`` hits raises, before the walk when
+torus.  A listing past ``intsets.HIT_CAP`` hits raises, before the walk when
 its window must hold that many, and the CLI exits 4.
 The kernel takes a surd's quotients from the PQa recurrence; its q_k and
 delta_k, and the continued-fraction quotients, are checked against the
@@ -12,20 +12,19 @@ Euclidean walk that floors two lengths per quotient, deep enough that the
 integer pairs grow large, also in units that carry a large extra
 denominator.  Each step of an arc's walk is checked against the descent of
 ``first_entry``.  A torus
-ball whose radius is the exact norm of one n leaves that n out, and a
-two-field sum that does not separate is raised with every candidate.  The
-oracles live in ``tests/oracles.py`` and never call the kernel.
+ball whose radius is the exact norm of one n leaves that n out.  A rational
+orbit that closes too coarse for a density bound is NoSuchM in the kernel
+itself.  The oracles live in ``tests/oracles.py`` and never call the
+kernel.
 """
 
-import hashlib
-import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from reclab import bohr, cli, exactreal
+from reclab import bohr, cli, intsets
 from reclab.bohr import (
     BohrSpec,
     CircleKernel,
@@ -44,7 +43,7 @@ from reclab.dynamics import (
     return_times_set,
     uniform_rigidity_scan,
 )
-from reclab.errors import ListingBudgetExceeded, NoSuchM, UncertainAtPrecision
+from reclab.errors import ListingBudgetExceeded, NoSuchM
 from reclab.exactreal import (
     Surd,
     TorusPoint,
@@ -54,7 +53,6 @@ from reclab.exactreal import (
     real_frac,
     real_mul_int,
     real_sub,
-    sqrt2_rotation,
     torus_norm1,
 )
 from reclab.intsets import Window
@@ -259,6 +257,17 @@ def test_eta_dense_rational(pq, k):
     assert (res.constant, res.max_gap) == scan_eta_dense(alpha, eta, q)
 
 
+@pytest.mark.parametrize(
+    "alpha, bound", [(Fraction(1, 7), Fraction(1, 20)), (Fraction(6, 7), Fraction(1, 8)), (Fraction(0), Fraction(1, 2))]
+)
+def test_density_constant_of_a_coarse_closed_orbit_is_no_such_m(alpha, bound):
+    # the walk ends at delta = 0 with every gap 1/q above the bound
+    q = alpha.denominator
+    with pytest.raises(NoSuchM, match=f"orbit closes after {q} points with gap 1/{q} > 2[*]eta"):
+        CircleKernel.of(alpha, bound).density_constant(bound)
+    assert CircleKernel.of(alpha).density_constant(Fraction(1, q)) == (q - 1 or 1, Fraction(1, q))
+
+
 @given(alphas, st.integers(0, 400))
 @settings(max_examples=100, deadline=None)
 def test_rigidity_records(alpha, horizon):
@@ -411,44 +420,14 @@ def test_torus_radius_at_an_exact_norm(data, k, same_field, n0):
     assert got == scan_hits(alphas, offsets, radius, lo, hi)
 
 
-def test_torus_sums_that_do_not_separate_are_raised_together(monkeypatch, capsys):
-    # with no bracket precision every candidate whose squared norm has two
-    # fields is ambiguous: at the offsets (1/3, 1/7) every candidate
-    alphas = [golden_rotation().value, sqrt2_rotation().value]
-    window = Window(-2000, 2000)
-
-    def common(offsets, radius):
-        walks = [set(orbit_hits([a], [o], radius, window)) for a, o in zip(alphas, offsets)]
-        return sorted(walks[0] & walks[1])
-
-    point_candidates = common([Fraction(1, 3), Fraction(1, 7)], Fraction(1, 20))
-    # dyn returns lists the set returns first: the origin's orbit at 2*rho,
-    # whose candidate n = 0 is rational on both coordinates and decided
-    set_candidates = [n for n in common([0, 0], Fraction(1, 10)) if n]
-    assert point_candidates and set_candidates
-    monkeypatch.setattr(exactreal, "_MAX_BRACKET_BITS", 32)
-    with pytest.raises(UncertainAtPrecision) as raised:
-        orbit_hits(alphas, [Fraction(1, 3), Fraction(1, 7)], Fraction(1, 20), window)
-    assert raised.value.ambiguous == point_candidates
-    argv = ["dyn", "returns", "--alpha", "golden", "--alpha", "sqrt2", "--point", "1/3;1/7",
-            "--center", "0", "--radius", "1/20", "--horizon", "2000"]
-    assert cli.main(argv) == 3
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert (error["kind"], error["ambiguous"]) == ("precision", set_candidates)
-    # dyn nuu lists the point returns first, then the set returns, then the
-    # enlarged ball's: the point candidates are the ones raised
-    argv[:2] = ["dyn", "nuu"]
-    assert cli.main(argv) == 3
-    out = capsys.readouterr().out
-    error = json.loads(out)["error"]
-    assert (error["kind"], error["ambiguous"]) == ("precision", point_candidates)
-    assert hashlib.sha256(out.encode()).hexdigest() == NUU_PRECISION_DIGEST
-
-
-NUU_PRECISION_DIGEST = "47913bf1ee3c633c2f0eaa1e780ac24127bd2e4b2d3af1c658f675f6ce04f150"
-
-
 # -- the hit cap --------------------------------------------------------------
+
+
+def small_cap(monkeypatch, cap: int) -> None:
+    """HIT_CAP at cap for the walk (bohr) and for the counts that
+    intsets._check_listing refuses before it."""
+    monkeypatch.setattr(bohr, "HIT_CAP", cap)
+    monkeypatch.setattr(intsets, "HIT_CAP", cap)
 
 
 @pytest.mark.parametrize(
@@ -465,9 +444,9 @@ def test_a_listing_raises_on_the_hit_past_the_cap(monkeypatch, alphas, radius):
     hits = frequency_hits(alphas, radius, window)
     walks = [frequency_hits(alphas[i : i + 1], radius, window) for i in range(len(alphas))]
     fullest = max(len(w) for w in walks)
-    monkeypatch.setattr(bohr, "HIT_CAP", fullest)
+    small_cap(monkeypatch, fullest)
     assert frequency_hits(alphas, radius, window) == hits
-    monkeypatch.setattr(bohr, "HIT_CAP", fullest - 1)
+    small_cap(monkeypatch, fullest - 1)
     with pytest.raises(ListingBudgetExceeded):
         frequency_hits(alphas, radius, window)
 
@@ -477,7 +456,7 @@ def test_a_walk_of_exactly_the_cap_lists_and_one_more_is_refused_before_walking(
     # the hits are the multiples of the period a, with b = 0: the bound
     # 1 + (hi - n) // (a + b) on the count is exact
     period = alpha.denominator
-    monkeypatch.setattr(bohr, "HIT_CAP", 1000)
+    small_cap(monkeypatch, 1000)
     hits = frequency_hits((TorusPoint(alpha),), radius, Window(0, 999 * period))
     assert hits == tuple(range(0, 1000 * period, period))
 
@@ -485,7 +464,7 @@ def test_a_walk_of_exactly_the_cap_lists_and_one_more_is_refused_before_walking(
         raise AssertionError("walked")
 
     monkeypatch.setattr(bohr, "_slater_walk", no_walk)
-    with pytest.raises(ListingBudgetExceeded, match="hit cap 1000"):
+    with pytest.raises(ListingBudgetExceeded, match="hit listing of 1001 elements exceeds the listing cap 1000"):
         frequency_hits((TorusPoint(alpha),), radius, Window(0, 1000 * period))
 
 
@@ -500,7 +479,7 @@ def test_a_walk_that_must_pass_the_cap_exits_4_before_walking(monkeypatch, capsy
     assert cli.main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "hit cap" in captured.err
+    assert "hit listing of" in captured.err and "exceeds the listing cap" in captured.err
 
 
 CAPPED_CALLS = [
@@ -516,8 +495,8 @@ def test_cli_exits_4_past_the_hit_cap(monkeypatch, capsys, frequencies, argv):
     alpha_flags = [flag for f in frequencies for flag in ("--alpha", f)]
     assert cli.main(argv[:2] + alpha_flags + argv[2:]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(bohr, "HIT_CAP", 10)
+    small_cap(monkeypatch, 10)
     assert cli.main(argv[:2] + alpha_flags + argv[2:]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "hit cap 10" in captured.err
+    assert "hit listing" in captured.err and "exceeds the listing cap 10" in captured.err

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -14,10 +15,9 @@ from pathlib import Path
 import pytest
 
 import reclab
-from reclab import bohr, cli
-from reclab.errors import UncertainAtPrecision
+from reclab import bohr, cli, exactreal
 
-from oracles import bracket_float
+from oracles import bracket_float, signed_convergent
 
 SRC = str(Path(reclab.__file__).resolve().parent.parent)
 
@@ -521,20 +521,24 @@ class TestExitCodes:
         assert rc == 2
 
     def test_precision_exit(self, capsys, monkeypatch):
-        # the command table binds handlers at import; the handler looks up
-        # the library call it makes when it runs
-        def boom(n, spec):
-            raise UncertainAtPrecision("cannot settle membership", ambiguous=[7])
-
-        monkeypatch.setattr(cli, "bohr_membership", boom)
-        rc = cli.main(
-            ["bohr", "member", "--n", "7", "--alpha", "golden", "--eps", "1/10"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 3
-        doc = json.loads(out)
-        assert doc["error"]["kind"] == "precision"
-        assert doc["error"]["ambiguous"] == [7]
+        # at n = 1 the torus point is (q*sqrt(2) - p, q'*sqrt(3) - p'), two
+        # convergent errors of about 2**-4200, and --eps = 1/round(1/norm):
+        # its squared norm less eps**2 is about 2**-4200 too, and its sign
+        # separates at an 8192-bit bracket
+        (p, q), (p3, q3) = signed_convergent(2, 4200, 1), signed_convergent(3, 4200, -1)
+        with localcontext() as ctx:
+            ctx.prec = 6000
+            x, y = q * Decimal(2).sqrt() - p, q3 * Decimal(3).sqrt() - p3
+            eps_den = int((1 / (x * x + y * y).sqrt()).to_integral_value())
+        argv = ["bohr", "member", "--n", "1", "--alpha", f"sqrt:2:{-p}:{q}:1",
+                "--alpha", f"sqrt:3:{-p3}:{q3}:1", "--eps", f"1/{eps_den}"]
+        doc = run_json(capsys, argv)
+        assert doc["result"]["member"] is True
+        # below 8192 bits the bracket budget runs out: exit 4, empty stdout
+        monkeypatch.setattr(exactreal, "HIT_CAP", 4096)
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (4, "")
+        assert "past the cap 4096 bits" in err
 
     def test_verification_budget_exit(self, capsys, tmp_path):
         # a bare window certificate past 4 * max M is refused before any
@@ -578,7 +582,7 @@ class TestExitCodes:
         rc, out, err = run(capsys, ["birkhoff", "greedy", "--elements", "3,7", "--terms", "1000001"])
         assert rc == 4
         assert out == ""
-        assert "exceed the listing cap 1000000" in err
+        assert "greedy coloring of 1000001 elements exceeds the listing cap 1000000" in err
 
     def test_sets_diff_past_hit_cap_exit(self, capsys, tmp_path):
         # 4,000 squares make 15,996,000 ordered pairs: refused before any is formed
@@ -587,7 +591,7 @@ class TestExitCodes:
         rc, out, err = run(capsys, ["sets", "diff", "--set", str(listing)])
         assert rc == 4
         assert out == ""
-        assert "15996000 differences exceed the listing cap 1000000" in err
+        assert "difference set of 15996000 elements exceeds the listing cap 1000000" in err
 
     def test_cf_past_bit_cap_exit(self, capsys):
         # golden's kept convergents pass 64 * HIT_CAP bits near term 9,600;
@@ -621,7 +625,7 @@ class TestExitCodes:
         argv = ["dyn", command, "--alpha", "golden", "--nk", "k^2", "--rk", "k^2", "--horizon", "100000000"]
         rc, out, err = run(capsys, argv)
         assert (rc, out) == (4, "")
-        assert "formula horizon 100000000 exceeds the listing cap 1000000 terms" in err
+        assert "formula horizon of 100000000 elements exceeds the listing cap 1000000" in err
 
     @pytest.mark.parametrize("command", ["psi", "moving"])
     def test_default_offsets_on_the_circle_have_no_cap(self, capsys, command):
@@ -682,7 +686,7 @@ class TestExitCodes:
         argv = ["dyn", "rigidity", "--alpha", "golden", "--alpha", "sqrt2", "--horizon", "100000000"]
         rc, out, err = run(capsys, argv)
         assert (rc, out) == (4, "")
-        assert "torus record scan of 100000000 times exceeds the listing cap 1000000" in err
+        assert "torus record scan of 100000000 elements exceeds the listing cap 1000000" in err
 
     def test_nk_is_parsed_but_never_evaluated(self, capsys):
         # "k mod 0" would raise on evaluation; only a syntax error exits 2
@@ -728,7 +732,7 @@ class TestExitCodes:
         rc, out, err = run(capsys, ["bohr", "obstruct", "--m-max", "2", "--elements", "1", "--poly", poly])
         assert rc == 4
         assert out == ""
-        assert "polynomial period 6227020800 modulo 2 exceeds the listing cap 1000000" in err
+        assert "polynomial period modulo 2 of 6227020800 elements exceeds the listing cap 1000000" in err
 
     def test_deep_json_set_file_is_an_input_error(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"

@@ -1,8 +1,7 @@
 """The CLI's one-pass JSON writer against the two-pass dump it replaced.
 
-Every document the CLI writes (stdout, the exit-3 precision document,
---emit-cert and --json-out files) goes through ``cli._json_text``, which
-must give exactly ``json.dumps(json_safe(doc), indent=2, sort_keys=True)``.
+Every document the CLI writes (stdout, --emit-cert and --json-out files)
+goes through ``cli._json_text``, which must give exactly ``json.dumps(json_safe(doc), indent=2, sort_keys=True)``.
 """
 
 import enum

@@ -330,7 +330,7 @@ class TestPsiMoving:
         def never(k):
             raise AssertionError("a term was evaluated")
 
-        with pytest.raises(ListingBudgetExceeded, match="formula horizon 1000001 exceeds"):
+        with pytest.raises(ListingBudgetExceeded, match="formula horizon of 1000001 elements exceeds"):
             psi_moving(GOLDEN, MovingQuery(bohr.HIT_CAP + 1, Fraction(1, 100), never))
 
     def test_point_independence_on_rotations(self):
@@ -364,7 +364,7 @@ class TestPsiMoving:
 
     def test_torus_default_offsets_past_the_cap_raise_before_the_scan(self):
         torus = RotationSystem((golden_rotation(), sqrt2_rotation()))
-        with pytest.raises(ListingBudgetExceeded, match="torus record scan of 1000001 times"):
+        with pytest.raises(ListingBudgetExceeded, match="torus record scan of 1000001 elements"):
             psi_moving(torus, MovingQuery(bohr.HIT_CAP + 1, Fraction(1, 100)))
 
     def test_each_offset_is_evaluated_once_in_order(self):

@@ -109,6 +109,9 @@ LEAVES = {
         "cd455a8716246746684513a31690fb0c11b17617333bc6e8b4ad0b98b0ef2306",
     ("dyn", "etadense", "--alpha", "golden", "--eta", "1/20"):
         "4d99aa784065ec1768989beaabe218bdb1de8e6ea122511ef41f6426326695c2",
+    # a rational orbit closed too coarse: the kernel's NoSuchM reason
+    ("dyn", "etadense", "--alpha", "1/7", "--eta", "1/40"):
+        "4381613f9bc973f47900d36ca477d1d6d23155639055a0a20a7c8dcbdc83e58a",
     ("dyn", "rigidity", "--alpha", "golden", "--horizon", "200"):
         "4ddf4f81753ebee68688c58b1ff358f19da304db76d205778208a9935203c3a9",
     ("dyn", "moving", "--alpha", "sqrt2", "--nk", "k^3 - k", "--horizon", "20", "--samples", "5"):

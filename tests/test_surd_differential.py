@@ -3,7 +3,8 @@
 Every exact operation on ``Surd`` is checked against two independent
 references: sympy's algebraic numbers (skipped when sympy is absent) and the
 Fraction-based bracket arithmetic the kernel replaced, kept here as an oracle.
-The cross-field sum sign ``real_sum_sign`` is checked against sympy.
+The cross-field sum sign ``real_sum_sign`` is checked against sympy, also
+on a two-field sum of about 2**-4200 that needs an 8192-bit bracket.
 """
 
 import json
@@ -13,6 +14,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reclab import exactreal
 from reclab.errors import UncertainAtPrecision
 from reclab.exactreal import (
     Surd,
@@ -25,7 +27,7 @@ from reclab.exactreal import (
     torus_norm1,
 )
 
-from oracles import bracket_float
+from oracles import bracket_float, signed_convergent, sqrt_convergents
 
 FIELDS = (2, 3, 5, 6, 7, 10, 11, 13)
 BIG = 2**200
@@ -68,22 +70,6 @@ def oracle_floor(p: Fraction, q: Fraction, d: int) -> int:
 
 
 # -- inputs ----------------------------------------------------------------------
-
-
-def sqrt_convergents(d: int, count: int) -> list[tuple[int, int]]:
-    """Convergents p/q of sqrt(d), so that q*sqrt(d) - p is tiny, of either sign."""
-    a0 = isqrt(d)
-    m, den, a = 0, 1, a0
-    p_prev, p, q_prev, q = 1, a0, 0, 1
-    out = [(p, q)]
-    for _ in range(count):
-        m = den * a - m
-        den = (d - m * m) // den
-        a = (a0 + m) // den
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        out.append((p, q))
-    return out
 
 
 coeffs = st.integers(-BIG, BIG)
@@ -352,20 +338,33 @@ def test_cross_field_compare_matches_sympy(sympy, f1, f2):
 def convergent_error(d: int, bits: int, sign: int) -> Surd:
     """q*sqrt(d) - p of the given sign for the first such convergent p/q of
     sqrt(d) with q above 2**bits: about 2**-bits in size."""
-    p, q = next(
-        (p, q) for p, q in sqrt_convergents(d, 6000)
-        if q.bit_length() > bits and (q * q * d > p * p) == (sign > 0)
-    )
+    p, q = signed_convergent(d, bits, sign)
     return build(-p, q, 1, d)
 
 
-def test_sum_sign_refines_until_separated_and_stops_at_its_limit(sympy):
-    # two fields, terms of opposite signs about 2**-1000 each: no bracket
-    # below that scale can place their sum
+def test_sum_sign_refines_until_separated_and_stops_at_its_limit(sympy, monkeypatch):
+    # two fields, terms of opposite signs about 2**-1000 and 2**-4200 each:
+    # no bracket below that scale can place their sum.  The norm bound of
+    # real_sum_sign is about 12,600 bits for the second pair, and its
+    # bracket separates at 8192 bits
     terms = [convergent_error(2, 1000, 1), convergent_error(3, 1000, -1)]
     assert real_sum_sign(terms) == sympy_sum_sign(sympy, terms, 0)
-    with pytest.raises(UncertainAtPrecision):
-        real_sum_sign([convergent_error(2, 4200, 1), convergent_error(3, 4200, -1)])
+    terms = [convergent_error(2, 4200, 1), convergent_error(3, 4200, -1)]
+    scales, bracket = [], exactreal._sum_bracket
+
+    def recording(surds, k):
+        scales.append(k)
+        return bracket(surds, k)
+
+    monkeypatch.setattr(exactreal, "_sum_bracket", recording)
+    # 50 digits that evalf guarantees: the sum is about 1.3e-1266
+    expected = int(sympy.sign(sum(term_to_sympy(sympy, t) for t in terms).evalf(50, strict=True, maxn=8000)))
+    assert real_sum_sign(terms) == expected
+    assert scales == [64 << i for i in range(8)]
+    # the refinement stops at the listing cap, a budget: exit 4 in the CLI
+    monkeypatch.setattr(exactreal, "HIT_CAP", 4096)
+    with pytest.raises(UncertainAtPrecision, match="past the cap 4096 bits"):
+        real_sum_sign(terms)
 
 
 def test_sum_sign_builds_no_fraction(monkeypatch):

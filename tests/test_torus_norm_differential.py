@@ -10,9 +10,9 @@ of distinct fields, on 1 to 3 coordinates; time lists hold negatives, zero and
 repeats.  The circle record scan, which compares reduced integer pairs
 unsquared, is also checked against ``oracles.sq_norm_record_times``, the
 squared-norm loop it replaced, on time lists where an n repeats the one
-before it.  The bracket limit of the cross-field sign is pinned on three
-two-field CLI calls: at 64 bits they decide, with the digests they print at
-the default limit, and at 32 bits they exit 3.
+before it.  Three two-field CLI calls are pinned to their digests with the
+cross-field sign's bracket budget at 64 bits, so that none of their signs
+refines past the first bracket.
 
 The displayed norm (``bohr.torus_norm``) is checked against
 ``oracles.decimal_norm`` on 2 or 3 coordinates at |n| <= 10**4: its float is
@@ -225,9 +225,7 @@ TWO_FIELD_CALLS = {
 
 @pytest.mark.parametrize("argv", sorted(TWO_FIELD_CALLS), ids=" ".join)
 def test_bracket_limit(argv, capsys, monkeypatch):
-    monkeypatch.setattr(exactreal, "_MAX_BRACKET_BITS", 64)
+    # a refinement to 128 bits would pass this budget and exit 4
+    monkeypatch.setattr(exactreal, "HIT_CAP", 64)
     assert cli.main(list(argv)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == TWO_FIELD_CALLS[argv]
-    monkeypatch.setattr(exactreal, "_MAX_BRACKET_BITS", 32)
-    assert cli.main(list(argv)) == 3
-    assert '"kind": "precision"' in capsys.readouterr().out
