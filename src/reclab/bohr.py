@@ -75,7 +75,8 @@ from .exactreal import (
     real_sub,
     torus_norm1,
 )
-from .intsets import HIT_CAP, Window, ZSetLike, _check_listing, as_int_list, poly_eval_int
+from . import intsets
+from .intsets import Window, ZSetLike, _check_listing, as_int_list, poly_eval_int
 
 # Fractional bits of the integer positions of a surd walk (_slater_walk).
 _WALK_BITS = 64
@@ -672,9 +673,9 @@ def _slater_walk(n: int, hi: int, a: int, b: int, p, u, v, below) -> list[int]:
     the (HIT_CAP + 1)-th hit.
     """
     out: list[int] = []
-    append = out.append
+    append, cap = out.append, intsets.HIT_CAP
     if isinstance(p, int) and isinstance(u, int):  # a rational walk: all four are ints
-        for _ in repeat(None, HIT_CAP):
+        for _ in repeat(None, cap):
             if n > hi:
                 return out
             append(n)
@@ -699,7 +700,7 @@ def _slater_walk(n: int, hi: int, a: int, b: int, p, u, v, below) -> list[int]:
             return _sign2(ta - ((xm - pm * s) >> k), tb - pm, d)
 
         lo_w, hi_w, lo_v, hi_v, ab, xuv = xw - slack, xw + slack, xv - slack, xv + slack, a + b, xu - xv
-        for _ in repeat(None, HIT_CAP):
+        for _ in repeat(None, cap):
             if n > hi:
                 return out
             append(n)
@@ -711,7 +712,7 @@ def _slater_walk(n: int, hi: int, a: int, b: int, p, u, v, below) -> list[int]:
                 n, x = n + ab, x + xuv
     if n > hi:
         return out
-    raise ListingBudgetExceeded(f"hit listing exceeds the listing cap {HIT_CAP}")
+    raise ListingBudgetExceeded(f"hit listing exceeds the listing cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +1002,7 @@ def cyclic_obstruction(
         raise EmptyInput("empty set")
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    top, count, budget = max(abs(e) for e in elems), len(elems), 64 * HIT_CAP
+    top, count, budget = max(abs(e) for e in elems), len(elems), 64 * intsets.HIT_CAP
     present = None
     if top // m_max < count and top <= budget:
         present = bytearray(top + 1)

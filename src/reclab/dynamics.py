@@ -14,8 +14,9 @@ the convergents, and density constants come from the three-gap theorem (Sos;
 Alessandri and Berthe).  On a torus of dimension >= 2, return times
 intersect the coordinates' circle walks and test the exact torus norm on
 the common candidates only (``bohr.kernel_hits``); ``verify_nuu`` walks
-one kernel per coordinate for all its listings.  Torus rigidity records
-test every m (``bohr.record_times``); psi at r_k = k reads the last record.
+one kernel per coordinate for all its listings and computes nothing for
+its forward inclusion, a theorem.  Torus rigidity records test every m
+(``bohr.record_times``); psi at r_k = k reads the last record.
 A coordinate whose frequency, point and center use two quadratic fields is
 refused with ValueError (``bohr.field_unit``).
 
@@ -36,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bohr import CircleKernel, _torus_test, frequency_hits, kernel_hits, record_times, torus_norm
-from .errors import NoElementsInWindow, WindowInadequate
+from .errors import NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
     Real,
     TorusPoint,
@@ -234,16 +235,11 @@ def _bitmask(times: Sequence[int], low: int, size: int) -> int:
     return int(bits, 2)
 
 
-def _members(mask: int) -> list[int]:
-    """The positions of the set bits of mask >= 0, ascending."""
-    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
-
-
 @dataclass(frozen=True)
 class NuuReport:
     set_returns: TimeSet
     point_returns: TimeSet
-    forward_exceptions: tuple[int, ...]   # differences missing from N(U,U)
+    forward_exceptions: tuple[int, ...]   # always (): verify_nuu proves the forward inclusion
     reverse_exceptions: tuple[int, ...]   # N(U,U) entries with no difference repr
     margin: Fraction
     horizon: int
@@ -256,19 +252,23 @@ class NuuReport:
 
 def _reverse_by_density(sys_: RotationSystem, rho: Fraction, margin: Fraction, horizon: int, kernels) -> bool:
     """Whether verify_nuu's reverse inclusion holds with no exceptions by
-    the density constant: on a circle with alpha irrational, margin > 0,
-    4*(rho + margin) <= 1 and eta_dense_constant(alpha, margin) <= 7*H.
+    the density constant: on a circle with margin > 0, 4*(rho + margin)
+    <= 1 and eta_dense_constant(alpha, margin) <= 7*H, a constant that a
+    rational alpha = p/q has only for 1/q <= 2*margin (else NoSuchM).
 
     The M + 1 gaps of M + 1 orbit points sum to 1, so gaps of at most
     2*margin need M >= 1/(2*margin) - 1: a 7H below that bound is refused
     with no walk.  Otherwise the circle's kernel, in a unit that covers
     2*margin, walks alpha's convergents to M."""
-    if sys_.dim != 1 or sys_.alphas[0].is_rational or margin <= 0:
+    if sys_.dim != 1 or margin <= 0:
         return False
     (rn, rd), (mn, md) = (rho.numerator, rho.denominator), (margin.numerator, margin.denominator)
     if 4 * (rn * md + mn * rd) > rd * md or 2 * mn * (7 * horizon + 1) < md:
         return False
-    return kernels[0].density_constant(2 * margin)[0] <= 7 * horizon
+    try:
+        return kernels[0].density_constant(2 * margin)[0] <= 7 * horizon
+    except NoSuchM:
+        return False
 
 
 def verify_nuu(
@@ -287,20 +287,26 @@ def verify_nuu(
     and every point return list are walked on one CircleKernel per
     coordinate (_orbit_kernels).
 
-    The forward inclusion is always decided on a bitmask of the point
-    returns.  The reverse inclusion is decided by the density constant
-    where _reverse_by_density allows it, and otherwise on a bitmask of the
-    enlarged ball's returns, n by n.  The density argument, with
-    rho' = rho + margin and J the arc of the m whose m*alpha puts T^m x in
-    the enlarged ball: T^m x and T^(m+n) x both lie in it exactly when
-    m*alpha lies in J and in J - n*alpha.  With 4*rho' <= 1 these two arcs
-    of length 2*rho' overlap in one arc of length 2*rho' - ||n*alpha||,
-    above 2*margin since ||n*alpha|| < 2*rho.  The m with m and m + n in
-    [-4H, 4H] are at least 7H + 1 consecutive integers, whose m*alpha are a
-    turn of {j*alpha : 0 <= j <= 7H}; when M = eta_dense_constant(alpha,
-    margin) <= 7H, those points leave no gap above 2*margin, so an open arc
-    longer than that holds one of them: every n has its m, and the
-    enlarged ball's returns are never listed.
+    The forward inclusion is a theorem, and nothing is computed for it:
+    for point returns a and b, ||a*alpha + x - c|| < rho and
+    ||b*alpha + x - c|| < rho, so ||(a - b)*alpha|| < 2*rho by the
+    triangle inequality of the torus distance, and every difference with
+    |a - b| <= H is a set return at radius 2*rho over [-H, H], 0 included.
+    forward_exceptions is always ().
+
+    The reverse inclusion is decided by the density constant where
+    _reverse_by_density allows it, alpha rational or not, and otherwise on
+    a bitmask of the enlarged ball's returns, n by n.  The density
+    argument, with rho' = rho + margin and J the arc of the m whose m*alpha
+    puts T^m x in the enlarged ball: T^m x and T^(m+n) x both lie in it
+    exactly when m*alpha lies in J and in J - n*alpha.  With 4*rho' <= 1
+    these two arcs of length 2*rho' overlap in one arc of length
+    2*rho' - ||n*alpha||, above 2*margin since ||n*alpha|| < 2*rho.  The m
+    with m and m + n in [-4H, 4H] are at least 7H + 1 consecutive integers,
+    whose m*alpha are a turn of {j*alpha : 0 <= j <= 7H}; when
+    M = eta_dense_constant(alpha, margin) <= 7H, those points leave no gap
+    above 2*margin, so an open arc longer than that holds one of them:
+    every n has its m, and the enlarged ball's returns are never listed.
 
     Raises ValueError for a negative margin.
     """
@@ -324,20 +330,10 @@ def verify_nuu(
         # against itself
         big = _bitmask(big_returns, -big_h, 2 * big_h + 1)
         reverse = [n for n in set_returns if not big & (big >> abs(n))]
-
-    # bit d of the point mask shifted down by each return p is set when
-    # p + d returns too: the differences d >= 0, and P - P is symmetric
-    points = _bitmask(point_returns, -horizon, 2 * horizon + 1)
-    diffs = 0
-    for p in point_returns:
-        diffs |= points >> (p + horizon)
-    nonnegative = _members(diffs & ((2 << horizon) - 1))
-    forward = sorted({s * d for d in nonnegative for s in (1, -1)} - set(set_returns))
-
     return NuuReport(
         set_returns=set_returns,
         point_returns=point_returns,
-        forward_exceptions=tuple(forward),
+        forward_exceptions=(),
         reverse_exceptions=tuple(reverse),
         margin=margin,
         horizon=horizon,

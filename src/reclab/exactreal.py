@@ -49,7 +49,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import RadicandTooLarge, UncertainAtPrecision, UnprintableInteger
-from .intsets import HIT_CAP
+from . import intsets
 
 # Largest radicand (bits) reduced to square-free form.  _squarefree_split
 # trial-divides up to a cube root: about 0.1 s for a prime just below 2**56,
@@ -579,9 +579,9 @@ def _int_sum_sign(n0: int, surds: Sequence[tuple[int, int]]) -> int:
             limit = ((1 << len(surds)) - 1) * top.bit_length() + len(surds).bit_length()
         assert k < limit, "a bracket at the norm bound separates"
         k = min(2 * k, limit)
-        if k > HIT_CAP:
+        if k > intsets.HIT_CAP:
             raise UncertainAtPrecision(
-                f"cross-field sum needs up to {limit} bracket bits to separate, past the cap {HIT_CAP} bits"
+                f"cross-field sum needs up to {limit} bracket bits to separate, past the cap {intsets.HIT_CAP} bits"
             )
 
 

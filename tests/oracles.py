@@ -31,10 +31,12 @@ A periodic witness of ``reclab.birkhoff`` is the solver's own coloring with
 its colors renamed in order of first use, where it was the lex-least
 vector; ``in_first_use_order`` checks that naming.
 ``reclab.dynamics.verify_nuu`` decides the reverse inclusion by the density
-constant where that applies and walks one kernel per coordinate for all its
-listings; ``bitmask_verify_nuu`` lists the point returns, the set returns
-and the enlarged ball's returns by the public listing functions and decides
-every set return on the enlarged ball's bitmask.
+constant where that applies, proves the forward one by the triangle
+inequality, and walks one kernel per coordinate for all its listings;
+``bitmask_verify_nuu`` lists the point returns, the set returns and the
+enlarged ball's returns by the public listing functions, computes every
+difference of point returns on their bitmask, and decides every set
+return on the enlarged ball's bitmask.
 """
 
 import functools
@@ -44,7 +46,7 @@ from itertools import count
 from math import isqrt
 
 from reclab.bohr import CyclicObstruction, _full_period_avoids_zero, _int_parts, _Pair, _sq_norm, torus_norm
-from reclab.dynamics import BallSpec, NuuReport, _bitmask, _members, return_times_point, return_times_set
+from reclab.dynamics import BallSpec, NuuReport, _bitmask, return_times_point, return_times_set
 from reclab.errors import NoSuchM
 from reclab.exactreal import (
     Surd,
@@ -273,6 +275,11 @@ def scan_return_times_set(sys_, target, horizon: int):
     """{n in [-H, H] : the displacement of T^n is below 2*rho}, testing every n."""
     two_rho = 2 * Fraction(target.radius)
     return tuple(n for n in range(-horizon, horizon + 1) if displacement_lt(sys_, n, two_rho))
+
+
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits of mask >= 0, ascending."""
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
 
 
 def bitmask_verify_nuu(sys_, target, x, horizon: int, margin: Fraction = Fraction(1, 100)):

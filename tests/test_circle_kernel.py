@@ -424,9 +424,8 @@ def test_torus_radius_at_an_exact_norm(data, k, same_field, n0):
 
 
 def small_cap(monkeypatch, cap: int) -> None:
-    """HIT_CAP at cap for the walk (bohr) and for the counts that
-    intsets._check_listing refuses before it."""
-    monkeypatch.setattr(bohr, "HIT_CAP", cap)
+    """HIT_CAP at cap for the walk and for the counts that
+    intsets._check_listing refuses before it: every cap reads intsets."""
     monkeypatch.setattr(intsets, "HIT_CAP", cap)
 
 

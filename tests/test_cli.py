@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import reclab
-from reclab import bohr, cli, exactreal
+from reclab import bohr, cli, intsets
 
 from oracles import bracket_float, signed_convergent
 
@@ -535,7 +535,7 @@ class TestExitCodes:
         doc = run_json(capsys, argv)
         assert doc["result"]["member"] is True
         # below 8192 bits the bracket budget runs out: exit 4, empty stdout
-        monkeypatch.setattr(exactreal, "HIT_CAP", 4096)
+        monkeypatch.setattr(intsets, "HIT_CAP", 4096)
         rc, out, err = run(capsys, argv)
         assert (rc, out) == (4, "")
         assert "past the cap 4096 bits" in err

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from reclab import bohr, dynamics
+from reclab import bohr, dynamics, intsets
 from reclab.bohr import torus_norm
 from reclab.dynamics import (
     HORIZON_NOTE,
@@ -46,6 +46,8 @@ from oracles import bitmask_verify_nuu, dist_lt, real_eq, scan_return_times_set,
 
 GOLDEN = RotationSystem((golden_rotation(),))
 FIFTH = RotationSystem((TorusPoint(Fraction(1, 5)),))
+THIRTEEN_37THS = RotationSystem((TorusPoint(Fraction(13, 37)),))
+THIRTEEN_67THS = RotationSystem((TorusPoint(Fraction(13, 67)),))
 
 
 def dist(x, y):
@@ -189,14 +191,14 @@ oracle_alphas = st.one_of(nuu_alphas, surd_alphas)
 
 
 def density_path(sys_, rho, margin, horizon) -> bool:
-    """The density path's conditions, its constant from eta_dense_constant."""
-    return (
-        sys_.dim == 1
-        and not sys_.alphas[0].is_rational
-        and margin > 0
-        and 4 * (rho + margin) <= 1
-        and eta_dense_constant(sys_, margin).constant <= 7 * horizon
-    )
+    """The density path's conditions, its constant from eta_dense_constant:
+    a rational alpha whose orbit closes too coarse has none (NoSuchM)."""
+    if sys_.dim != 1 or margin <= 0 or 4 * (rho + margin) > 1:
+        return False
+    try:
+        return eta_dense_constant(sys_, margin).constant <= 7 * horizon
+    except NoSuchM:
+        return False
 
 
 def check_against_oracle(sys_, ball, x, horizon, margin) -> bool:
@@ -246,7 +248,10 @@ class TestNuuPaths:
             (GOLDEN, Fraction(1, 20), Fraction(0), 200, False),       # no margin, no constant
             (GOLDEN, Fraction(1, 5), Fraction(1, 20), 200, True),     # 4*(rho + margin) = 1
             (GOLDEN, Fraction(1, 5), Fraction(1, 10), 200, False),    # the arcs may wrap
-            (FIFTH, Fraction(1, 20), Fraction(1, 10), 200, False),    # rational alpha
+            (FIFTH, Fraction(1, 20), Fraction(1, 20), 200, False),    # gap 1/5 > 2*margin: NoSuchM
+            (FIFTH, Fraction(1, 20), Fraction(1, 10), 200, True),     # gap 1/5 <= 2*margin
+            (THIRTEEN_37THS, Fraction(1, 20), Fraction(1, 100), 200, False),  # 1/37 > 1/50
+            (THIRTEEN_67THS, Fraction(1, 20), Fraction(1, 100), 200, True),   # M = 66 <= 7H
         ],
     )
     def test_the_path_taken(self, system, radius, margin, horizon, dense):
@@ -274,10 +279,12 @@ class TestNuuPaths:
         bitmask = dynamics._bitmask
         monkeypatch.setattr(dynamics, "_bitmask", recording)
         rep = verify_nuu(GOLDEN, self.BALL, self.X, 2000)
-        assert rep.clean and sizes == [4001]
-        sizes.clear()
+        assert rep.clean and sizes == []
         verify_nuu(GOLDEN, self.BALL, self.X, 12)
-        assert sorted(sizes) == [25, 97]
+        assert sizes == [97]  # the enlarged ball's returns over [-48, 48]
+        sizes.clear()
+        rep = verify_nuu(THIRTEEN_67THS, self.BALL, self.X, 2000)
+        assert rep.clean and sizes == []
 
     def test_a_negative_margin_is_refused(self):
         with pytest.raises(ValueError, match="margin must be >= 0"):
@@ -331,7 +338,7 @@ class TestPsiMoving:
             raise AssertionError("a term was evaluated")
 
         with pytest.raises(ListingBudgetExceeded, match="formula horizon of 1000001 elements exceeds"):
-            psi_moving(GOLDEN, MovingQuery(bohr.HIT_CAP + 1, Fraction(1, 100), never))
+            psi_moving(GOLDEN, MovingQuery(intsets.HIT_CAP + 1, Fraction(1, 100), never))
 
     def test_point_independence_on_rotations(self):
         # psi takes no point: its one value is the functional at every point
@@ -365,7 +372,7 @@ class TestPsiMoving:
     def test_torus_default_offsets_past_the_cap_raise_before_the_scan(self):
         torus = RotationSystem((golden_rotation(), sqrt2_rotation()))
         with pytest.raises(ListingBudgetExceeded, match="torus record scan of 1000001 elements"):
-            psi_moving(torus, MovingQuery(bohr.HIT_CAP + 1, Fraction(1, 100)))
+            psi_moving(torus, MovingQuery(intsets.HIT_CAP + 1, Fraction(1, 100)))
 
     def test_each_offset_is_evaluated_once_in_order(self):
         seen = []

@@ -14,7 +14,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reclab import exactreal
+from reclab import exactreal, intsets
 from reclab.errors import UncertainAtPrecision
 from reclab.exactreal import (
     Surd,
@@ -362,7 +362,7 @@ def test_sum_sign_refines_until_separated_and_stops_at_its_limit(sympy, monkeypa
     assert real_sum_sign(terms) == expected
     assert scales == [64 << i for i in range(8)]
     # the refinement stops at the listing cap, a budget: exit 4 in the CLI
-    monkeypatch.setattr(exactreal, "HIT_CAP", 4096)
+    monkeypatch.setattr(intsets, "HIT_CAP", 4096)
     with pytest.raises(UncertainAtPrecision, match="past the cap 4096 bits"):
         real_sum_sign(terms)
 

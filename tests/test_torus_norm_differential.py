@@ -10,9 +10,8 @@ of distinct fields, on 1 to 3 coordinates; time lists hold negatives, zero and
 repeats.  The circle record scan, which compares reduced integer pairs
 unsquared, is also checked against ``oracles.sq_norm_record_times``, the
 squared-norm loop it replaced, on time lists where an n repeats the one
-before it.  Three two-field CLI calls are pinned to their digests with the
-cross-field sign's bracket budget at 64 bits, so that none of their signs
-refines past the first bracket.
+before it.  Three two-field CLI calls are pinned to their digests, and none
+of their cross-field signs refines past the first, 64-bit bracket.
 
 The displayed norm (``bohr.torus_norm``) is checked against
 ``oracles.decimal_norm`` on 2 or 3 coordinates at |n| <= 10**4: its float is
@@ -225,7 +224,15 @@ TWO_FIELD_CALLS = {
 
 @pytest.mark.parametrize("argv", sorted(TWO_FIELD_CALLS), ids=" ".join)
 def test_bracket_limit(argv, capsys, monkeypatch):
-    # a refinement to 128 bits would pass this budget and exit 4
-    monkeypatch.setattr(exactreal, "HIT_CAP", 64)
+    # every sign round _int_sum_sign brackets is at the first scale, 64 bits;
+    # bohr.torus_norm's display bracket is no sign round and is not recorded
+    scales, bracket = [], exactreal._sum_bracket
+
+    def recording(surds, k):
+        scales.append(k)
+        return bracket(surds, k)
+
+    monkeypatch.setattr(exactreal, "_sum_bracket", recording)
     assert cli.main(list(argv)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == TWO_FIELD_CALLS[argv]
+    assert scales and set(scales) == {64}
