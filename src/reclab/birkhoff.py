@@ -33,6 +33,7 @@ from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InvalidArity, EmptyInput, MalformedCertificate, VerificationBudgetExceeded
+from . import intsets
 from .intsets import IntSet, ZSetLike, _check_listing, as_int_list
 
 # Default cap of the independent verifier: reference-search nodes for a
@@ -596,7 +597,7 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
         stats.budget_exhausted = True
         if r <= len(dists):
             return finish(Status.UNDECIDED, None)
-        budget.left = _FALLBACK_TERMS  # the fallback gets its own allowance
+        budget.left = intsets.HIT_CAP  # the fallback gets its own allowance
 
     # enumeration exhausted, honestly or not; if the arity exceeds |M| a
     # periodic witness always exists, and the greedy tail construction
@@ -621,16 +622,12 @@ def _circulant_witness(dists: Sequence[int], p: int, r: int, budget: _Budget) ->
     return coloring
 
 
-# Terms of the greedy avoiding sequence the fallback witness search may
-# generate.
-_FALLBACK_TERMS = 1_000_000
-
-
 def _greedy_cycle_witness(dists: Sequence[int], r: int, budget: _Budget) -> Optional[PeriodicColoring]:
     """Cycle of the greedy avoiding sequence, as a (possibly long) witness;
-    one budget charge per term generated, the closing term included."""
+    one budget charge per term generated, the closing term included, and
+    at most HIT_CAP terms."""
     # the (left + 1)-th term overdraws the budget, so none after it is needed
-    terms, cycle = _greedy_cycle(dists, min(_FALLBACK_TERMS, budget.left + 1))
+    terms, cycle = _greedy_cycle(dists, min(intsets.HIT_CAP, budget.left + 1))
     try:
         budget.charge(len(terms))
     except _OutOfBudget:
@@ -968,28 +965,3 @@ def chromatic_number_window(m: ZSetLike, window: int, limits: SearchLimits | Non
         except _OutOfBudget:
             return ChromaticBracket(lower=lower, upper=greedy_upper, exact=False, nodes=budget.spent)
     return ChromaticBracket(lower=greedy_upper, upper=greedy_upper, exact=True, nodes=budget.spent)
-
-
-__all__ = [
-    "Status",
-    "PeriodicColoring",
-    "WindowUnsat",
-    "PeriodicWitness",
-    "Certificate",
-    "Verdict",
-    "SearchLimits",
-    "SearchStats",
-    "certificate_to_json",
-    "certificate_from_json",
-    "proof_to_json",
-    "check_r_birkhoff",
-    "verify_certificate",
-    "greedy_coloring",
-    "GreedyRun",
-    "minimal_r_birkhoff_subset",
-    "MinimalSubsetResult",
-    "stably_r_birkhoff_probe",
-    "StableProbeResult",
-    "chromatic_number_window",
-    "ChromaticBracket",
-]

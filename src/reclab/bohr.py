@@ -235,8 +235,8 @@ def _torus_test(alphas: Sequence[Real], offsets: Sequence[Real], radius: Fractio
     """The test dist(offsets + n*alphas, Z^k) < radius as a function of n,
     in integers: the sign of the _sq_norm value times rd**2 less (rn*den)**2
     for radius = rn/rd, so the floors work on den-sized ints.  A radius <= 0
-    holds no n.  Every n is decided: _int_sum_sign refines up to the bound
-    of real_sum_sign, and raises UncertainAtPrecision only where that bound
+    holds no n.  Every n is decided: _int_sum_sign refines up to its own
+    norm bound, and raises UncertainAtPrecision only where that bound
     passes HIT_CAP bits.
     """
     den, fields, sq = _sq_norm(alphas, offsets)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bohr import CircleKernel, _torus_test, frequency_hits, kernel_hits, record_times, torus_norm
-from .errors import NoElementsInWindow, NoSuchM, WindowInadequate
+from .errors import ListingBudgetExceeded, NoElementsInWindow, NoSuchM, WindowInadequate
 from .exactreal import (
     Real,
     TorusPoint,
@@ -415,7 +415,8 @@ class RecurrentWitness:
 
 def find_l_recurrent(sys_: RotationSystem, targets: ZSetLike, eps: Fraction) -> Optional[RecurrentWitness]:
     """A point and a target time bringing it eps-close to itself, if one of
-    the first RECURRENT_SAMPLE_BUDGET target times does."""
+    the first RECURRENT_SAMPLE_BUDGET target times does; None when there
+    are no more target times, and ListingBudgetExceeded when there are."""
     _rotation_only(sys_, "l-recurrence")
     eps = Fraction(eps)
     times = [n for n in as_int_list(targets) if n != 0]
@@ -426,6 +427,11 @@ def find_l_recurrent(sys_: RotationSystem, targets: ZSetLike, eps: Fraction) -> 
     for n in times[:RECURRENT_SAMPLE_BUDGET]:
         if inside(n):
             return RecurrentWitness(point=sys_.zero(), time=n, value=sys_.displacement_norm(n))
+    if len(times) > RECURRENT_SAMPLE_BUDGET:
+        raise ListingBudgetExceeded(
+            f"no witness among the first {RECURRENT_SAMPLE_BUDGET} target times, the sample budget; "
+            f"{len(times) - RECURRENT_SAMPLE_BUDGET} more were not tested"
+        )
     return None
 
 

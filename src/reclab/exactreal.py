@@ -11,24 +11,17 @@ A ``Real`` is one of two exact kinds:
 Arithmetic, order and rounding of surds run in integers: the sign of
 ``a + b*sqrt(d)`` compares a*a with b*b*d, and ``floor`` is one
 ``math.isqrt(b*b*d)`` followed by an integer division, with no bracket to
-refine.  Rationals (ints and Fractions) are compared, rounded and reduced
-from their numerator and denominator: a comparison is one
-cross-multiplication, ``floor`` and ``nearest_int`` are integer divisions,
-and a sum, product, fractional part or circle norm builds its one result
-Fraction straight from integers.  Sums of surds from several quadratic
-fields are compared with a rational by :func:`real_sum_sign`, in integers:
-square roots of distinct square-free integers are linearly independent over
-Q, so such a sum never equals a rational, and the product of its
-conjugates, a nonzero rational, bounds how close to 0 it can lie: integer
-brackets of each ``b*sqrt(d)`` separate it at a scale read off its inputs
-(see :func:`real_sum_sign`).  Its integer core (``_int_sum_sign``) signs
-the squared torus norms of ``bohr``, which decides every comparison of
-them.
+refine.  Each function computes in one quadratic field at a time.  Sums,
+differences and products are the exact kinds' own operators; a comparison
+of rationals is one cross-multiplication, and their floor, fractional part
+and circle norm are integer divisions.  ``_int_sum_sign`` signs a sum of
+surds from several fields in integers; ``bohr`` signs its squared torus
+norms with it.
 
 The exact kinds are the only inputs and the only results: ints, Fractions,
 Surds and strings parsed to them.  A float is refused with TypeError, and
-so is a sum or product across two quadratic fields (``real_add``,
-``real_sub``, ``real_mul``), which no exact kind holds.  ``Approx``, a
+so is a sum, product or comparison across two quadratic fields
+(``real_add``, ``real_sub``, ``real_mul``, ``real_cmp``).  ``Approx``, a
 rational midpoint with an error bound, is a display type only:
 ``bohr.torus_norm`` builds one for a torus norm whose square is irrational,
 and ``real_to_json``, ``real_to_float`` and ``float()`` read it.  Every other
@@ -272,7 +265,7 @@ class Surd:
         if isinstance(other, Fraction):
             m = other.denominator
             return _sign2(a * m - other.numerator * c, b * m, d)
-        raise TypeError("cross-field comparison requires real_cmp")
+        raise TypeError(f"a surd in sqrt({d}) compares only with rationals and surds of that field, not {other!r}")
 
     def __lt__(self, other):
         return self._cmp_exact(other) < 0
@@ -353,7 +346,7 @@ Real = Union[Fraction, Surd]
 # The rational kind below: ints and Fractions, read through .numerator and
 # .denominator.  Functions test Surd before it, because isinstance against
 # Fraction goes through the numbers ABCs for any other type.  What is left
-# (surds of two fields, a str) takes the generic path.
+# (a str) is coerced by as_real.
 _RATIONAL = (int, Fraction)
 
 
@@ -388,60 +381,24 @@ def parse_real(text: str) -> Real:
 
 
 # ---------------------------------------------------------------------------
-# kind-dispatching arithmetic
+# arithmetic, rounding and order
 # ---------------------------------------------------------------------------
 
 
 def real_add(x: Real, y: Real) -> Real:
-    if isinstance(x, Surd):
-        if isinstance(y, Surd) and y.d == x.d or isinstance(y, _RATIONAL):
-            return x + y
-    elif isinstance(x, _RATIONAL):
-        if isinstance(y, Surd):
-            return y + x
-        if isinstance(y, _RATIONAL):
-            xd, yd = x.denominator, y.denominator
-            return Fraction(x.numerator * yd + y.numerator * xd, xd * yd)
-    if isinstance(x, str) or isinstance(y, str):
-        return real_add(as_real(x), as_real(y))
-    raise TypeError("real_add takes exact reals of at most one quadratic field")
+    return as_real(x) + as_real(y)
 
 
 def real_sub(x: Real, y: Real) -> Real:
-    if isinstance(x, Surd):
-        if isinstance(y, Surd) and y.d == x.d or isinstance(y, _RATIONAL):
-            return x - y
-    elif isinstance(x, _RATIONAL):
-        if isinstance(y, Surd):
-            return -y + x
-        if isinstance(y, _RATIONAL):
-            xd, yd = x.denominator, y.denominator
-            return Fraction(x.numerator * yd - y.numerator * xd, xd * yd)
-    if isinstance(x, str) or isinstance(y, str):
-        return real_sub(as_real(x), as_real(y))
-    raise TypeError("real_sub takes exact reals of at most one quadratic field")
+    return as_real(x) - as_real(y)
 
 
 def real_mul(x: Real, y: Real) -> Real:
-    if isinstance(x, Surd):
-        if isinstance(y, Surd) and y.d == x.d or isinstance(y, _RATIONAL):
-            return x * y
-    elif isinstance(x, _RATIONAL):
-        if isinstance(y, Surd):
-            return y * x
-        if isinstance(y, _RATIONAL):
-            return Fraction(x.numerator * y.numerator, x.denominator * y.denominator)
-    if isinstance(x, str) or isinstance(y, str):
-        return real_mul(as_real(x), as_real(y))
-    raise TypeError("real_mul takes exact reals of at most one quadratic field")
+    return as_real(x) * as_real(y)
 
 
 def real_mul_int(x: Real, n: int) -> Real:
-    if isinstance(x, Surd):
-        return x * n
-    if isinstance(x, _RATIONAL):
-        return Fraction(x.numerator * n, x.denominator)
-    return real_mul_int(as_real(x), n)
+    return as_real(x) * n
 
 
 def real_abs(x: Real) -> Real:
@@ -466,21 +423,12 @@ def real_frac(x: Real) -> Real:
     return real_frac(as_real(x))
 
 
-def nearest_int(x: Real) -> int:
-    if isinstance(x, Surd):
-        # floor(x + 1/2) = floor((2a + c + 2b sqrt d) / 2c)
-        return _floor_surd(2 * x.a + x.c, 2 * x.b, 2 * x.c, x.d)
-    if isinstance(x, _RATIONAL):
-        d = x.denominator
-        return (2 * x.numerator + d) // (2 * d)
-    return nearest_int(as_real(x))
-
-
 def torus_norm1(x) -> Real:
     """Distance from x to the nearest integer; same kind as the input."""
     if isinstance(x, Surd):
         a, b, c, d = x.a, x.b, x.c, x.d
-        a -= nearest_int(x) * c
+        # nearest integer floor(x + 1/2) = floor((2a + c + 2b sqrt d) / 2c)
+        a -= _floor_surd(2 * a + c, 2 * b, 2 * c, d) * c
         return _new(a, b, c, d) if _sign2(a, b, d) > 0 else _new(-a, -b, c, d)
     if isinstance(x, _RATIONAL):
         n, d = x.numerator, x.denominator
@@ -489,54 +437,16 @@ def torus_norm1(x) -> Real:
 
 
 def real_cmp(x, y) -> int:
-    """Three-way compare of exact reals, decided exactly; surds of two
-    fields go through real_sum_sign."""
+    """Three-way compare of exact reals of at most one quadratic field."""
     if isinstance(x, Surd):
-        if isinstance(y, Surd) and y.d == x.d or isinstance(y, _RATIONAL):
-            return x._cmp_exact(y)
-    elif isinstance(x, _RATIONAL):
+        return x._cmp_exact(as_real(y) if isinstance(y, str) else y)
+    if isinstance(x, _RATIONAL):
         if isinstance(y, Surd):
             return -y._cmp_exact(x)
         if isinstance(y, _RATIONAL):
             s = x.numerator * y.denominator - y.numerator * x.denominator
             return (s > 0) - (s < 0)
-    return real_sum_sign((as_real(x), -as_real(y)))
-
-
-def real_sum_sign(terms: Sequence, bound=0) -> int:
-    """Sign of sum(terms) - bound, decided exactly in integers.
-
-    Terms are ints, Fractions or Surds of any quadratic fields; bound is an
-    int or Fraction.  The rational parts fold into one numerator and
-    denominator and each field's sqrt(d) coefficients into one b/c; over
-    a common denominator, _int_sum_sign decides the sign.  Square roots of
-    distinct square-free integers are linearly independent over Q, so a sum
-    over two or more fields is never 0.  Nor can it be much closer to 0:
-    for x = n0 + sum(b*sqrt(d)) over f fields, with integers n0 and b, the
-    product of the 2**f sums with every sign of each sqrt(d) is a nonzero
-    integer, and each of the other 2**f - 1 factors is at most
-    B = |n0| + sum(|b|*sqrt(d)), so |x| >= B**-(2**f - 1).  A bracket of x
-    at scale 2**L with L = (2**f - 1)*bits(B) + bits(f) therefore separates
-    it.  Brackets are refined up to that L, and a refinement past HIT_CAP
-    bits raises UncertainAtPrecision, a listing budget, first.  No Fraction
-    is built.  Any other term raises TypeError.
-    """
-    num, den = -bound.numerator, bound.denominator
-    fields: dict[int, tuple[int, int]] = {}
-    for t in terms:
-        if isinstance(t, Surd):
-            a, b, c, d = t.a, t.b, t.c, t.d
-            f = fields.get(d)
-            fields[d] = (b, c) if f is None else (f[0] * c + b * f[1], f[1] * c)
-        elif isinstance(t, _RATIONAL):
-            a, c = t.numerator, t.denominator
-        else:
-            raise TypeError(f"{t!r} is not an exact real")
-        num, den = num * c + a * den, den * c
-    surds = [(b, c, d) for d, (b, c) in fields.items() if b]
-    # clear denominators: num/den + sum b/c sqrt(d) = (n0 + sum b' sqrt(d))/m
-    m = lcm(den, *(c for _, c, _ in surds))
-    return _int_sum_sign(num * (m // den), [(b * (m // c), d) for b, c, d in surds])
+    return real_cmp(as_real(x), as_real(y))
 
 
 def _sum_bracket(surds: Sequence[tuple[int, int]], k: int) -> int:
@@ -553,14 +463,20 @@ def _sum_bracket(surds: Sequence[tuple[int, int]], k: int) -> int:
 
 def _int_sum_sign(n0: int, surds: Sequence[tuple[int, int]]) -> int:
     """Sign of n0 + sum(b*sqrt(d) for b, d in surds), for nonzero ints b and
-    distinct square-free d >= 2: the integer core of real_sum_sign.
+    distinct square-free d >= 2.
 
-    No field is the sign of n0 and one field one ``_sign2``.  With f >= 2
-    fields the sum is bracketed at scale 2**k (_sum_bracket), first at
-    k = 64, then doubling k up to the bound L of real_sum_sign, read from
-    bit lengths: bits(B) is that of |n0| + sum(|b|*2**ceil(bits(d)/2)),
-    above B.  A k past HIT_CAP raises UncertainAtPrecision before its
-    bracket is built.
+    No field is the sign of n0 and one field one ``_sign2``.  Square roots
+    of distinct square-free integers are linearly independent over Q, so
+    with f >= 2 fields the sum x is never 0.  Nor can it be much closer to
+    0: the product of the 2**f sums with every sign of each sqrt(d) is a
+    nonzero integer, and each of the other 2**f - 1 factors is at most
+    B = |n0| + sum(|b|*sqrt(d)), so |x| >= B**-(2**f - 1).  A bracket of x
+    at scale 2**L with L = (2**f - 1)*bits(B) + bits(f) therefore separates
+    it.  x is bracketed at scale 2**k (_sum_bracket), first at k = 64, then
+    doubling k up to L, read from bit lengths: bits(B) is that of
+    |n0| + sum(|b|*2**ceil(bits(d)/2)), above B.  A k past HIT_CAP raises
+    UncertainAtPrecision, a listing budget, before its bracket is built.
+    No Fraction is built.
     """
     if not surds:
         return (n0 > 0) - (n0 < 0)

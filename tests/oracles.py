@@ -5,7 +5,10 @@ computation and scans that test every n or m; they use only the package's
 exact comparisons, never the kernel.  The integer torus-norm decisions of
 ``reclab.bohr`` (its torus test and record scan) replaced the Surd-level
 ones kept here: squared circle norms built as Surds and Fractions and
-signed by ``real_sum_sign`` (``torus_norm_lt``, ``norm_records``).  The
+signed by ``real_sum_sign`` (``torus_norm_lt``, ``norm_records``), which
+folds exact terms of any quadratic fields into the integers that
+``reclab.exactreal._int_sum_sign`` signs; ``reclab.exactreal`` itself
+compares within one field only.  The
 circle branch of ``reclab.bohr.record_times``, which compares the reduced
 pair |A + B*sqrt(d)| unsquared, replaced running every n through the
 integer squared norm (``sq_norm_record_times``).  The point-free moving-recurrence
@@ -43,7 +46,7 @@ import functools
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from itertools import count
-from math import isqrt
+from math import isqrt, lcm
 
 from reclab.bohr import CyclicObstruction, _full_period_avoids_zero, _int_parts, _Pair, _sq_norm, torus_norm
 from reclab.dynamics import BallSpec, NuuReport, _bitmask, return_times_point, return_times_set
@@ -58,7 +61,6 @@ from reclab.exactreal import (
     real_mul,
     real_mul_int,
     real_sub,
-    real_sum_sign,
     real_to_float,
     torus_norm1,
 )
@@ -102,6 +104,31 @@ def signed_convergent(d: int, bits: int, sign: int) -> tuple[int, int]:
         (p, q) for p, q in sqrt_convergents(d, 6000)
         if q.bit_length() > bits and (q * q * d > p * p) == (sign > 0)
     )
+
+
+def real_sum_sign(terms, bound=0) -> int:
+    """Sign of sum(terms) - bound, for terms that are ints, Fractions or
+    Surds of any quadratic fields and a rational bound.  The rational parts
+    fold into one numerator and denominator and each field's sqrt(d)
+    coefficients into one b/c; over a common denominator,
+    ``_int_sum_sign`` decides the sign, and no Fraction is built.  Any other
+    term raises TypeError."""
+    num, den = -bound.numerator, bound.denominator
+    fields: dict[int, tuple[int, int]] = {}
+    for t in terms:
+        if isinstance(t, Surd):
+            a, b, c, d = t.a, t.b, t.c, t.d
+            f = fields.get(d)
+            fields[d] = (b, c) if f is None else (f[0] * c + b * f[1], f[1] * c)
+        elif isinstance(t, (int, Fraction)):
+            a, c = t.numerator, t.denominator
+        else:
+            raise TypeError(f"{t!r} is not an exact real")
+        num, den = num * c + a * den, den * c
+    surds = [(b, c, d) for d, (b, c) in fields.items() if b]
+    # clear denominators: num/den + sum b/c sqrt(d) = (n0 + sum b' sqrt(d))/m
+    m = lcm(den, *(c for _, c, _ in surds))
+    return _int_sum_sign(num * (m // den), [(b * (m // c), d) for b, c, d in surds])
 
 
 def torus_sq_terms(xs):

@@ -44,7 +44,7 @@ from reclab.birkhoff import (
     _refutation,
     _window_adjacency,
 )
-from reclab import birkhoff, cli, report
+from reclab import birkhoff, cli, intsets, report
 from reclab.errors import InvalidArity, MalformedCertificate, VerificationBudgetExceeded
 from reclab.intsets import gen_k_times_nr, gen_l_r
 from reclab.report import FAIL, PASS, run_claim_suite
@@ -294,7 +294,7 @@ class TestGreedy:
     def test_fallback_witness_matches_the_tuple_state_generator(self):
         dists = [10, 11, 14, 24, 29, 39]
         cycle = next(cycle for _, cycle in tuple_state_greedy_terms(dists) if cycle is not None)
-        got = _greedy_cycle_witness(dists, 7, _Budget(birkhoff._FALLBACK_TERMS))
+        got = _greedy_cycle_witness(dists, 7, _Budget(intsets.HIT_CAP))
         assert got == _cycle_witness(cycle, dists, 7)
         assert got.period == 49 and got.is_valid_for(dists, 7)
 

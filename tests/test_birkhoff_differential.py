@@ -46,7 +46,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import in_first_use_order
-from reclab import birkhoff
+from reclab import birkhoff, intsets
 from reclab.birkhoff import (
     ChromaticBracket,
     PeriodicColoring,
@@ -57,7 +57,6 @@ from reclab.birkhoff import (
     Verdict,
     WindowUnsat,
     _Budget,
-    _FALLBACK_TERMS,
     _OutOfBudget,
     _normalize_distances,
     _pack_proof,
@@ -290,7 +289,7 @@ def old_check_r_birkhoff(m, r, limits=None) -> Verdict:
         stats.budget_exhausted = True
         if r <= len(dists):
             return finish(Status.UNDECIDED, None)
-        budget.left = _FALLBACK_TERMS
+        budget.left = intsets.HIT_CAP
     if r > len(dists):
         witness = birkhoff._greedy_cycle_witness(dists, r, budget)
         if witness is not None:

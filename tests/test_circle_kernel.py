@@ -15,11 +15,13 @@ denominator.  Each step of an arc's walk is checked against the descent of
 ball whose radius is the exact norm of one n leaves that n out.  A rational
 orbit that closes too coarse for a density bound is NoSuchM in the kernel
 itself.  The oracles live in ``tests/oracles.py`` and never call the
-kernel.
+kernel.  The walks and the record scan build no Fraction per n or per
+hit: a listing ten or a hundred times longer builds as many.
 """
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -32,6 +34,7 @@ from reclab.bohr import (
     continued_fraction,
     frequency_hits,
     orbit_hits,
+    record_times,
     three_distance,
     three_distance_parts,
 )
@@ -53,6 +56,7 @@ from reclab.exactreal import (
     real_frac,
     real_mul_int,
     real_sub,
+    sqrt2_rotation,
     torus_norm1,
 )
 from reclab.intsets import Window
@@ -499,3 +503,48 @@ def test_cli_exits_4_past_the_hit_cap(monkeypatch, capsys, frequencies, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "hit listing" in captured.err and "exceeds the listing cap 10" in captured.err
+
+
+FRACTION_SYSTEMS = {
+    "golden": (golden_rotation(),),
+    "13/67": (TorusPoint(Fraction(13, 67)),),
+    "torus": (golden_rotation(), sqrt2_rotation()),
+}
+TENTH = Fraction(1, 10)
+# each builds the call of a loop over a listing of the given size, and the two sizes
+FRACTION_LOOPS = {
+    "enumerate": (lambda alphas, w: partial(bohr_enumerate, BohrSpec(alphas, TENTH), Window(-w, w)), (200, 20_000)),
+    "records": (lambda alphas, t: partial(record_times, [a.value for a in alphas], range(1, t + 1)), (100, 10_000)),
+    "returns": (
+        lambda alphas, h: partial(
+            return_times_point,
+            RotationSystem(alphas),
+            (Fraction(1, 3),) * len(alphas),
+            BallSpec((Fraction(0),) * len(alphas), TENTH),
+            h,
+        ),
+        (200, 20_000),
+    ),
+}
+
+
+@pytest.mark.parametrize("system", FRACTION_SYSTEMS)
+@pytest.mark.parametrize("loop", FRACTION_LOOPS)
+def test_hot_loops_build_no_fraction_per_hit(monkeypatch, loop, system):
+    make, sizes = FRACTION_LOOPS[loop]
+    original = Fraction.__new__
+    counts = []
+    for size in sizes:
+        call, built = make(FRACTION_SYSTEMS[system], size), []
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        assert call()
+        monkeypatch.undo()
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+    if loop != "returns":  # a return-time query reads its ball and point into a few
+        assert counts == [0, 0]

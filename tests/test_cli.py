@@ -584,6 +584,19 @@ class TestExitCodes:
         assert out == ""
         assert "greedy coloring of 1000001 elements exceeds the listing cap 1000000" in err
 
+    def test_recurrent_past_the_sample_budget_exit(self, capsys, tmp_path):
+        # golden's first witness at eps = 1/12000 is 6765 (a Fibonacci number,
+        # norm about 1/15127), past the 5,000 target times tested: exit 4,
+        # where it printed "found": false
+        listing = tmp_path / "set.txt"
+        listing.write_text("\n".join(str(n) for n in range(1, 6766)))
+        argv = ["dyn", "recurrent", "--alpha", "golden", "--eps", "1/12000"]
+        rc, out, err = run(capsys, [*argv, "--set", str(listing)])
+        assert (rc, out) == (4, "")
+        assert "no witness among the first 5000 target times" in err and "1765 more" in err
+        doc = run_json(capsys, [*argv, "--elements", "6765"])
+        assert doc["result"]["found"] is True and doc["result"]["time"] == 6765
+
     def test_sets_diff_past_hit_cap_exit(self, capsys, tmp_path):
         # 4,000 squares make 15,996,000 ordered pairs: refused before any is formed
         listing = tmp_path / "set.txt"

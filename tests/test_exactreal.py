@@ -1,5 +1,6 @@
 """Exact arithmetic kinds: rationals and quadratic surds; a display-only Approx is refused."""
 
+import functools
 import math
 import time
 from fractions import Fraction
@@ -16,7 +17,6 @@ from reclab.exactreal import (
     TorusPoint,
     as_real,
     golden_rotation,
-    nearest_int,
     parse_real,
     real_abs,
     real_add,
@@ -27,13 +27,12 @@ from reclab.exactreal import (
     real_mul_int,
     real_sqrt,
     real_sub,
-    real_sum_sign,
     real_to_float,
     sqrt2_rotation,
     torus_norm1,
 )
 
-from oracles import real_eq, real_sort
+from oracles import real_eq, real_sum_sign
 
 
 class TestSurd:
@@ -162,7 +161,6 @@ REFUSED = {
     "real_cmp approx": (real_cmp, APPROX, 0),
     "real_cmp approx second": (real_cmp, Fraction(1, 3), APPROX),
     "real_floor approx": (real_floor, APPROX),
-    "nearest_int approx": (nearest_int, APPROX),
     "real_frac approx": (real_frac, APPROX),
     "torus_norm1 approx": (torus_norm1, APPROX),
     "real_mul_int approx": (real_mul_int, APPROX, 3),
@@ -176,7 +174,6 @@ REFUSED = {
     "real_sqrt approx": (real_sqrt, APPROX),
     "real_add two fields": (real_add, Surd(0, 1, 2), Surd(0, 1, 3)),
     "real_sub two fields": (real_sub, Surd(0, 1, 2), Surd(0, 1, 3)),
-    "real_sum_sign approx": (real_sum_sign, [Fraction(1, 2), APPROX]),
     "TorusPoint approx": (TorusPoint, APPROX),
     "as_real float": (as_real, 0.5),
     "TorusPoint float": (TorusPoint, 0.5),
@@ -196,12 +193,14 @@ def test_approx_and_floats_are_refused(call):
 
 class TestComparisons:
     def test_cross_field_exact(self):
-        assert real_cmp(Surd(0, 1, 2), Surd(0, 1, 3)) < 0
+        with pytest.raises(TypeError):
+            real_cmp(Surd(0, 1, 2), Surd(0, 1, 3))
+        assert real_sum_sign([Surd(0, 1, 2), -Surd(0, 1, 3)]) < 0
         assert real_cmp(Surd(0, 2, 2), Surd(0, 1, 8)) == 0
 
     def test_sort_mixed_kinds(self):
         vals = [Surd(0, 1, 2), Fraction(1), Surd(0, 1, 3), Fraction(2)]
-        ordered = real_sort(vals)
+        ordered = sorted(vals, key=functools.cmp_to_key(lambda x, y: real_sum_sign([x, -y])))
         assert [real_to_float(v) for v in ordered] == sorted(real_to_float(v) for v in vals)
 
 
@@ -221,8 +220,8 @@ class TestArithmetic:
     def test_floor_frac(self):
         assert real_floor(Surd(0, 1, 2)) == 1
         assert real_frac(Fraction(7, 3)) == Fraction(1, 3)
-        assert nearest_int(Fraction(7, 5)) == 1
-        assert nearest_int(Surd(0, 1, 2)) == 1
+        assert torus_norm1(Fraction(7, 5)) == Fraction(2, 5)
+        assert torus_norm1(Surd(0, 1, 2)) == Surd(-1, 1, 2)
 
     def test_sqrt(self):
         assert real_sqrt(Fraction(9, 4)) == Fraction(3, 2)

@@ -3,8 +3,9 @@
 Every exact operation on ``Surd`` is checked against two independent
 references: sympy's algebraic numbers (skipped when sympy is absent) and the
 Fraction-based bracket arithmetic the kernel replaced, kept here as an oracle.
-The cross-field sum sign ``real_sum_sign`` is checked against sympy, also
-on a two-field sum of about 2**-4200 that needs an 8192-bit bracket.
+The cross-field sum sign ``_int_sum_sign`` is checked against sympy through
+the oracle ``real_sum_sign``, which folds exact terms into its integers,
+also on a two-field sum of about 2**-4200 that needs an 8192-bit bracket.
 """
 
 import json
@@ -18,16 +19,15 @@ from reclab import exactreal, intsets
 from reclab.errors import UncertainAtPrecision
 from reclab.exactreal import (
     Surd,
-    nearest_int,
     real_cmp,
+    real_floor,
     real_frac,
     real_mul_int,
-    real_sum_sign,
     real_to_json,
     torus_norm1,
 )
 
-from oracles import bracket_float, signed_convergent, sqrt_convergents
+from oracles import bracket_float, real_sum_sign, signed_convergent, sqrt_convergents
 
 FIELDS = (2, 3, 5, 6, 7, 10, 11, 13)
 BIG = 2**200
@@ -190,7 +190,7 @@ def test_hot_path_builds_no_fraction(monkeypatch):
     for other in (y, r):  # real_cmp coerces an int to Fraction
         real_cmp(x, other), real_cmp(other, x)
     -x, abs(x), x.reciprocal(), x.sign(), x.floor(), x == y, hash(x)
-    real_frac(x), nearest_int(x), torus_norm1(x), real_mul_int(x, n)
+    real_frac(x), torus_norm1(x), real_mul_int(x, n)
     monkeypatch.undo()
     assert built == []
 
@@ -206,7 +206,6 @@ def test_floor_and_sign_match_fraction_oracle(fields):
     assert x.floor() == oracle_floor(p, q, d)
     assert x.sign() == oracle_sign(p, q, d)
     k = oracle_floor(p + Fraction(1, 2), q, d)
-    assert nearest_int(x) == k
     norm = torus_norm1(x)
     if oracle_sign(p - k, q, d) > 0:
         assert (norm.p, norm.q) == (p - k, q)
@@ -238,7 +237,6 @@ def test_floor_sign_and_norm_match_sympy(sympy, fields):
     assert x.floor() == sympy_floor(sympy, sx)
     assert x.sign() == sympy_sign(sympy, sx)
     k = sympy_floor(sympy, sx + sympy.Rational(1, 2))
-    assert nearest_int(x) == k
     expected = (sx - k) * sympy_sign(sympy, sx - k)
     assert sympy.expand(surd_to_sympy(sympy, torus_norm1(x)) - expected) == 0
 
@@ -281,7 +279,7 @@ def field_sums(draw):
             terms.append(build(*draw(surd_fields(fields))))
     if draw(st.booleans()):
         return terms, Fraction(draw(coeffs), draw(denominators))
-    return terms, sum(nearest_int(t) for t in terms)
+    return terms, sum(real_floor(t + Fraction(1, 2)) for t in terms)
 
 
 def term_to_sympy(sympy, t):
@@ -332,7 +330,14 @@ def test_sum_sign_reads_equal_values_in_other_forms(sympy, f, s, case):
 def test_cross_field_compare_matches_sympy(sympy, f1, f2):
     x, y = build(*f1), build(*f2)
     expected = sympy_sign(sympy, to_sympy(sympy, *f1) - to_sympy(sympy, *f2))
-    assert real_cmp(x, y) == expected == -real_cmp(y, x)
+    assert real_sum_sign([x, -y]) == expected == -real_sum_sign([y, -x])
+    if x.d == y.d:
+        assert real_cmp(x, y) == expected == -real_cmp(y, x)
+    else:
+        with pytest.raises(TypeError):
+            real_cmp(x, y)
+        with pytest.raises(TypeError):
+            real_cmp(y, x)
 
 
 def convergent_error(d: int, bits: int, sign: int) -> Surd:
@@ -382,7 +387,7 @@ def test_sum_sign_builds_no_fraction(monkeypatch):
     signs = [
         real_sum_sign([x, y, z, r], bound), real_sum_sign([x, r, 3], bound),
         real_sum_sign([x, -x, r]), real_sum_sign(near), real_sum_sign([x, y, -x, -y]),
-        real_cmp(x, y), real_cmp(y, z),
+        real_sum_sign([x, -y]), real_sum_sign([y, -z]),
     ]
     monkeypatch.undo()
     assert built == []
