@@ -28,13 +28,13 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from itertools import islice
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InvalidArity, EmptyInput, MalformedCertificate, VerificationBudgetExceeded
 from . import intsets
-from .intsets import IntSet, ZSetLike, _check_listing, as_int_list
+from .intsets import IntSet, ZSetLike, _check_listing, as_int_list, gen_l_r, l_r_layer
 
 # Default cap of the independent verifier: reference-search nodes for a
 # certificate without a proof, proof entries for one read from a file.
@@ -551,11 +551,7 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
     dists = _normalize_distances(m)
     limits = (limits or SearchLimits()).resolved(dists)
     budget = _Budget(limits.node_budget)
-    stats = SearchStats(limits={
-        "max_window": limits.max_window,
-        "max_period": limits.max_period,
-        "node_budget": limits.node_budget,
-    })
+    stats = SearchStats(limits=asdict(limits))
 
     def finish(status, cert):
         stats.nodes = budget.spent
@@ -913,8 +909,6 @@ def stably_r_birkhoff_probe(
     that single layer already certifies the verdict (its window certificate
     is valid for the superset, which only has more edges).
     """
-    from .intsets import gen_l_r, l_r_layer
-
     arity = family_r if arity is None else arity
     removed_set = set(as_int_list(removed))
     family = gen_l_r(family_r, k_max)

@@ -73,6 +73,7 @@ from .exactreal import (
     real_frac,
     real_sqrt,
     real_sub,
+    real_to_json,
     torus_norm1,
 )
 from . import intsets
@@ -1043,8 +1044,6 @@ def _full_period_avoids_zero(coeffs: Sequence, m: int) -> tuple[bool, int]:
 
 
 def bohr_spec_to_json(spec: BohrSpec) -> dict:
-    from .exactreal import real_to_json
-
     return {
         "alphas": [real_to_json(a.value) for a in spec.alphas],
         "eps": f"{spec.eps.numerator}/{spec.eps.denominator}",

@@ -33,6 +33,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -106,7 +107,7 @@ from .report import CLAIM_NAMES, run_claim_suite, suite_to_json, suite_to_markdo
 from .seqexpr import EBNF, compile_sequence
 
 DEFAULT_SEED = 20260816
-BUDGETS = ("max_window", "max_period", "node_budget")
+BUDGETS = tuple(f.name for f in fields(SearchLimits))
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +706,7 @@ SET_FLAGS = {
     "--set": {"help": "file with a JSON array or one integer per line"},
     "--elements": {"help": "inline integers, comma or space separated"},
 }
-BUDGET_FLAGS = {"--max-window": COUNT, "--max-period": COUNT, "--node-budget": COUNT}
+BUDGET_FLAGS = {"--" + k.replace("_", "-"): COUNT for k in BUDGETS}
 # --alpha is checked at run time, so subshift-mode calls can omit it
 ROTATION_FLAGS = {"--alpha": {"action": "append"}}
 BALL_FLAGS = {

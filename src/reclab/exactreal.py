@@ -574,10 +574,6 @@ class TorusPoint:
     def multiple(self, n: int) -> Real:
         return real_mul_int(self.value, n)
 
-    @property
-    def is_rational(self) -> bool:
-        return isinstance(self.value, Fraction)
-
     def __eq__(self, other):
         return isinstance(other, TorusPoint) and self.value == other.value
 

@@ -77,9 +77,6 @@ class IntSet:
         i = bisect_left(self.elements, n)
         return i < len(self.elements) and self.elements[i] == n
 
-    def restrict(self, window: Window) -> "IntSet":
-        return IntSet(tuple(e for e in self.elements if e in window))
-
 
 ZSetLike = Union[IntSet, Iterable[int]]
 

@@ -68,6 +68,7 @@ from .intsets import (
     l_r_layer,
     lacunarity_ratios,
 )
+from .seqexpr import compile_sequence
 
 PASS, FAIL, UNDECIDED = "PASS", "FAIL", "UNDECIDED"
 
@@ -302,8 +303,6 @@ def _claim_rigidity_records(limits: SearchLimits, rng, corrupt: bool):
 def _claim_moving_recurrence(limits: SearchLimits, rng, corrupt: bool):
     """Moving recurrence along three fast-growing time sequences: sampled
     fraction is 1 and the functional equals the displacement minimum."""
-    from .seqexpr import compile_sequence
-
     sys_ = RotationSystem((golden_rotation(),))
     horizon, eps = 200, Fraction(1, 100)
     want = real_to_float(real_min(sys_.displacement_norm(k) for k in range(1, horizon + 1)))

@@ -109,7 +109,7 @@ def offset_in_field(draw, alpha: TorusPoint):
     r = draw(small_fractions)
     if draw(st.booleans()):
         return r
-    if alpha.is_rational:
+    if isinstance(alpha.value, Fraction):
         return draw(surds).value
     return real_add(real_mul_int(alpha.value, draw(st.integers(-30, 30))), r)
 

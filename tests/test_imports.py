@@ -1,18 +1,24 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package imports what it uses, once, at its top level.
 
-Checked with the standard library's ast module alone, so it runs wherever
-the suite does.  ``__init__.py`` is exempt: its imports are the public
-re-exports.
+The source checks use the standard library's ast module alone, so they run
+wherever the suite does.  ``__init__.py`` is held to the same rules: it is
+a docstring, so ``import reclab`` loads no submodule, and every name is
+imported from the module that defines it.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import reclab
 
-MODULES = sorted(p for p in Path(reclab.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(reclab.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +35,19 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
+def _imports_package(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "reclab"
+    return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "reclab" for a in node.names)
+
+
+def local_package_imports(source: str) -> list[int]:
+    """Lines of imports from the package that are not top-level statements."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    return sorted(n.lineno for n in ast.walk(tree) if _imports_package(n) and id(n) not in top)
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom a.b import c as d, e\nimport x.y\nx.y.z(e)\n") == [
         "d (line 2)",
@@ -36,6 +55,41 @@ def test_detects_an_unused_import():
     ]
 
 
+def test_detects_a_local_package_import():
+    source = (
+        "from . import a\nimport os\n"
+        "def f():\n    from .b import c\n    import json\n    import reclab.cli\n"
+        "    from reclab import d\n    return c\n"
+    )
+    assert local_package_imports(source) == [4, 6, 7]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_the_package_at_top_level(path):
+    assert local_package_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_bare_import_loads_no_submodule():
+    """In a fresh interpreter ``import reclab`` adds no ``reclab.*`` module,
+    and ``import reclab.cli`` adds every module of the package."""
+    script = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(k for k in sys.modules if k.startswith('reclab.'))\n"
+        "import reclab\n"
+        "bare = loaded()\n"
+        "import reclab.cli\n"
+        "print(json.dumps([bare, loaded()]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    bare, with_cli = json.loads(out)
+    assert bare == []
+    assert with_cli == sorted(f"reclab.{p.stem}" for p in MODULES if p.stem != "__init__")

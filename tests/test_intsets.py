@@ -35,10 +35,6 @@ class TestIntSet:
         s = IntSet((5, 1, 9))
         assert 5 in s and 4 not in s and len(s) == 3
 
-    def test_restrict(self):
-        s = IntSet(range(-5, 6))
-        assert tuple(s.restrict(Window(-2, 3))) == (-2, -1, 1, 2, 3)
-
     def test_empty_is_falsy(self):
         assert not IntSet(()) and len(IntSet((0,))) == 0
 

@@ -41,7 +41,7 @@ def points(draw, sys_):
         r = draw(small_fractions)
         if draw(st.booleans()):
             coords.append(r)
-        elif alpha.is_rational:
+        elif isinstance(alpha.value, Fraction):
             coords.append(real_add(draw(surds).value, r))
         else:
             coords.append(real_add(real_mul_int(alpha.value, draw(st.integers(-9, 9))), r))
