@@ -634,14 +634,15 @@ def _greedy_cycle_witness(dists: Sequence[int], r: int, budget: _Budget) -> Opti
 def _greedy_cycle(dists: Sequence[int], limit: int) -> tuple[list[int], Optional[tuple[int, ...]]]:
     """The greedy avoiding sequence over |M|+1 colors, up to the term at
     which its state first repeats or to `limit` terms, whichever comes
-    first: (terms, cycle), where cycle is the primitive, lex-least rotation
-    of the period that the terms repeat from then on, or None when the
-    state did not repeat within limit.
+    first: (terms, cycle), where cycle is the lex-least rotation of the
+    period that the terms repeat from then on, or None when the state did
+    not repeat within limit.
 
     Rule: positions <= 0 carry color 1; each later position takes the least
     color differing from every position one M-distance back.  A term depends
     only on the max(M) terms before it, so once such a state repeats the
-    sequence is periodic.
+    sequence is periodic.  That period is primitive: a shorter period of
+    the terms would have repeated a state sooner.
 
     A term costs O(|M|): the forbidden colors are a bitmask, and the state
     is an integer holding the last max(M) terms in `width` bits each.
@@ -660,7 +661,7 @@ def _greedy_cycle(dists: Sequence[int], limit: int) -> tuple[list[int], Optional
         z.append(c)
         state = (state << width | c) & mask
         if i >= top and seen.setdefault(state, i) != i:
-            return z[top:], _primitive_rotation(tuple(z[seen[state] + top :]))
+            return z[top:], _least_rotation(tuple(z[seen[state] + top :]))
     return z[top:], None
 
 
@@ -669,37 +670,23 @@ def _cycle_witness(cycle: tuple[int, ...], dists: Sequence[int], r: int) -> Opti
     return coloring if coloring.is_valid_for(dists, r) else None
 
 
-def _primitive_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """Reduce to the primitive period, then pick the lex-least rotation, both
-    in linear time: the period from the prefix function, the rotation by
-    Booth's algorithm ("Lexicographically least circular substrings", IPL
-    1980)."""
-    n = len(cycle)
-    border = [0] * n  # border[i]: longest proper border of cycle[:i + 1]
-    for i in range(1, n):
-        k = border[i - 1]
-        while k and cycle[i] != cycle[k]:
-            k = border[k - 1]
-        border[i] = k + (cycle[i] == cycle[k])
-    if n % (n - border[-1]) == 0:
-        n -= border[-1]
-        cycle = cycle[:n]
-    s = cycle + cycle
-    fail = [-1] * (2 * n)  # Booth's failure function, relative to the candidate start k
-    k = 0
-    for j in range(1, 2 * n):
-        i = fail[j - k - 1]
-        while i != -1 and s[j] != s[k + i + 1]:
-            if s[j] < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if s[j] != s[k + i + 1]:  # here i == -1
-            if s[j] < s[k]:
-                k = j
-            fail[j - k] = -1
+def _least_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """The lex-least rotation, in linear time: candidate starts i < j, where
+    a mismatch after k equal terms rules out the larger side's start and
+    the k starts after it, none of which can then be the least."""
+    n, s = len(cycle), cycle + cycle
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
         else:
-            fail[j - k] = i + 1
-    return s[k : k + n]
+            j += k + 1
+        k = 0
+    return s[i : i + n]
 
 
 def verify_certificate(m: ZSetLike, r: int, cert: Certificate, node_cap: int = VERIFY_NODE_CAP) -> bool:

@@ -86,6 +86,10 @@ _WALK_BITS = 64
 # No decision reads it.
 _DISPLAY_BITS = 128
 
+# Most intervals an interval pruning may hold: lacunary_witness's cap, and
+# the default of bohr_separation_search's grid_depth.
+PRUNE_CAP = 20_000
+
 
 @dataclass(frozen=True)
 class BohrSpec:
@@ -131,22 +135,12 @@ def bohr_enumerate(spec: BohrSpec, window: Window) -> tuple[int, ...]:
 
 
 def frequency_hits(alphas: Sequence[TorusPoint], eps: Fraction, window: Window) -> tuple[int, ...]:
-    """All n in the window, 0 included, with dist(n*alpha, Z^k) < eps, ascending.
-
-    The orbit hits of the origin; see orbit_hits.
+    """All n in the window, 0 included, with dist(n*alpha, Z^k) < eps, ascending:
+    the orbit hits of the origin, by kernel_hits on one new CircleKernel per
+    coordinate.
     """
-    return orbit_hits([a.value for a in alphas], (0,) * len(alphas), eps, window)
-
-
-def orbit_hits(
-    alphas: Sequence[Real], offsets: Sequence[Real], radius: Fraction, window: Window
-) -> tuple[int, ...]:
-    """All n in the window with dist(offsets + n*alphas, Z^k) < radius,
-    ascending, for each coordinate's alpha and offset of at most one
-    quadratic field: kernel_hits on one new CircleKernel per coordinate.
-    """
-    kernels = [CircleKernel.of(a, o, radius) for a, o in zip(alphas, offsets)]
-    return kernel_hits(kernels, alphas, offsets, radius, window)
+    values = [a.value for a in alphas]
+    return kernel_hits([CircleKernel.of(a, 0, eps) for a in values], values, (0,) * len(values), eps, window)
 
 
 def kernel_hits(
@@ -156,9 +150,11 @@ def kernel_hits(
     radius: Fraction,
     window: Window,
 ) -> tuple[int, ...]:
-    """orbit_hits on the caller's kernels, kernels[i] the kernel of
-    alphas[i] in a unit that makes offsets[i] and radius ints or integer
-    pairs, so that one kernel serves every offset and radius of a call.
+    """All n in the window with dist(offsets + n*alphas, Z^k) < radius,
+    ascending, for each coordinate's alpha and offset of at most one
+    quadratic field.  kernels[i] is the caller's kernel of alphas[i], in a
+    unit that makes offsets[i] and radius ints or integer pairs, so that one
+    kernel serves every offset and radius of a call.
 
     Each coordinate is listed by CircleKernel.hits.  On a torus, a hit is a
     hit of every coordinate, so the listings are intersected and the exact
@@ -910,12 +906,13 @@ def _measure(intervals: list[Span]) -> Fraction:
 
 
 def lacunary_witness(
-    seq: ZSetLike, delta: Fraction, depth: Optional[int] = None, budget: int = 20_000
+    seq: ZSetLike, delta: Fraction, depth: Optional[int] = None
 ) -> Optional[WitnessInterval]:
     """Closed rational interval of alphas with dist(n*alpha) >= delta for the
     first `depth` elements of seq; None when pruning empties out.
 
-    Returns the longest surviving interval (leftmost on ties).
+    Returns the longest surviving interval (leftmost on ties).  The pruning
+    holds at most PRUNE_CAP intervals.
     """
     values = [v for v in as_int_list(seq) if v > 0]
     if not values:
@@ -923,7 +920,7 @@ def lacunary_witness(
     if depth is not None:
         values = values[:depth]
     delta = Fraction(delta)
-    intervals = _prune(values, delta, budget)
+    intervals = _prune(values, delta, PRUNE_CAP)
     if not intervals:
         return None
     an, ad, bn, bd = _longest(intervals)
@@ -945,7 +942,7 @@ def revalidate_witness(seq: ZSetLike, delta: Fraction, witness: WitnessInterval)
 
 
 def bohr_separation_search(
-    l_set: ZSetLike, eps: Fraction, grid_depth: int = 20_000
+    l_set: ZSetLike, eps: Fraction, grid_depth: int = PRUNE_CAP
 ) -> Optional[BohrSpec]:
     """Search for a single-frequency spec whose set misses l_set entirely.
 

@@ -51,6 +51,7 @@ from .birkhoff import (
     verify_certificate,
 )
 from .bohr import (
+    PRUNE_CAP,
     BohrSpec,
     bohr_enumerate,
     bohr_membership,
@@ -749,7 +750,7 @@ COMMANDS = {
         **BUDGET_FLAGS, "--family-r": REQUIRED_INT, "--removed": {"help": "inline integers to delete"},
         "--k-max": {"type": int, "default": 3}, "--arity": INT}),
     ("birkhoff", "chromatic"): (cmd_birkhoff_chromatic, "chromatic number of the window graph", {
-        **SET_FLAGS, **BUDGET_FLAGS, "--window": REQUIRED_INT}),
+        **SET_FLAGS, "--node-budget": COUNT, "--window": REQUIRED_INT}),
     ("bohr", "member"): (cmd_bohr_member, "test one integer", {"--n": REQUIRED_INT, **FREQUENCY_FLAGS}),
     ("bohr", "enumerate"): (cmd_bohr_enumerate, "list members in a window", {
         **FREQUENCY_FLAGS, "--lo": REQUIRED_INT, "--hi": REQUIRED_INT}),
@@ -758,7 +759,7 @@ COMMANDS = {
     ("bohr", "obstruct"): (cmd_bohr_obstruct, "smallest modulus missing the set", {
         **SET_FLAGS, "--m-max": REQUIRED_INT, "--poly": {**RATIONAL, "help": "generator coefficients, constant first"}}),
     ("bohr", "separate"): (cmd_bohr_separate, "frequency spec disjoint from the set", {
-        **SET_FLAGS, "--eps": REQUIRED_RATIONAL, "--grid-depth": {**COUNT, "default": 20_000}}),
+        **SET_FLAGS, "--eps": REQUIRED_RATIONAL, "--grid-depth": {**COUNT, "default": PRUNE_CAP}}),
     ("bohr", "cf"): (cmd_bohr_cf, "continued fraction with convergents", {
         "--alpha": REQUIRED, "--depth": {**COUNT, "default": 30}}),
     ("bohr", "threedist"): (cmd_bohr_threedist, "circular gap structure of an orbit", {

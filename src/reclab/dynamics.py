@@ -42,7 +42,6 @@ from .exactreal import (
     Real,
     TorusPoint,
     real_frac,
-    real_min,
     real_sub,
     real_to_float,
 )
@@ -369,7 +368,7 @@ def phi_l(sys_: System, x, targets: ZSetLike, horizon: int) -> Real:
     sys_.require_horizon(max(abs(n) for n in times))
     base = int(x)
     scan = min(sys_.window.hi // 2, 4 * horizon)
-    return real_min(sys_.dist(base + n, base, scan) for n in times)
+    return min(sys_.dist(base + n, base, scan) for n in times)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ and circle norm are integer divisions.  ``_int_sum_sign`` signs a sum of
 surds from several fields in integers; ``bohr`` signs its squared torus
 norms with it.
 
-The exact kinds are the only inputs and the only results: ints, Fractions,
-Surds and strings parsed to them.  A float is refused with TypeError, and
-so is a sum, product or comparison across two quadratic fields
+The exact kinds are the only inputs and the only results: ints, Fractions
+and Surds; only ``parse_real`` takes a string.  A float or a string is
+refused with TypeError, and so is a sum, product or comparison across two
+quadratic fields
 (``real_add``, ``real_sub``, ``real_mul``, ``real_cmp``).  ``Approx``, a
 rational midpoint with an error bound, is a display type only:
 ``bohr.torus_norm`` builds one for a torus norm whose square is irrational,
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import RadicandTooLarge, UncertainAtPrecision, UnprintableInteger
 from . import intsets
@@ -131,19 +132,11 @@ class Surd:
     """Exact quadratic irrational (a + b*sqrt(d))/c in integers.
 
     Normalised: b != 0, c > 0, gcd(a, b, c) == 1 and d >= 2 square-free, so
-    equal values have equal fields.  Construct from rationals p, q as
-    ``Surd(p, q, d)`` or ``Surd.make(p, q, d)``, meaning p + q*sqrt(d).
+    equal values have equal fields.  The one constructor is
+    ``Surd.make(p, q, d)``, meaning p + q*sqrt(d) for rationals p, q.
     """
 
     __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, p, q, d: int):
-        if d <= 1:
-            raise ValueError("surd radicand must be >= 2")
-        out = Surd.make(p, q, d)
-        if not isinstance(out, Surd):
-            raise ValueError("value is rational; use Fraction instead")
-        self.a, self.b, self.c, self.d = out.a, out.b, out.c, out.d
 
     @staticmethod
     def make(p, q, d: int) -> "Real":
@@ -227,28 +220,6 @@ class Surd:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def reciprocal(self) -> "Real":
-        # c/(a + b sqrt d) = c(a - b sqrt d)/(a^2 - b^2 d); the denominator
-        # is nonzero because d is no square
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return _norm(c * a, -c * b, a * a - b * b * d, d)
-
-    def __truediv__(self, other):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if isinstance(other, Surd) and other.d == d:
-            return self.__mul__(other.reciprocal())
-        if isinstance(other, int):
-            return _norm(a, b, c * other, d)
-        if isinstance(other, Fraction):
-            m = other.denominator
-            return _norm(a * m, b * m, c * other.numerator, d)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.reciprocal().__mul__(other)
-        return NotImplemented
 
     # -- exact order ----------------------------------------------------
 
@@ -345,21 +316,18 @@ Real = Union[Fraction, Surd]
 
 # The rational kind below: ints and Fractions, read through .numerator and
 # .denominator.  Functions test Surd before it, because isinstance against
-# Fraction goes through the numbers ABCs for any other type.  What is left
-# (a str) is coerced by as_real.
+# Fraction goes through the numbers ABCs for any other type.
 _RATIONAL = (int, Fraction)
 
 
 def as_real(x) -> Real:
-    """Coerce ints, Fractions, surds and decimal strings to Real.  A float
-    or an Approx is refused: neither is exact."""
+    """Coerce ints, Fractions and surds to Real.  A float or an Approx is
+    refused, neither being exact, and so is a string: parse_real reads one."""
     if isinstance(x, (Surd, Fraction)):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return parse_real(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact real; pass an int, Fraction, Surd or string")
+    raise TypeError(f"cannot interpret {x!r} as an exact real; pass an int, Fraction or Surd")
 
 
 def parse_real(text: str) -> Real:
@@ -439,7 +407,7 @@ def torus_norm1(x) -> Real:
 def real_cmp(x, y) -> int:
     """Three-way compare of exact reals of at most one quadratic field."""
     if isinstance(x, Surd):
-        return x._cmp_exact(as_real(y) if isinstance(y, str) else y)
+        return x._cmp_exact(y)
     if isinstance(x, _RATIONAL):
         if isinstance(y, Surd):
             return -y._cmp_exact(x)
@@ -499,16 +467,6 @@ def _int_sum_sign(n0: int, surds: Sequence[tuple[int, int]]) -> int:
             raise UncertainAtPrecision(
                 f"cross-field sum needs up to {limit} bracket bits to separate, past the cap {intsets.HIT_CAP} bits"
             )
-
-
-def real_min(values: Iterable[Real]) -> Real:
-    best = None
-    for v in values:
-        if best is None or real_cmp(v, best) < 0:
-            best = v
-    if best is None:
-        raise ValueError("real_min of empty iterable")
-    return best
 
 
 def real_sqrt(x: Real) -> Real:

@@ -15,7 +15,6 @@ more than 64*HIT_CAP bits in all, raises ListingBudgetExceeded.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -47,12 +46,6 @@ class Window:
     def __contains__(self, n: int) -> bool:
         return self.lo <= n <= self.hi
 
-    def __iter__(self):
-        return iter(range(self.lo, self.hi + 1))
-
-    def __len__(self):
-        return max(0, self.hi - self.lo + 1)
-
 
 @dataclass(frozen=True)
 class IntSet:
@@ -69,13 +62,6 @@ class IntSet:
 
     def __len__(self):
         return len(self.elements)
-
-    def __bool__(self):
-        return bool(self.elements)
-
-    def __contains__(self, n: int) -> bool:
-        i = bisect_left(self.elements, n)
-        return i < len(self.elements) and self.elements[i] == n
 
 
 ZSetLike = Union[IntSet, Iterable[int]]

@@ -57,7 +57,6 @@ from .exactreal import (
     TorusPoint,
     golden_rotation,
     real_cmp,
-    real_min,
     real_to_float,
     torus_norm1,
 )
@@ -305,7 +304,7 @@ def _claim_moving_recurrence(limits: SearchLimits, rng, corrupt: bool):
     fraction is 1 and the functional equals the displacement minimum."""
     sys_ = RotationSystem((golden_rotation(),))
     horizon, eps = 200, Fraction(1, 100)
-    want = real_to_float(real_min(sys_.displacement_norm(k) for k in range(1, horizon + 1)))
+    want = real_to_float(min(sys_.displacement_norm(k) for k in range(1, horizon + 1)))
     for formula in ("k^2", "k^3 - k", "2^k"):
         compile_sequence(formula)  # psi reads no n_k: one run holds for all three
     outcome = moving_recurrence_experiment(sys_, MovingQuery(horizon, eps), samples=10)

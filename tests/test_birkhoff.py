@@ -36,10 +36,11 @@ from reclab.birkhoff import (
     _circulant_adjacency,
     _circulant_clique_exceeds,
     _cycle_witness,
+    _greedy_cycle,
     _greedy_cycle_witness,
     _greedy_cliques,
+    _least_rotation,
     _normalize_distances,
-    _primitive_rotation,
     _reference_window_colorable,
     _refutation,
     _window_adjacency,
@@ -254,10 +255,22 @@ class TestGreedy:
     @example([1, 2, 1, 2, 2], 3, [])
     @example([2, 1], 1, [2, 2, 1])
     @settings(max_examples=300, deadline=None)
-    def test_primitive_rotation_matches_the_quadratic_search(self, base, repeats, tail):
+    def test_least_rotation_matches_the_quadratic_search(self, base, repeats, tail):
         # base * repeats has a period dividing len(base); the tail may break it
         cycle = tuple(base * repeats + tail)
-        assert _primitive_rotation(cycle) == quadratic_primitive_rotation(cycle)
+        assert _least_rotation(cycle) == min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+
+    @given(st.sets(st.integers(1, 60), min_size=1, max_size=6).map(sorted))
+    @example([1])
+    @example([2, 4, 6])
+    @example([10, 11, 14, 24, 29, 39])
+    @settings(max_examples=200, deadline=None)
+    def test_the_greedy_cycle_is_primitive(self, dists):
+        # the cycle closes at the first repeated state, and a state fixes
+        # every later term: a shorter period would have repeated one sooner
+        _, cycle = _greedy_cycle(dists, 20_000)
+        if cycle is not None:
+            assert len(quadratic_primitive_rotation(cycle)) == len(cycle)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

@@ -33,7 +33,7 @@ from reclab.bohr import (
     bohr_enumerate,
     continued_fraction,
     frequency_hits,
-    orbit_hits,
+    kernel_hits,
     record_times,
     three_distance,
     three_distance_parts,
@@ -344,7 +344,8 @@ def test_rational_alpha_with_a_surd_offset():
     # int steps and surd positions: every close call comes from the offset
     alpha, offset = TorusPoint(Fraction(5, 13)), Surd.make(Fraction(1, 7), Fraction(1, 3), 2)
     for radius in (Fraction(1, 26), Fraction(1, 13), Fraction(3, 10), Fraction(1, 2)):
-        assert orbit_hits([alpha.value], [offset], radius, Window(-200, 200)) == scan_hits(
+        kernel = CircleKernel.of(alpha.value, offset, radius)
+        assert kernel_hits([kernel], [alpha.value], [offset], radius, Window(-200, 200)) == scan_hits(
             (alpha,), (offset,), radius, -200, 200
         )
 
@@ -360,7 +361,8 @@ def test_close_calls_are_decided_exactly(bits, data, alpha, window):
     radius = boundary_or_free(data.draw, lambda n: real_add(offset, alpha.multiple(n)), lo, hi)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bohr, "_WALK_BITS", bits)
-        got = orbit_hits([alpha.value], [offset], radius, Window(lo, hi))
+        kernel = CircleKernel.of(alpha.value, offset, radius)
+        got = kernel_hits([kernel], [alpha.value], [offset], radius, Window(lo, hi))
     assert got == scan_hits((alpha,), (offset,), radius, lo, hi)
 
 
@@ -419,7 +421,9 @@ def test_torus_radius_at_an_exact_norm(data, k, same_field, n0):
     offsets = tuple(real_sub(ti, a.multiple(n0)) for ti, a in zip(t, alphas))
     radius = Fraction(hyp, m)
     lo, hi = n0 - data.draw(st.integers(0, 80)), n0 + data.draw(st.integers(0, 80))
-    got = orbit_hits([a.value for a in alphas], offsets, radius, Window(lo, hi))
+    values = [a.value for a in alphas]
+    kernels = [CircleKernel.of(a, o, radius) for a, o in zip(values, offsets)]
+    got = kernel_hits(kernels, values, offsets, radius, Window(lo, hi))
     assert n0 not in got
     assert got == scan_hits(alphas, offsets, radius, lo, hi)
 

@@ -783,7 +783,7 @@ OPTIONS = {
     ("birkhoff", "greedy"): ("--set", "--elements", "--terms"),
     ("birkhoff", "stable"): ("--max-window", "--max-period", "--node-budget", "--family-r", "--removed", "--k-max",
                              "--arity"),
-    ("birkhoff", "chromatic"): ("--set", "--elements", "--max-window", "--max-period", "--node-budget", "--window"),
+    ("birkhoff", "chromatic"): ("--set", "--elements", "--node-budget", "--window"),
     ("bohr", "member"): ("--n", "--alpha", "--eps"),
     ("bohr", "enumerate"): ("--alpha", "--eps", "--lo", "--hi"),
     ("bohr", "witness"): ("--set", "--elements", "--delta", "--depth"),
@@ -852,10 +852,11 @@ class TestHelp:
         ["dyn", "rigidity", "--alpha", "golden", "--horizon", "-3"],
         ["--precision-bits", "8", "sets", "diff", "--elements", "1,2"],
         ["bohr", "separate", "--elements", "1,2", "--eps", "1/5", "--grid-depth", "-1"],
+        ["birkhoff", "chromatic", "--elements", "2,3", "--window", "9", "--max-window", "4"],
     ],
     ids=["unknown group", "unknown command", "missing command", "missing required flag", "global flag last",
          "point on rigidity", "point on psi", "point on phi", "negative samples", "negative cf depth", "negative witness depth", "negative horizon",
-         "precision flag", "negative grid depth"],
+         "precision flag", "negative grid depth", "window budget on chromatic"],
 )
 def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

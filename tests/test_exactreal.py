@@ -37,8 +37,10 @@ from oracles import real_eq, real_sum_sign
 
 class TestSurd:
     def test_rejects_rational_disguise(self):
-        with pytest.raises(ValueError):
-            Surd(1, 1, 4)  # sqrt(4) = 2
+        # make is the one constructor, and it folds 1 + sqrt(4) to 3
+        assert Surd.make(1, 1, 4) == Fraction(3) and not isinstance(Surd.make(1, 1, 4), Surd)
+        with pytest.raises(TypeError):
+            Surd(1, 1, 4)
 
     def test_make_folds_to_fraction(self):
         assert Surd.make(Fraction(1), Fraction(2), 9) == Fraction(7)
@@ -51,12 +53,12 @@ class TestSurd:
             parse_real("sqrt:100000000000000000000000000319:0:1:1")
 
     def test_squarefree_normalization(self):
-        s = Surd(0, 1, 8)  # sqrt(8) = 2*sqrt(2)
+        s = Surd.make(0, 1, 8)  # sqrt(8) = 2*sqrt(2)
         assert s.d == 2 and s.q == 2
 
     def test_arithmetic_within_field(self):
-        a = Surd(1, 1, 2)
-        b = Surd(-1, 2, 2)
+        a = Surd.make(1, 1, 2)
+        b = Surd.make(-1, 2, 2)
         assert isinstance(a + b, Surd)
         assert (a + b).p == 0 and (a + b).q == 3
         # (1+sqrt2)(−1+2sqrt2) = −1 + 2·2 + (2−1)sqrt2 = 3 + sqrt2
@@ -64,42 +66,36 @@ class TestSurd:
         assert prod.p == 3 and prod.q == 1
 
     def test_cancellation_to_rational(self):
-        a = Surd(1, 1, 2)
-        assert a + Surd(1, -1, 2) == Fraction(2)
-
-    def test_reciprocal(self):
-        a = Surd(1, 1, 2)  # 1/(1+sqrt2) = sqrt2 - 1
-        r = a.reciprocal()
-        assert r.p == -1 and r.q == 1 and r.d == 2
-        assert a * r == Fraction(1)
+        a = Surd.make(1, 1, 2)
+        assert a + Surd.make(1, -1, 2) == Fraction(2)
 
     def test_sign_and_compare(self):
-        assert Surd(0, 1, 2).sign() == 1
-        assert Surd(0, -1, 2).sign() == -1
-        assert Surd(-1, 1, 2).sign() == 1     # sqrt2 > 1
-        assert Surd(-2, 1, 2).sign() == -1    # sqrt2 < 2
-        assert Surd(1, 1, 2) > Fraction(2)
-        assert Surd(1, 1, 2) < Fraction(5, 2)
+        assert Surd.make(0, 1, 2).sign() == 1
+        assert Surd.make(0, -1, 2).sign() == -1
+        assert Surd.make(-1, 1, 2).sign() == 1     # sqrt2 > 1
+        assert Surd.make(-2, 1, 2).sign() == -1    # sqrt2 < 2
+        assert Surd.make(1, 1, 2) > Fraction(2)
+        assert Surd.make(1, 1, 2) < Fraction(5, 2)
 
     def test_floor_small(self):
-        assert Surd(0, 1, 2).floor() == 1
-        assert Surd(0, -1, 2).floor() == -2
-        assert Surd(0, 1, 5).floor() == 2
+        assert Surd.make(0, 1, 2).floor() == 1
+        assert Surd.make(0, -1, 2).floor() == -2
+        assert Surd.make(0, 1, 5).floor() == 2
 
     def test_floor_huge_coefficients(self):
         # q ~ 2^200: floor takes isqrt of a 400-bit integer
-        s = Surd(0, 2**200, 2)
+        s = Surd.make(0, 2**200, 2)
         f = s.floor()
         assert real_cmp(s, Fraction(f)) >= 0
         assert real_cmp(s, Fraction(f + 1)) < 0
 
     def test_float_accuracy(self):
-        assert abs(float(Surd(0, 1, 2)) - math.sqrt(2)) < 1e-14
+        assert abs(float(Surd.make(0, 1, 2)) - math.sqrt(2)) < 1e-14
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50).filter(lambda q: q != 0))
 def test_surd_floor_agrees_with_float(p, q):
-    s = Surd(p, q, 2)
+    s = Surd.make(p, q, 2)
     approx = p + q * math.sqrt(2)
     # float floor can be off only within rounding slack of an exact integer
     assert abs(s.floor() - math.floor(approx)) <= (abs(approx - round(approx)) < 1e-9)
@@ -110,10 +106,16 @@ int_pairs = st.tuples(st.integers(-60, 60), st.integers(-9, 9))
 
 @given(int_pairs, int_pairs.filter(lambda p: p != (0, 0)), st.sampled_from((2, 3, 5)))
 def test_floor_div_is_the_floor_of_the_quotient(x, y, d):
-    # _floor_ratio floors the quotient of two integer pairs a + b*sqrt(d) of
-    # one field, as the circle kernel's pairs do, without building a Surd
-    quotient = Surd.make(*x, d) / Surd.make(*y, d)
-    assert _floor_ratio(*x, *y, d) == real_floor(quotient)
+    # _floor_ratio floors the quotient X/Y of two integer pairs a + b*sqrt(d)
+    # of one field, as the circle kernel's pairs do, without building a Surd:
+    # q is the floor exactly when q*Y <= X < (q + 1)*Y for Y > 0, and
+    # q*Y >= X > (q + 1)*Y for Y < 0, checked by exact comparisons
+    q = _floor_ratio(*x, *y, d)
+    big_x, big_y = Surd.make(*x, d), Surd.make(*y, d)
+    if big_y > 0:
+        assert q * big_y <= big_x < (q + 1) * big_y
+    else:
+        assert q * big_y >= big_x > (q + 1) * big_y
 
 
 class TestParsing:
@@ -145,7 +147,7 @@ class TestTorusNorm:
 
     def test_surd(self):
         # dist(sqrt2, Z) = sqrt2 - 1
-        v = torus_norm1(Surd(0, 1, 2))
+        v = torus_norm1(Surd.make(0, 1, 2))
         assert isinstance(v, Surd) and v.p == -1 and v.q == 1
 
     @given(st.fractions(min_value=-100, max_value=100))
@@ -165,15 +167,15 @@ REFUSED = {
     "torus_norm1 approx": (torus_norm1, APPROX),
     "real_mul_int approx": (real_mul_int, APPROX, 3),
     "real_mul approx": (real_mul, APPROX, 2),
-    "real_mul two fields": (real_mul, Surd(0, 1, 2), Surd(0, 1, 3)),
+    "real_mul two fields": (real_mul, Surd.make(0, 1, 2), Surd.make(0, 1, 3)),
     "real_add approx": (real_add, APPROX, Fraction(1, 3)),
     "real_add approx second": (real_add, Fraction(1, 3), APPROX),
     "real_sub approx": (real_sub, APPROX, Fraction(1, 3)),
-    "real_sub approx second": (real_sub, Surd(0, 1, 2), APPROX),
+    "real_sub approx second": (real_sub, Surd.make(0, 1, 2), APPROX),
     "real_abs approx": (real_abs, APPROX),
     "real_sqrt approx": (real_sqrt, APPROX),
-    "real_add two fields": (real_add, Surd(0, 1, 2), Surd(0, 1, 3)),
-    "real_sub two fields": (real_sub, Surd(0, 1, 2), Surd(0, 1, 3)),
+    "real_add two fields": (real_add, Surd.make(0, 1, 2), Surd.make(0, 1, 3)),
+    "real_sub two fields": (real_sub, Surd.make(0, 1, 2), Surd.make(0, 1, 3)),
     "TorusPoint approx": (TorusPoint, APPROX),
     "as_real float": (as_real, 0.5),
     "TorusPoint float": (TorusPoint, 0.5),
@@ -194,19 +196,19 @@ def test_approx_and_floats_are_refused(call):
 class TestComparisons:
     def test_cross_field_exact(self):
         with pytest.raises(TypeError):
-            real_cmp(Surd(0, 1, 2), Surd(0, 1, 3))
-        assert real_sum_sign([Surd(0, 1, 2), -Surd(0, 1, 3)]) < 0
-        assert real_cmp(Surd(0, 2, 2), Surd(0, 1, 8)) == 0
+            real_cmp(Surd.make(0, 1, 2), Surd.make(0, 1, 3))
+        assert real_sum_sign([Surd.make(0, 1, 2), -Surd.make(0, 1, 3)]) < 0
+        assert real_cmp(Surd.make(0, 2, 2), Surd.make(0, 1, 8)) == 0
 
     def test_sort_mixed_kinds(self):
-        vals = [Surd(0, 1, 2), Fraction(1), Surd(0, 1, 3), Fraction(2)]
+        vals = [Surd.make(0, 1, 2), Fraction(1), Surd.make(0, 1, 3), Fraction(2)]
         ordered = sorted(vals, key=functools.cmp_to_key(lambda x, y: real_sum_sign([x, -y])))
         assert [real_to_float(v) for v in ordered] == sorted(real_to_float(v) for v in vals)
 
 
 class TestArithmetic:
     def test_add_sub_mul_exact(self):
-        a, b = Fraction(1, 3), Surd(0, 1, 2)
+        a, b = Fraction(1, 3), Surd.make(0, 1, 2)
         s = real_add(a, b)
         assert isinstance(s, Surd) and s.p == Fraction(1, 3)
         assert real_eq(real_sub(s, b), a)
@@ -214,14 +216,14 @@ class TestArithmetic:
 
     def test_mul_int(self):
         assert real_mul_int(Fraction(1, 3), 5) == Fraction(5, 3)
-        t = real_mul_int(Surd(1, 1, 2), -2)
+        t = real_mul_int(Surd.make(1, 1, 2), -2)
         assert t.p == -2 and t.q == -2
 
     def test_floor_frac(self):
-        assert real_floor(Surd(0, 1, 2)) == 1
+        assert real_floor(Surd.make(0, 1, 2)) == 1
         assert real_frac(Fraction(7, 3)) == Fraction(1, 3)
         assert torus_norm1(Fraction(7, 5)) == Fraction(2, 5)
-        assert torus_norm1(Surd(0, 1, 2)) == Surd(-1, 1, 2)
+        assert torus_norm1(Surd.make(0, 1, 2)) == Surd.make(-1, 1, 2)
 
     def test_sqrt(self):
         assert real_sqrt(Fraction(9, 4)) == Fraction(3, 2)
@@ -252,7 +254,7 @@ class TestTorusPoint:
 
     def test_sqrt2_point(self):
         s = sqrt2_rotation()
-        assert real_eq(real_add(s.value, Fraction(1)), Surd(0, 1, 2))
+        assert real_eq(real_add(s.value, Fraction(1)), Surd.make(0, 1, 2))
 
     def test_multiple_norm_fibonacci_records(self):
         g = golden_rotation()

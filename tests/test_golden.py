@@ -75,7 +75,7 @@ LEAVES = {
     ("birkhoff", "stable", "--family-r", "2", "--k-max", "2", "--removed", "4"):
         "7dcfbdbaadbd311fa71ead83e6f03f6b0b073e1ba80d209020569f88dc9ed46c",
     ("birkhoff", "chromatic", "--elements", "2,3,7", "--window", "25"):
-        "a80972cc36f79e44d905be4d9ea2b48fcaf5d8bb4adc685b4860001d3f2bdf73",
+        "cd447536bcba8fe23c141bd9a2da8fc439dbd3488f4b370d36ada8a0ee8426e3",
     ("bohr", "member", "--n", "21", "--alpha", "golden", "--eps", "1/10"):
         "fa2cdfbd4faecdc6928e3252b6abf4ab9f7a45e2d1a1dd157ef83ee2d8d4a338",
     ("bohr", "enumerate", "--alpha", "sqrt2", "--eps", "1/7", "--lo", "-30", "--hi", "30"):

@@ -40,12 +40,8 @@ class TestIntSet:
 
 
 class TestWindow:
-    def test_iteration(self):
-        assert list(Window(2, 5)) == [2, 3, 4, 5]
-
     def test_empty_when_lo_exceeds_hi(self):
-        w = Window(1, 0)
-        assert len(w) == 0 and list(w) == [] and 1 not in w
+        assert 1 not in Window(1, 0) and 0 not in Window(1, 0)
 
     def test_contains(self):
         assert 0 in Window(-3, 3) and 4 not in Window(-3, 3)

@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from reclab.exactreal import (
     Surd,
     _squarefree_split,
+    as_real,
+    parse_real,
     real_add,
     real_cmp,
     real_floor,
@@ -34,7 +36,7 @@ fractions = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
 small_fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 rationals = st.one_of(fractions, small_fractions, st.integers(-BIG, BIG), st.integers(-5, 5))
 surds = st.builds(
-    lambda p, q, d: Surd(p, q, d), small_fractions, small_fractions.filter(bool), st.sampled_from(FIELDS)
+    lambda p, q, d: Surd.make(p, q, d), small_fractions, small_fractions.filter(bool), st.sampled_from(FIELDS)
 )
 
 
@@ -73,13 +75,26 @@ def test_rational_with_surd_matches_fraction_operators(x, s):
     assert same(real_mul(x, s), fx * s) and same(real_mul(s, x), s * fx)
 
 
-def test_strings_and_floats_are_coerced():
-    # strings are parsed; a float is refused (tests/test_exactreal.py)
-    assert real_cmp("1/3", Fraction(1, 2)) == -1
-    assert same(real_add("1/3", 1), Fraction(4, 3))
-    assert same(real_mul(2, "sqrt:5:1:1:2"), Surd(1, 1, 5))
-    assert same(torus_norm1("7/3"), Fraction(1, 3))
-    assert same(real_floor("-7/3"), -3)
+STRING_CALLS = {
+    "real_cmp": (real_cmp, ("1/3", Fraction(1, 2)), -1),
+    "real_cmp second": (real_cmp, (Fraction(1, 2), "1/3"), 1),
+    "real_cmp surd first": (real_cmp, (Surd.make(0, 1, 2), "1/3"), 1),
+    "real_add": (real_add, ("1/3", 1), Fraction(4, 3)),
+    "real_mul": (real_mul, (2, "sqrt:5:1:1:2"), Surd.make(1, 1, 5)),
+    "torus_norm1": (torus_norm1, ("7/3",), Fraction(1, 3)),
+    "real_floor": (real_floor, ("-7/3",), -3),
+    "as_real": (as_real, ("1/3",), Fraction(1, 3)),
+}
+
+
+def test_strings_are_refused():
+    # only parse_real reads a string (a float is refused in
+    # tests/test_exactreal.py); each call takes the parsed value instead
+    for name, (fn, args, want) in STRING_CALLS.items():
+        with pytest.raises(TypeError):
+            fn(*args)
+        parsed = [parse_real(a) if isinstance(a, str) else a for a in args]
+        assert same(fn(*parsed), want), name
 
 
 def test_compare_and_rounding_build_no_fraction(monkeypatch):
