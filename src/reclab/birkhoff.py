@@ -28,13 +28,13 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from itertools import islice
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InvalidArity, EmptyInput, MalformedCertificate, VerificationBudgetExceeded
 from . import intsets
-from .intsets import IntSet, ZSetLike, _check_listing, as_int_list, gen_l_r, l_r_layer
+from .intsets import ZSetLike, _check_listing, as_int_list, gen_l_r, l_r_layer
 
 # Default cap of the independent verifier: reference-search nodes for a
 # certificate without a proof, proof entries for one read from a file.
@@ -551,7 +551,7 @@ def check_r_birkhoff(m: ZSetLike, r: int, limits: SearchLimits | None = None) ->
     dists = _normalize_distances(m)
     limits = (limits or SearchLimits()).resolved(dists)
     budget = _Budget(limits.node_budget)
-    stats = SearchStats(limits=asdict(limits))
+    stats = SearchStats(limits=dict(vars(limits)))
 
     def finish(status, cert):
         stats.nodes = budget.spent
@@ -842,7 +842,7 @@ def greedy_coloring(m: ZSetLike, count: int) -> GreedyRun:
 @dataclass(frozen=True)
 class MinimalSubsetResult:
     status: Status
-    subset: IntSet
+    subset: tuple[int, ...]
     removed: tuple[int, ...]
     verdict: Optional[Verdict]
 
@@ -854,7 +854,7 @@ def minimal_r_birkhoff_subset(m: ZSetLike, r: int, limits: SearchLimits | None =
     dists = list(_normalize_distances(m))
     base = check_r_birkhoff(dists, r, limits)
     if base.status is not Status.R_BIRKHOFF:
-        return MinimalSubsetResult(base.status, IntSet(tuple(dists)), (), base)
+        return MinimalSubsetResult(base.status, tuple(dists), (), base)
     removed: list[int] = []
     current = list(dists)
     last = base
@@ -865,13 +865,13 @@ def minimal_r_birkhoff_subset(m: ZSetLike, r: int, limits: SearchLimits | None =
         verdict = check_r_birkhoff(trial, r, limits)
         if verdict.status is Status.UNDECIDED:
             return MinimalSubsetResult(
-                Status.UNDECIDED, IntSet(tuple(current)), tuple(removed), verdict
+                Status.UNDECIDED, tuple(current), tuple(removed), verdict
             )
         if verdict.status is Status.R_BIRKHOFF:
             current = trial
             removed.append(elem)
             last = verdict
-    return MinimalSubsetResult(Status.R_BIRKHOFF, IntSet(tuple(current)), tuple(removed), last)
+    return MinimalSubsetResult(Status.R_BIRKHOFF, tuple(current), tuple(removed), last)
 
 
 @dataclass(frozen=True)
@@ -879,7 +879,7 @@ class StableProbeResult:
     verdict: Verdict
     strategy: str  # "layer_shortcut" or "direct"
     layer_used: Optional[int]
-    truncation: IntSet
+    truncation: tuple[int, ...]
 
 
 def stably_r_birkhoff_probe(
@@ -899,7 +899,7 @@ def stably_r_birkhoff_probe(
     arity = family_r if arity is None else arity
     removed_set = set(as_int_list(removed))
     family = gen_l_r(family_r, k_max)
-    truncation = IntSet(tuple(e for e in family if e not in removed_set))
+    truncation = tuple(e for e in family if e not in removed_set)
     if not truncation:
         raise EmptyInput("every element of the truncation was removed")
 

@@ -930,15 +930,23 @@ def lacunary_witness(
     )
 
 
+def _separated(values: Iterable[int], num: int, den: int, delta: Fraction) -> bool:
+    """Whether ||n*num/den|| >= delta for every n in values (den > 0), in ints."""
+    dn, dd = delta.numerator, delta.denominator
+    for n in values:
+        r = n * num % den
+        if min(r, den - r) * dd < dn * den:
+            return False
+    return True
+
+
 def revalidate_witness(seq: ZSetLike, delta: Fraction, witness: WitnessInterval) -> bool:
     """Exact re-check at the endpoints and midpoint of the returned interval."""
     values = [v for v in as_int_list(seq) if v > 0][: witness.stages]
     delta = Fraction(delta)
-    for alpha in (witness.lo, witness.midpoint, witness.hi):
-        for n in values:
-            if torus_norm1(Fraction(n) * alpha) < delta:
-                return False
-    return True
+    return all(
+        _separated(values, a.numerator, a.denominator, delta) for a in (witness.lo, witness.midpoint, witness.hi)
+    )
 
 
 def bohr_separation_search(
@@ -959,14 +967,10 @@ def bohr_separation_search(
         return None
     an, ad, bn, bd = _longest(intervals)
     num, den = an * bd + bn * ad, 2 * ad * bd  # the midpoint
-    # exact post-check before promising anything: ||n*num/den|| >= eps
-    en, ed = eps.numerator, eps.denominator
-    for n in values:
-        r = n * num % den
-        if min(r, den - r) * ed < en * den:
-            return None
-    alpha = Fraction(num, den)
-    return BohrSpec(alphas=(TorusPoint(alpha),), eps=eps)
+    # exact post-check before promising anything
+    if not _separated(values, num, den, eps):
+        return None
+    return BohrSpec(alphas=(TorusPoint(Fraction(num, den)),), eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -69,13 +69,12 @@ from .dynamics import (
     RotationSystem,
     eta_dense_constant,
     find_l_recurrent,
+    SubshiftSystem,
     moving_recurrence_experiment,
-    one_cylinder,
     phi_l,
     psi_moving,
     return_times_point,
     return_times_set,
-    subshift_from_indicator,
     uniform_rigidity_scan,
     verify_nuu,
 )
@@ -467,15 +466,14 @@ def parse_point(text: Optional[str], sys_: RotationSystem):
 def indicator_shift(args):
     if args.window_lo is None or args.window_hi is None:
         raise RecLabError("--indicator needs --window-lo and --window-hi")
-    return subshift_from_indicator(load_set_file(args.indicator), Window(args.window_lo, args.window_hi))
+    return SubshiftSystem(frozenset(load_set_file(args.indicator)), Window(args.window_lo, args.window_hi))
 
 
 def cmd_dyn_returns(args) -> dict:
     if args.indicator:
-        times = return_times_point(indicator_shift(args), args.offset, one_cylinder(), args.horizon)
         return {
             "system": "subshift",
-            "point_returns": times,
+            "point_returns": indicator_shift(args).returns(args.offset, args.horizon),
             "horizon": args.horizon,
         }
     sys_ = make_system(args)
@@ -512,9 +510,9 @@ def cmd_dyn_nuu(args) -> dict:
 def cmd_dyn_phi(args) -> dict:
     targets = gather_set(args)
     if args.indicator:
-        value = phi_l(indicator_shift(args), args.offset, targets, args.horizon)
+        value = indicator_shift(args).phi(args.offset, targets, args.horizon)
     else:
-        value = phi_l(make_system(args), None, targets, args.horizon)
+        value = phi_l(make_system(args), targets, args.horizon)
     return {"phi": real_to_json(value), "horizon": args.horizon}
 
 

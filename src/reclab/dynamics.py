@@ -21,10 +21,10 @@ A coordinate whose frequency, point and center use two quadratic fields is
 refused with ValueError (``bohr.field_unit``).
 
 Subshift points are shifts of a single base word declared on a finite
-window, and only two operations take them: cylinder return times, which
-read each coordinate they need and refuse one outside the window, and phi.
-Every other quantity here is computed on rotations only and raises
-TypeError on a subshift.
+window, and a ``SubshiftSystem`` answers its own two questions: the return
+times of the cylinder "coordinate 0 shows 1", which read each coordinate
+they need and refuse one outside the window, and phi.  Every other quantity
+here is computed on rotations only.
 
 All verdicts here are horizon-limited observations, never limit claims; the
 experiment reports say so explicitly in their ``note`` field.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from .bohr import CircleKernel, _torus_test, frequency_hits, kernel_hits, record_times, torus_norm
 from .errors import ListingBudgetExceeded, NoElementsInWindow, NoSuchM, WindowInadequate
@@ -105,20 +105,9 @@ class BallSpec:
 
 
 @dataclass(frozen=True)
-class CylinderSpec:
-    """Subshift cylinder: coordinates pinned to symbols."""
-
-    fixed: tuple[tuple[int, int], ...]
-
-
-def one_cylinder() -> CylinderSpec:
-    """The cylinder 'coordinate 0 shows symbol 1'."""
-    return CylinderSpec(fixed=((0, 1),))
-
-
-@dataclass(frozen=True)
 class SubshiftSystem:
-    """Shifts of the indicator word of a finite integer listing."""
+    """Shifts of the indicator word of a finite integer listing, which may
+    hold 0, on the declared window."""
 
     members: frozenset
     window: Window
@@ -130,44 +119,35 @@ class SubshiftSystem:
             )
         return 1 if i in self.members else 0
 
-    def require_horizon(self, horizon: int):
-        # phi's window must cover 4x its largest target time on both sides of 0
-        if self.window.lo > -4 * horizon or self.window.hi < 4 * horizon:
+    def returns(self, base: int, horizon: int) -> TimeSet:
+        """{n in [-H, H] : the shift by base + n shows 1 at coordinate 0}."""
+        if horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        return tuple(n for n in range(-horizon, horizon + 1) if self.symbol(base + n))
+
+    def phi(self, base: int, targets: ZSetLike, horizon: int) -> Fraction:
+        """Minimum over target times n of dist(T^n x, x), x the shift by base:
+        2^-j for the least j <= min(window.hi // 2, 4*horizon) with the two
+        words differing at i = j or i = -j, and 0 where none does.  The
+        window must cover 4x the largest target time on both sides of 0."""
+        times = _target_times(targets, horizon)
+        largest = max(abs(n) for n in times)
+        if self.window.lo > -4 * largest or self.window.hi < 4 * largest:
             raise WindowInadequate(
                 f"declared window [{self.window.lo}, {self.window.hi}] is smaller "
-                f"than 4x the largest target time {horizon}"
+                f"than 4x the largest target time {largest}"
             )
+        scan = min(self.window.hi // 2, 4 * horizon)
 
-    def first_difference(self, off1: int, off2: int, scan: int) -> Optional[int]:
-        """min |i| <= scan with differing symbols, or None if they agree."""
-        for i in range(scan + 1):
-            if self.symbol(i + off1) != self.symbol(i + off2):
-                return i
-            if i and self.symbol(-i + off1) != self.symbol(-i + off2):
-                return i
-        return None
+        def dist(n: int) -> Fraction:
+            for i in range(scan + 1):
+                if self.symbol(base + n + i) != self.symbol(base + i) or (
+                    i and self.symbol(base + n - i) != self.symbol(base - i)
+                ):
+                    return Fraction(1, 2**i)
+            return Fraction(0)
 
-    def dist(self, off1: int, off2: int, scan: int) -> Fraction:
-        j = self.first_difference(off1, off2, scan)
-        return Fraction(0) if j is None else Fraction(1, 2**j)
-
-
-def subshift_from_indicator(s: ZSetLike, window: Window) -> SubshiftSystem:
-    """Two-sided indicator word of s on the declared window.
-
-    The listing may contain 0: indicator words live on the integers, not on
-    the nonzero convention.
-    """
-    members = frozenset(as_int_list(s))
-    return SubshiftSystem(members=members, window=window)
-
-
-System = Union[RotationSystem, SubshiftSystem]
-
-
-def _rotation_only(sys_: System, what: str) -> None:
-    if not isinstance(sys_, RotationSystem):
-        raise TypeError(f"{what} is computed on rotations only")
+        return min(dist(n) for n in times)
 
 
 # ---------------------------------------------------------------------------
@@ -186,27 +166,12 @@ def _orbit_kernels(sys_: RotationSystem, x, target: BallSpec, *lengths: Fraction
     return alphas, [real_sub(xi, ci) for xi, ci in zip(x, center)], kernels
 
 
-def return_times_point(sys_: System, x, target, horizon: int) -> TimeSet:
-    """{n in [-H, H] : T^n x in target}; 0 belongs when x itself does.
-
-    On a subshift x is the shift of the base word, and a coordinate the
-    cylinder reads outside the declared window raises WindowInadequate.
-    """
+def return_times_point(sys_: RotationSystem, x, target: BallSpec, horizon: int) -> TimeSet:
+    """{n in [-H, H] : T^n x in target}; 0 belongs when x itself does."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if isinstance(sys_, RotationSystem):
-        if not isinstance(target, BallSpec):
-            raise TypeError("rotation targets are balls")
-        alphas, offsets, kernels = _orbit_kernels(sys_, x, target)
-        return kernel_hits(kernels, alphas, offsets, Fraction(target.radius), Window(-horizon, horizon))
-    if not isinstance(target, CylinderSpec):
-        raise TypeError("subshift targets are cylinders")
-    base = int(x)
-    return tuple(
-        n
-        for n in range(-horizon, horizon + 1)
-        if all(sys_.symbol(base + n + pos) == sym for pos, sym in target.fixed)
-    )
+    alphas, offsets, kernels = _orbit_kernels(sys_, x, target)
+    return kernel_hits(kernels, alphas, offsets, Fraction(target.radius), Window(-horizon, horizon))
 
 
 def return_times_set(sys_: RotationSystem, target: BallSpec, horizon: int) -> TimeSet:
@@ -216,8 +181,6 @@ def return_times_set(sys_: RotationSystem, target: BallSpec, horizon: int) -> Ti
     norm is below 2*rho, independently of the center: the frequency set at
     2*rho, plus 0.
     """
-    if not isinstance(sys_, RotationSystem):
-        raise TypeError("set-level return times are exact for rotations only")
     return frequency_hits(sys_.alphas, 2 * Fraction(target.radius), Window(-horizon, horizon))
 
 
@@ -354,21 +317,18 @@ def _least_time(sys_: RotationSystem, times: Iterable[int]) -> int:
     return records[-1]
 
 
-def phi_l(sys_: System, x, targets: ZSetLike, horizon: int) -> Real:
-    """Minimum of dist(T^n x, x) over target times n within the horizon.
-
-    For a rotation this is min_n ||n*alpha|| whatever x is, and x is not
-    read; on a subshift x is the shift of the base word.
-    """
+def _target_times(targets: ZSetLike, horizon: int) -> list[int]:
+    """The nonzero target times within the horizon; NoElementsInWindow for none."""
     times = [n for n in as_int_list(targets) if abs(n) <= horizon and n != 0]
     if not times:
         raise NoElementsInWindow("no target times inside the horizon")
-    if isinstance(sys_, RotationSystem):
-        return sys_.displacement_norm(_least_time(sys_, times))
-    sys_.require_horizon(max(abs(n) for n in times))
-    base = int(x)
-    scan = min(sys_.window.hi // 2, 4 * horizon)
-    return min(sys_.dist(base + n, base, scan) for n in times)
+    return times
+
+
+def phi_l(sys_: RotationSystem, targets: ZSetLike, horizon: int) -> Real:
+    """Minimum of dist(T^n x, x) over target times n within the horizon:
+    min_n ||n*alpha||, the same at every point x."""
+    return sys_.displacement_norm(_least_time(sys_, _target_times(targets, horizon)))
 
 
 @dataclass(frozen=True)
@@ -393,7 +353,6 @@ def psi_moving(sys_: RotationSystem, query: MovingQuery) -> tuple[Real, bool]:
     other offsets are streamed into one record scan, and a horizon above
     HIT_CAP raises ListingBudgetExceeded before any r_k.
     """
-    _rotation_only(sys_, "psi")
     if query.r_of_k is None and sys_.dim == 1:
         n = CircleKernel.of(sys_.alphas[0].value).records(query.horizon)[-1][0]
     elif query.r_of_k is None:
@@ -407,16 +366,14 @@ def psi_moving(sys_: RotationSystem, query: MovingQuery) -> tuple[Real, bool]:
 
 @dataclass(frozen=True)
 class RecurrentWitness:
-    point: tuple
     time: int
     value: Real
 
 
 def find_l_recurrent(sys_: RotationSystem, targets: ZSetLike, eps: Fraction) -> Optional[RecurrentWitness]:
-    """A point and a target time bringing it eps-close to itself, if one of
+    """A target time bringing every point eps-close to itself, if one of
     the first RECURRENT_SAMPLE_BUDGET target times does; None when there
     are no more target times, and ListingBudgetExceeded when there are."""
-    _rotation_only(sys_, "l-recurrence")
     eps = Fraction(eps)
     times = [n for n in as_int_list(targets) if n != 0]
     if not times:
@@ -425,7 +382,7 @@ def find_l_recurrent(sys_: RotationSystem, targets: ZSetLike, eps: Fraction) -> 
     inside = _torus_test([a.value for a in sys_.alphas], (0,) * sys_.dim, eps)
     for n in times[:RECURRENT_SAMPLE_BUDGET]:
         if inside(n):
-            return RecurrentWitness(point=sys_.zero(), time=n, value=sys_.displacement_norm(n))
+            return RecurrentWitness(time=n, value=sys_.displacement_norm(n))
     if len(times) > RECURRENT_SAMPLE_BUDGET:
         raise ListingBudgetExceeded(
             f"no witness among the first {RECURRENT_SAMPLE_BUDGET} target times, the sample budget; "
@@ -472,7 +429,6 @@ def uniform_rigidity_scan(sys_: RotationSystem, horizon: int) -> tuple[RigidityR
     on a torus every m is tested, and a horizon above HIT_CAP raises
     ListingBudgetExceeded first.
     """
-    _rotation_only(sys_, "uniform rigidity")
     if sys_.dim == 1:
         kernel = CircleKernel.of(sys_.alphas[0].value)
         records = kernel.records(horizon)

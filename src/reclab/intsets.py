@@ -1,9 +1,8 @@
 """Finite integer sets, windows, gap statistics and the set generators.
 
-Convention: an :class:`IntSet` holds nonzero integers only (0 is silently
-dropped by every constructor).  Operations whose natural inputs live in all
-of the integers -- difference sets, syndetic samples, subshift indicators --
-accept plain iterables instead, where 0 is legitimate.
+Every operation here takes any iterable of integers, where 0 is legitimate.
+The generators and difference sets return strictly increasing tuples of
+nonzero integers.
 
 A listing is bounded before any element is built: a difference set of more
 than HIT_CAP ordered pairs (unless there are more pairs than the span and
@@ -47,30 +46,11 @@ class Window:
         return self.lo <= n <= self.hi
 
 
-@dataclass(frozen=True)
-class IntSet:
-    """Strictly increasing tuple of nonzero integers."""
-
-    elements: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        elems = tuple(sorted({int(e) for e in self.elements if int(e) != 0}))
-        object.__setattr__(self, "elements", elems)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-
-ZSetLike = Union[IntSet, Iterable[int]]
+ZSetLike = Iterable[int]
 
 
 def as_int_list(s: ZSetLike) -> list[int]:
-    """Sorted deduplicated list of ints; zero is preserved for raw inputs."""
-    if isinstance(s, IntSet):
-        return list(s.elements)
+    """Sorted deduplicated list of ints; zero is preserved."""
     return sorted({int(e) for e in s})
 
 
@@ -79,7 +59,7 @@ def as_int_list(s: ZSetLike) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def difference_set(s: ZSetLike, window: Window | None = None) -> IntSet:
+def difference_set(s: ZSetLike, window: Window | None = None) -> tuple[int, ...]:
     """All pairwise differences a - b (a != b), zero excluded from the output.
 
     The input may contain 0; pass a window to restrict the listing first.
@@ -102,10 +82,9 @@ def difference_set(s: ZSetLike, window: Window | None = None) -> IntSet:
             ahead |= mask >> (e - lo)
         digits = bin(ahead)[:1:-1]  # digits[i] is bit i
         positive = [i for i in range(1, len(digits)) if digits[i] == "1"]
-        return IntSet(tuple(positive) + tuple(-d for d in positive))
+        return tuple(-d for d in reversed(positive)) + tuple(positive)
     _check_listing(pairs, 0, "difference set")
-    diffs = {a - b for a in elems for b in elems if a != b}
-    return IntSet(tuple(diffs))
+    return tuple(sorted({a - b for a in elems for b in elems if a != b}))
 
 
 @dataclass(frozen=True)
@@ -163,15 +142,15 @@ def lacunarity_ratios(s: ZSetLike) -> tuple[Fraction, bool]:
 # ---------------------------------------------------------------------------
 
 
-def gen_k_times_nr(k: int, r: int) -> IntSet:
+def gen_k_times_nr(k: int, r: int) -> tuple[int, ...]:
     """{k, 2k, ..., rk}."""
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
     _check_listing(r, r * (k * r).bit_length(), "kxnr family")
-    return IntSet(tuple(k * i for i in range(1, r + 1)))
+    return tuple(k * i for i in range(1, r + 1))
 
 
-def gen_l_r(r: int, k_max: int) -> IntSet:
+def gen_l_r(r: int, k_max: int) -> tuple[int, ...]:
     """Layered geometric family: n*(r+2)**k for 1 <= n <= r, 0 <= k <= k_max."""
     if r < 1 or k_max < 0:
         raise ValueError("need r >= 1 and k_max >= 0")
@@ -184,16 +163,16 @@ def gen_l_r(r: int, k_max: int) -> IntSet:
     for _ in range(k_max + 1):
         out.extend(n * base for n in range(1, r + 1))
         base *= r + 2
-    return IntSet(tuple(out))
+    return tuple(out)
 
 
-def l_r_layer(r: int, k: int) -> IntSet:
+def l_r_layer(r: int, k: int) -> tuple[int, ...]:
     """Single layer (r+2)**k * {1..r} of the family above."""
     base = (r + 2) ** k
-    return IntSet(tuple(n * base for n in range(1, r + 1)))
+    return tuple(n * base for n in range(1, r + 1))
 
 
-def gen_polynomial(coeffs: Sequence[Union[int, Fraction]], n_max: int) -> IntSet:
+def gen_polynomial(coeffs: Sequence[Union[int, Fraction]], n_max: int) -> tuple[int, ...]:
     """{p(n) : 1 <= n <= n_max} minus {0}, p given by ascending coefficients.
 
     Values are computed in exact rational arithmetic and must all be
@@ -207,7 +186,7 @@ def gen_polynomial(coeffs: Sequence[Union[int, Fraction]], n_max: int) -> IntSet
     size = sum(abs(Fraction(c)) for c in coeffs)
     bits = n_max * (int(size).bit_length() + 1 + (len(coeffs) - 1) * n_max.bit_length())
     _check_listing(n_max, bits, "polynomial family")
-    return IntSet(tuple(poly_eval_int(coeffs, n) for n in range(1, n_max + 1)))
+    return tuple(sorted({poly_eval_int(coeffs, n) for n in range(1, n_max + 1)} - {0}))
 
 
 def poly_eval_int(coeffs: Sequence[Union[int, Fraction]], n: int) -> int:

@@ -107,9 +107,9 @@ def test_criterion_03_layered_family_triple():
         ratio, is_lac = lacunarity_ratios(family)
         assert is_lac and ratio == Fraction(r, max(r - 1, 1)), r
 
-        elements = set(family.elements)
+        elements = set(family)
         for k in range(4):
-            layer = set(l_r_layer(r, k).elements)
+            layer = set(l_r_layer(r, k))
             truncation = sorted(elements - layer)
             verdict = check_r_birkhoff(truncation, r)
             assert verdict.status == Status.R_BIRKHOFF, (r, k)

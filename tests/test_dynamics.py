@@ -14,13 +14,12 @@ from reclab.dynamics import (
     RotationSystem,
     eta_dense_constant,
     find_l_recurrent,
+    SubshiftSystem,
     moving_recurrence_experiment,
-    one_cylinder,
     phi_l,
     psi_moving,
     return_times_point,
     return_times_set,
-    subshift_from_indicator,
     uniform_rigidity_scan,
     verify_nuu,
 )
@@ -294,42 +293,42 @@ class TestNuuPaths:
 class TestSubshift:
     def make(self, horizon=10):
         members = [n for n in range(-4 * horizon, 4 * horizon + 1) if n % 3 == 0]
-        return subshift_from_indicator(members, Window(-4 * horizon, 4 * horizon))
+        return SubshiftSystem(frozenset(members), Window(-4 * horizon, 4 * horizon))
 
     def test_symbols(self):
         s = self.make()
         assert s.symbol(0) == 1 and s.symbol(3) == 1 and s.symbol(2) == 0
 
     def test_window_adequacy_enforced(self):
-        s = subshift_from_indicator([0, 3], Window(-6, 6))
+        s = SubshiftSystem(frozenset([0, 3]), Window(-6, 6))
         with pytest.raises(WindowInadequate):
-            s.require_horizon(2)
+            s.phi(0, [2], 2)
 
     def test_cylinder_returns(self):
         s = self.make(9)
-        times = return_times_point(s, 0, one_cylinder(), 9)
+        times = s.returns(0, 9)
         assert times == (-9, -6, -3, 0, 3, 6, 9)
 
     def test_metric(self):
         s = self.make()
         # offsets 0 and 3 agree everywhere on the base word
-        assert s.dist(0, 3, 10) == 0
+        assert s.phi(0, [3], 10) == 0
         # offsets 0 and 1 differ at coordinate 0 already
-        assert s.dist(0, 1, 10) == Fraction(1)
+        assert s.phi(0, [1], 10) == Fraction(1)
 
 
 class TestPhi:
     def test_rotation_exact(self):
-        v = phi_l(GOLDEN, (Fraction(0),), [13, 21], horizon=30)
+        v = phi_l(GOLDEN, [13, 21], horizon=30)
         assert real_eq(v, torus_norm1(golden_rotation().multiple(21)))
 
     def test_no_targets_in_horizon(self):
         with pytest.raises(NoElementsInWindow):
-            phi_l(GOLDEN, (Fraction(0),), [100], horizon=10)
+            phi_l(GOLDEN, [100], horizon=10)
 
     def test_zero_target_excluded(self):
         with pytest.raises(NoElementsInWindow):
-            phi_l(GOLDEN, (Fraction(0),), [0], horizon=10)
+            phi_l(GOLDEN, [0], horizon=10)
 
 
 class TestPsiMoving:
@@ -447,23 +446,3 @@ class TestMovingExperiment:
         for bits in (128, 8):
             monkeypatch.setattr(bohr, "_DISPLAY_BITS", bits)
             assert moving_recurrence_experiment(sys2, q, samples=5).fraction_below == fraction
-
-
-SHIFT = subshift_from_indicator([n for n in range(-40, 41) if n % 3 == 0], Window(-40, 40))
-QUERY = MovingQuery(4, Fraction(1, 2), lambda k: 3)
-
-
-@pytest.mark.parametrize("call", [
-    lambda: psi_moving(SHIFT, QUERY),
-    lambda: moving_recurrence_experiment(SHIFT, QUERY),
-    lambda: find_l_recurrent(SHIFT, [3, 6], Fraction(1, 2)),
-    lambda: uniform_rigidity_scan(SHIFT, 10),
-], ids=["psi_moving", "moving_recurrence_experiment", "find_l_recurrent", "uniform_rigidity_scan"])
-def test_rotation_only_functions_refuse_a_subshift(call):
-    with pytest.raises(TypeError, match="rotations only"):
-        call()
-
-
-def test_a_subshift_target_must_be_a_cylinder():
-    with pytest.raises(TypeError, match="subshift targets are cylinders"):
-        return_times_point(SHIFT, 0, BallSpec((Fraction(0),), Fraction(1, 10)), 3)

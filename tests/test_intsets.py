@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from reclab import intsets
 from reclab.errors import EmptyInput, ListingBudgetExceeded, NonIntegerPolynomial, TooFewElements
 from reclab.intsets import (
-    IntSet,
     Window,
     as_int_list,
     difference_set,
@@ -24,19 +23,6 @@ from reclab.intsets import (
     poly_eval_int,
     syndetic_gap,
 )
-
-
-class TestIntSet:
-    def test_normalizes(self):
-        s = IntSet((3, -1, 3, 0, 2))
-        assert tuple(s) == (-1, 2, 3)  # sorted, deduped, zero dropped
-
-    def test_membership_and_len(self):
-        s = IntSet((5, 1, 9))
-        assert 5 in s and 4 not in s and len(s) == 3
-
-    def test_empty_is_falsy(self):
-        assert not IntSet(()) and len(IntSet((0,))) == 0
 
 
 class TestWindow:
@@ -135,6 +121,17 @@ class TestGenerators:
         with pytest.raises(NonIntegerPolynomial):
             gen_polynomial([Fraction(1, 2)], 3)
 
+    def test_listings_are_increasing_nonzero_tuples(self):
+        listings = [gen_k_times_nr(3, 5), gen_l_r(2, 2), l_r_layer(3, 1), gen_polynomial([6, -5, 1], 5)]
+        # more ordered pairs than the span take the bitset, fewer the pairs
+        diffs = [difference_set(range(-3, 30)), difference_set([0, 200, 400, 800])]
+        for s in listings + diffs:
+            assert type(s) is tuple and 0 not in s and all(a < b for a, b in zip(s, s[1:])), s
+        for d in diffs:
+            assert d == tuple(-v for v in reversed(d))
+        # p(n) = (n - 2)(n - 3): two zeros, and p(1) = p(4)
+        assert gen_polynomial([6, -5, 1], 5) == (2, 6)
+
     def test_poly_eval(self):
         assert poly_eval_int([Fraction(1), Fraction(0), Fraction(1)], 7) == 50
 
@@ -217,4 +214,3 @@ class TestSetIO:
 
     def test_as_int_list_keeps_zero(self):
         assert as_int_list([0, 2]) == [0, 2]
-        assert as_int_list(IntSet((0, 2))) == [2]

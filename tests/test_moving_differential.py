@@ -127,7 +127,7 @@ def test_default_offsets_match_stepped_points(case, eps_num, a, b):
 def test_phi_matches_stepped_points(system_point, times, horizon):
     sys_, x = system_point
     assume(any(n != 0 and abs(n) <= horizon for n in times))
-    got = phi_l(sys_, x, times, horizon)
+    got = phi_l(sys_, times, horizon)
     assert real_to_json(got) == real_to_json(stepping_phi(sys_, x, times, horizon))
 
 
