@@ -869,15 +869,38 @@ def _prune_stage(intervals: list[Span], n: int, delta: Fraction, cap: int) -> li
 def _prune(values: Sequence[int], delta: Fraction, cap: int, name: str = "delta") -> list[Span]:
     """The intervals of [0, 1] left after one _prune_stage per value, in
     order; [] when one stage empties them.  A delta outside (0, 1/2) is a
-    ValueError that calls it by the caller's parameter name."""
+    ValueError that calls it by the caller's parameter name.
+
+    ||n*(1 - alpha)|| = ||n*alpha||, so the kept set is symmetric about 1/2:
+    only [0, 1/2] is pruned, and the mirror (1 - hi, 1 - lo) of each of its
+    intervals is appended in reverse order.  No cut point (j + delta)/n or
+    (j + 1 - delta)/n is 1/2 for 0 < delta < 1/2, so an interval reaches 1/2
+    only while it still ends at the inherited (1, 2), and it then joins its
+    mirror.  A half of c intervals counts 2c - s on [0, 1], s = 1 when its
+    last one joins its mirror and 0 otherwise.  A stage whose count exceeds
+    cap raises PruningBudgetExceeded, as the whole circle's would, and the
+    half's budget (cap + 1) // 2 refuses a stage that must exceed cap before
+    its range is built.
+    """
     if not 0 < 2 * delta.numerator < delta.denominator:
         raise ValueError(f"{name} must satisfy 0 < {name} < 1/2")
-    intervals = [(0, 1, 1, 1)]
+    intervals = [(0, 1, 1, 2)]
+    s = 1
     for n in values:
-        intervals = _prune_stage(intervals, n, delta, cap)
+        try:
+            intervals = _prune_stage(intervals, n, delta, (cap + 1) // 2)
+        except PruningBudgetExceeded:
+            raise PruningBudgetExceeded(f"interval count exceeded {cap}") from None
+        s = 1 if intervals and intervals[-1][2:] == (1, 2) else 0
+        if 2 * len(intervals) - s > cap:
+            raise PruningBudgetExceeded(f"interval count exceeded {cap}")
         if not intervals:
             return []
-    return intervals
+    mirror = [(hd - hn, hd, ld - ln, ld) for ln, ld, hn, hd in reversed(intervals)]
+    if s:
+        ln, ld = intervals.pop()[:2]
+        mirror[0] = (ln, ld, ld - ln, ld)
+    return intervals + mirror
 
 
 def _longest(intervals: list[Span]) -> Span:
@@ -911,8 +934,9 @@ def lacunary_witness(
     """Closed rational interval of alphas with dist(n*alpha) >= delta for the
     first `depth` elements of seq; None when pruning empties out.
 
-    Returns the longest surviving interval (leftmost on ties).  The pruning
-    holds at most PRUNE_CAP intervals.
+    Returns the longest surviving interval of [0, 1] (leftmost on ties).
+    The pruning runs on [0, 1/2] and mirrors it (_prune), and holds at most
+    PRUNE_CAP intervals of [0, 1].
     """
     values = [v for v in as_int_list(seq) if v > 0]
     if not values:
@@ -956,7 +980,8 @@ def bohr_separation_search(
 
     dist(n*alpha) >= eps for every n in l_set means the described set
     contains no element of l_set; interval pruning finds such alphas
-    exactly.  grid_depth caps the pruning interval count.
+    exactly, on [0, 1/2] mirrored to [0, 1] (_prune).  grid_depth caps the
+    pruning's interval count of [0, 1].
     """
     eps = Fraction(eps)
     values = [abs(v) for v in as_int_list(l_set) if v != 0]

@@ -127,9 +127,11 @@ class SubshiftSystem:
 
     def phi(self, base: int, targets: ZSetLike, horizon: int) -> Fraction:
         """Minimum over target times n of dist(T^n x, x), x the shift by base:
-        2^-j for the least j <= min(window.hi // 2, 4*horizon) with the two
-        words differing at i = j or i = -j, and 0 where none does.  The
-        window must cover 4x the largest target time on both sides of 0."""
+        2^-j for the least j <= scan = min(window.hi // 2, 4*horizon) with the
+        two words differing at i = j or i = -j, and 0 where none does.  The
+        window must cover 4x the largest target time on both sides of 0, and
+        base +- (largest target time + scan), every coordinate the scan may
+        read; both are checked before any symbol is read."""
         times = _target_times(targets, horizon)
         largest = max(abs(n) for n in times)
         if self.window.lo > -4 * largest or self.window.hi < 4 * largest:
@@ -138,6 +140,12 @@ class SubshiftSystem:
                 f"than 4x the largest target time {largest}"
             )
         scan = min(self.window.hi // 2, 4 * horizon)
+        reach = largest + scan
+        if self.window.lo > base - reach or self.window.hi < base + reach:
+            raise WindowInadequate(
+                f"declared window [{self.window.lo}, {self.window.hi}] does not hold "
+                f"offset {base} +- {reach}, the largest target time plus the scan {scan}"
+            )
 
         def dist(n: int) -> Fraction:
             for i in range(scan + 1):

@@ -2,7 +2,8 @@
 
 ``_prune_stage`` keeps every endpoint as an unreduced integer pair and
 compares by cross-multiplication; the Fraction version it replaced is kept
-here as the reference, and outputs are compared as values.  Continued
+here as the reference, and outputs are compared as values.  ``_prune``
+prunes [0, 1/2] and mirrors it; the reference prunes the whole of [0, 1].  Continued
 fraction quotients are checked against sympy (skipped when sympy is absent).
 """
 
@@ -55,10 +56,14 @@ def reference_stage_on_spans(spans, n, delta, cap):
     return as_spans(out)
 
 
-def reference_prune(values, delta):
+def reference_prune(values, delta, cap=None):
+    """Every stage over the whole of [0, 1], refused once a stage keeps more
+    than cap intervals."""
     intervals = [(Fraction(0), Fraction(1))]
     for n in values:
         intervals = reference_prune_stage(intervals, n, delta)
+        if cap is not None and len(intervals) > cap:
+            raise PruningBudgetExceeded(f"interval count exceeded {cap}")
     return intervals
 
 
@@ -196,6 +201,39 @@ small_deltas = st.builds(
 @given(lacunary_sequences(), small_deltas)
 def test_whole_witness_matches_fraction_pipeline(seq, delta):
     assert lacunary_witness(seq, delta) == reference_witness(seq, delta)
+
+
+def straddles_half(intervals):
+    return any(lo < Fraction(1, 2) < hi for lo, hi in intervals)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(lacunary_sequences(), st.lists(st.integers(1, 120), min_size=1, max_size=8)),
+    small_deltas, st.one_of(st.integers(0, 80), st.just(10**6)),
+)
+def test_half_circle_prune_matches_the_whole_circle(values, delta, cap):
+    try:
+        expected = reference_prune(values, delta, cap)
+    except PruningBudgetExceeded as exc:
+        with pytest.raises(PruningBudgetExceeded, match=f"^{exc}$"):
+            bohr._prune(values, delta, cap)
+        return
+    out = as_fractions(bohr._prune(values, delta, cap))
+    assert out == expected
+    # n/2 is an integer for even n, and ||n/2|| = 1/2 >= delta for odd n
+    assert straddles_half(out) == all(n % 2 for n in values)
+
+
+@pytest.mark.parametrize("values, count", [([1, 3, 7, 15, 31], 25), ([2, 5, 11, 23], 20)])
+def test_separation_budget_counts_the_whole_circle(values, count):
+    eps = Fraction(1, 10)
+    intervals = reference_prune(values, eps)
+    assert len(intervals) == count
+    assert straddles_half(intervals) == all(n % 2 for n in values)
+    assert bohr_separation_search(values, eps, grid_depth=count) is not None
+    with pytest.raises(PruningBudgetExceeded, match=f"^interval count exceeded {count - 1}$"):
+        bohr_separation_search(values, eps, grid_depth=count - 1)
 
 
 @pytest.mark.parametrize("seq, delta, lo, hi", [

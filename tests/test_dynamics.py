@@ -304,6 +304,19 @@ class TestSubshift:
         with pytest.raises(WindowInadequate):
             s.phi(0, [2], 2)
 
+    def test_window_short_of_the_offset_is_refused_before_the_scan(self, monkeypatch):
+        # 4x the largest time fits in [-200, 200], but the scan from offset 190
+        # would read up to 190 + 10 + 80
+        s = SubshiftSystem(frozenset(range(-201, 202, 3)), Window(-200, 200))
+        calls = []
+        symbol = SubshiftSystem.symbol
+        monkeypatch.setattr(SubshiftSystem, "symbol", lambda self, i: calls.append(i) or symbol(self, i))
+        with pytest.raises(WindowInadequate, match=r"offset 190 \+- 90"):
+            s.phi(190, [4, 7, 10], 20)
+        assert calls == []
+        assert s.phi(2, [4, 7, 10], 20) == Fraction(1)
+        assert min(calls) >= -88 and max(calls) <= 92
+
     def test_cylinder_returns(self):
         s = self.make(9)
         times = s.returns(0, 9)
